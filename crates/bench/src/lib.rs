@@ -14,21 +14,42 @@ use cfc_bounds::table::TextTable;
 use cfc_core::metrics::TripComplexity;
 use cfc_core::{Layout, ProcessId, Trace};
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-/// Writes a reproduced table as CSV under `target/cfc-artifacts/`,
-/// returning the path. Benches call this so that every regenerated paper
-/// artifact also exists in machine-readable form.
+/// Writes a reproduced table as CSV under `cfc-artifacts/` in the cargo
+/// target directory the running executable was built into (usually
+/// `target/cfc-artifacts/`), returning the path. Benches call this so
+/// that every regenerated paper artifact also exists in machine-readable
+/// form. The directory is resolved at run time, so a copied or moved
+/// checkout writes into its own target directory.
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors.
+/// Propagates filesystem errors, and fails with
+/// [`std::io::ErrorKind::NotFound`] when the executable does not live in
+/// a cargo target directory.
 pub fn write_artifact(name: &str, table: &TextTable) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/cfc-artifacts");
+    let exe = std::env::current_exe()?;
+    let dir = artifact_dir(&exe, |d| d.join("CACHEDIR.TAG").is_file()).ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::NotFound,
+            format!("no cargo target directory above {}", exe.display()),
+        )
+    })?;
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.csv"));
     std::fs::write(&path, table.to_csv())?;
     Ok(path)
+}
+
+/// `cfc-artifacts` under the nearest proper ancestor of `exe` that
+/// `is_target_dir` accepts — cargo marks its target directories with a
+/// `CACHEDIR.TAG` file — or `None` when no ancestor qualifies.
+fn artifact_dir(exe: &Path, is_target_dir: impl Fn(&Path) -> bool) -> Option<PathBuf> {
+    exe.ancestors()
+        .skip(1)
+        .find(|d| is_target_dir(d))
+        .map(|d| d.join("cfc-artifacts"))
 }
 
 /// The distinct *memory words* a process touched: packed registers count
@@ -156,6 +177,25 @@ mod tests {
         write_artifact("test_overwrite", &first).unwrap();
         let path = write_artifact("test_overwrite", &second).unwrap();
         assert_eq!(std::fs::read_to_string(path).unwrap(), second.to_csv());
+    }
+
+    #[test]
+    fn artifact_dir_is_the_nearest_target_dir_above_the_executable() {
+        let exe = Path::new("/copy/of/tree/target/release/deps/table1_mutex-0123");
+        let marked = |d: &Path| d.ends_with("target") || d == Path::new("/copy");
+        assert_eq!(
+            artifact_dir(exe, marked),
+            Some(PathBuf::from("/copy/of/tree/target/cfc-artifacts"))
+        );
+        // Custom target directories resolve the same way.
+        let exe = Path::new("/work/cfc-target/debug/deps/cfc_bench-4567");
+        assert_eq!(
+            artifact_dir(exe, |d| d == Path::new("/work/cfc-target")),
+            Some(PathBuf::from("/work/cfc-target/cfc-artifacts"))
+        );
+        // The executable itself is never the target directory.
+        assert_eq!(artifact_dir(Path::new("/target"), |d| d.ends_with("target")), None);
+        assert_eq!(artifact_dir(exe, |_| false), None);
     }
 
     #[test]

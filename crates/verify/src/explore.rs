@@ -58,7 +58,8 @@
 //! With `symmetry` enabled, both checks must be invariant under
 //! permutations of the declared classes. The baseline explorer (both
 //! flags off, the default) has no such requirements and remains available
-//! for differential testing — see `tests/reduction_equiv.rs`.
+//! for differential testing — see the oracle matrix in
+//! `tests/common/matrix.rs`.
 //!
 //! # Reduction-aware progress checking
 //!
@@ -94,7 +95,6 @@ use crate::graph::{
     canonicalize, expand_step, full_hash, AmpleMode, Engine, GraphBuilder, BuiltGraph, Node,
     Order, TraversalSpec,
 };
-use crate::store::{IndexMode, StoreMode};
 use crate::telemetry::{self, Phase, Sample, StoreFootprint};
 
 /// Limits and reduction switches for an exploration.
@@ -118,27 +118,10 @@ pub struct ExploreConfig {
     /// Enable symmetry reduction: canonicalize visited-state keys under
     /// the system's [`SymmetryGroup`]. A no-op under the trivial group.
     pub symmetry: bool,
-    /// How visited states are stored: [`StoreMode::Packed`] (the
-    /// default) interns one bit-packed record per canonical state in an
-    /// append-only arena; [`StoreMode::Boxed`] keeps the historical
-    /// boxed-`Node` representation and exists for differential testing.
-    /// Both modes make byte-identical search decisions — the packed
-    /// codec round-trips states exactly, so freshness answers (and
-    /// therefore search order, counts, and schedules) never differ.
-    pub store: StoreMode,
-    /// Which digest-index structure the packed visited store uses:
-    /// [`IndexMode::Open`] (the default) is a single open-addressed
-    /// `u32` table at ~4–6 B/state; [`IndexMode::Chained`] keeps the
-    /// historical `HashMap` heads + intrusive chain as the differential
-    /// oracle (`tests/index_equiv.rs`). Both resolve lookups by exact
-    /// byte comparison, so search decisions never differ. Ignored in
-    /// [`StoreMode::Boxed`].
-    pub index: IndexMode,
     /// Resident-memory budget (in bytes) for the packed visited arena
     /// and the recorded edge arena; when the resident segments exceed
     /// it, cold segments spill to a temporary file and are read back on
-    /// demand. `None` (the default) never spills. Ignored in
-    /// [`StoreMode::Boxed`].
+    /// demand. `None` (the default) never spills.
     pub spill_budget_bytes: Option<usize>,
     /// Which future-access over-approximation ample-set selection
     /// consults: [`MayAccessMode::Declared`] (the default) trusts the
@@ -172,8 +155,6 @@ impl Default for ExploreConfig {
             max_crashes: 0,
             por: false,
             symmetry: false,
-            store: StoreMode::Packed,
-            index: IndexMode::Open,
             spill_budget_bytes: None,
             may_access: MayAccessMode::Declared,
             drop_races_on: None,
@@ -206,22 +187,8 @@ impl ExploreConfig {
         self
     }
 
-    /// Replaces the visited-store backend.
-    #[must_use]
-    pub fn with_store(mut self, store: StoreMode) -> Self {
-        self.store = store;
-        self
-    }
-
-    /// Replaces the digest-index structure of the packed visited store.
-    #[must_use]
-    pub fn with_index(mut self, index: IndexMode) -> Self {
-        self.index = index;
-        self
-    }
-
     /// Sets the resident-memory budget that triggers spilling of cold
-    /// visited-arena segments (packed store only).
+    /// visited-arena segments.
     #[must_use]
     pub fn with_spill_budget(mut self, bytes: usize) -> Self {
         self.spill_budget_bytes = Some(bytes);
@@ -279,9 +246,7 @@ pub struct ExploreStats {
     /// [`MayAccessMode::Dynamic`] in the crash-free, symmetry-off
     /// safety DFS (see `crate::dynamic` for the gating).
     pub transitions_slept: u64,
-    /// Store, index, and edge memory at the end of the search: exact
-    /// bytes under [`StoreMode::Packed`] / [`IndexMode::Open`],
-    /// comparable estimates for the boxed/chained oracles.
+    /// Exact store, index, and edge memory at the end of the search.
     /// `edge_bytes` is always 0 for the safety DFS, which records no
     /// graph; `spilled_buckets` is 0 unless
     /// [`ExploreConfig::spill_budget_bytes`] forced cold segments out.

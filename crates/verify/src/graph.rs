@@ -45,7 +45,7 @@ pub(crate) use crate::csr::GEdge;
 use crate::csr::{EdgeArena, ReversedCsr};
 use crate::dynamic::{observed_conflict, sleep_sets_active, SleepTable};
 use crate::explore::{ExploreConfig, ExploreError, ScheduleStep, StateView, Violation};
-use crate::store::{IndexMode, NodeStore, StoreMode, VisitOutcome};
+use crate::store::{NodeStore, VisitOutcome};
 use crate::telemetry::{self, Phase, Sample, StoreFootprint};
 
 /// A global state of the explored system.
@@ -660,10 +660,8 @@ pub(crate) struct TraversalStats {
     /// Transitions skipped by dynamic sleep sets (safety DFS under
     /// [`MayAccessMode::Dynamic`] only; zero everywhere else).
     pub(crate) transitions_slept: u64,
-    /// Store/index/edge bytes and spill counts (exact in packed mode,
-    /// comparable estimates for the boxed/chained structures;
-    /// `edge_bytes` is zero for the DFS and for BFS without edge
-    /// recording).
+    /// Exact store/index/edge bytes and spill counts (`edge_bytes` is
+    /// zero for the DFS and for BFS without edge recording).
     pub(crate) footprint: StoreFootprint,
     /// Wall time of the traversal, measured by the telemetry clock
     /// (ambient, so tests can inject a deterministic one).
@@ -747,8 +745,6 @@ pub(crate) struct GraphBuilder<'a, P> {
     engine: Engine<P>,
     spec: TraversalSpec<'a, P>,
     max_states: usize,
-    store_mode: StoreMode,
-    index_mode: IndexMode,
     spill_budget: Option<usize>,
     progress: bool,
 }
@@ -758,7 +754,6 @@ impl<P> std::fmt::Debug for GraphBuilder<'_, P> {
         f.debug_struct("GraphBuilder")
             .field("spec", &self.spec)
             .field("max_states", &self.max_states)
-            .field("store_mode", &self.store_mode)
             .finish()
     }
 }
@@ -791,8 +786,6 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             engine,
             spec,
             max_states: config.max_states,
-            store_mode: config.store,
-            index_mode: config.index,
             spill_budget: config.spill_budget_bytes,
             progress: config.progress,
         }
@@ -875,8 +868,6 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         // from a plain revisit, by exact comparison (a hash could
         // collide and miscount).
         let mut visited: NodeStore<P> = NodeStore::new(
-            self.store_mode,
-            self.index_mode,
             self.spill_budget,
             engine.template().layout(),
             &root,
@@ -1129,8 +1120,6 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         let root_canon = engine.canonical_of(&root);
 
         let mut store: NodeStore<P> = NodeStore::new(
-            self.store_mode,
-            self.index_mode,
             self.spill_budget,
             engine.template().layout(),
             &root_canon,

@@ -13,7 +13,7 @@
 //! Collisions therefore cost extra compares, never correctness — the
 //! exactness guarantees of the packed store (`Fresh` vs `RevisitSame`
 //! vs `RevisitMerged`, and the `orbits_merged` count) are decided by
-//! byte equality exactly as the chained index decided them.
+//! byte equality alone.
 //!
 //! Growth doubles the capacity once the load factor reaches 7/8 and
 //! rehashes by re-deriving every stored id's digest through a second

@@ -65,7 +65,7 @@ mod graph;
 pub mod index;
 pub mod liveness;
 pub mod merge;
-pub mod store;
+mod store;
 pub mod stress;
 pub mod telemetry;
 
@@ -87,7 +87,6 @@ pub use explore::{
     ExploreConfig, ExploreError, ExploreStats, ProgressStats, Replayed, ScheduleStep, Violation,
 };
 pub use index::OpenIndex;
-pub use store::{IndexMode, StoreMode};
 pub use liveness::{
     check_liveness_sym, check_mutex_starvation, check_naming_lockout, validate_bypass,
     validate_lasso, BypassWitness, Lasso, LassoWitness, LivenessReport, LivenessSpec,

@@ -268,8 +268,7 @@ pub struct LivenessStats {
     /// Successors folded into a distinct member of their orbit.
     pub orbits_merged: u64,
     /// Store, index, and edge memory summed over all per-victim graphs
-    /// (see `ExploreStats::footprint` for the backend semantics;
-    /// `spilled_buckets` sums state and edge segments alike).
+    /// (`spilled_buckets` sums state and edge segments alike).
     pub footprint: StoreFootprint,
     /// Wall time of the whole check — every graph build, SCC analysis,
     /// and witness validation — in nanoseconds, measured by the

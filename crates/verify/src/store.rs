@@ -1,11 +1,8 @@
 //! The packed, arena-interned state store behind every exhaustive
 //! checker's visited set.
 //!
-//! The historical store kept each canonical state **twice** — once boxed
-//! in the graph's `Vec<Node<P>>` and once cloned into a `HashMap` visited
-//! key — at several hundred bytes per state. This module replaces both
-//! with one copy of every canonical state, bit-packed at declared widths
-//! (the paper's own packing discipline, applied to the verifier's
+//! Every canonical state is held exactly once, bit-packed at declared
+//! widths (the paper's own packing discipline, applied to the verifier's
 //! footprint; see [`cfc_core::LayoutCodec`]):
 //!
 //! * [`NodeCodec`] — a fixed-stride record codec for [`Node`]s: per-process
@@ -18,23 +15,19 @@
 //!   a **spill tier**: once a configured resident-byte budget fills, cold
 //!   (oldest, discovery-ordered) full segments move to one temp file and
 //!   are read back on demand;
-//! * [`NodeStore`] — the visited set / intern table: a digest index maps
+//! * [`NodeStore`] — the visited set / intern table: an open-addressed
+//!   digest index ([`crate::index::OpenIndex`], at most 64/7 B/state) maps
 //!   a 64-bit hash of the record bytes to record ids, so membership and
 //!   interning cost one encode plus a short probe, and node ids decode
-//!   transiently on expansion. The index is an open-addressed `u32`
-//!   table by default ([`crate::index::OpenIndex`], ~4–6 B/state); the
-//!   historical `HashMap` heads + intrusive `next` chain survive behind
-//!   [`IndexMode::Chained`] as the differential oracle
-//!   (`tests/index_equiv.rs`).
+//!   transiently on expansion.
 //!
 //! Round-trip identity of the codec (checked by a construction-time probe
 //! and debug assertions on early insertions) makes the encoding
-//! injective, so byte-equality of records coincides with `Node` equality
-//! and the packed store makes **exactly** the freshness and interning
-//! decisions the boxed one would — search semantics are byte-identical;
-//! only the bytes per state change. [`Backend::Boxed`] keeps the
-//! historical representation alive for differential testing
-//! (`tests/packed_equiv.rs`) and as a fallback surface.
+//! injective, so byte-equality of records coincides with `Node` equality:
+//! every freshness and interning decision is exactly the one a store of
+//! whole `Node`s would make. `tests/packed_equiv.rs` holds the checkers
+//! built on this store against a naive `HashMap`-of-states explorer,
+//! count for count.
 
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
@@ -50,35 +43,6 @@ use cfc_core::{bits_for, Layout, LayoutCodec, Process, StateCodec, StateReader, 
 
 use crate::graph::Node;
 use crate::index::OpenIndex;
-
-/// Which representation a [`NodeStore`] uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum StoreMode {
-    /// One bit-packed copy of every canonical state in a spillable arena
-    /// (the default).
-    #[default]
-    Packed,
-    /// The historical boxed representation: a `Vec<Node>` plus digest
-    /// buckets of ids. Kept for differential testing and as an escape
-    /// hatch; never spills.
-    Boxed,
-}
-
-/// Which digest-index structure a packed [`NodeStore`] uses to map
-/// record digests to arena ids (ignored in boxed mode, which keeps its
-/// own buckets).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum IndexMode {
-    /// A single open-addressed `u32` table with linear probing
-    /// ([`crate::index::OpenIndex`], the default): ~4–6 B/state.
-    #[default]
-    Open,
-    /// The historical `HashMap<u64, u32>` digest heads plus an intrusive
-    /// `next` chain (~16–20 B/state). Kept as the differential oracle —
-    /// worth running whenever the index itself is under suspicion, the
-    /// same way [`StoreMode::Boxed`] cross-checks the codec.
-    Chained,
-}
 
 /// The outcome of recording a state in the visited set
 /// ([`NodeStore::visit`]).
@@ -482,142 +446,36 @@ impl Drop for SegArena {
 }
 
 // ---------------------------------------------------------------------
-// The digest index.
-// ---------------------------------------------------------------------
-
-/// The record-digest → arena-id index of a packed store, in either of
-/// the two [`IndexMode`] structures. The digest function is a field so
-/// tests can engineer collisions (e.g. a constant digest) and assert
-/// lookups still distinguish records by content alone.
-struct DigestIndex {
-    digest: fn(&[u8]) -> u64,
-    kind: IndexKind,
-}
-
-enum IndexKind {
-    Open(OpenIndex),
-    Chained {
-        /// Digest → head record id of an intrusive chain through `next`.
-        heads: HashMap<u64, u32>,
-        next: Vec<u32>,
-    },
-}
-
-impl DigestIndex {
-    fn new(mode: IndexMode) -> Self {
-        let kind = match mode {
-            IndexMode::Open => IndexKind::Open(OpenIndex::new()),
-            IndexMode::Chained => IndexKind::Chained {
-                heads: HashMap::new(),
-                next: Vec::new(),
-            },
-        };
-        DigestIndex { digest, kind }
-    }
-
-    /// Finds the id of the record byte-equal to `rec`, if stored.
-    fn find(&self, arena: &SegArena, probe: &RefCell<Vec<u8>>, rec: &[u8]) -> Option<u32> {
-        let d = (self.digest)(rec);
-        match &self.kind {
-            IndexKind::Open(table) => {
-                table.find(d, |id| arena.with_record(id, probe, |bytes| bytes == rec))
-            }
-            IndexKind::Chained { heads, next } => {
-                let mut cur = *heads.get(&d)?;
-                loop {
-                    if arena.with_record(cur, probe, |bytes| bytes == rec) {
-                        return Some(cur);
-                    }
-                    cur = next[cur as usize];
-                    if cur == u32::MAX {
-                        return None;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Records the freshly pushed `id` whose record bytes are `rec`.
-    /// The caller just pushed `rec` at `id`, so `digest_of(id)` (needed
-    /// when the open table grows) can re-derive digests straight from
-    /// the arena.
-    fn insert(&mut self, arena: &SegArena, probe: &RefCell<Vec<u8>>, rec: &[u8], id: u32) {
-        let digest_fn = self.digest;
-        let d = digest_fn(rec);
-        match &mut self.kind {
-            IndexKind::Open(table) => {
-                table.insert(d, id, |x| arena.with_record(x, probe, digest_fn));
-            }
-            IndexKind::Chained { heads, next } => {
-                let head = heads.insert(d, id);
-                debug_assert_eq!(next.len(), id as usize);
-                next.push(head.unwrap_or(u32::MAX));
-            }
-        }
-    }
-
-    /// Heap bytes held by the index: exact for the open table, an
-    /// estimate (entry payload + chain links, ignoring `HashMap` control
-    /// overhead) for the chained oracle so the two stay comparable.
-    fn heap_bytes(&self) -> u64 {
-        match &self.kind {
-            IndexKind::Open(table) => table.heap_bytes(),
-            IndexKind::Chained { heads, next } => {
-                (heads.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>())
-                    + next.len() * std::mem::size_of::<u32>()) as u64
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // The store.
 // ---------------------------------------------------------------------
 
 /// First-visitor identity per stored state, for exact orbit-merge
 /// accounting in the symmetry-reduced DFS.
-enum Firsts<P> {
+struct Firsts {
     /// `u32::MAX` means the first concrete visitor was byte-equal to the
-    /// canonical representative; anything else indexes the side arena of
-    /// differing first visitors.
-    Packed {
-        ids: Vec<u32>,
-        arena: SegArena,
-    },
-    /// `None` means the first concrete visitor equaled the canonical
-    /// representative.
-    Boxed(Vec<Option<Node<P>>>),
-}
-
-// One `Backend` exists per traversal and lives as long as the search,
-// so boxing the packed variant's fields would buy nothing but an
-// indirection on every probe.
-#[allow(clippy::large_enum_variant)]
-enum Backend<P> {
-    Boxed {
-        nodes: Vec<Node<P>>,
-        buckets: HashMap<u64, Vec<u32>>,
-        /// Estimated heap bytes per boxed node (struct + spines), used so
-        /// `arena_bytes` is comparable across backends.
-        bytes_per_node: usize,
-    },
-    Packed {
-        codec: NodeCodec<P>,
-        arena: SegArena,
-        index: DigestIndex,
-        /// Encode scratch, `RefCell` so `&self` lookups can encode.
-        scratch: RefCell<Vec<u8>>,
-        /// Read scratch for probes through possibly-spilled records.
-        probe: RefCell<Vec<u8>>,
-    },
+    /// canonical representative; anything else indexes `arena`, the side
+    /// arena of differing first visitors.
+    ids: Vec<u32>,
+    arena: SegArena,
 }
 
 /// The visited set + canonical state table shared by every traversal:
 /// states go in once (canonically), get a dense `u32` id, and decode
 /// transiently on expansion.
 pub(crate) struct NodeStore<P> {
-    backend: Backend<P>,
-    firsts: Option<Firsts<P>>,
+    codec: NodeCodec<P>,
+    arena: SegArena,
+    /// Record digest → arena id; collisions resolve by byte comparison.
+    index: OpenIndex,
+    /// The record digest, a field so tests can engineer collisions (e.g.
+    /// a constant digest) and assert lookups still distinguish records
+    /// by content alone.
+    digest: fn(&[u8]) -> u64,
+    /// Encode scratch, `RefCell` so `&self` lookups can encode.
+    scratch: RefCell<Vec<u8>>,
+    /// Read scratch for probes through possibly-spilled records.
+    probe: RefCell<Vec<u8>>,
+    firsts: Option<Firsts>,
     debug_checked: u32,
 }
 
@@ -637,65 +495,33 @@ fn digest(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-fn boxed_bytes_per_node<P>(root: &Node<P>) -> usize {
-    std::mem::size_of::<Node<P>>()
-        + root.procs.len() * std::mem::size_of::<P>()
-        + root.values.len() * std::mem::size_of::<Value>()
-        + root.status.len() * std::mem::size_of::<Status>()
-}
-
 impl<P> NodeStore<P> {
     /// The number of stored states.
     pub(crate) fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Boxed { nodes, .. } => nodes.len(),
-            Backend::Packed { arena, .. } => arena.len() as usize,
-        }
+        self.arena.len() as usize
     }
 
-    /// Bytes of canonical state payload: exact arena bytes in packed
-    /// mode, an estimated equivalent (states × per-node heap footprint)
-    /// in boxed mode — comparable across backends by construction.
+    /// Bytes of canonical state payload in the arena.
     pub(crate) fn arena_bytes(&self) -> u64 {
-        match &self.backend {
-            Backend::Boxed {
-                nodes,
-                bytes_per_node,
-                ..
-            } => nodes.len() as u64 * *bytes_per_node as u64,
-            Backend::Packed { arena, .. } => arena.payload_bytes(),
-        }
+        self.arena.payload_bytes()
     }
 
     /// Arena segments written to the spill tier so far (0 without a
-    /// budget and always 0 in boxed mode).
+    /// budget).
     pub(crate) fn spilled_buckets(&self) -> u64 {
-        let main = match &self.backend {
-            Backend::Boxed { .. } => 0,
-            Backend::Packed { arena, .. } => arena.spilled_segs(),
-        };
-        let firsts = match &self.firsts {
-            Some(Firsts::Packed { arena, .. }) => arena.spilled_segs(),
-            _ => 0,
-        };
-        main + firsts
+        self.arena.spilled_segs() + self.firsts.as_ref().map_or(0, |f| f.arena.spilled_segs())
     }
 
-    /// Heap bytes held by the digest index (the open table's slot array,
-    /// or comparable estimates for the chained oracle and the boxed
-    /// backend's buckets).
+    /// Heap bytes held by the digest index's slot array.
     pub(crate) fn index_bytes(&self) -> u64 {
-        match &self.backend {
-            Backend::Boxed { nodes, buckets, .. } => {
-                // Entry payload + one Vec spine per bucket + one id per
-                // node; HashMap control overhead ignored, like the
-                // chained estimate.
-                (buckets.len()
-                    * (std::mem::size_of::<u64>() + std::mem::size_of::<Vec<u32>>())
-                    + nodes.len() * std::mem::size_of::<u32>()) as u64
-            }
-            Backend::Packed { index, .. } => index.heap_bytes(),
-        }
+        self.index.heap_bytes()
+    }
+
+    /// Finds the id of the record byte-equal to `rec`, if stored.
+    fn find(&self, rec: &[u8]) -> Option<u32> {
+        self.index.find((self.digest)(rec), |id| {
+            self.arena.with_record(id, &self.probe, |bytes| bytes == rec)
+        })
     }
 }
 
@@ -703,44 +529,26 @@ impl<P: Process + Clone + Eq + Hash> NodeStore<P> {
     /// Builds a store for states shaped like `root` (which is **not**
     /// inserted). `track_firsts` enables first-visitor identity for the
     /// DFS orbit-merge counter; `spill_budget` bounds resident arena
-    /// bytes in packed mode (`None`: never spill); `index` picks the
-    /// digest-index structure (ignored in boxed mode).
+    /// bytes (`None`: never spill).
     pub(crate) fn new(
-        mode: StoreMode,
-        index: IndexMode,
         spill_budget: Option<usize>,
         layout: &Layout,
         root: &Node<P>,
         track_firsts: bool,
     ) -> Self {
-        let backend = match mode {
-            StoreMode::Boxed => Backend::Boxed {
-                nodes: Vec::new(),
-                buckets: HashMap::new(),
-                bytes_per_node: boxed_bytes_per_node(root),
-            },
-            StoreMode::Packed => {
-                let codec = NodeCodec::new(layout, root);
-                let rec_bytes = codec.rec_bytes();
-                Backend::Packed {
-                    codec,
-                    arena: SegArena::new(rec_bytes, spill_budget),
-                    index: DigestIndex::new(index),
-                    scratch: RefCell::new(Vec::new()),
-                    probe: RefCell::new(Vec::new()),
-                }
-            }
-        };
-        let firsts = track_firsts.then(|| match &backend {
-            Backend::Boxed { .. } => Firsts::Boxed(Vec::new()),
-            Backend::Packed { codec, .. } => Firsts::Packed {
-                ids: Vec::new(),
-                arena: SegArena::new(codec.rec_bytes(), spill_budget),
-            },
-        });
+        let codec = NodeCodec::new(layout, root);
+        let rec_bytes = codec.rec_bytes();
         NodeStore {
-            backend,
-            firsts,
+            codec,
+            arena: SegArena::new(rec_bytes, spill_budget),
+            index: OpenIndex::new(),
+            digest,
+            scratch: RefCell::new(Vec::new()),
+            probe: RefCell::new(Vec::new()),
+            firsts: track_firsts.then(|| Firsts {
+                ids: Vec::new(),
+                arena: SegArena::new(rec_bytes, spill_budget),
+            }),
             debug_checked: 0,
         }
     }
@@ -748,76 +556,38 @@ impl<P: Process + Clone + Eq + Hash> NodeStore<P> {
     /// Whether `key` (already canonical) is stored. `&self`, so traversal
     /// loops can consult it while the engine is mutably borrowed.
     pub(crate) fn contains(&self, key: &Node<P>) -> bool {
-        match &self.backend {
-            Backend::Boxed { nodes, buckets, .. } => buckets
-                .get(&node_hash(key))
-                .is_some_and(|b| b.iter().any(|&id| nodes[id as usize] == *key)),
-            Backend::Packed {
-                codec,
-                arena,
-                index,
-                scratch,
-                probe,
-            } => {
-                let mut rec = scratch.borrow_mut();
-                if !codec.try_encode(key, &mut rec) {
-                    // A local state the intern table has never seen: the
-                    // node cannot be stored.
-                    return false;
-                }
-                index.find(arena, probe, &rec).is_some()
-            }
+        let mut rec = self.scratch.borrow_mut();
+        if !self.codec.try_encode(key, &mut rec) {
+            // A local state the intern table has never seen: the node
+            // cannot be stored.
+            return false;
         }
+        self.find(&rec).is_some()
     }
 
     /// Interns `canon`, returning its dense id and whether it was fresh.
     pub(crate) fn intern(&mut self, canon: Node<P>) -> (u32, bool) {
-        match &mut self.backend {
-            Backend::Boxed { nodes, buckets, .. } => {
-                let bucket = buckets.entry(node_hash(&canon)).or_default();
-                match bucket
-                    .iter()
-                    .copied()
-                    .find(|&id| nodes[id as usize] == canon)
-                {
-                    Some(id) => (id, false),
-                    None => {
-                        let id = nodes.len() as u32;
-                        bucket.push(id);
-                        nodes.push(canon);
-                        (id, true)
-                    }
-                }
-            }
-            Backend::Packed {
-                codec,
-                arena,
-                index,
-                scratch,
-                probe,
-            } => {
-                let mut rec = scratch.borrow_mut();
-                codec.encode_mut(&canon, &mut rec);
-                if let Some(id) = index.find(arena, probe, &rec) {
-                    return (id, false);
-                }
-                let id = arena.push(&rec);
-                index.insert(arena, probe, &rec, id);
-                // Early-insertion decode-back check: `decode(encode(x)) ==
-                // x` is the injectivity contract everything rests on, so
-                // the first insertions of every debug run verify it end to
-                // end.
-                if cfg!(debug_assertions) && self.debug_checked < 1024 {
-                    self.debug_checked += 1;
-                    debug_assert!(
-                        codec.decode(&rec) == canon,
-                        "packed store round-trip mismatch: \
-                         the codec is not injective for this system"
-                    );
-                }
-                (id, true)
-            }
+        let mut rec = self.scratch.borrow_mut();
+        self.codec.encode_mut(&canon, &mut rec);
+        if let Some(id) = self.find(&rec) {
+            return (id, false);
         }
+        let id = self.arena.push(&rec);
+        let (arena, probe, digest) = (&self.arena, &self.probe, self.digest);
+        self.index
+            .insert(digest(&rec), id, |x| arena.with_record(x, probe, digest));
+        // Early-insertion decode-back check: `decode(encode(x)) == x` is
+        // the injectivity contract everything rests on, so the first
+        // insertions of every debug run verify it end to end.
+        if cfg!(debug_assertions) && self.debug_checked < 1024 {
+            self.debug_checked += 1;
+            debug_assert!(
+                self.codec.decode(&rec) == canon,
+                "packed store round-trip mismatch: \
+                 the codec is not injective for this system"
+            );
+        }
+        (id, true)
     }
 
     /// Records a visit of the canonical key `canon` reached by the
@@ -832,7 +602,7 @@ impl<P: Process + Clone + Eq + Hash> NodeStore<P> {
         concrete: Option<&Node<P>>,
     ) -> (u32, VisitOutcome) {
         let (id, fresh) = self.intern(canon.clone());
-        let Some(firsts) = &mut self.firsts else {
+        let Some(Firsts { ids, arena }) = &mut self.firsts else {
             let outcome = if fresh {
                 VisitOutcome::Fresh
             } else {
@@ -840,81 +610,45 @@ impl<P: Process + Clone + Eq + Hash> NodeStore<P> {
             };
             return (id, outcome);
         };
-        let outcome = match firsts {
-            Firsts::Boxed(list) => {
-                if fresh {
-                    list.push(concrete.filter(|c| **c != *canon).cloned());
-                    VisitOutcome::Fresh
-                } else {
-                    let first_differs = match &list[id as usize] {
-                        // First visitor *was* the canonical form.
-                        None => concrete.is_some_and(|c| *c != *canon),
-                        Some(first) => concrete != Some(first),
-                    };
-                    if first_differs {
-                        VisitOutcome::RevisitMerged
-                    } else {
-                        VisitOutcome::RevisitSame
-                    }
-                }
+        // Encode the concrete visitor; its local states are the same
+        // multiset as the canon's (a permutation), so the intern table
+        // already covers them.
+        let mut rec = self.scratch.borrow_mut();
+        let concrete_rec: Option<&[u8]> = match concrete {
+            Some(c) => {
+                assert!(
+                    self.codec.try_encode(c, &mut rec),
+                    "concrete visitor uses local states absent from its own orbit"
+                );
+                Some(&rec)
             }
-            Firsts::Packed { ids, arena } => {
-                let Backend::Packed {
-                    codec,
-                    arena: main,
-                    scratch,
-                    probe,
-                    ..
-                } = &mut self.backend
-                else {
-                    unreachable!("packed firsts imply a packed backend");
-                };
-                // Encode the concrete visitor; its local states are the
-                // same multiset as the canon's (a permutation), so the
-                // intern table already covers them.
-                let mut rec = scratch.borrow_mut();
-                let concrete_rec: Option<&[u8]> = match concrete {
-                    Some(c) => {
-                        assert!(
-                            codec.try_encode(c, &mut rec),
-                            "concrete visitor uses local states absent from its own orbit"
-                        );
-                        Some(&rec)
-                    }
-                    None => None,
-                };
-                if fresh {
-                    debug_assert_eq!(ids.len(), id as usize);
-                    let mut canon_rec = probe.borrow_mut();
-                    main.read_into(id, &mut canon_rec);
-                    match concrete_rec {
-                        Some(c) if c != canon_rec.as_slice() => {
-                            let fid = arena.push(c);
-                            ids.push(fid);
-                        }
-                        _ => ids.push(u32::MAX),
-                    }
-                    VisitOutcome::Fresh
-                } else {
-                    let mut first_rec = probe.borrow_mut();
-                    let fid = ids[id as usize];
-                    if fid == u32::MAX {
-                        main.read_into(id, &mut first_rec);
-                    } else {
-                        arena.read_into(fid, &mut first_rec);
-                    }
-                    let same = match concrete_rec {
-                        Some(c) => c == first_rec.as_slice(),
-                        // No concrete passed: the visitor is the canon
-                        // itself.
-                        None => fid == u32::MAX,
-                    };
-                    if same {
-                        VisitOutcome::RevisitSame
-                    } else {
-                        VisitOutcome::RevisitMerged
-                    }
-                }
+            None => None,
+        };
+        let mut stored = self.probe.borrow_mut();
+        let outcome = if fresh {
+            debug_assert_eq!(ids.len(), id as usize);
+            self.arena.read_into(id, &mut stored);
+            match concrete_rec {
+                Some(c) if c != stored.as_slice() => ids.push(arena.push(c)),
+                _ => ids.push(u32::MAX),
+            }
+            VisitOutcome::Fresh
+        } else {
+            let fid = ids[id as usize];
+            if fid == u32::MAX {
+                self.arena.read_into(id, &mut stored);
+            } else {
+                arena.read_into(fid, &mut stored);
+            }
+            let same = match concrete_rec {
+                Some(c) => c == stored.as_slice(),
+                // No concrete passed: the visitor is the canon itself.
+                None => fid == u32::MAX,
+            };
+            if same {
+                VisitOutcome::RevisitSame
+            } else {
+                VisitOutcome::RevisitMerged
             }
         };
         (id, outcome)
@@ -922,27 +656,10 @@ impl<P: Process + Clone + Eq + Hash> NodeStore<P> {
 
     /// Decodes stored state `id` (a transient owned copy).
     pub(crate) fn node(&self, id: u32) -> Node<P> {
-        match &self.backend {
-            Backend::Boxed { nodes, .. } => nodes[id as usize].clone(),
-            Backend::Packed {
-                codec,
-                arena,
-                probe,
-                ..
-            } => {
-                let mut rec = probe.borrow_mut();
-                arena.read_into(id, &mut rec);
-                codec.decode(&rec)
-            }
-        }
+        let mut rec = self.probe.borrow_mut();
+        self.arena.read_into(id, &mut rec);
+        self.codec.decode(&rec)
     }
-
-}
-
-fn node_hash<P: Hash>(node: &Node<P>) -> u64 {
-    let mut h = DefaultHasher::new();
-    node.hash(&mut h);
-    h.finish()
 }
 
 #[cfg(test)]
@@ -1009,58 +726,39 @@ mod tests {
         }
     }
 
-    fn store(
-        mode: StoreMode,
-        budget: Option<usize>,
-        track_firsts: bool,
-    ) -> NodeStore<Packable> {
-        store_with(mode, IndexMode::default(), budget, track_firsts)
-    }
-
-    fn store_with(
-        mode: StoreMode,
-        index: IndexMode,
-        budget: Option<usize>,
-        track_firsts: bool,
-    ) -> NodeStore<Packable> {
-        let layout = layout2();
-        let root = node([0, 0], 0, 0, 2);
-        NodeStore::new(mode, index, budget, &layout, &root, track_firsts)
+    fn store(budget: Option<usize>, track_firsts: bool) -> NodeStore<Packable> {
+        NodeStore::new(budget, &layout2(), &node([0, 0], 0, 0, 2), track_firsts)
     }
 
     #[test]
     fn packed_store_interns_each_state_once() {
-        for mode in [StoreMode::Packed, StoreMode::Boxed] {
-            let mut s = store(mode, None, false);
-            let x = node([1, 2], 3, 4, 1);
-            let y = node([2, 1], 3, 4, 1);
-            assert!(!s.contains(&x));
-            let (idx, fresh) = s.intern(x.clone());
-            assert!(fresh);
-            let (idx2, fresh2) = s.intern(x.clone());
-            assert!(!fresh2);
-            assert_eq!(idx, idx2);
-            let (idy, fresh3) = s.intern(y.clone());
-            assert!(fresh3);
-            assert_ne!(idx, idy);
-            assert!(s.contains(&x));
-            assert_eq!(s.node(idx), x, "{mode:?}");
-            assert_eq!(s.node(idy), y, "{mode:?}");
-            assert_eq!(s.len(), 2);
-        }
+        let mut s = store(None, false);
+        let x = node([1, 2], 3, 4, 1);
+        let y = node([2, 1], 3, 4, 1);
+        assert!(!s.contains(&x));
+        let (idx, fresh) = s.intern(x.clone());
+        assert!(fresh);
+        let (idx2, fresh2) = s.intern(x.clone());
+        assert!(!fresh2);
+        assert_eq!(idx, idx2);
+        let (idy, fresh3) = s.intern(y.clone());
+        assert!(fresh3);
+        assert_ne!(idx, idy);
+        assert!(s.contains(&x));
+        assert_eq!(s.node(idx), x);
+        assert_eq!(s.node(idy), y);
+        assert_eq!(s.len(), 2);
     }
 
     #[test]
-    fn packed_records_are_a_fraction_of_boxed_footprint() {
-        let mut packed = store(StoreMode::Packed, None, false);
-        let mut boxed = store(StoreMode::Boxed, None, false);
+    fn packed_records_take_their_declared_bit_width() {
+        let mut s = store(None, false);
         for c in 0..100u8 {
-            packed.intern(node([c, c], 1, 2, 0));
-            boxed.intern(node([c, c], 1, 2, 0));
+            s.intern(node([c, c], 1, 2, 0));
         }
         // 2 statuses (4b) + crash (2b) + values (8b) + 2 hook procs
         // (16b) = 30 bits -> 4 bytes/record.
-        assert!(packed.arena_bytes() * 2 <= boxed.arena_bytes());
+        assert_eq!(s.arena_bytes(), 100 * 4);
     }
 
     #[test]
@@ -1073,8 +771,7 @@ mod tests {
             status: vec![Status::Running; 2],
             crashes_left: 0,
         };
-        let mut s =
-            NodeStore::new(StoreMode::Packed, IndexMode::default(), None, &layout, &root, false);
+        let mut s = NodeStore::new(None, &layout, &root, false);
         let x = Node {
             procs: vec![Opaque { word: 7 }, Opaque { word: 9 }],
             ..root.clone()
@@ -1097,34 +794,31 @@ mod tests {
     #[test]
     fn spill_tier_keeps_lookups_exact() {
         // A budget of one segment forces everything but the tail to
-        // disk; both index structures must probe spilled records
-        // exactly.
-        for imode in [IndexMode::Open, IndexMode::Chained] {
-            let mut s = store_with(StoreMode::Packed, imode, Some(SEG_TARGET), false);
-            let mut ids = Vec::new();
-            // Enough records to fill several 64 KiB segments (4-byte
-            // records, 16384 per segment).
-            for i in 0..60_000u32 {
-                let x = node(
-                    [(i % 251) as u8, (i / 251) as u8],
-                    u64::from(i % 8),
-                    u64::from(i % 32),
-                    i % 3,
-                );
-                let (id, fresh) = s.intern(x);
-                assert!(fresh, "all states distinct ({imode:?})");
-                ids.push(id);
-            }
-            assert!(s.spilled_buckets() > 0, "budget must have forced spills");
-            // Reads and membership still hit spilled records exactly.
-            let probe = node([77, 0], u64::from(77u32 % 8), u64::from(77u32 % 32), 77 % 3);
-            assert!(s.contains(&probe));
-            let (_, fresh) = s.intern(probe);
-            assert!(!fresh, "reinterning a spilled state must dedupe ({imode:?})");
-            assert_eq!(s.len(), 60_000);
-            let decoded = s.node(ids[123]);
-            assert_eq!(decoded.values[0], Value::new(123 % 8));
+        // disk; the index must probe spilled records exactly.
+        let mut s = store(Some(SEG_TARGET), false);
+        let mut ids = Vec::new();
+        // Enough records to fill several 64 KiB segments (4-byte
+        // records, 16384 per segment).
+        for i in 0..60_000u32 {
+            let x = node(
+                [(i % 251) as u8, (i / 251) as u8],
+                u64::from(i % 8),
+                u64::from(i % 32),
+                i % 3,
+            );
+            let (id, fresh) = s.intern(x);
+            assert!(fresh, "all states distinct");
+            ids.push(id);
         }
+        assert!(s.spilled_buckets() > 0, "budget must have forced spills");
+        // Reads and membership still hit spilled records exactly.
+        let probe = node([77, 0], u64::from(77u32 % 8), u64::from(77u32 % 32), 77 % 3);
+        assert!(s.contains(&probe));
+        let (_, fresh) = s.intern(probe);
+        assert!(!fresh, "reinterning a spilled state must dedupe");
+        assert_eq!(s.len(), 60_000);
+        let decoded = s.node(ids[123]);
+        assert_eq!(decoded.values[0], Value::new(123 % 8));
     }
 
     #[test]
@@ -1132,81 +826,58 @@ mod tests {
         // Two distinct canonical states with an *engineered* equal
         // digest must both intern Fresh and never report a merge: the
         // index resolves collisions by byte comparison, never by hash.
-        for imode in [IndexMode::Open, IndexMode::Chained] {
-            let mut s = store_with(StoreMode::Packed, imode, None, true);
-            let Backend::Packed { index, .. } = &mut s.backend else {
-                unreachable!("packed store requested above");
-            };
-            index.digest = |_| 0xdead_beef;
-            let x = node([1, 2], 3, 4, 1);
-            let y = node([9, 9], 5, 5, 0);
-            assert_eq!(s.visit(&x, None), (0, VisitOutcome::Fresh), "{imode:?}");
-            assert_eq!(s.visit(&y, None), (1, VisitOutcome::Fresh), "{imode:?}");
-            assert_eq!(s.visit(&x, None), (0, VisitOutcome::RevisitSame), "{imode:?}");
-            assert_eq!(s.visit(&y, None), (1, VisitOutcome::RevisitSame), "{imode:?}");
-            assert_eq!(s.len(), 2);
-        }
+        let mut s = store(None, true);
+        s.digest = |_| 0xdead_beef;
+        let x = node([1, 2], 3, 4, 1);
+        let y = node([9, 9], 5, 5, 0);
+        assert_eq!(s.visit(&x, None), (0, VisitOutcome::Fresh));
+        assert_eq!(s.visit(&y, None), (1, VisitOutcome::Fresh));
+        assert_eq!(s.visit(&x, None), (0, VisitOutcome::RevisitSame));
+        assert_eq!(s.visit(&y, None), (1, VisitOutcome::RevisitSame));
+        assert_eq!(s.len(), 2);
     }
 
     #[test]
-    fn open_and_chained_indexes_agree_across_growth() {
-        // Enough distinct states to force several open-table doublings;
-        // the two index structures must assign identical ids.
-        let mut open = store_with(StoreMode::Packed, IndexMode::Open, None, false);
-        let mut chained = store_with(StoreMode::Packed, IndexMode::Chained, None, false);
-        for i in 0..3_000u32 {
+    fn intern_ids_match_a_hash_map_model_across_growth() {
+        // Enough distinct states (each interned twice) to force several
+        // index doublings; ids must be the dense first-insertion order a
+        // plain `HashMap` assigns, and the index must stay within its
+        // 7/8-load-factor envelope of 64/7 bytes per state.
+        let mut s = store(None, false);
+        let mut model: HashMap<Node<Packable>, u32> = HashMap::new();
+        for i in (0..3_000u32).chain(0..3_000) {
             let x = node([(i % 251) as u8, (i / 251) as u8], u64::from(i % 8), 0, 0);
-            assert_eq!(open.intern(x.clone()), chained.intern(x));
+            let fresh_id = model.len() as u32;
+            let want = *model.entry(x.clone()).or_insert(fresh_id);
+            assert_eq!(s.intern(x), (want, want == fresh_id));
         }
-        assert_eq!(open.len(), chained.len());
-        assert!(
-            open.index_bytes() < chained.index_bytes(),
-            "open index must be smaller: {} vs {}",
-            open.index_bytes(),
-            chained.index_bytes()
-        );
+        assert_eq!(s.len(), model.len());
+        assert!(s.index_bytes() * 7 <= s.len() as u64 * 64);
     }
 
     #[test]
     fn visit_tracks_first_concrete_visitor_exactly() {
-        for mode in [StoreMode::Packed, StoreMode::Boxed] {
-            let mut s = store(mode, None, true);
-            let canon = node([1, 2], 0, 0, 0);
-            let permuted = node([2, 1], 0, 0, 0);
-            // First visit by a non-canonical concrete state.
-            assert_eq!(s.visit(&canon, Some(&permuted)), (0, VisitOutcome::Fresh));
-            // Same concrete again: not a merge.
-            assert_eq!(
-                s.visit(&canon, Some(&permuted)),
-                (0, VisitOutcome::RevisitSame),
-                "{mode:?}"
-            );
-            // A different concrete sibling: a genuine merge.
-            assert_eq!(
-                s.visit(&canon, Some(&canon.clone())),
-                (0, VisitOutcome::RevisitMerged),
-                "{mode:?}"
-            );
+        let mut s = store(None, true);
+        let canon = node([1, 2], 0, 0, 0);
+        let permuted = node([2, 1], 0, 0, 0);
+        // First visit by a non-canonical concrete state.
+        assert_eq!(s.visit(&canon, Some(&permuted)), (0, VisitOutcome::Fresh));
+        // Same concrete again: not a merge.
+        assert_eq!(s.visit(&canon, Some(&permuted)), (0, VisitOutcome::RevisitSame));
+        // A different concrete sibling: a genuine merge.
+        assert_eq!(s.visit(&canon, Some(&canon.clone())), (0, VisitOutcome::RevisitMerged));
 
-            // And a canonical-first orbit: the sentinel path.
-            let c2 = node([3, 4], 1, 1, 0);
-            let p2 = node([4, 3], 1, 1, 0);
-            assert_eq!(s.visit(&c2, Some(&c2.clone())), (1, VisitOutcome::Fresh));
-            assert_eq!(
-                s.visit(&c2, Some(&c2.clone())),
-                (1, VisitOutcome::RevisitSame)
-            );
-            assert_eq!(
-                s.visit(&c2, Some(&p2)),
-                (1, VisitOutcome::RevisitMerged),
-                "{mode:?}"
-            );
-        }
+        // And a canonical-first orbit: the sentinel path.
+        let c2 = node([3, 4], 1, 1, 0);
+        let p2 = node([4, 3], 1, 1, 0);
+        assert_eq!(s.visit(&c2, Some(&c2.clone())), (1, VisitOutcome::Fresh));
+        assert_eq!(s.visit(&c2, Some(&c2.clone())), (1, VisitOutcome::RevisitSame));
+        assert_eq!(s.visit(&c2, Some(&p2)), (1, VisitOutcome::RevisitMerged));
     }
 
     #[test]
     fn visit_without_tracking_reports_fresh_and_same_only() {
-        let mut s = store(StoreMode::Packed, None, false);
+        let mut s = store(None, false);
         let x = node([1, 1], 0, 0, 0);
         assert_eq!(s.visit(&x, None), (0, VisitOutcome::Fresh));
         assert_eq!(s.visit(&x, None), (0, VisitOutcome::RevisitSame));

@@ -61,9 +61,10 @@ pub const DEFAULT_STRIDE: u64 = 1 << 16;
 /// [`Snapshot`]s and by `ExploreStats`/`ProgressStats`/`LivenessStats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct StoreFootprint {
-    /// Bytes held by the visited-state arena (packed or boxed).
+    /// Bytes held by the packed visited-state arena.
     pub arena_bytes: u64,
-    /// Bytes held by the state index (open-addressed or chained).
+    /// Bytes held by the state index: the open-addressed digest table,
+    /// plus the sleep-mask table under dynamic reduction.
     pub index_bytes: u64,
     /// Bytes held by the recorded edge list, when edges are recorded.
     pub edge_bytes: u64,
@@ -236,7 +237,7 @@ pub enum TelemetryEvent {
         spilled_buckets: u64,
     },
     /// The index footprint grew since the previous sample (an
-    /// `OpenIndex` doubling or chained-table growth).
+    /// `OpenIndex` doubling).
     IndexGrowth {
         /// Which phase.
         phase: Phase,

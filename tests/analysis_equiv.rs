@@ -1,210 +1,55 @@
-//! Differential evidence for the control-automaton may-access mode
-//! (`MayAccessMode::Automaton`): the per-location future-access sets the
-//! solo havoc extraction computes, plugged into ample-set selection,
-//! against the hand-written `may_access` hooks (`MayAccessMode::Declared`,
-//! the oracle).
+//! The control-automaton may-access mode (`MayAccessMode::Automaton`)
+//! against the hand-written `may_access` hooks: the automaton columns of
+//! every row of the oracle matrix.
 //!
-//! The two modes explore **different but equally sound** reduced graphs:
-//! a sharper future set lets more processes qualify as ample singletons,
-//! so the automaton may legally visit fewer states (and never an unsound
-//! subset — every verdict must agree). That dictates the assertion
-//! shape:
-//!
-//! * without partial-order reduction the future sets are never consulted,
-//!   so every count must match **exactly**;
-//! * with POR, verdicts must agree, and on the families whose declared
-//!   hooks are location-insensitive (bakery's whole-array footprint, the
-//!   splitter's whole-protocol set) the automaton must prune at least as
-//!   much — strictly more on the named configurations below;
-//! * liveness verdicts (starvation-free + bypass bound, or starvable)
-//!   must be mode-invariant even where graph counts are not.
+//! The two modes explore different but equally sound reduced graphs: a
+//! sharper future set lets more processes qualify as ample singletons,
+//! so the automaton may legally visit fewer states. Without POR the
+//! future sets are never consulted, so every count must equal the
+//! declared column's; with it, verdicts (liveness bypass bounds and
+//! lasso lengths included), terminal states and replayed violations
+//! must agree, and the automaton never visits more states than the
+//! declared hooks — strictly fewer where those hooks are deliberately
+//! location-insensitive.
 
 mod common;
 
-use cfc::mutex::{Bakery, LamportFast, PetersonTwo, Splitter, Tournament};
-use cfc::naming::{TafTree, TasScan};
-use cfc::verify::{
-    check_detection_safety, check_mutex_progress, check_mutex_safety, check_mutex_starvation,
-    check_naming_lockout, check_naming_progress, check_naming_uniqueness, ExploreConfig,
-    ExploreStats, LivenessReport, LivenessVerdict, MayAccessMode,
+use common::matrix::{
+    check_cell, check_rows, strict_rows, Liveness, Progress, Safety, AUTOMATON, POR,
+    POR_AUTOMATON,
 };
-
-fn counts(s: &ExploreStats) -> (usize, u64, usize, u64, u64) {
-    (
-        s.states,
-        s.transitions,
-        s.terminals,
-        s.states_pruned_por,
-        s.orbits_merged,
-    )
-}
-
-fn liveness_verdict(r: &LivenessReport) -> String {
-    match &r.verdict {
-        LivenessVerdict::StarvationFree { bypass, .. } => format!("free bypass={bypass:?}"),
-        LivenessVerdict::Starvable(w) => format!("starvable cycle={}", w.lasso.cycle.len()),
-    }
-}
-
-/// Runs one safety check under both may-access modes across every
-/// reduction variant; exact equality without POR, sound agreement with.
-fn assert_modes_agree<F>(label: &str, run: F)
-where
-    F: Fn(ExploreConfig) -> ExploreStats,
-{
-    for (variant, cfg) in common::labeled_variants(200_000) {
-        let declared = run(cfg);
-        let automaton = run(cfg.with_may_access(MayAccessMode::Automaton));
-        if cfg.por {
-            // Different ample choices, both sound: the graphs may differ,
-            // but an automaton run may never *lose* reduction power.
-            assert!(
-                automaton.states <= declared.states,
-                "{label} [{variant}]: automaton visited more states \
-                 ({} vs {})",
-                automaton.states,
-                declared.states
-            );
-            assert!(automaton.states > 0, "{label} [{variant}]: empty exploration");
-        } else {
-            // The future sets are never consulted: bit-for-bit identical.
-            assert_eq!(
-                counts(&automaton),
-                counts(&declared),
-                "{label} [{variant}]: automaton mode must be inert without POR"
-            );
-        }
-    }
-}
 
 #[test]
 fn modes_agree_on_mutex_safety() {
-    assert_modes_agree("peterson", |cfg| {
-        check_mutex_safety(&PetersonTwo::new(), 2, cfg).unwrap()
-    });
-    assert_modes_agree("bakery", |cfg| {
-        check_mutex_safety(&Bakery::new(2), 1, cfg).unwrap()
-    });
-    assert_modes_agree("tournament", |cfg| {
-        check_mutex_safety(&Tournament::new(3, 1), 1, cfg).unwrap()
-    });
+    check_rows(&AUTOMATON, |r| r.checker == Safety && r.sys.is_mutex());
 }
 
 #[test]
 fn modes_agree_on_naming_and_detection() {
-    assert_modes_agree("tas-scan", |cfg| {
-        check_naming_uniqueness(&TasScan::new(3), 1, cfg).unwrap()
-    });
-    assert_modes_agree("taf-tree", |cfg| {
-        check_naming_uniqueness(&TafTree::new(4).unwrap(), 0, cfg).unwrap()
-    });
-    assert_modes_agree("splitter", |cfg| {
-        check_detection_safety(&Splitter::new(3), cfg).unwrap()
-    });
-}
-
-/// The acceptance configurations: families whose declared hooks are
-/// deliberately location-insensitive, where the automaton's per-location
-/// future sets must buy **strictly** more pruning.
-#[test]
-fn automaton_strictly_sharpens_bakery_and_splitter() {
-    let strict = [
-        ("bakery n=3", {
-            let cfg = common::por_only(400_000);
-            let run = |c: ExploreConfig| check_mutex_safety(&Bakery::new(3), 1, c).unwrap();
-            (run(cfg), run(cfg.with_may_access(MayAccessMode::Automaton)))
-        }),
-        ("splitter n=3", {
-            let cfg = common::por_only(200_000);
-            let run = |c: ExploreConfig| check_detection_safety(&Splitter::new(3), c).unwrap();
-            (run(cfg), run(cfg.with_may_access(MayAccessMode::Automaton)))
-        }),
-    ];
-    for (label, (declared, automaton)) in strict {
-        assert!(
-            automaton.states < declared.states,
-            "{label}: automaton future sets must strictly shrink the reduced \
-             graph ({} vs {} states)",
-            automaton.states,
-            declared.states
-        );
-    }
+    check_rows(&AUTOMATON, |r| r.checker == Safety && !r.sys.is_mutex());
 }
 
 #[test]
 fn modes_agree_on_progress_graphs() {
-    for (variant, cfg) in common::labeled_variants(60_000) {
-        for label in ["peterson", "bakery", "tas-scan"] {
-            let run = |c: ExploreConfig| match label {
-                "peterson" => check_mutex_progress(&PetersonTwo::new(), 2, c).unwrap(),
-                "bakery" => check_mutex_progress(&Bakery::new(2), 1, c).unwrap(),
-                _ => check_naming_progress(&TasScan::new(3), 1, c).unwrap(),
-            };
-            let declared = run(cfg);
-            let automaton = run(cfg.with_may_access(MayAccessMode::Automaton));
-            if cfg.por {
-                assert!(
-                    automaton.states <= declared.states,
-                    "{label} [{variant}]: automaton progress graph grew \
-                     ({} vs {})",
-                    automaton.states,
-                    declared.states
-                );
-            } else {
-                assert_eq!(
-                    (declared.states, declared.transitions, declared.terminals),
-                    (automaton.states, automaton.transitions, automaton.terminals),
-                    "{label} [{variant}]: automaton mode must be inert without POR"
-                );
-            }
-        }
-    }
+    check_rows(&AUTOMATON, |r| r.checker == Progress);
 }
 
-/// Liveness is the deepest consumer: per-victim graphs, Tarjan, witness
-/// re-derivation. The *verdict* — starvation-free with its exact bypass
-/// bound, or starvable — must be identical whichever ample sets shaped
-/// the graph.
 #[test]
 fn modes_agree_on_liveness_verdicts() {
-    for (variant, cfg) in common::labeled_variants(60_000) {
-        for label in ["peterson", "lamport", "taf-tree"] {
-            let run = |c: ExploreConfig| match label {
-                "peterson" => check_mutex_starvation(&PetersonTwo::new(), c).unwrap(),
-                "lamport" => check_mutex_starvation(&LamportFast::new(2), c).unwrap(),
-                _ => check_naming_lockout(&TafTree::new(4).unwrap(), 0, c).unwrap(),
-            };
-            let declared = run(cfg);
-            let automaton = run(cfg.with_may_access(MayAccessMode::Automaton));
-            assert_eq!(
-                liveness_verdict(&declared),
-                liveness_verdict(&automaton),
-                "{label} [{variant}]: liveness verdict depends on the may-access mode"
-            );
-        }
-    }
+    check_rows(&AUTOMATON, |r| r.checker == Liveness);
 }
 
-/// The seven-player single-bit tournament at tournament scale: the
-/// automaton mode must agree with the declared oracle on a reduced graph
-/// far past what the fast suites visit, and still win on pruning.
+/// Bakery's declared footprint is the whole ticket array and the
+/// splitter's the whole protocol, so the automaton's per-location future
+/// sets must buy strictly more pruning.
 #[test]
-#[ignore = "large automaton differential; run via cargo test --release -- --ignored"]
-fn exhaustive_tournament_seven_automaton() {
-    let alg = Tournament::new(7, 1);
-    // The automaton-reduced graph alone holds ~74.9M states (and the
-    // declared one slightly more), so the budget must match the 80M the
-    // un-reduced tournament-7 run in tests/exploration.rs uses — the
-    // original 40M exhausted before either traversal completed.
-    let cfg = common::por_only(80_000_000);
-    let declared = check_mutex_safety(&alg, 1, cfg).unwrap();
-    let automaton =
-        check_mutex_safety(&alg, 1, cfg.with_may_access(MayAccessMode::Automaton)).unwrap();
-    assert!(
-        automaton.states <= declared.states,
-        "automaton lost reduction power at scale ({} vs {})",
-        automaton.states,
-        declared.states
-    );
-    assert!(automaton.states > 100_000, "unexpectedly small exploration");
+fn automaton_strictly_sharpens_bakery_and_splitter() {
+    for row in strict_rows() {
+        let automaton = check_cell(row, POR_AUTOMATON);
+        assert!(
+            automaton.counts.0 < row.cells[POR].0,
+            "{:?}: automaton future sets must strictly shrink the reduced graph",
+            row.sys
+        );
+    }
 }

@@ -1,5 +1,5 @@
 //! Property tests for the packed state codec that backs the arena
-//! visited store (`StoreMode::Packed`): the store substitutes
+//! visited store (`cfc-verify/src/store.rs`): the store substitutes
 //! byte-equality for state equality, which is sound only if encoding is
 //! **injective** on the states that actually occur. These suites pin the
 //! two halves of that argument:
@@ -12,8 +12,9 @@
 //!   exact process — identity fields included — from the bytes alone,
 //!   for states sampled by random walks of the real executor;
 //! * a full pack round trip leaves the symmetry-reduced explorer's
-//!   canonical key unchanged, so the packed store and the boxed
-//!   reference store agree on which states are "the same".
+//!   canonical key unchanged, so the packed store agrees with plain
+//!   state equality on which states are "the same" (the oracle matrix's
+//!   reference explorer checks the resulting counts end to end).
 
 mod common;
 
@@ -90,7 +91,7 @@ where
 
 /// A full pack round trip of every process must leave the canonical key
 /// unchanged — the invariant that lets the packed visited set stand in
-/// for the boxed one without changing which states the explorer merges.
+/// for whole states without changing which states the explorer merges.
 fn assert_canonical_key_stable<A>(alg: &A, trips: u32, picks: &[usize])
 where
     A: MutexAlgorithm,

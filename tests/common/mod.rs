@@ -8,6 +8,9 @@
 
 #![allow(dead_code)]
 
+pub mod matrix;
+pub mod reference;
+
 use std::collections::BTreeMap;
 
 use cfc::core::{BitOp, Layout, Op, OpResult, Process, RegisterId, RegisterSet, Step, Value};
@@ -66,20 +69,9 @@ pub fn labeled_variants(max_states: usize) -> [(&'static str, ExploreConfig); 4]
     ]
 }
 
-/// The three *reduced* variants, labeled — for differential suites that
-/// run the baseline once separately and compare each reduction against
-/// it (safety and progress equivalence harnesses).
-pub fn reduced_variants(max_states: usize) -> [(&'static str, ExploreConfig); 3] {
-    [
-        ("por", por_only(max_states)),
-        ("sym", sym_only(max_states)),
-        ("both", reduced(max_states)),
-    ]
-}
-
 /// The multiset of decided outputs in a replayed final state — the
-/// violation fingerprint the differential suites compare across
-/// explorer configurations.
+/// violation fingerprint the oracle matrix compares across explorer
+/// configurations.
 pub fn output_multiset<P: Process>(procs: &[P]) -> BTreeMap<u64, usize> {
     let mut m = BTreeMap::new();
     for p in procs {
@@ -91,8 +83,7 @@ pub fn output_multiset<P: Process>(procs: &[P]) -> BTreeMap<u64, usize> {
 }
 
 // ---------------------------------------------------------------------
-// A seeded violating fixture, shared by the reduction and dynamic
-// differential walls.
+// A seeded violating fixture for the oracle matrix's naming rows.
 // ---------------------------------------------------------------------
 
 /// [`TasScan`] with the `test-and-set` at one seed-chosen bit replaced by

@@ -1,154 +1,34 @@
-//! Differential wall for `MayAccessMode::Dynamic` — sleep sets over
-//! observed conflicts plus read/write-split future sets — against the
-//! two static oracles (`Declared` hooks and the `Automaton` future
-//! sets).
+//! `MayAccessMode::Dynamic` — sleep sets over observed conflicts plus
+//! read/write-split future sets — against the declared hooks: the
+//! dynamic columns of every row of the oracle matrix.
 //!
-//! The three modes explore **different but equally sound** reduced
-//! graphs, which dictates the assertion shape:
-//!
-//! * without partial-order reduction none of the machinery is
-//!   consulted, so every count must match **exactly** across all three
-//!   modes;
-//! * with POR, verdicts must agree everywhere, and the dynamic mode
-//!   never loses reduction power against the *declared* hooks (`dynamic
-//!   ≤ declared` states). No pointwise order against the automaton is
-//!   asserted: ample-set selection is non-monotone in independence
-//!   sharpness — admitting one more ample singleton can reroute the
-//!   DFS into a slightly larger reachable reduced graph (Peterson under
-//!   plain POR is a live example) — so the automaton comparison is made
-//!   only where the sharpening provably wins, on the pins below;
-//! * on the two pinned configurations (bakery n=3 and the splitter,
-//!   whose declared hooks are location-insensitive) the dynamic mode
-//!   must shrink the reduced graph **strictly** below the automaton's,
-//!   with a nonzero count of slept transitions to show which mechanism
-//!   did it;
-//! * violations found by the reduced dynamic explorer must replay under
-//!   the un-reduced semantics to a state exhibiting the same violation,
-//!   with the identical multiset of violating outputs — `reduced ⊆
-//!   full`, established without the checker;
-//! * progress and liveness verdicts (starvation-free with exact bypass
-//!   bound, or starvable) are mode-invariant even where graph counts
-//!   are not (sleep sets are gated off those graph builds; only the
-//!   split-future sharpening applies).
+//! Without POR none of the machinery is consulted: every count must
+//! equal the declared column's and nothing may sleep. With it, verdicts,
+//! bypass bounds, lasso lengths, terminal states and replayed violations
+//! must agree, and the dynamic mode never visits more states than the
+//! declared hooks. No pointwise order against the automaton is asserted
+//! — ample-set selection is non-monotone in independence sharpness —
+//! except on bakery n=3 and the splitter n=3, where the dynamic graph
+//! must be strictly smaller, with a nonzero count of slept transitions
+//! to show the mechanism.
 
 mod common;
 
-use cfc::core::{Process, ProcessId, Section};
-use cfc::mutex::{
-    Bakery, ExitOrder, LamportFast, MutexAlgorithm, PetersonTwo, Splitter, Tournament,
+use common::matrix::{
+    check_cell, check_rows, pin, strict_rows, Holds, Liveness, Progress, Safety, Sys, DYNAMIC,
+    POR_AUTOMATON, POR_DYNAMIC,
 };
-use cfc::naming::{NamingAlgorithm, TafTree, TasScan};
-use cfc::verify::{
-    check_detection_safety, check_mutex_progress, check_mutex_safety, check_mutex_starvation,
-    check_naming_lockout, check_naming_progress, check_naming_uniqueness, replay, ExploreConfig,
-    ExploreError, ExploreStats, LivenessReport, LivenessVerdict, MayAccessMode, ScheduleStep,
-};
-use common::{output_multiset, MutatedTasScan};
-
-fn counts(s: &ExploreStats) -> (usize, u64, usize, u64, u64) {
-    (
-        s.states,
-        s.transitions,
-        s.terminals,
-        s.states_pruned_por,
-        s.orbits_merged,
-    )
-}
-
-fn liveness_verdict(r: &LivenessReport) -> String {
-    match &r.verdict {
-        LivenessVerdict::StarvationFree { bypass, .. } => format!("free bypass={bypass:?}"),
-        LivenessVerdict::Starvable(w) => format!("starvable cycle={}", w.lasso.cycle.len()),
-    }
-}
-
-fn schedule_of(r: Result<ExploreStats, ExploreError>, what: &str) -> Vec<ScheduleStep> {
-    match r {
-        Err(ExploreError::Violation(v)) => v.schedule,
-        other => panic!("{what}: expected a violation, got {other:?}"),
-    }
-}
-
-/// Runs one safety check under all three may-access modes across every
-/// reduction variant; exact equality without POR, the soundness order
-/// `dynamic ≤ automaton ≤ declared` with.
-fn assert_three_modes_agree<F>(label: &str, run: F)
-where
-    F: Fn(ExploreConfig) -> ExploreStats,
-{
-    for (variant, cfg) in common::labeled_variants(200_000) {
-        let declared = run(cfg);
-        let automaton = run(cfg.with_may_access(MayAccessMode::Automaton));
-        let dynamic = run(cfg.with_may_access(MayAccessMode::Dynamic));
-        if cfg.por {
-            assert!(
-                automaton.states <= declared.states,
-                "{label} [{variant}]: automaton visited more states than declared \
-                 ({} vs {})",
-                automaton.states,
-                declared.states
-            );
-            assert!(
-                dynamic.states <= declared.states,
-                "{label} [{variant}]: dynamic visited more states than declared \
-                 ({} vs {})",
-                dynamic.states,
-                declared.states
-            );
-            assert!(dynamic.states > 0, "{label} [{variant}]: empty exploration");
-            // The same terminal set must be certified: terminal counting
-            // is gated on first visits, so a sleep-set re-expansion can
-            // never double-count a quiescent state.
-            assert!(
-                dynamic.terminals <= declared.terminals,
-                "{label} [{variant}]: dynamic certified more terminals than the oracle"
-            );
-        } else {
-            assert_eq!(
-                counts(&dynamic),
-                counts(&declared),
-                "{label} [{variant}]: dynamic mode must be inert without POR"
-            );
-            assert_eq!(
-                counts(&dynamic),
-                counts(&automaton),
-                "{label} [{variant}]: the static modes must also be inert"
-            );
-            assert_eq!(
-                dynamic.transitions_slept, 0,
-                "{label} [{variant}]: sleeping without POR"
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Six safe families × every reduction variant × all three modes.
-// ---------------------------------------------------------------------
 
 #[test]
 fn three_modes_agree_on_mutex_safety() {
-    assert_three_modes_agree("peterson", |cfg| {
-        check_mutex_safety(&PetersonTwo::new(), 2, cfg).unwrap()
-    });
-    assert_three_modes_agree("bakery", |cfg| {
-        check_mutex_safety(&Bakery::new(2), 1, cfg).unwrap()
-    });
-    assert_three_modes_agree("tournament", |cfg| {
-        check_mutex_safety(&Tournament::new(3, 1), 1, cfg).unwrap()
-    });
+    check_rows(&DYNAMIC, |r| r.checker == Safety && r.sys.is_mutex() && r.verdict == Holds);
 }
 
 #[test]
 fn three_modes_agree_on_naming_and_detection() {
-    assert_three_modes_agree("tas-scan", |cfg| {
-        check_naming_uniqueness(&TasScan::new(3), 0, cfg).unwrap()
-    });
-    assert_three_modes_agree("taf-tree", |cfg| {
-        check_naming_uniqueness(&TafTree::new(4).unwrap(), 0, cfg).unwrap()
-    });
-    assert_three_modes_agree("splitter", |cfg| {
-        check_detection_safety(&Splitter::new(3), cfg).unwrap()
+    check_rows(&DYNAMIC, |r| {
+        let mutated = matches!(r.sys, Sys::Mutated(..));
+        r.checker == Safety && !r.sys.is_mutex() && r.crashes == 0 && !mutated
     });
 }
 
@@ -157,230 +37,43 @@ fn three_modes_agree_on_naming_and_detection() {
 /// sharpening: the gate must hold the verdicts steady.
 #[test]
 fn crash_budgets_keep_the_modes_agreeing() {
-    assert_three_modes_agree("tas-scan crashes=1", |cfg| {
-        check_naming_uniqueness(&TasScan::new(3), 1, cfg).unwrap()
-    });
+    check_rows(&DYNAMIC, |r| r.checker == Safety && r.crashes > 0);
 }
 
-// ---------------------------------------------------------------------
-// The acceptance pins: strict shrink where the static oracle is
-// conservative, and the mechanism visible in the slept counter.
-// ---------------------------------------------------------------------
-
-#[test]
-fn dynamic_strictly_sharpens_bakery_and_splitter() {
-    let strict = [
-        ("bakery n=3", {
-            let cfg = common::por_only(400_000);
-            let run = |c: ExploreConfig| check_mutex_safety(&Bakery::new(3), 1, c).unwrap();
-            (
-                run(cfg.with_may_access(MayAccessMode::Automaton)),
-                run(cfg.with_may_access(MayAccessMode::Dynamic)),
-            )
-        }),
-        ("splitter n=3", {
-            let cfg = common::por_only(200_000);
-            let run = |c: ExploreConfig| check_detection_safety(&Splitter::new(3), c).unwrap();
-            (
-                run(cfg.with_may_access(MayAccessMode::Automaton)),
-                run(cfg.with_may_access(MayAccessMode::Dynamic)),
-            )
-        }),
-    ];
-    for (label, (automaton, dynamic)) in strict {
-        assert!(
-            dynamic.states < automaton.states,
-            "{label}: observed conflicts must strictly shrink the reduced \
-             graph ({} vs {} states)",
-            dynamic.states,
-            automaton.states
-        );
-        assert!(
-            dynamic.transitions_slept > 0,
-            "{label}: a strict shrink with zero slept transitions means the \
-             counter is broken"
-        );
-        assert!(
-            dynamic.transitions < automaton.transitions,
-            "{label}: fewer states but not fewer transitions ({} vs {})",
-            dynamic.transitions,
-            automaton.transitions
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
-// Violating configurations: reduced ⊆ full, established by replay.
-// ---------------------------------------------------------------------
-
-/// A mutex violation found by the dynamic explorer must replay under the
-/// un-reduced interleaving semantics to a state with two occupants.
+/// The schedule the dynamic explorer reports for the leaf-to-root
+/// tournament replays to two processes in the critical section.
 #[test]
 fn dynamic_violation_replays_to_two_in_critical() {
-    let alg = Tournament::new(4, 1).with_exit_order(ExitOrder::LeafToRoot);
-    for (label, cfg) in [
-        ("por", common::por_only(200_000)),
-        ("por+sym", common::reduced(200_000)),
-    ] {
-        let red = check_mutex_safety(&alg, 1, cfg.with_may_access(MayAccessMode::Dynamic));
-        let schedule = schedule_of(red, "tournament leaf-to-root");
-        let clients: Vec<_> = (0..4)
-            .map(|i| alg.client_with_cs(ProcessId::new(i), 1, 1))
-            .collect();
-        let replayed = replay(alg.memory().unwrap(), clients, &schedule).unwrap();
-        let in_cs = replayed
-            .procs
-            .iter()
-            .filter(|c| c.section() == Some(Section::Critical))
-            .count();
-        assert!(
-            in_cs >= 2,
-            "{label}: replayed state has {in_cs} processes in the critical section"
-        );
-    }
+    check_rows(&DYNAMIC, |r| r.checker == Safety && matches!(r.sys, Sys::LeafToRoot(_)));
 }
 
-/// A naming violation found by any mode must replay to the same
-/// duplicate name — the violating-output multiset is mode-invariant.
+/// A naming violation found in any cell replays to the row's multiset
+/// of outputs.
 #[test]
 fn violating_output_multisets_agree_across_modes() {
-    for seed in 0..3u64 {
-        let alg = MutatedTasScan::new(4, seed);
-        let base = check_naming_uniqueness(&alg, 0, common::budget(100_000));
-        let base_schedule = schedule_of(base, "mutated-tas-scan baseline");
-        let base_replay = replay(alg.memory().unwrap(), alg.processes(), &base_schedule).unwrap();
-        let base_outputs = output_multiset(&base_replay.procs);
-        assert!(
-            base_outputs.values().any(|&c| c >= 2),
-            "seed {seed}: baseline violation has no duplicate name ({base_outputs:?})"
-        );
-        for (variant, cfg) in [
-            ("por", common::por_only(100_000)),
-            ("por+sym", common::reduced(100_000)),
-        ] {
-            for (mode_name, mode) in [
-                ("declared", MayAccessMode::Declared),
-                ("automaton", MayAccessMode::Automaton),
-                ("dynamic", MayAccessMode::Dynamic),
-            ] {
-                let red = check_naming_uniqueness(&alg, 0, cfg.with_may_access(mode));
-                let schedule = schedule_of(red, "mutated-tas-scan reduced");
-                let replayed =
-                    replay(alg.memory().unwrap(), alg.processes(), &schedule).unwrap();
-                let outputs = output_multiset(&replayed.procs);
-                assert_eq!(
-                    base_outputs, outputs,
-                    "seed {seed}, {variant}/{mode_name}: violating-output multiset differs"
-                );
-            }
-        }
-    }
+    check_rows(&DYNAMIC, |r| matches!(r.sys, Sys::Mutated(..)));
 }
-
-// ---------------------------------------------------------------------
-// Progress and liveness: deeper consumers, verdict-invariant.
-// ---------------------------------------------------------------------
 
 #[test]
 fn three_modes_agree_on_progress_graphs() {
-    for (variant, cfg) in common::labeled_variants(60_000) {
-        for label in ["peterson", "bakery", "tas-scan"] {
-            let run = |c: ExploreConfig| match label {
-                "peterson" => check_mutex_progress(&PetersonTwo::new(), 2, c).unwrap(),
-                "bakery" => check_mutex_progress(&Bakery::new(2), 1, c).unwrap(),
-                _ => check_naming_progress(&TasScan::new(3), 1, c).unwrap(),
-            };
-            let declared = run(cfg);
-            let dynamic = run(cfg.with_may_access(MayAccessMode::Dynamic));
-            if cfg.por {
-                assert!(
-                    dynamic.states <= declared.states,
-                    "{label} [{variant}]: dynamic progress graph grew ({} vs {})",
-                    dynamic.states,
-                    declared.states
-                );
-            } else {
-                assert_eq!(
-                    (declared.states, declared.transitions, declared.terminals),
-                    (dynamic.states, dynamic.transitions, dynamic.terminals),
-                    "{label} [{variant}]: dynamic mode must be inert without POR"
-                );
-            }
-        }
-    }
+    check_rows(&DYNAMIC, |r| r.checker == Progress);
 }
 
 #[test]
 fn three_modes_agree_on_liveness_verdicts() {
-    for (variant, cfg) in common::labeled_variants(60_000) {
-        for label in ["peterson", "lamport", "taf-tree"] {
-            let run = |c: ExploreConfig| match label {
-                "peterson" => check_mutex_starvation(&PetersonTwo::new(), c).unwrap(),
-                "lamport" => check_mutex_starvation(&LamportFast::new(2), c).unwrap(),
-                _ => check_naming_lockout(&TafTree::new(4).unwrap(), 0, c).unwrap(),
-            };
-            let declared = run(cfg);
-            let automaton = run(cfg.with_may_access(MayAccessMode::Automaton));
-            let dynamic = run(cfg.with_may_access(MayAccessMode::Dynamic));
-            let expected = liveness_verdict(&declared);
-            assert_eq!(
-                expected,
-                liveness_verdict(&automaton),
-                "{label} [{variant}]: automaton liveness verdict diverged"
-            );
-            assert_eq!(
-                expected,
-                liveness_verdict(&dynamic),
-                "{label} [{variant}]: dynamic liveness verdict diverged"
-            );
-        }
-    }
+    check_rows(&DYNAMIC, |r| r.checker == Liveness);
 }
 
-// ---------------------------------------------------------------------
-// The scale pin, mirroring `exhaustive_tournament_seven_automaton`.
-// ---------------------------------------------------------------------
-
-/// The seven-player single-bit tournament, as a budget differential:
-/// the automaton-reduced graph holds ~74.9M states (measured by
-/// `exhaustive_tournament_seven_automaton` at its 80M budget), so under
-/// a 20M-state budget the static mode must provably exhaust — while the
-/// dynamic mode completes the whole verdict inside it (~12.8M states,
-/// ~18.6M transitions, ~45M slept; a 5.9× state / 19× transition
-/// shrink). Asserting the pair (static exhausts, dynamic finishes)
-/// witnesses the dominance at scale without paying for the ~40-minute
-/// full static run a second time.
 #[test]
-#[ignore = "large dynamic differential; run via cargo test --release -- --ignored"]
-fn exhaustive_tournament_seven_dynamic() {
-    let alg = Tournament::new(7, 1);
-    let cfg = common::por_only(20_000_000);
-    match check_mutex_safety(&alg, 1, cfg.with_may_access(MayAccessMode::Automaton)) {
-        // The payload is the state count at the moment it crossed the
-        // budget, i.e. one past the configured maximum.
-        Err(ExploreError::StateBudget(n)) => assert!(n > 20_000_000, "exhausted early: {n}"),
-        Ok(stats) => panic!(
-            "automaton mode finished tournament-7 in {} states — the budget \
-             differential no longer separates the modes; re-measure and retune",
-            stats.states
-        ),
-        Err(e) => panic!("automaton mode failed for the wrong reason: {e}"),
+fn dynamic_strictly_sharpens_bakery_and_splitter() {
+    for row in strict_rows() {
+        let dynamic = check_cell(row, POR_DYNAMIC);
+        let (states, transitions, ..) = row.cells[pin(POR_AUTOMATON)];
+        assert!(
+            dynamic.counts.0 < states && dynamic.counts.1 < transitions,
+            "{:?}: observed conflicts must strictly shrink the automaton's graph",
+            row.sys
+        );
+        assert!(dynamic.slept > 0, "{:?}: a strict shrink with nothing slept", row.sys);
     }
-    let dynamic =
-        check_mutex_safety(&alg, 1, cfg.with_may_access(MayAccessMode::Dynamic)).unwrap();
-    assert!(
-        dynamic.states > 10_000_000,
-        "unexpectedly small dynamic exploration ({} states)",
-        dynamic.states
-    );
-    assert!(
-        dynamic.states < 15_000_000,
-        "dynamic mode lost reduction power at scale ({} states)",
-        dynamic.states
-    );
-    assert!(
-        dynamic.transitions_slept > 1_000_000,
-        "sleep sets barely engaged across the tournament graph ({} slept)",
-        dynamic.transitions_slept
-    );
 }

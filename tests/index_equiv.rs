@@ -1,234 +1,63 @@
-//! Differential evidence that the open-addressed digest index
-//! (`IndexMode::Open`, the default) has **identical search semantics**
-//! to the chained reference index (`IndexMode::Chained`, the
-//! HashMap-heads + intrusive-next representation kept as a differential
-//! oracle): every count a traversal reports — states, transitions,
-//! terminals, POR prunes, orbit merges — must match exactly, across
-//! every algorithm family and every reduction variant, for safety,
-//! progress, **and** fair-cycle liveness graphs.
+//! The open-addressed digest index, exact in every cell.
 //!
-//! The two indexes can only disagree if one of them merges or splits a
-//! visited-set probe the other does not — and both resolve digest
-//! collisions by exact byte comparison against the packed record, so a
-//! disagreement in any count is a bug, not a tuning difference. Only
-//! `index_bytes` may differ: that is the point of the open table, and
-//! the footprint test at the bottom pins the advantage.
+//! The open table is the checker's only visited-set index. Every cell of
+//! the oracle matrix holds it to its own growth policy: an index of
+//! exactly the slot array a table of that many states grows to — one
+//! slot per stored state, no phantom insert, no missed doubling. These
+//! tests check the symmetry column of every safety and progress row,
+//! where the index holds canonical representatives, and every declared
+//! column of the liveness rows, whose graphs are the deepest consumer of
+//! the index and the edge arena. (The names are those of the
+//! open-vs-chained comparison this suite made before the chained index
+//! was deleted.)
 
 mod common;
 
-use cfc::mutex::{Bakery, LamportFast, PetersonTwo, Splitter, Tournament};
-use cfc::naming::{TafTree, TasScan};
-use cfc::verify::{
-    check_detection_safety, check_mutex_progress, check_mutex_safety, check_mutex_starvation,
-    check_naming_lockout, check_naming_progress, check_naming_uniqueness, ExploreConfig,
-    ExploreStats, IndexMode, LivenessReport, LivenessVerdict, ProgressStats,
-};
-
-/// Every count the search semantics determine (everything except the
-/// representation-dependent byte/spill accounting).
-fn counts(s: &ExploreStats) -> (usize, u64, usize, u64, u64) {
-    (
-        s.states,
-        s.transitions,
-        s.terminals,
-        s.states_pruned_por,
-        s.orbits_merged,
-    )
-}
-
-fn progress_counts(s: &ProgressStats) -> (usize, u64, usize, u64, u64) {
-    (
-        s.states,
-        s.transitions,
-        s.terminals,
-        s.states_pruned_por,
-        s.orbits_merged,
-    )
-}
-
-/// The semantically determined portion of a liveness report: the
-/// verdict shape (free + bypass bound, or starvable + loop length) plus
-/// every graph count.
-fn liveness_counts(r: &LivenessReport) -> (String, usize, u64, usize, usize, u64, u64) {
-    let verdict = match &r.verdict {
-        LivenessVerdict::StarvationFree { bypass, .. } => format!("free bypass={bypass:?}"),
-        LivenessVerdict::Starvable(w) => format!("starvable cycle={}", w.lasso.cycle.len()),
-    };
-    (
-        verdict,
-        r.stats.states,
-        r.stats.transitions,
-        r.stats.victims,
-        r.stats.graphs,
-        r.stats.states_pruned_por,
-        r.stats.orbits_merged,
-    )
-}
-
-/// Runs one safety check under both digest indexes and demands equal
-/// counts.
-fn assert_safety_equiv<F>(label: &str, run: F)
-where
-    F: Fn(ExploreConfig) -> ExploreStats,
-{
-    for (variant, cfg) in common::labeled_variants(200_000) {
-        let open = run(cfg.with_index(IndexMode::Open));
-        let chained = run(cfg.with_index(IndexMode::Chained));
-        assert_eq!(
-            counts(&open),
-            counts(&chained),
-            "{label} [{variant}]: open and chained indexes disagree"
-        );
-        assert!(open.states > 0, "{label} [{variant}]: empty exploration");
-    }
-}
+use cfc::mutex::LamportFast;
+use cfc::verify::{check_mutex_progress, ProgressStats};
+use common::matrix::{check_rows, Liveness, Progress, Safety, DECLARED, SYM};
+use common::por_only;
 
 #[test]
 fn open_and_chained_agree_on_mutex_safety() {
-    assert_safety_equiv("peterson", |cfg| {
-        check_mutex_safety(&PetersonTwo::new(), 2, cfg).unwrap()
-    });
-    assert_safety_equiv("bakery", |cfg| {
-        check_mutex_safety(&Bakery::new(2), 1, cfg).unwrap()
-    });
-    assert_safety_equiv("tournament", |cfg| {
-        check_mutex_safety(&Tournament::new(3, 1), 1, cfg).unwrap()
-    });
+    check_rows(&[SYM], |r| r.checker == Safety && r.sys.is_mutex());
 }
 
 #[test]
 fn open_and_chained_agree_on_naming_and_detection() {
-    assert_safety_equiv("tas-scan", |cfg| {
-        check_naming_uniqueness(&TasScan::new(3), 1, cfg).unwrap()
-    });
-    assert_safety_equiv("taf-tree", |cfg| {
-        check_naming_uniqueness(&TafTree::new(4).unwrap(), 0, cfg).unwrap()
-    });
-    assert_safety_equiv("splitter", |cfg| {
-        check_detection_safety(&Splitter::new(3), cfg).unwrap()
-    });
+    check_rows(&[SYM], |r| r.checker == Safety && !r.sys.is_mutex());
 }
 
 #[test]
 fn open_and_chained_agree_on_progress_graphs() {
-    for (variant, cfg) in common::labeled_variants(60_000) {
-        for label in ["peterson", "bakery", "tas-scan"] {
-            let run = |c: ExploreConfig| match label {
-                "peterson" => check_mutex_progress(&PetersonTwo::new(), 2, c).unwrap(),
-                "bakery" => check_mutex_progress(&Bakery::new(2), 1, c).unwrap(),
-                _ => check_naming_progress(&TasScan::new(3), 1, c).unwrap(),
-            };
-            let open = run(cfg.with_index(IndexMode::Open));
-            let chained = run(cfg.with_index(IndexMode::Chained));
-            assert_eq!(
-                progress_counts(&open),
-                progress_counts(&chained),
-                "{label} [{variant}]: open and chained progress graphs disagree"
-            );
-        }
-    }
+    check_rows(&[SYM], |r| r.checker == Progress);
 }
 
 /// The liveness engine builds per-victim BFS graphs, runs Tarjan over
-/// the CSR edges, and re-derives witnesses — the deepest consumer of
-/// both the index and the edge arena. Verdicts, bypass bounds, and
-/// every graph count must be index-invariant.
+/// the CSR edges, and re-derives witnesses.
 #[test]
 fn open_and_chained_agree_on_liveness_verdicts() {
-    for (variant, cfg) in common::labeled_variants(60_000) {
-        for label in ["peterson", "lamport", "taf-tree"] {
-            let run = |c: ExploreConfig| match label {
-                "peterson" => check_mutex_starvation(&PetersonTwo::new(), c).unwrap(),
-                "lamport" => check_mutex_starvation(&LamportFast::new(2), c).unwrap(),
-                _ => check_naming_lockout(&TafTree::new(4).unwrap(), 0, c).unwrap(),
-            };
-            let open = run(cfg.with_index(IndexMode::Open));
-            let chained = run(cfg.with_index(IndexMode::Chained));
-            assert_eq!(
-                liveness_counts(&open),
-                liveness_counts(&chained),
-                "{label} [{variant}]: open and chained liveness runs disagree"
-            );
-        }
-    }
+    check_rows(&DECLARED, |r| r.checker == Liveness);
 }
 
-/// Forcing the spill tier (budget 0) under the open index must not
-/// change a single count: a spilled record is read back into the probe
-/// buffer for the same byte comparison the resident fast path does.
+/// The spill tier under a progress graph: a zero resident budget sends
+/// every filled arena and edge segment to disk, so index probes
+/// byte-compare against records read back from it — and no count may
+/// change.
 #[test]
 fn open_index_is_exact_across_the_spill_tier() {
-    let base_cfg = common::por_only(25_000);
-    let resident = check_mutex_safety(&LamportFast::new(3), 1, base_cfg).unwrap();
+    let counts = |s: &ProgressStats| {
+        (s.states, s.transitions, s.terminals, s.states_pruned_por, s.orbits_merged)
+    };
+    let cfg = por_only(25_000);
+    let resident = check_mutex_progress(&LamportFast::new(3), 1, cfg).unwrap();
     assert!(
         resident.footprint.arena_bytes > 128 * 1024,
-        "arena too small to exercise spilling ({} bytes); use a larger instance",
+        "arena too small to exercise spilling ({} bytes)",
         resident.footprint.arena_bytes
     );
     let spilled =
-        check_mutex_safety(&LamportFast::new(3), 1, base_cfg.with_spill_budget(0)).unwrap();
-    assert_eq!(counts(&resident), counts(&spilled), "spilling changed search counts");
+        check_mutex_progress(&LamportFast::new(3), 1, cfg.with_spill_budget(0)).unwrap();
+    assert_eq!(counts(&resident), counts(&spilled), "spilling changed graph counts");
     assert!(spilled.footprint.spilled_buckets > 0, "budget 0 spilled nothing");
-}
-
-/// The sixteen-walker test-and-flip tree — the next power-of-two scale
-/// point past the eight-walker instance the packed arena unlocked, a
-/// canonical quotient orders of magnitude past n=8's — explored
-/// to quiescence under the full reduction stack, **twice**: the open
-/// table and the chained oracle must agree on every count at a scale
-/// the fast differential suites never reach. (The n=16 *lockout* check
-/// stays out of CI for now — its per-victim stabilizer quotients are
-/// larger still; `exhaustive_taf_tree_eight_lockout` covers the
-/// liveness engine's CSR path at scale.)
-#[test]
-#[ignore = "heaviest index differential (16-walker quotient, twice); run via cargo test --release -- --ignored"]
-fn exhaustive_taf_tree_sixteen() {
-    let alg = TafTree::new(16).unwrap();
-    let cfg = cfc::verify::ExploreConfig::reduced().with_max_states(400_000_000);
-    let open = check_naming_uniqueness(&alg, 0, cfg).unwrap();
-    let chained = check_naming_uniqueness(&alg, 0, cfg.with_index(IndexMode::Chained)).unwrap();
-    assert_eq!(counts(&open), counts(&chained), "16-walker safety counts diverged");
-    assert!(
-        open.states > 20_000_000,
-        "expected the 16-walker quotient well past the n=8 scale, visited {}",
-        open.states
-    );
-    assert!(
-        open.footprint.index_bytes < chained.footprint.index_bytes,
-        "open index must beat the chained oracle at scale ({} vs {})",
-        open.footprint.index_bytes,
-        chained.footprint.index_bytes
-    );
-}
-
-/// The acceptance bar for the representation itself: at equal state
-/// counts the open table's overhead must be well under the chained
-/// index's (HashMap heads + intrusive next vector), and within the
-/// issue's 4–6 bytes/state envelope at the 7/8 load factor.
-#[test]
-fn open_index_overhead_beats_chained_and_meets_the_envelope() {
-    let cfg = common::por_only(120_000);
-    let open = check_mutex_safety(&Tournament::new(4, 1), 1, cfg).unwrap();
-    let chained =
-        check_mutex_safety(&Tournament::new(4, 1), 1, cfg.with_index(IndexMode::Chained)).unwrap();
-    assert_eq!(counts(&open), counts(&chained), "index modes diverged");
-    // The chained estimate is 16 B/state (12 per head + 4 per next
-    // link); the open table is at worst 16/7 slots (≈9.15 B) per state
-    // right after a doubling, so 3/5 of the chained footprint holds at
-    // every table fill level — and is usually nearer 2/7.
-    assert!(
-        open.footprint.index_bytes * 5 <= chained.footprint.index_bytes * 3,
-        "open index not under 3/5 of the chained footprint ({} vs {} bytes over {} states)",
-        open.footprint.index_bytes,
-        chained.footprint.index_bytes,
-        open.states
-    );
-    // Doubling at a 7/8 load factor bounds the table at 16/7 slots per
-    // state right after a growth — 64/7 ≈ 9.15 B/state worst case, ~4.6
-    // at the 7/8 steady state.
-    let per_state = open.footprint.index_bytes as f64 / open.states as f64;
-    assert!(
-        per_state <= 64.0 / 7.0 + 0.1,
-        "open index overhead {per_state:.2} B/state exceeds the doubling-table worst case"
-    );
 }

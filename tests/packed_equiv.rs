@@ -1,107 +1,34 @@
-//! Differential evidence that the packed arena store
-//! (`StoreMode::Packed`, the default) has **byte-identical search
-//! semantics** to the boxed reference store (`StoreMode::Boxed`, the
-//! pre-arena representation kept as a differential oracle): every count
-//! a traversal reports — states, transitions, terminals, POR prunes,
-//! orbit merges — must match exactly, across every algorithm family and
-//! every reduction variant, with and without the spill tier engaged.
+//! The packed store against the naive reference explorer.
 //!
-//! Only `arena_bytes` may differ between the two modes: that is the
-//! point of the packed store, and the footprint test at the bottom pins
-//! the advantage at better than 2x.
+//! The packed arena is the checker's only state store. Its oracle is the
+//! reference explorer (`tests/common/reference.rs`), which keeps every
+//! state whole in a `HashMap`. These tests check the baseline column of
+//! every safety and progress row of the oracle matrix: the un-reduced
+//! checker must find exactly the reference's states, transitions,
+//! terminals and verdict, storing each state in the row's pinned number
+//! of arena bytes. (The names are those of the packed-vs-boxed
+//! comparison this suite made before the boxed store was deleted.)
 
 mod common;
 
-use cfc::mutex::{Bakery, LamportFast, PetersonTwo, Splitter, Tournament};
-use cfc::naming::{TafTree, TasScan};
-use cfc::verify::{
-    check_detection_safety, check_mutex_progress, check_mutex_safety, check_naming_uniqueness,
-    ExploreConfig, ExploreStats, ProgressStats, StoreMode,
-};
-
-/// Every count the search semantics determine (everything except the
-/// representation-dependent `arena_bytes`/`spilled_buckets`).
-fn counts(s: &ExploreStats) -> (usize, u64, usize, u64, u64) {
-    (
-        s.states,
-        s.transitions,
-        s.terminals,
-        s.states_pruned_por,
-        s.orbits_merged,
-    )
-}
-
-fn progress_counts(s: &ProgressStats) -> (usize, u64, usize, u64, u64) {
-    (
-        s.states,
-        s.transitions,
-        s.terminals,
-        s.states_pruned_por,
-        s.orbits_merged,
-    )
-}
-
-/// Runs one safety check under both store backends and demands equal
-/// counts.
-fn assert_safety_equiv<F>(label: &str, run: F)
-where
-    F: Fn(ExploreConfig) -> ExploreStats,
-{
-    for (variant, cfg) in common::labeled_variants(200_000) {
-        let packed = run(cfg.with_store(StoreMode::Packed));
-        let boxed = run(cfg.with_store(StoreMode::Boxed));
-        assert_eq!(
-            counts(&packed),
-            counts(&boxed),
-            "{label} [{variant}]: packed and boxed stores disagree"
-        );
-        assert!(packed.states > 0, "{label} [{variant}]: empty exploration");
-    }
-}
+use cfc::mutex::LamportFast;
+use cfc::verify::{check_mutex_safety, ExploreStats};
+use common::matrix::{check_rows, reference_run, Progress, Safety, Sys, BASELINE, ROWS};
+use common::por_only;
 
 #[test]
 fn packed_and_boxed_agree_on_mutex_safety() {
-    assert_safety_equiv("peterson", |cfg| {
-        check_mutex_safety(&PetersonTwo::new(), 2, cfg).unwrap()
-    });
-    assert_safety_equiv("bakery", |cfg| {
-        check_mutex_safety(&Bakery::new(2), 1, cfg).unwrap()
-    });
-    assert_safety_equiv("tournament", |cfg| {
-        check_mutex_safety(&Tournament::new(3, 1), 1, cfg).unwrap()
-    });
+    check_rows(&[BASELINE], |r| r.checker == Safety && r.sys.is_mutex());
 }
 
 #[test]
 fn packed_and_boxed_agree_on_naming_and_detection() {
-    assert_safety_equiv("tas-scan", |cfg| {
-        check_naming_uniqueness(&TasScan::new(3), 1, cfg).unwrap()
-    });
-    assert_safety_equiv("taf-tree", |cfg| {
-        check_naming_uniqueness(&TafTree::new(4).unwrap(), 0, cfg).unwrap()
-    });
-    assert_safety_equiv("splitter", |cfg| {
-        check_detection_safety(&Splitter::new(3), cfg).unwrap()
-    });
+    check_rows(&[BASELINE], |r| r.checker == Safety && !r.sys.is_mutex());
 }
 
 #[test]
 fn packed_and_boxed_agree_on_progress_graphs() {
-    for (variant, cfg) in common::labeled_variants(60_000) {
-        for (label, trips) in [("peterson", 2), ("bakery", 1)] {
-            let run = |c: ExploreConfig| match label {
-                "peterson" => check_mutex_progress(&PetersonTwo::new(), trips, c).unwrap(),
-                _ => check_mutex_progress(&Bakery::new(2), trips, c).unwrap(),
-            };
-            let packed = run(cfg.with_store(StoreMode::Packed));
-            let boxed = run(cfg.with_store(StoreMode::Boxed));
-            assert_eq!(
-                progress_counts(&packed),
-                progress_counts(&boxed),
-                "{label} [{variant}]: packed and boxed progress graphs disagree"
-            );
-        }
-    }
+    check_rows(&[BASELINE], |r| r.checker == Progress);
 }
 
 /// Forcing the spill tier (budget 0: every filled segment goes to disk)
@@ -109,59 +36,42 @@ fn packed_and_boxed_agree_on_progress_graphs() {
 /// the same exact byte comparison — and must actually spill.
 #[test]
 fn spilling_preserves_counts_and_reports_spilled_segments() {
-    let base_cfg = common::por_only(25_000);
-    let resident = check_mutex_safety(&LamportFast::new(3), 1, base_cfg).unwrap();
-    // Precondition for a meaningful test: the arena must outgrow at
-    // least a couple of 64 KiB segments, so that "budget 0" has full
-    // segments to evict. If a layout change shrinks the encoding below
-    // this, grow the instance rather than weakening the assertion.
+    let counts = |s: &ExploreStats| {
+        let s = s.sans_wall();
+        (s.states, s.transitions, s.terminals, s.states_pruned_por, s.orbits_merged)
+    };
+    let cfg = por_only(25_000);
+    let resident = check_mutex_safety(&LamportFast::new(3), 1, cfg).unwrap();
+    // The arena must outgrow a couple of 64 KiB segments, or budget 0
+    // has nothing to evict; grow the instance rather than weaken this.
     assert!(
         resident.footprint.arena_bytes > 128 * 1024,
-        "arena too small to exercise spilling ({} bytes); use a larger instance",
+        "arena too small to exercise spilling ({} bytes)",
         resident.footprint.arena_bytes
     );
-    let spilled = check_mutex_safety(&LamportFast::new(3), 1, base_cfg.with_spill_budget(0)).unwrap();
+    let spilled = check_mutex_safety(&LamportFast::new(3), 1, cfg.with_spill_budget(0)).unwrap();
     assert_eq!(counts(&resident), counts(&spilled), "spilling changed search counts");
     assert!(spilled.footprint.spilled_buckets > 0, "budget 0 spilled nothing");
-    assert_eq!(resident.footprint.spilled_buckets, 0, "unbudgeted run must not spill");
+    assert_eq!(resident.footprint.spilled_buckets, 0, "an unbudgeted run spilled");
 }
 
-/// The acceptance bar for the representation itself: on both a
-/// fast-path (packing) family and an interned-fallback family, the
-/// packed arena holds each state in less than **half** the boxed
-/// per-node footprint.
+/// The acceptance bar for the representation: on a fast-path (packing)
+/// family and an interned-fallback family, the row's pinned record
+/// (which its baseline cell meets) takes at most half the bytes of the
+/// whole state the reference explorer keeps (the struct plus its
+/// process, register and status vectors).
 #[test]
 fn packed_store_is_at_most_half_the_boxed_footprint() {
-    for (label, packed, boxed) in [
-        (
-            "peterson (packed fast path)",
-            check_mutex_safety(&PetersonTwo::new(), 2, common::budget(2_000)).unwrap(),
-            check_mutex_safety(
-                &PetersonTwo::new(),
-                2,
-                common::budget(2_000).with_store(StoreMode::Boxed),
-            )
-            .unwrap(),
-        ),
-        (
-            "tournament (interned fallback)",
-            check_mutex_safety(&Tournament::new(3, 1), 1, common::budget(60_000)).unwrap(),
-            check_mutex_safety(
-                &Tournament::new(3, 1),
-                1,
-                common::budget(60_000).with_store(StoreMode::Boxed),
-            )
-            .unwrap(),
-        ),
-    ] {
-        assert_eq!(packed.states, boxed.states, "{label}: state counts diverged");
+    for sys in [Sys::Peterson(2), Sys::Tournament(3)] {
+        let row = ROWS
+            .iter()
+            .find(|r| r.sys == sys && r.checker == Safety)
+            .expect("a safety row");
+        let whole = reference_run(row).state_bytes as u64;
         assert!(
-            packed.footprint.arena_bytes * 2 <= boxed.footprint.arena_bytes,
-            "{label}: packed store not less than half the boxed footprint \
-             ({} vs {} bytes over {} states)",
-            packed.footprint.arena_bytes,
-            boxed.footprint.arena_bytes,
-            packed.states
+            row.arena * 2 <= whole,
+            "{sys:?}: a packed record of {} bytes is over half the {whole}-byte whole state",
+            row.arena
         );
     }
 }

@@ -1,157 +1,45 @@
-//! Differential test harness for reduction-aware progress checking: on
-//! every small mutex/naming/detection configuration the baseline can
-//! still reach, the reduced progress checker (any combination of
-//! partial-order and symmetry reduction) must return the same verdict —
-//! and when a violation is reported, its schedule must replay under the
-//! un-reduced semantics to a genuinely non-quiescent state. The
-//! acceptance configuration at the bottom exceeds the un-reduced state
-//! budget and verifies only on the reduced graph.
-//!
-//! This is the progress-side sibling of `tests/reduction_equiv.rs`: the
-//! executable soundness evidence for running deadlock-freedom checks on
-//! the reduced state graph (symmetry quotients by a bisimulation;
-//! partial-order reduction keeps independence and the fresh-successor
-//! proviso while dropping invisibility — see the README "Verification
-//! pipeline" section for the argument).
+//! Reduction-aware progress checking. On the progress rows of the
+//! oracle matrix, the POR and POR+symmetry columns under the declared
+//! hooks must return the row's verdict with their pinned counts, and
+//! every violation must replay under the un-reduced semantics to a
+//! genuinely non-quiescent state; the heavy rows (Lamport n=3,
+//! tournament n=4, the splitter tree) run the same columns in
+//! `tests/oracle_matrix.rs`. The configurations below overflow (or
+//! would overflow) the un-reduced state budget and verify deadlock
+//! freedom on the reduced graph instead. The soundness argument
+//! (symmetry quotients by a bisimulation; partial-order reduction keeps
+//! independence and the fresh-successor proviso while dropping
+//! invisibility) is in the README "Verification pipeline" section.
 
 mod common;
 
-use cfc::core::Status;
-use cfc::mutex::{
-    Bakery, Dijkstra, DetectionAlgorithm, LamportFast, MutexAlgorithm, MutexDetector,
-    PetersonTwo, Splitter, SplitterTree, Tournament,
-};
-use cfc::naming::{NamingAlgorithm, TafTree, TasReadSearch, TasScan, TasTarTree};
-use cfc::verify::{
-    check_detection_progress, check_mutex_progress, check_naming_progress, replay, ExploreError,
-    ProgressStats, ScheduleStep,
-};
-use common::{budget, reduced, reduced_variants as variants};
-
-/// A verdict a run can end with; budget/memory failures always panic.
-fn verdict(r: &Result<ProgressStats, ExploreError>, what: &str) -> bool {
-    match r {
-        Ok(_) => true,
-        Err(ExploreError::Violation(_)) => false,
-        Err(other) => panic!("{what}: unexpected progress-check failure: {other}"),
-    }
-}
-
-fn assert_mutex_progress_agrees<A>(alg: &A, trips: u32, max_states: usize)
-where
-    A: MutexAlgorithm,
-    A::Lock: Clone + Eq + std::hash::Hash,
-{
-    let base = check_mutex_progress(alg, trips, budget(max_states));
-    let base_ok = verdict(&base, alg.name());
-    for (label, cfg) in variants(max_states) {
-        let red = check_mutex_progress(alg, trips, cfg);
-        assert_eq!(
-            base_ok,
-            verdict(&red, alg.name()),
-            "{} with {label}: progress verdict flipped (baseline {base:?})",
-            alg.name()
-        );
-    }
-}
-
-fn assert_naming_progress_agrees<A>(alg: &A, crashes: u32, max_states: usize)
-where
-    A: NamingAlgorithm,
-    A::Proc: Clone + Eq + std::hash::Hash,
-{
-    let base = check_naming_progress(alg, crashes, budget(max_states));
-    let base_ok = verdict(&base, alg.name());
-    for (label, cfg) in variants(max_states) {
-        let red = check_naming_progress(alg, crashes, cfg);
-        assert_eq!(
-            base_ok,
-            verdict(&red, alg.name()),
-            "{} with {label} (crashes={crashes}): progress verdict flipped",
-            alg.name()
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
-// Deadlock-free configurations: every variant must agree (all Ok).
-// ---------------------------------------------------------------------
+use cfc::mutex::{Bakery, Tournament};
+use cfc::naming::TafTree;
+use cfc::verify::{check_mutex_progress, check_naming_progress, ExploreError};
+use common::matrix::{check_rows, Progress, Sys, DECLARED_POR};
+use common::{budget, reduced};
 
 #[test]
 fn mutex_progress_agrees_across_reductions() {
-    assert_mutex_progress_agrees(&PetersonTwo::new(), 2, 200_000);
-    assert_mutex_progress_agrees(&LamportFast::new(2), 1, 200_000);
-    assert_mutex_progress_agrees(&LamportFast::new(3), 1, 200_000);
-    assert_mutex_progress_agrees(&Bakery::new(2), 1, 200_000);
-    assert_mutex_progress_agrees(&Dijkstra::new(2), 1, 200_000);
-    assert_mutex_progress_agrees(&Tournament::new(3, 1), 1, 200_000);
-    assert_mutex_progress_agrees(&Tournament::new(4, 1), 1, 200_000);
+    check_rows(&DECLARED_POR, |r| r.checker == Progress && r.sys.is_mutex());
 }
 
 #[test]
 fn naming_progress_agrees_across_reductions() {
-    for crashes in 0..=1 {
-        assert_naming_progress_agrees(&TasScan::new(3), crashes, 100_000);
-        assert_naming_progress_agrees(&TafTree::new(4).unwrap(), crashes, 100_000);
-        assert_naming_progress_agrees(&TasTarTree::new(2).unwrap(), crashes, 100_000);
-        assert_naming_progress_agrees(&TasReadSearch::new(3), crashes, 100_000);
-    }
+    check_rows(&DECLARED_POR, |r| r.checker == Progress && r.sys.is_naming());
 }
 
+/// Splitters always terminate: progress holds for every participant.
 #[test]
 fn detection_progress_agrees_across_reductions() {
-    // Splitters always terminate: progress holds for every participant.
-    for (label, cfg) in variants(200_000) {
-        let r = check_detection_progress(&Splitter::new(3), cfg);
-        assert!(verdict(&r, "splitter"), "{label}");
-        let r = check_detection_progress(&SplitterTree::new(4, 1), cfg);
-        assert!(verdict(&r, "splitter tree"), "{label}");
-    }
-    check_detection_progress(&Splitter::new(3), budget(200_000)).unwrap();
-    check_detection_progress(&SplitterTree::new(4, 1), budget(200_000)).unwrap();
+    check_rows(&DECLARED_POR, |r| r.checker == Progress && matches!(r.sys, Sys::Splitter(_)));
 }
 
-// ---------------------------------------------------------------------
-// A genuinely non-progressing system: the Lemma 1 mutex-derived detector
-// (losers busy-wait forever). Every variant must find a stuck state, and
-// the schedule must replay to a non-quiescent state under the un-reduced
-// semantics.
-// ---------------------------------------------------------------------
-
+/// Lemma 1's mutex-derived detector: losers busy-wait forever, so every
+/// variant must find a stuck state that replays to a non-quiescent one.
 #[test]
 fn lemma1_detector_violation_replays_in_every_variant() {
-    let alg = MutexDetector::new(PetersonTwo::new());
-    let base = check_detection_progress(&alg, budget(100_000));
-    assert!(!verdict(&base, "lemma-1 detector"));
-    let mut runs: Vec<(&str, Result<ProgressStats, ExploreError>)> = vec![("baseline", base)];
-    for (label, cfg) in variants(100_000) {
-        runs.push((label, check_detection_progress(&alg, cfg)));
-    }
-    for (label, run) in runs {
-        let Err(ExploreError::Violation(v)) = run else {
-            panic!("{label}: expected a progress violation");
-        };
-        assert!(
-            !v.schedule.is_empty(),
-            "{label}: stuck state must be reached by a concrete schedule"
-        );
-        let procs: Vec<_> = (0..alg.n() as u32)
-            .map(|i| alg.process(cfc::core::ProcessId::new(i)))
-            .collect();
-        let replayed = replay(alg.memory().unwrap(), procs, &v.schedule).unwrap();
-        // The replayed state is not quiescent — someone is still spinning
-        // in the mutex entry code with the claim already taken.
-        assert!(
-            replayed.status.contains(&Status::Running),
-            "{label}: replayed state is quiescent, so it cannot be stuck"
-        );
-        assert!(
-            v.schedule
-                .iter()
-                .all(|s| matches!(s, ScheduleStep::Step(_))),
-            "{label}: crash-free check must produce a crash-free schedule"
-        );
-    }
+    check_rows(&DECLARED_POR, |r| r.checker == Progress && r.sys == Sys::Lemma1);
 }
 
 // ---------------------------------------------------------------------

@@ -1,220 +1,56 @@
-//! Differential test harness for the explorer's state-space reductions:
-//! on every small mutex/naming configuration, the reduced explorer (any
-//! combination of partial-order and symmetry reduction) must report a
-//! violation **iff** the baseline explorer does — and when both report
-//! one, each schedule must replay under the un-reduced semantics to a
-//! state exhibiting the same violation, with an identical multiset of
+//! The state-space reductions on the safety rows of the oracle matrix:
+//! its POR and POR+symmetry columns under the declared hooks (the
+//! symmetry column is checked in `index_equiv`, the baseline in
+//! `packed_equiv`). Each cell must return the row's verdict with its
+//! pinned counts and every terminal state — and when the row is
+//! violated, its schedule must replay under the un-reduced semantics to
+//! a state exhibiting the violation, with the row's multiset of
 //! violating outputs.
 //!
-//! The harness is the executable soundness argument for the ample-set
+//! The suite is the executable soundness argument for the ample-set
 //! conditions: pruned interleavings only reorder independent, invisible
 //! steps, and canonicalized orbits stand for permuted-but-equivalent
-//! states, so no verdict can flip. A seeded mutation test plants a
-//! lost-update bug into the `test-and-set` scan at a seed-chosen bit and
-//! checks both explorers catch it.
+//! states, so no verdict can flip. The heavy mutex rows (Lamport n=3,
+//! tournament n=4) run the same columns in `tests/oracle_matrix.rs`.
 
 mod common;
 
-use cfc::core::{Process, ProcessId, Section};
-use cfc::mutex::{
-    Bakery, BrokenDetector, Dijkstra, ExitOrder, LamportFast, MutexAlgorithm, PetersonTwo,
-    Tournament,
-};
-use cfc::naming::{NamingAlgorithm, TafTree, TasReadSearch, TasScan, TasTarTree};
-use cfc::verify::{
-    check_detection_safety, check_mutex_safety, check_naming_uniqueness, replay, ExploreError,
-    ExploreStats, ScheduleStep,
-};
-use common::{budget, output_multiset, reduced, reduced_variants as variants, MutatedTasScan};
-
-/// A verdict a run can end with; budget/memory failures always panic.
-fn verdict(r: &Result<ExploreStats, ExploreError>, what: &str) -> bool {
-    match r {
-        Ok(_) => true,
-        Err(ExploreError::Violation(_)) => false,
-        Err(other) => panic!("{what}: unexpected exploration failure: {other}"),
-    }
-}
-
-fn schedule_of(r: Result<ExploreStats, ExploreError>) -> Vec<ScheduleStep> {
-    match r {
-        Err(ExploreError::Violation(v)) => v.schedule,
-        other => panic!("expected a violation, got {other:?}"),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Safe configurations: every variant must agree with the baseline.
-// ---------------------------------------------------------------------
-
-fn assert_mutex_agrees<A>(alg: &A, trips: u32, max_states: usize)
-where
-    A: MutexAlgorithm,
-    A::Lock: Clone + Eq + std::hash::Hash,
-{
-    let base = check_mutex_safety(alg, trips, budget(max_states));
-    let base_safe = verdict(&base, alg.name());
-    for (label, cfg) in variants(max_states) {
-        let red = check_mutex_safety(alg, trips, cfg);
-        assert_eq!(
-            base_safe,
-            verdict(&red, alg.name()),
-            "{} with {label}: verdict flipped (baseline {base:?})",
-            alg.name()
-        );
-    }
-}
-
-fn assert_naming_agrees<A>(alg: &A, crashes: u32, max_states: usize)
-where
-    A: NamingAlgorithm,
-    A::Proc: Clone + Eq + std::hash::Hash,
-{
-    let base = check_naming_uniqueness(alg, crashes, budget(max_states));
-    let base_safe = verdict(&base, alg.name());
-    for (label, cfg) in variants(max_states) {
-        let red = check_naming_uniqueness(alg, crashes, cfg);
-        assert_eq!(
-            base_safe,
-            verdict(&red, alg.name()),
-            "{} with {label}: verdict flipped",
-            alg.name()
-        );
-    }
-}
+use common::matrix::{check_rows, Holds, Safety, Sys, DECLARED_POR};
 
 #[test]
 fn safe_mutex_configs_agree_across_reductions() {
-    assert_mutex_agrees(&PetersonTwo::new(), 2, 200_000);
-    assert_mutex_agrees(&LamportFast::new(2), 1, 200_000);
-    assert_mutex_agrees(&LamportFast::new(3), 1, 200_000);
-    assert_mutex_agrees(&Bakery::new(2), 1, 200_000);
-    assert_mutex_agrees(&Dijkstra::new(2), 1, 200_000);
-    assert_mutex_agrees(&Tournament::new(3, 1), 1, 200_000);
-    assert_mutex_agrees(&Tournament::new(4, 1), 1, 200_000);
+    check_rows(&DECLARED_POR, |r| r.checker == Safety && r.sys.is_mutex() && r.verdict == Holds);
 }
 
+/// The naming rows under up to one crash, and the splitter.
 #[test]
 fn safe_naming_configs_agree_across_reductions() {
-    for crashes in 0..=1 {
-        assert_naming_agrees(&TasScan::new(2), crashes, 100_000);
-        assert_naming_agrees(&TasScan::new(3), crashes, 100_000);
-        assert_naming_agrees(&TafTree::new(2).unwrap(), crashes, 100_000);
-        assert_naming_agrees(&TafTree::new(4).unwrap(), crashes, 100_000);
-        assert_naming_agrees(&TasTarTree::new(2).unwrap(), crashes, 100_000);
-        assert_naming_agrees(&TasReadSearch::new(3), crashes, 100_000);
-    }
+    check_rows(&DECLARED_POR, |r| r.checker == Safety && !r.sys.is_mutex() && r.verdict == Holds);
 }
 
-// ---------------------------------------------------------------------
-// Violating configurations: every variant must find the bug, and the
-// violation must reproduce under the un-reduced semantics.
-// ---------------------------------------------------------------------
-
+/// The paper's literal leaf-to-root exit order is unsafe for composed
+/// Peterson nodes at n = 4: every variant must replay to two processes
+/// in the critical section.
 #[test]
 fn planted_mutex_bug_caught_by_all_variants() {
-    // The paper's literal leaf-to-root exit order is unsafe for composed
-    // Peterson nodes at n = 4: a known, reproducible safety bug.
-    let alg = Tournament::new(4, 1).with_exit_order(ExitOrder::LeafToRoot);
-    let base = check_mutex_safety(&alg, 1, budget(200_000));
-    assert!(!verdict(&base, "tournament leaf-to-root"));
-    for (label, cfg) in variants(200_000) {
-        let red = check_mutex_safety(&alg, 1, cfg);
-        let schedule = schedule_of(red);
-        // Replay against the un-reduced semantics: the reached state must
-        // exhibit the very violation the reduced explorer reported.
-        let clients: Vec<_> = (0..4)
-            .map(|i| alg.client_with_cs(ProcessId::new(i), 1, 1))
-            .collect();
-        let replayed = replay(alg.memory().unwrap(), clients, &schedule).unwrap();
-        let in_cs = replayed
-            .procs
-            .iter()
-            .filter(|c| c.section() == Some(Section::Critical))
-            .count();
-        assert!(
-            in_cs >= 2,
-            "{label}: replayed state has {in_cs} processes in the critical section"
-        );
-    }
+    check_rows(&DECLARED_POR, |r| r.checker == Safety && matches!(r.sys, Sys::LeafToRoot(_)));
 }
 
 #[test]
 fn broken_detector_caught_by_all_variants() {
-    let alg = BrokenDetector::new(2);
-    assert!(!verdict(
-        &check_detection_safety(&alg, budget(100_000)),
-        "broken detector"
-    ));
-    for (label, cfg) in variants(100_000) {
-        let red = check_detection_safety(&alg, cfg);
-        assert!(!verdict(&red, "broken detector"), "{label}: bug missed");
-    }
+    check_rows(&DECLARED_POR, |r| matches!(r.sys, Sys::Broken(_)));
 }
 
-// ---------------------------------------------------------------------
-// Seeded mutation: a lost-update bug planted into the TAS scan (the
-// shared `common::MutatedTasScan` fixture).
-// ---------------------------------------------------------------------
-
+/// A lost-update bug planted into the TAS scan at seed-chosen bits
+/// (`common::MutatedTasScan`).
 #[test]
 fn seeded_mutation_caught_by_all_variants_with_identical_outputs() {
-    for seed in 0..3u64 {
-        let alg = MutatedTasScan::new(4, seed);
-        let base = check_naming_uniqueness(&alg, 0, budget(100_000));
-        let base_schedule = schedule_of(base);
-        let base_replay = replay(alg.memory().unwrap(), alg.processes(), &base_schedule).unwrap();
-        let base_outputs = output_multiset(&base_replay.procs);
-        assert!(
-            base_outputs.values().any(|&c| c >= 2),
-            "seed {seed}: baseline violation has no duplicate name ({base_outputs:?})"
-        );
-        for (label, cfg) in variants(100_000) {
-            let red = check_naming_uniqueness(&alg, 0, cfg);
-            let schedule = schedule_of(red);
-            let replayed = replay(alg.memory().unwrap(), alg.processes(), &schedule).unwrap();
-            let outputs = output_multiset(&replayed.procs);
-            assert_eq!(
-                base_outputs, outputs,
-                "seed {seed}, {label}: violating-output multiset differs"
-            );
-        }
-    }
+    check_rows(&DECLARED_POR, |r| matches!(r.sys, Sys::Mutated(4, _)));
 }
 
-// ---------------------------------------------------------------------
-// Regression: violations found under full reduction replay to the same
-// violating state under the un-reduced semantics (the `replay()` fix:
-// it now returns the reached memory and statuses for re-checking).
-// ---------------------------------------------------------------------
-
+/// The reported message names the duplicate, and the state `replay()`
+/// returns re-fails the uniqueness check.
 #[test]
 fn reduced_violation_replays_to_the_same_violating_state() {
-    let alg = MutatedTasScan::new(3, 1);
-    let err = check_naming_uniqueness(&alg, 0, reduced(100_000)).unwrap_err();
-    let ExploreError::Violation(v) = err else {
-        panic!("expected a violation");
-    };
-    let replayed = replay(alg.memory().unwrap(), alg.processes(), &v.schedule).unwrap();
-    // The reported message names the duplicate; the replayed state must
-    // contain exactly that duplicate.
-    let outputs = output_multiset(&replayed.procs);
-    let (dup, count) = outputs
-        .iter()
-        .find(|(_, &c)| c >= 2)
-        .map(|(k, v)| (*k, *v))
-        .expect("replayed state has a duplicate name");
-    assert!(
-        v.message.contains(&format!("duplicate name {dup}")),
-        "message {:?} vs replayed duplicate {dup} (x{count})",
-        v.message
-    );
-    // And the replayed view re-fails the very uniqueness check: the
-    // memory and statuses returned by replay() are the violating state's.
-    let view = replayed.view();
-    let mut seen = std::collections::HashSet::new();
-    assert!(
-        view.outputs().into_iter().flatten().any(|v| !seen.insert(v.raw())),
-        "replayed view does not re-fail the uniqueness check"
-    );
+    check_rows(&DECLARED_POR, |r| r.sys == Sys::Mutated(3, 1));
 }

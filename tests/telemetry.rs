@@ -12,8 +12,8 @@
 //!    events balance like parentheses (strict LIFO nesting), on every
 //!    driver including early-return paths.
 //! 3. **Passivity** — attaching a recording sink changes *no* verdict
-//!    and *no* count: stats are byte-identical (wall time aside) with
-//!    and without telemetry, across every family × reduction variant.
+//!    and *no* count: stats are identical (wall time aside) with and
+//!    without telemetry, in every declared cell of the oracle matrix.
 //!
 //! The JSONL encoding is also round-tripped against the in-memory
 //! recorder on a live run: every line parses back to exactly the event
@@ -26,15 +26,12 @@ use std::io::Write;
 use std::rc::Rc;
 
 use cfc::core::ManualClock;
-use cfc::mutex::{Bakery, PetersonTwo, Splitter, Tournament};
-use cfc::naming::{TafTree, TasScan};
+use cfc::mutex::{Bakery, PetersonTwo};
 use cfc::verify::{
-    check_detection_safety, check_mutex_progress, check_mutex_safety, check_mutex_starvation,
-    check_naming_uniqueness, with_telemetry, JsonlSink, Phase, Recorder, Telemetry,
-    TelemetryEvent,
+    check_mutex_progress, check_mutex_safety, check_mutex_starvation, with_telemetry, JsonlSink,
+    Phase, Recorder, Telemetry, TelemetryEvent,
 };
-
-use common::labeled_variants;
+use common::matrix::{check_passive, Progress, DECLARED, ROWS};
 
 /// A clonable `Write` target so the `JsonlSink` buffer can be read
 /// after the telemetry handle (which owns the sink) is dropped.
@@ -267,59 +264,19 @@ fn violation_paths_still_balance_spans() {
 
 #[test]
 fn recorder_sink_is_passive_across_families_and_variants() {
-    // Every family × every reduction variant: verdicts and all counts
-    // are identical with a recording observer attached and without one.
-    // (Wall time is excluded — that is what `sans_wall` is for.)
-    fn probe(
-        label: &str,
-        run: impl Fn() -> cfc::verify::ExploreStats,
-    ) {
-        let bare = run();
-        let (tel, rec) = recording_telemetry();
-        let observed = with_telemetry(&tel, &run);
-        assert!(!rec.is_empty(), "{label}: observer saw no events");
-        assert_eq!(
-            bare.sans_wall(),
-            observed.sans_wall(),
-            "{label}: attaching a recorder changed the search"
-        );
-    }
-
-    for (variant, cfg) in labeled_variants(300_000) {
-        probe(&format!("peterson/{variant}"), || {
-            check_mutex_safety(&PetersonTwo::new(), 1, cfg).unwrap()
-        });
-        probe(&format!("bakery/{variant}"), || {
-            check_mutex_safety(&Bakery::new(2), 1, cfg).unwrap()
-        });
-        probe(&format!("tournament/{variant}"), || {
-            check_mutex_safety(&Tournament::new(3, 1), 1, cfg).unwrap()
-        });
-        probe(&format!("splitter/{variant}"), || {
-            check_detection_safety(&Splitter::new(3), cfg).unwrap()
-        });
-        probe(&format!("tas-scan/{variant}"), || {
-            check_naming_uniqueness(&TasScan::new(3), 0, cfg).unwrap()
-        });
-        probe(&format!("taf-tree/{variant}"), || {
-            check_naming_uniqueness(&TafTree::new(4).unwrap(), 0, cfg).unwrap()
-        });
+    for row in ROWS.iter().filter(|r| r.checker != Progress) {
+        for col in DECLARED {
+            check_passive(row, col);
+        }
     }
 }
 
 #[test]
 fn progress_stats_are_passive_too() {
-    for (variant, cfg) in labeled_variants(300_000) {
-        let bare = check_mutex_progress(&Tournament::new(3, 1), 1, cfg).unwrap();
-        let (tel, _rec) = recording_telemetry();
-        let observed =
-            with_telemetry(&tel, || check_mutex_progress(&Tournament::new(3, 1), 1, cfg))
-                .unwrap();
-        assert_eq!(
-            bare.sans_wall(),
-            observed.sans_wall(),
-            "progress/{variant}: attaching a recorder changed the check"
-        );
+    for row in ROWS.iter().filter(|r| r.checker == Progress) {
+        for col in DECLARED {
+            check_passive(row, col);
+        }
     }
 }
 
