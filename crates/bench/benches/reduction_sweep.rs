@@ -269,8 +269,8 @@ fn run_liveness(
             verdict,
             bypass,
             report.stats.states.to_string(),
-            report.stats.victims.to_string(),
-            report.stats.graphs.to_string(),
+            report.victims.to_string(),
+            report.graphs.to_string(),
             format!("{:.1}", report.stats.wall_ns as f64 / 1e6),
             report.stats.states_per_sec().to_string(),
         ]);

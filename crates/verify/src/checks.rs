@@ -21,12 +21,7 @@ where
     A: MutexAlgorithm,
     A::Lock: Clone + Eq + Hash,
 {
-    let memory = alg.memory().map_err(cfc_core::ExecError::from).map_err(|e| {
-        ExploreError::Memory(match e {
-            cfc_core::ExecError::Memory(m) => m,
-            _ => unreachable!(),
-        })
-    })?;
+    let memory = memory_of(alg.memory())?;
     // One internal step inside the critical section makes occupancy an
     // observable state; with zero dwell the monitor could never witness
     // two simultaneous occupants.
@@ -159,7 +154,7 @@ pub fn check_mutex_progress<A>(
     alg: &A,
     trips: u32,
     config: ExploreConfig,
-) -> Result<crate::explore::ProgressStats, ExploreError>
+) -> Result<ExploreStats, ExploreError>
 where
     A: MutexAlgorithm,
     A::Lock: Clone + Eq + std::hash::Hash,
@@ -192,7 +187,7 @@ pub fn check_naming_progress<A>(
     alg: &A,
     max_crashes: u32,
     config: ExploreConfig,
-) -> Result<crate::explore::ProgressStats, ExploreError>
+) -> Result<ExploreStats, ExploreError>
 where
     A: NamingAlgorithm,
     A::Proc: Clone + Eq + Hash,
@@ -227,7 +222,7 @@ where
 pub fn check_detection_progress<A>(
     alg: &A,
     config: ExploreConfig,
-) -> Result<crate::explore::ProgressStats, ExploreError>
+) -> Result<ExploreStats, ExploreError>
 where
     A: DetectionAlgorithm,
     A::Proc: Clone + Eq + Hash,

@@ -60,33 +60,52 @@ pub const MAX_SLEEP_PROCS: usize = 32;
 /// the mode opt-in, `safety_dfs` excludes the progress/liveness graph
 /// builds (they consume *edges*, which sleeping prunes), `use_sym`
 /// excludes the symmetry quotient (masks index concrete pids),
-/// `crash_budget` excludes crash branching (crashes are always enabled,
+/// `max_crashes` excludes crash branching (crashes are always enabled,
 /// never covered by a sibling), and `n` bounds the mask width.
 pub(crate) fn sleep_sets_active(
     por: bool,
     dynamic: bool,
     safety_dfs: bool,
     use_sym: bool,
-    crash_budget: u32,
+    max_crashes: u32,
     n: usize,
 ) -> bool {
-    por && dynamic && safety_dfs && !use_sym && crash_budget == 0 && n <= MAX_SLEEP_PROCS
+    por && dynamic && safety_dfs && !use_sym && max_crashes == 0 && n <= MAX_SLEEP_PROCS
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The planted conflict-under-reporting mutant, armed per thread by
+    /// [`with_races_dropped_on`]: while set, dynamic reduction treats
+    /// conflicts that go through this register as if they never
+    /// happened — the sleep machinery keeps processes asleep across such
+    /// races, and [`trace_causality`] drops them from the happens-before
+    /// relation. The static modes never consult it, which is exactly why
+    /// only the dynamic-vs-static differential can kill it.
+    static DROP_RACES_ON: std::cell::Cell<Option<RegisterId>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// Runs `f` with the planted conflict-under-reporting mutant armed on
+/// `register` for this thread.
+#[cfg(test)]
+fn with_races_dropped_on<T>(register: RegisterId, f: impl FnOnce() -> T) -> T {
+    DROP_RACES_ON.with(|r| r.set(Some(register)));
+    let out = f();
+    DROP_RACES_ON.with(|r| r.set(None));
+    out
 }
 
 /// Did two steps with these footprints race, as far as dynamic pruning
-/// is concerned?
-///
-/// `drop_races_on` is the planted-mutant knob
-/// ([`crate::ExploreConfig::drop_races_on`]): conflicts that only go
-/// through the named register are dropped from the observed relation,
-/// exactly the under-reporting bug the dynamic-vs-static differential
-/// wall exists to catch. Production configs leave it `None`, where this
-/// is plain [`Footprint::conflicts_with`].
-pub fn observed_conflict(a: &Footprint, b: &Footprint, drop_races_on: Option<RegisterId>) -> bool {
-    match drop_races_on {
-        None => a.conflicts_with(b),
-        Some(r) => a.conflict_registers(b).iter().any(|x| x != r),
+/// is concerned? Plain [`Footprint::conflicts_with`]; the sleep
+/// machinery asks through this one predicate, which is where the unit
+/// tests plant the under-reporting mutant.
+pub fn observed_conflict(a: &Footprint, b: &Footprint) -> bool {
+    #[cfg(test)]
+    if let Some(r) = DROP_RACES_ON.with(std::cell::Cell::get) {
+        return a.conflict_registers(b).iter().any(|x| x != r);
     }
+    a.conflicts_with(b)
 }
 
 /// Per-state sleep masks, indexed by the store's interned state id.
@@ -192,9 +211,6 @@ impl TraceCausality {
 /// generated walks. Crash entries change status only — a crash is not
 /// an event of the happens-before relation.
 ///
-/// `drop_races_on` threads the planted-mutant knob through to the
-/// conflict predicate (see [`observed_conflict`]).
-///
 /// # Errors
 ///
 /// Propagates memory errors from applying an operation, exactly like
@@ -203,7 +219,6 @@ pub fn trace_causality<P: Process>(
     memory: Memory,
     mut procs: Vec<P>,
     schedule: &[ScheduleStep],
-    drop_races_on: Option<RegisterId>,
 ) -> Result<TraceCausality, cfc_core::ExecError> {
     let mut mem = memory;
     let layout = mem.layout().clone();
@@ -215,6 +230,8 @@ pub fn trace_causality<P: Process>(
     let mut clocks = vec![VectorClock::new(); procs.len()];
     let mut last_writer: Vec<Option<usize>> = Vec::new();
     let mut readers_since: Vec<Vec<usize>> = Vec::new();
+    #[cfg(test)]
+    let drop_races_on = DROP_RACES_ON.with(std::cell::Cell::get);
 
     for s in schedule {
         let pid = match s {
@@ -248,6 +265,7 @@ pub fn trace_causality<P: Process>(
             }
         };
         for r in fp.reads.iter().chain(fp.writes.iter()) {
+            #[cfg(test)]
             if drop_races_on == Some(r) {
                 continue;
             }
@@ -367,7 +385,7 @@ mod tests {
     #[test]
     fn write_read_same_register_is_ordered() {
         let (memory, procs) = setup([true, false], true);
-        let tc = trace_causality(memory, procs, &steps(&[0, 1]), None).unwrap();
+        let tc = trace_causality(memory, procs, &steps(&[0, 1])).unwrap();
         assert_eq!(tc.events.len(), 2);
         assert!(tc.happens_before(0, 1));
         assert!(!tc.happens_before(1, 0));
@@ -378,7 +396,7 @@ mod tests {
     #[test]
     fn disjoint_registers_are_concurrent() {
         let (memory, procs) = setup([true, true], false);
-        let tc = trace_causality(memory, procs, &steps(&[0, 1]), None).unwrap();
+        let tc = trace_causality(memory, procs, &steps(&[0, 1])).unwrap();
         assert!(tc.conflicts.is_empty());
         assert!(tc.events[0].clock.concurrent_with(&tc.events[1].clock));
         assert!(!tc.happens_before(0, 1) && !tc.happens_before(1, 0));
@@ -387,7 +405,7 @@ mod tests {
     #[test]
     fn reads_do_not_race_each_other() {
         let (memory, procs) = setup([false, false], true);
-        let tc = trace_causality(memory, procs, &steps(&[0, 1]), None).unwrap();
+        let tc = trace_causality(memory, procs, &steps(&[0, 1])).unwrap();
         assert!(tc.conflicts.is_empty());
         assert!(tc.events[0].clock.concurrent_with(&tc.events[1].clock));
     }
@@ -396,7 +414,7 @@ mod tests {
     fn program_order_is_always_happens_before() {
         let (memory, procs) = setup([true, true], false);
         // p0 writes then halts: two events of the same process.
-        let tc = trace_causality(memory, procs, &steps(&[0, 0, 1]), None).unwrap();
+        let tc = trace_causality(memory, procs, &steps(&[0, 0, 1])).unwrap();
         assert!(tc.happens_before(0, 1));
         assert_eq!(tc.events[1].pid, ProcessId::new(0));
         assert!(tc.events[1].footprint.is_local());
@@ -407,13 +425,95 @@ mod tests {
         let (memory, procs) = setup([true, false], true);
         let reg = procs[0].reg;
         let tc =
-            trace_causality(memory, procs.clone(), &steps(&[0, 1]), Some(reg)).unwrap();
-        assert!(tc.conflicts.is_empty(), "the race through {reg} must vanish");
+            with_races_dropped_on(reg, || trace_causality(memory, procs, &steps(&[0, 1]))).unwrap();
+        assert!(
+            tc.conflicts.is_empty(),
+            "the race through {reg} must vanish"
+        );
         assert!(!tc.happens_before(0, 1));
-        // The same knob drives the sleep predicate.
+        // The same hook drives the sleep predicate, and only while armed.
         let w = Footprint::of_op(&Op::Write(reg, Value::ONE), &Layout::new());
-        assert!(observed_conflict(&w, &w, None));
-        assert!(!observed_conflict(&w, &w, Some(reg)));
+        assert!(!with_races_dropped_on(reg, || observed_conflict(&w, &w)));
+        assert!(observed_conflict(&w, &w));
+    }
+
+    /// The planted mutant lives in the *verifier*: with
+    /// [`with_races_dropped_on`] armed, the sleep-set machinery drops
+    /// every observed conflict that goes through one register — the
+    /// classic dynamic-POR bug of an incomplete independence relation. No
+    /// single run can expose it (each explored interleaving is still
+    /// executed faithfully); only comparing verdicts across may-access
+    /// modes can.
+    #[test]
+    fn conflict_under_reporting_is_killed_only_by_the_dynamic_differential() {
+        use crate::analysis::MayAccessMode::{Automaton, Declared, Dynamic};
+        use crate::checks::check_mutex_safety;
+        use crate::explore::{replay, ExploreConfig, ExploreError};
+        use cfc_core::Section;
+        use cfc_mutex::mutation::BakeryMutation;
+        use cfc_mutex::{Bakery, MutexAlgorithm};
+
+        // The victim: the doorway-less bakery for two, whose mutual-
+        // exclusion violation needs a particular race on `number[1]`
+        // (register 3 of the layout: `choosing[0..2]`, then
+        // `number[0..2]`). Hiding that register lets the sleep sets prune
+        // exactly the interleaving that reaches two occupants.
+        let hidden = RegisterId::new(3);
+        let mutant = || Bakery::new(2).with_mutation(BakeryMutation::DropDoorway);
+        let config = |mode| {
+            ExploreConfig {
+                max_states: 400_000,
+                por: true,
+                ..ExploreConfig::default()
+            }
+            .with_may_access(mode)
+        };
+        // A reported violation must replay to two critical-section
+        // occupants — the checker's claim, re-established without it.
+        let assert_two_in_critical = |r: Result<_, ExploreError>| {
+            let Err(ExploreError::Violation(v)) = r else {
+                panic!("expected a violation, got {r:?}");
+            };
+            let clients = (0..2)
+                .map(|i| mutant().client_with_cs(ProcessId::new(i), 1, 1))
+                .collect();
+            let replayed = replay(mutant().memory().unwrap(), clients, &v.schedule).unwrap();
+            let in_cs = replayed
+                .procs
+                .iter()
+                .filter(|c| c.section() == Some(Section::Critical))
+                .count();
+            assert_eq!(in_cs, 2, "replayed state must exhibit the violation");
+        };
+
+        // Both static modes never consult the observed-conflict relation,
+        // so the hook is inert there: the violation is found and replays.
+        for mode in [Declared, Automaton] {
+            let r =
+                with_races_dropped_on(hidden, || check_mutex_safety(&mutant(), 1, config(mode)));
+            assert_two_in_critical(r);
+        }
+        // The *sound* dynamic mode also finds it.
+        assert_two_in_critical(check_mutex_safety(&mutant(), 1, config(Dynamic)));
+
+        // The under-reporting dynamic mode misses the violation entirely —
+        // the kill is the verdict *disagreement* with the static oracles
+        // above, exactly what the oracle matrix asserts can never happen
+        // with the hook unarmed.
+        with_races_dropped_on(hidden, || check_mutex_safety(&mutant(), 1, config(Dynamic))).expect(
+            "the under-reporting mutant must survive its own unsound exploration \
+             (if this fails, the mutant stopped being a differential-only kill)",
+        );
+
+        // And no false alarms: the honest bakery passes every mode with
+        // the hook armed — the mutant is killed by the differential and
+        // nothing else.
+        for mode in [Declared, Automaton, Dynamic] {
+            with_races_dropped_on(hidden, || {
+                check_mutex_safety(&Bakery::new(2), 1, config(mode))
+            })
+            .unwrap();
+        }
     }
 
     #[test]
@@ -421,7 +521,7 @@ mod tests {
         let (memory, procs) = setup([true, true], false);
         let mut sched = vec![ScheduleStep::Crash(ProcessId::new(0))];
         sched.extend(steps(&[0, 0, 1, 7]));
-        let tc = trace_causality(memory, procs, &sched, None).unwrap();
+        let tc = trace_causality(memory, procs, &sched).unwrap();
         // Only p1's write became an event: p0 was crashed, pid 7 is out
         // of range.
         assert_eq!(tc.events.len(), 1);

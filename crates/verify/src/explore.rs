@@ -13,11 +13,14 @@
 //! The DFS safety explorer ([`explore`], [`explore_sym`]), the progress
 //! checker ([`check_progress`], [`check_progress_sym`]), and the
 //! fair-cycle liveness engine (`crate::liveness`) are all thin clients
-//! of one unified traversal driver (`GraphBuilder` in `crate::graph`,
-//! configured by a `TraversalSpec`): the same successor function,
-//! canonical interning, crash branching, budget accounting, and
-//! ample-set selection — so a reduction is implemented (and argued
-//! sound) once, and every property benefits from it.
+//! of one unified traversal driver (`GraphBuilder` in `crate::graph`):
+//! the same successor function, canonical interning, crash branching,
+//! budget accounting, and ample-set selection — so a reduction is
+//! implemented (and argued sound) once, and every property benefits from
+//! it. Each wrapper picks only its ample mode (which also picks the DFS or
+//! the BFS) and its symmetry group; everything else comes from the one
+//! [`ExploreConfig`]. All three report one statistics record,
+//! [`ExploreStats`].
 //!
 //! # State-space reduction
 //!
@@ -91,10 +94,7 @@ use std::hash::Hash;
 use cfc_core::{Memory, OpResult, Process, ProcessId, Status, Step, SymmetryGroup, Value};
 
 use crate::analysis::MayAccessMode;
-use crate::graph::{
-    canonicalize, expand_step, full_hash, AmpleMode, Engine, GraphBuilder, BuiltGraph, Node,
-    Order, TraversalSpec,
-};
+use crate::graph::{canonicalize, full_hash, AmpleMode, GraphBuilder, Node, TraversalSpec};
 use crate::telemetry::{self, Phase, Sample, StoreFootprint};
 
 /// Limits and reduction switches for an exploration.
@@ -131,16 +131,6 @@ pub struct ExploreConfig {
     /// future-access sets, falling back to the declared hook for any
     /// state the automaton cannot resolve. Ignored when `por` is off.
     pub may_access: MayAccessMode,
-    /// **Planted-mutant knob — leave `None` in production configs.**
-    /// When set, dynamic reduction treats conflicts that go through the
-    /// named register as if they never happened: the sleep machinery
-    /// keeps processes asleep across such races, and
-    /// [`crate::trace_causality`] drops them from the happens-before
-    /// relation. This is the conflict-under-reporting bug class the
-    /// dynamic-vs-static differential wall exists to catch
-    /// (`tests/checker_mutations.rs`); the static modes never consult
-    /// it, which is exactly why the differential kills it.
-    pub drop_races_on: Option<cfc_core::RegisterId>,
     /// Print a live stderr heartbeat while this exploration runs (the
     /// `CFC_PROGRESS` environment variable turns this on globally; see
     /// [`crate::telemetry`]). Purely observational: no count, verdict,
@@ -157,7 +147,6 @@ impl Default for ExploreConfig {
             symmetry: false,
             spill_budget_bytes: None,
             may_access: MayAccessMode::Declared,
-            drop_races_on: None,
             progress: false,
         }
     }
@@ -202,15 +191,6 @@ impl ExploreConfig {
         self
     }
 
-    /// Plants the conflict-under-reporting mutant: dynamic reduction
-    /// drops observed races through the named register (test harnesses
-    /// only; see [`ExploreConfig::drop_races_on`]).
-    #[must_use]
-    pub fn with_drop_races_on(mut self, register: cfc_core::RegisterId) -> Self {
-        self.drop_races_on = Some(register);
-        self
-    }
-
     /// Enables (or disables) the live stderr heartbeat.
     #[must_use]
     pub fn with_progress(mut self, progress: bool) -> Self {
@@ -219,47 +199,60 @@ impl ExploreConfig {
     }
 }
 
-/// Statistics of a completed exploration.
+/// Statistics of a completed check, the one record every checker
+/// reports: the safety DFS ([`explore_sym`]), the progress check
+/// ([`check_progress_sym`]), and the liveness check
+/// ([`crate::liveness::check_liveness_sym`]), which sums every field
+/// except `wall_ns` over the per-victim graphs it builds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExploreStats {
-    /// Distinct (canonical) states visited.
+    /// Distinct (canonical) states: visited by the safety DFS, interned
+    /// in the progress graph, summed over the liveness graphs.
     pub states: usize,
-    /// Transitions executed.
+    /// Transitions: executed by the safety DFS, recorded as edges of the
+    /// progress and liveness graphs.
     pub transitions: u64,
-    /// Quiescent (terminal) states reached.
+    /// Quiescent (terminal) states reached or interned.
     pub terminals: usize,
     /// Enabled **transitions** not expanded because an ample subset
-    /// sufficed (partial-order reduction). Each skipped transition is a
-    /// successor state never generated — though distinct skipped
-    /// transitions may lead to the same state, so this is an upper bound
-    /// on the states pruned at these nodes.
+    /// sufficed (partial-order reduction, in the mode's ample conditions).
+    /// Each skipped transition is a successor state never generated —
+    /// though distinct skipped transitions may lead to the same state, so
+    /// this is an upper bound on the states pruned at these nodes.
     pub states_pruned_por: u64,
-    /// States skipped because a *different* member of their symmetry
-    /// orbit had already been explored (plain revisits of the same
-    /// concrete state are not merges — they are deduplicated by the
-    /// baseline too). Counted by **exact** comparison against the stored
-    /// first visitor, so a hash collision can never miscount a merge.
+    /// Symmetry merges. In the safety DFS: states skipped because a
+    /// *different* member of their orbit had already been explored,
+    /// counted by **exact** comparison against the stored first visitor,
+    /// so a hash collision can never miscount a merge. In the progress
+    /// and liveness graphs: successors folded into an already-interned
+    /// member of their orbit that differs from them as a concrete state.
+    /// Plain revisits of the same concrete state are never merges — the
+    /// baseline deduplicates them too.
     pub orbits_merged: u64,
     /// Enabled transitions skipped by dynamic sleep sets: their targets
     /// are reachable, up to commuting independent steps, through a
     /// sibling branch that was explored first. Nonzero only under
     /// [`MayAccessMode::Dynamic`] in the crash-free, symmetry-off
-    /// safety DFS (see `crate::dynamic` for the gating).
+    /// safety DFS (see `crate::dynamic` for the gating); always 0 for
+    /// progress and liveness.
     pub transitions_slept: u64,
-    /// Exact store, index, and edge memory at the end of the search.
-    /// `edge_bytes` is always 0 for the safety DFS, which records no
-    /// graph; `spilled_buckets` is 0 unless
+    /// Exact store, index, and edge memory at the end of the search
+    /// (summed over the liveness graphs). `edge_bytes` is 0 for the
+    /// safety DFS, which records no graph; `spilled_buckets` counts state
+    /// and edge segments alike and is 0 unless
     /// [`ExploreConfig::spill_budget_bytes`] forced cold segments out.
     pub footprint: StoreFootprint,
-    /// Wall time of the search in nanoseconds, measured by the
-    /// telemetry clock — the ambient [`crate::telemetry::Telemetry`]
+    /// Wall time in nanoseconds — of the search (safety), of the graph
+    /// build plus back-propagation (progress), or of every graph build,
+    /// SCC analysis, and witness validation (liveness) — measured by the
+    /// telemetry clock: the ambient [`crate::telemetry::Telemetry`]
     /// clock if one is installed (deterministic in tests), the real
     /// monotonic clock otherwise.
     pub wall_ns: u64,
 }
 
 impl ExploreStats {
-    /// Cumulative throughput over the whole search, `states / wall`
+    /// Cumulative throughput over the whole check, `states / wall`
     /// (integer states-per-second; 0 when no time was observed). Equals
     /// the `states_per_sec` of the final telemetry snapshot.
     pub fn states_per_sec(&self) -> u64 {
@@ -274,7 +267,26 @@ impl ExploreStats {
         self.wall_ns = 0;
         self
     }
+
+    /// The telemetry sample of these counters, as the final snapshot of
+    /// the check's span carries them (no frontier, no depth).
+    pub(crate) fn sample(&self) -> Sample {
+        Sample {
+            states: self.states as u64,
+            transitions: self.transitions,
+            frontier: 0,
+            depth: 0,
+            states_pruned_por: self.states_pruned_por,
+            orbits_merged: self.orbits_merged,
+            transitions_slept: self.transitions_slept,
+            footprint: self.footprint,
+        }
+    }
 }
+
+/// The progress checker's statistics: the one [`ExploreStats`] record.
+/// The name stays because the checker benchmark (`perfbench/`) names it.
+pub type ProgressStats = ExploreStats;
 
 /// One scheduling decision on a violating path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -452,70 +464,12 @@ where
     FT: FnMut(&StateView<'_, P>) -> Result<(), String>,
 {
     let spec = TraversalSpec {
-        order: Order::Dfs,
-        record_edges: false,
         ample_mode: AmpleMode::Safety,
         symmetry: symmetry.clone(),
         normalizer: None,
         served: None,
-        crash_budget: config.max_crashes,
-        phase: Phase::SafetyDfs,
     };
-    let mut builder = GraphBuilder::new(memory, config, spec, procs.len());
-    let t = builder.run_dfs(procs, state_check, terminal_check)?;
-    Ok(ExploreStats {
-        states: t.states,
-        transitions: t.transitions,
-        terminals: t.terminals,
-        states_pruned_por: t.states_pruned_por,
-        orbits_merged: t.orbits_merged,
-        transitions_slept: t.transitions_slept,
-        footprint: t.footprint,
-        wall_ns: t.wall_ns,
-    })
-}
-
-/// Statistics of a completed progress (deadlock-freedom) check.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProgressStats {
-    /// Distinct (canonical) states in the reachability graph.
-    pub states: usize,
-    /// Transitions in the graph.
-    pub transitions: u64,
-    /// Quiescent states.
-    pub terminals: usize,
-    /// Enabled transitions not expanded because a single ample process
-    /// sufficed (partial-order reduction; same semantics as
-    /// [`ExploreStats::states_pruned_por`]).
-    pub states_pruned_por: u64,
-    /// Successor states folded into an already-interned member of their
-    /// symmetry orbit that differs from them as a concrete state (plain
-    /// revisits of the canonical representative are not merges).
-    pub orbits_merged: u64,
-    /// Store, index, and edge memory of the built graph (see
-    /// [`ExploreStats::footprint`]; the progress graph always records
-    /// edges, so `edge_bytes` is populated).
-    pub footprint: StoreFootprint,
-    /// Wall time of the whole check — graph build plus back-propagation
-    /// — in nanoseconds, measured by the telemetry clock (see
-    /// [`ExploreStats::wall_ns`]).
-    pub wall_ns: u64,
-}
-
-impl ProgressStats {
-    /// Cumulative throughput over the whole check, `states / wall`
-    /// (integer states-per-second; 0 when no time was observed).
-    pub fn states_per_sec(&self) -> u64 {
-        crate::telemetry::rate_per_sec(self.states as u64, self.wall_ns)
-    }
-
-    /// This stats value with the wall-clock field zeroed (see
-    /// [`ExploreStats::sans_wall`]).
-    #[must_use]
-    pub fn sans_wall(mut self) -> Self {
-        self.wall_ns = 0;
-        self
-    }
+    GraphBuilder::new(memory, config, spec, procs.len()).run_dfs(procs, state_check, terminal_check)
 }
 
 /// Exhaustively verifies *possibility of progress* under the trivial
@@ -533,7 +487,7 @@ pub fn check_progress<P>(
     memory: Memory,
     procs: Vec<P>,
     config: ExploreConfig,
-) -> Result<ProgressStats, ExploreError>
+) -> Result<ExploreStats, ExploreError>
 where
     P: Process + Clone + Eq + Hash,
 {
@@ -583,7 +537,7 @@ pub fn check_progress_sym<P>(
     procs: Vec<P>,
     symmetry: &SymmetryGroup,
     config: ExploreConfig,
-) -> Result<ProgressStats, ExploreError>
+) -> Result<ExploreStats, ExploreError>
 where
     P: Process + Clone + Eq + Hash,
 {
@@ -597,26 +551,15 @@ where
     let _tel_guard = telemetry::install(&tel);
     let check_span = tel.span(Phase::ProgressCheck);
     let spec = TraversalSpec {
-        order: Order::Bfs,
-        record_edges: true,
         ample_mode: AmpleMode::Progress,
         symmetry: symmetry.clone(),
         normalizer: None,
         served: None,
-        crash_budget: config.max_crashes,
-        phase: Phase::ProgressBfs,
     };
     let mut builder = GraphBuilder::new(memory, config, spec, n);
-    let (g, t) = builder.build_graph(procs.clone())?;
-    let mut stats = ProgressStats {
-        states: t.states,
-        transitions: t.transitions,
-        terminals: t.terminals,
-        states_pruned_por: t.states_pruned_por,
-        orbits_merged: t.orbits_merged,
-        footprint: t.footprint,
-        wall_ns: 0, // the whole-check wall, set at the span close below
-    };
+    // The graph build's wall is replaced by the whole check's at the
+    // span close below.
+    let (g, mut stats) = builder.build_graph(procs.clone())?;
 
     // Back-propagate reachability of quiescence over reversed edges
     // (memoized CSR: two flat arrays, not a per-call Vec<Vec>).
@@ -635,14 +578,19 @@ where
     }
     bp_span.finish(Sample {
         states: states as u64,
-        transitions: t.transitions,
+        transitions: stats.transitions,
         ..Sample::default()
     });
 
     if let Some(stuck) = (0..states).find(|&i| !can_finish[i]) {
         let stuck_count = can_finish.iter().filter(|c| !**c).count();
-        let engine = builder.engine();
-        let schedule = recover_schedule(engine, engine.root(procs), stuck, &g)?;
+        // A concrete path to (an orbit sibling of) the stuck state, along
+        // the creator tree.
+        let stem = g
+            .creator_path(stuck as u32)
+            .into_iter()
+            .map(|id| (id, None));
+        let schedule = builder.walk(&g, &mut builder.root(procs), stem);
         return Err(ExploreError::Violation(Box::new(Violation {
             schedule,
             message: format!(
@@ -652,72 +600,8 @@ where
         })));
     }
 
-    stats.wall_ns = check_span.finish(Sample {
-        states: stats.states as u64,
-        transitions: stats.transitions,
-        frontier: 0,
-        depth: 0,
-        states_pruned_por: stats.states_pruned_por,
-        orbits_merged: stats.orbits_merged,
-        transitions_slept: 0,
-        footprint: stats.footprint,
-    });
+    stats.wall_ns = check_span.finish(stats.sample());
     Ok(stats)
-}
-
-/// Reconstructs a concrete, [`replay`]-able schedule from the initial
-/// state to (an orbit sibling of) state `stuck` of the progress graph.
-///
-/// The id path comes from the creator tree (`first_pred`, whose entries
-/// are strictly smaller than their children, so the chain terminates at
-/// the root). Because the graph stores canonical representatives, an
-/// edge `a → b` only promises that *some* step of *some* concrete member
-/// of orbit `a` lands in orbit `b`; the walk below re-derives the
-/// concrete witness: starting from the real initial state, it finds at
-/// every hop a step (or crash) whose successor canonicalizes to the next
-/// representative — one always exists, because permuting a symmetry
-/// class is an automorphism of the transition relation.
-fn recover_schedule<P: Process + Clone + Eq + Hash>(
-    engine: &Engine<P>,
-    root: Node<P>,
-    stuck: usize,
-    g: &BuiltGraph<P>,
-) -> Result<Vec<ScheduleStep>, ExploreError> {
-    let mut path: Vec<usize> = vec![stuck];
-    while *path.last().expect("path is nonempty") != 0 {
-        let id = *path.last().expect("path is nonempty");
-        path.push(g.first_pred[id] as usize);
-    }
-    path.reverse();
-
-    let n = root.status.len();
-    let mut cur = root;
-    let mut schedule = Vec::with_capacity(path.len() - 1);
-    for &next in &path[1..] {
-        let target = &g.node(next as u32);
-        let mut found = None;
-        for i in (0..n).filter(|&i| cur.status[i] == Status::Running) {
-            let succ = expand_step(&cur, i, engine.template())?;
-            if engine.matches_canonical(&succ, target) {
-                found = Some((ScheduleStep::Step(ProcessId::new(i as u32)), succ));
-                break;
-            }
-            if cur.crashes_left > 0 {
-                let mut crashed = cur.clone();
-                crashed.status[i] = Status::Crashed;
-                crashed.crashes_left -= 1;
-                if engine.matches_canonical(&crashed, target) {
-                    found = Some((ScheduleStep::Crash(ProcessId::new(i as u32)), crashed));
-                    break;
-                }
-            }
-        }
-        let (step, succ) =
-            found.expect("every edge of the canonical quotient has a concrete witness");
-        schedule.push(step);
-        cur = succ;
-    }
-    Ok(schedule)
 }
 
 /// The final state of a replayed schedule: the trace plus everything

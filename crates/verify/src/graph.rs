@@ -11,7 +11,8 @@
 //! semantics cannot drift apart:
 //!
 //! * [`Node`] — the global-state representation and its successor
-//!   function ([`expand_step`], crash branching inside [`Engine::expand`]);
+//!   function ([`expand_step`], crash branching inside
+//!   [`GraphBuilder::expand`]);
 //! * canonicalization under a [`SymmetryGroup`] ([`canonicalize`],
 //!   [`state_fingerprint`]) for symmetry-reduced visited keys;
 //! * ample-set selection for partial-order reduction, parameterized by
@@ -20,13 +21,18 @@
 //!   (quiescence is a property of the graph, not of the per-state
 //!   observation) and instead relies on the *fresh-successor* proviso —
 //!   see the soundness notes on [`AmpleMode::Progress`];
-//! * [`GraphBuilder`] — the single traversal loop, configured by a
-//!   [`TraversalSpec`] (search order, edge recording, ample mode,
-//!   symmetry group, state normalizer, crash budget). The DFS entry
-//!   point ([`GraphBuilder::run_dfs`]) memoizes concrete states keyed
-//!   canonically at pop time and invokes per-state checks; the BFS entry
-//!   point ([`GraphBuilder::build_graph`]) interns one canonical
+//! * [`GraphBuilder`] — the one traversal type: the memory template, one
+//!   [`ExploreConfig`] (budgets, crash budget, reduction switches), and a
+//!   [`TraversalSpec`] holding only what the callers vary (ample mode,
+//!   symmetry group, state normalizer, service predicate). The ample mode
+//!   fixes the rest. [`AmpleMode::Safety`] runs the DFS
+//!   ([`GraphBuilder::run_dfs`]), which memoizes concrete states keyed
+//!   canonically at pop time, invokes per-state checks, and records no
+//!   graph. The progress and liveness modes run the BFS
+//!   ([`GraphBuilder::build_graph`]), which interns one canonical
 //!   representative per orbit and returns the labeled [`BuiltGraph`].
+//!   Both loops return [`ExploreStats`], and every witness schedule is
+//!   re-derived concretely along a built graph by [`GraphBuilder::walk`].
 //!   The interning discipline, crash branching, budget accounting, and
 //!   reduction bookkeeping live here exactly once.
 
@@ -44,9 +50,11 @@ use crate::analysis::{FutureIndex, MayAccessMode};
 pub(crate) use crate::csr::GEdge;
 use crate::csr::{EdgeArena, ReversedCsr};
 use crate::dynamic::{observed_conflict, sleep_sets_active, SleepTable};
-use crate::explore::{ExploreConfig, ExploreError, ScheduleStep, StateView, Violation};
+use crate::explore::{
+    ExploreConfig, ExploreError, ExploreStats, ScheduleStep, StateView, Violation,
+};
 use crate::store::{NodeStore, VisitOutcome};
-use crate::telemetry::{self, Phase, Sample, StoreFootprint};
+use crate::telemetry::{self, Phase, Sample, StoreFootprint, Telemetry};
 
 /// A global state of the explored system.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -142,6 +150,14 @@ pub(crate) fn expand_step<P: Process + Clone>(
     Ok(next)
 }
 
+/// The successor of `node` when the adversary crashes process `i`.
+fn crash_step<P: Clone>(node: &Node<P>, i: usize) -> Node<P> {
+    let mut next = node.clone();
+    next.status[i] = Status::Crashed;
+    next.crashes_left -= 1;
+    next
+}
+
 /// A memory instance with `values` poked over the layout of `template`.
 pub(crate) fn rebuild_memory(template: &Memory, values: &[Value]) -> Memory {
     let mut mem = template.clone();
@@ -152,7 +168,9 @@ pub(crate) fn rebuild_memory(template: &Memory, values: &[Value]) -> Memory {
 }
 
 /// Which property the search preserves — this decides how aggressive the
-/// ample-set selection may be.
+/// ample-set selection may be, and which loop runs: the safety mode runs
+/// the DFS, which records no graph; the progress and liveness modes run
+/// the BFS, which records labeled edges.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum AmpleMode {
     /// Per-state observations (sections and outputs) must be preserved up
@@ -199,6 +217,19 @@ pub(crate) enum AmpleMode {
     Liveness,
 }
 
+impl AmpleMode {
+    /// The telemetry phase the traversal's span and snapshots are
+    /// attributed to (the BFS serves both the progress checker and the
+    /// liveness graph builder; the phase tells them apart).
+    fn phase(self) -> Phase {
+        match self {
+            AmpleMode::Safety => Phase::SafetyDfs,
+            AmpleMode::Progress => Phase::ProgressBfs,
+            AmpleMode::Liveness => Phase::LivenessGraph,
+        }
+    }
+}
+
 /// The successors of one node, as chosen by the engine.
 #[derive(Debug)]
 pub(crate) enum Expansion<P> {
@@ -242,91 +273,280 @@ impl<P> AmpleScratch<P> {
     }
 }
 
-/// The shared state-graph engine: owns the memory template, the symmetry
-/// group, the reduction configuration, and the ample-selection scratch.
-pub(crate) struct Engine<P> {
+/// A borrowed state normalizer (see `cfc_mutex::StateNormalizer` for the
+/// owned form and the bisimulation contract).
+pub(crate) type NormalizerFn<'a, P> = &'a dyn Fn(&mut [P], &mut [Value]);
+
+/// A borrowed service predicate over the stepping process's
+/// `(before, after)` local states.
+pub(crate) type ServedFn<'a, P> = &'a dyn Fn(&P, &P) -> bool;
+
+/// What the callers of one [`GraphBuilder`] traversal set differently.
+/// Everything else follows from the ample mode (search order, edge
+/// recording, telemetry phase) or from the [`ExploreConfig`] (budgets,
+/// crash budget, reduction switches).
+pub(crate) struct TraversalSpec<'a, P> {
+    /// Which ample-set conditions partial-order reduction must respect;
+    /// also picks the loop (see [`AmpleMode`]).
+    pub(crate) ample_mode: AmpleMode,
+    /// The symmetry group canonical visited keys are computed under.
+    pub(crate) symmetry: SymmetryGroup,
+    /// Optional behavioral-quotient normalizer applied to the root and to
+    /// every successor before interning (see
+    /// `cfc_mutex::StateNormalizer` for the bisimulation contract).
+    /// Partial-order reduction is force-disabled while one is active —
+    /// the ample bookkeeping cannot see through the abstraction — and
+    /// reported schedules replay *modulo* the quotient: same sections,
+    /// outputs, and statuses, not necessarily byte-equal register values.
+    pub(crate) normalizer: Option<NormalizerFn<'a, P>>,
+    /// Optional service predicate `(before, after)` on the stepping
+    /// process, recorded on forward edges ([`GEdge::served`]); only
+    /// meaningful for the BFS, which records edges.
+    pub(crate) served: Option<ServedFn<'a, P>>,
+}
+
+/// The canonical state graph a BFS traversal produces: one interned
+/// representative per orbit (held packed in the [`NodeStore`]), labeled
+/// forward edges in CSR form, the creator tree, and terminal flags.
+pub(crate) struct BuiltGraph<P> {
+    /// Canonical orbit representatives in discovery (BFS) order, one
+    /// single-copy record per orbit; decode on demand via
+    /// [`BuiltGraph::node`].
+    pub(crate) store: NodeStore<P>,
+    /// Labeled forward edges in CSR form, packed 6 bytes each in a
+    /// spillable arena.
+    pub(crate) edges: EdgeArena,
+    /// The node that first generated each node (`u32::MAX` at the root);
+    /// always strictly smaller than its child, so creator chains
+    /// terminate at the root — the predecessor tree schedules are
+    /// reconstructed from.
+    pub(crate) first_pred: Vec<u32>,
+    /// Whether the node is quiescent (no process runnable).
+    pub(crate) terminal: Vec<bool>,
+    /// Memoized reversed adjacency (built on first use; the historical
+    /// implementation re-allocated a `Vec<Vec<u32>>` per call, doubling
+    /// peak edge memory every time the progress checker asked).
+    rev: OnceCell<ReversedCsr>,
+}
+
+impl<P> BuiltGraph<P> {
+    /// The number of interned nodes.
+    pub(crate) fn len(&self) -> usize {
+        self.first_pred.len()
+    }
+
+    /// The reversed adjacency of the recorded forward edges, memoized,
+    /// in the exact order the historical progress checker accumulated
+    /// its reversed edges: predecessors appear in discovery order, and
+    /// the first predecessor of every non-root node is its creator.
+    pub(crate) fn reversed(&self) -> &ReversedCsr {
+        self.rev.get_or_init(|| self.edges.reversed(self.len()))
+    }
+
+    /// The creator-tree path from the root to node `id`, root-first and
+    /// root excluded (empty for the root itself).
+    pub(crate) fn creator_path(&self, id: u32) -> Vec<u32> {
+        let mut path = Vec::new();
+        let mut cur = id;
+        while cur != 0 {
+            path.push(cur);
+            cur = self.first_pred[cur as usize];
+        }
+        path.reverse();
+        path
+    }
+
+    /// Exact store, index, and edge bytes and spill counts.
+    fn footprint(&self) -> StoreFootprint {
+        StoreFootprint {
+            arena_bytes: self.store.arena_bytes(),
+            index_bytes: self.store.index_bytes(),
+            edge_bytes: self.edges.heap_bytes(),
+            spilled_buckets: self.store.spilled_buckets() + self.edges.spilled_segs(),
+        }
+    }
+}
+
+impl<P: Process + Clone + Eq + Hash> BuiltGraph<P> {
+    /// Decodes node `id` out of the store (an owned copy; the packed
+    /// backend materializes states transiently).
+    pub(crate) fn node(&self, id: u32) -> Node<P> {
+        self.store.node(id)
+    }
+}
+
+impl<P> std::fmt::Debug for BuiltGraph<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BuiltGraph")
+            .field("nodes", &self.len())
+            .field("edges", &self.edges.total_edges())
+            .finish()
+    }
+}
+
+/// One link of a DFS schedule, shared structurally between stack entries:
+/// the historical per-entry `Vec<ScheduleStep>` clone cost O(depth) per
+/// *pushed successor* (O(depth²) memory across one expansion chain); a
+/// parent pointer costs O(1) and materializes only on violation.
+struct PathLink {
+    step: ScheduleStep,
+    /// Steps from the root (parent depth + 1): telemetry snapshots
+    /// report the current DFS path depth without walking the chain.
+    depth: u32,
+    parent: Option<Rc<PathLink>>,
+}
+
+impl Drop for PathLink {
+    // Unlink iteratively: the default recursive drop would overflow the
+    // call stack on search paths millions of steps deep.
+    fn drop(&mut self) {
+        let mut cur = self.parent.take();
+        while let Some(rc) = cur {
+            match Rc::try_unwrap(rc) {
+                Ok(mut link) => cur = link.parent.take(),
+                Err(_) => break,
+            }
+        }
+    }
+}
+
+/// Filters a sleep mask after a step with footprint `taken` fires at
+/// `node`: every sleeping process whose next step races with the taken
+/// step wakes up (its deferred step no longer commutes past the trace).
+/// Bits of processes that are not runnable are dropped defensively —
+/// they cannot arise, since a process's status only changes on its own
+/// steps and crash budgets disable sleeping.
+fn wake_conflicting<P: Process + Clone>(
+    mask: u32,
+    node: &Node<P>,
+    layout: &cfc_core::Layout,
+    taken: &Footprint,
+) -> u32 {
+    let mut out = 0u32;
+    let mut rest = mask;
+    while rest != 0 {
+        let p = rest.trailing_zeros() as usize;
+        rest &= rest - 1;
+        if p < node.procs.len()
+            && node.status[p].runnable()
+            && !observed_conflict(&Footprint::of_step(&node.procs[p].current(), layout), taken)
+        {
+            out |= 1 << p;
+        }
+    }
+    out
+}
+
+/// The violation `message` at the end of the path `link` encodes, with
+/// its schedule materialized root-first.
+fn violation_at(link: &Option<Rc<PathLink>>, message: String) -> ExploreError {
+    let mut schedule = Vec::new();
+    let mut cur = link.as_deref();
+    while let Some(l) = cur {
+        schedule.push(l.step);
+        cur = l.parent.as_deref();
+    }
+    schedule.reverse();
+    ExploreError::Violation(Box::new(Violation { schedule, message }))
+}
+
+/// The unified traversal driver: the memory template, one
+/// [`ExploreConfig`], and a [`TraversalSpec`], running the one canonical
+/// search loop every checker in this crate is a client of, plus the
+/// ample-selection scratch and the future-access index it consults.
+pub(crate) struct GraphBuilder<'a, P> {
     template: Memory,
-    symmetry: SymmetryGroup,
+    /// The caller's configuration, with `por` cleared when the spec
+    /// carries a normalizer (the ample bookkeeping cannot see through the
+    /// abstraction — asserted by the driver edge-case suite).
     config: ExploreConfig,
+    spec: TraversalSpec<'a, P>,
+    /// Whether symmetry reduction is effective (enabled and non-trivial).
     use_sym: bool,
     scratch: AmpleScratch<P>,
     /// Per-location future-access sets from the solo control automata,
-    /// installed by the traversal entry points when the configuration
-    /// asks for [`MayAccessMode::Automaton`]; `None` means ample
-    /// selection consults the declared `may_access` hooks only.
+    /// built when a traversal starts if the configuration asks for
+    /// [`MayAccessMode::Automaton`] or [`MayAccessMode::Dynamic`];
+    /// `None` means ample selection consults the declared `may_access`
+    /// hooks only.
     future: Option<FutureIndex<P>>,
 }
 
-impl<P: Process + Clone + Eq + Hash> Engine<P> {
-    /// Builds an engine for `n` processes over `memory`.
+impl<P> std::fmt::Debug for GraphBuilder<'_, P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GraphBuilder")
+            .field("ample_mode", &self.spec.ample_mode)
+            .field("normalizer", &self.spec.normalizer.is_some())
+            .field("served", &self.spec.served.is_some())
+            .field("config", &self.config)
+            .finish()
+    }
+}
+
+impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
+    /// Builds a driver for `n` processes over `memory`.
     ///
     /// # Panics
     ///
-    /// Panics if `symmetry` is defined over a different process count.
-    pub(crate) fn new(memory: Memory, symmetry: SymmetryGroup, config: ExploreConfig, n: usize) -> Self {
+    /// Panics if the spec's symmetry group is over a different process
+    /// count.
+    pub(crate) fn new(
+        memory: Memory,
+        config: ExploreConfig,
+        spec: TraversalSpec<'a, P>,
+        n: usize,
+    ) -> Self {
         assert_eq!(
-            symmetry.n(),
+            spec.symmetry.n(),
             n,
             "symmetry group is over {} processes, system has {n}",
-            symmetry.n()
+            spec.symmetry.n()
         );
-        let use_sym = config.symmetry && !symmetry.is_trivial();
-        Engine {
+        GraphBuilder {
             template: memory,
-            symmetry,
-            config,
-            use_sym,
+            config: ExploreConfig {
+                por: config.por && spec.normalizer.is_none(),
+                ..config
+            },
+            use_sym: config.symmetry && !spec.symmetry.is_trivial(),
+            spec,
             scratch: AmpleScratch::new(n),
             future: None,
         }
     }
 
-    /// Whether the configuration asks for automaton-derived future sets
-    /// — both the static [`MayAccessMode::Automaton`] and the dynamic
-    /// mode build on the same per-location index (meaningful only with
-    /// partial-order reduction on — the engine's `por` flag already
-    /// accounts for the normalizer override).
-    pub(crate) fn wants_future_index(&self) -> bool {
-        self.config.por && self.config.may_access != MayAccessMode::Declared
-    }
-
-    /// Installs the future-access index ample selection consults under
-    /// [`MayAccessMode::Automaton`].
-    pub(crate) fn set_future_index(&mut self, index: FutureIndex<P>) {
-        self.future = Some(index);
-    }
-
-    /// The initial node: all processes running, the template memory image,
-    /// the configured crash budget.
+    /// The initial node — all processes running, the template memory
+    /// image, the configured crash budget — normalized.
     pub(crate) fn root(&self, procs: Vec<P>) -> Node<P> {
-        Node {
+        let mut root = Node {
             status: vec![Status::Running; procs.len()],
             values: self.template.snapshot().to_vec(),
             procs,
             crashes_left: self.config.max_crashes,
+        };
+        self.normalize(&mut root);
+        root
+    }
+
+    /// Applies the spec's normalizer (if any) to `node` in place.
+    fn normalize(&self, node: &mut Node<P>) {
+        if let Some(f) = self.spec.normalizer {
+            f(&mut node.procs, &mut node.values);
         }
     }
 
-    /// The memory template (layout + atomicity) states are expanded over.
-    pub(crate) fn template(&self) -> &Memory {
-        &self.template
-    }
-
-    /// Whether symmetry reduction is effective (enabled and non-trivial).
-    pub(crate) fn use_sym(&self) -> bool {
-        self.use_sym
-    }
-
-    /// A [`Memory`] carrying `node`'s register values.
-    pub(crate) fn memory_of(&self, node: &Node<P>) -> Memory {
-        rebuild_memory(&self.template, &node.values)
+    /// The normalized successor of `node` when process `i` steps.
+    pub(crate) fn successor(&self, node: &Node<P>, i: usize) -> Result<Node<P>, ExploreError> {
+        let mut succ = expand_step(node, i, &self.template)?;
+        self.normalize(&mut succ);
+        Ok(succ)
     }
 
     /// The canonical (orbit-representative) form of `node` — `node`
     /// itself, cloned, when symmetry reduction is off.
-    pub(crate) fn canonical_of(&self, node: &Node<P>) -> Node<P> {
+    fn canonical_of(&self, node: &Node<P>) -> Node<P> {
         if self.use_sym {
-            canonicalize(node, &self.symmetry)
+            canonicalize(node, &self.spec.symmetry)
         } else {
             node.clone()
         }
@@ -334,12 +554,30 @@ impl<P: Process + Clone + Eq + Hash> Engine<P> {
 
     /// Whether the concrete node `concrete` falls into the orbit whose
     /// canonical representative is `canon`.
-    pub(crate) fn matches_canonical(&self, concrete: &Node<P>, canon: &Node<P>) -> bool {
+    fn matches_canonical(&self, concrete: &Node<P>, canon: &Node<P>) -> bool {
         if self.use_sym {
-            canonicalize(concrete, &self.symmetry) == *canon
+            canonicalize(concrete, &self.spec.symmetry) == *canon
         } else {
             concrete == canon
         }
+    }
+
+    /// Opens a traversal: builds the future-access index under its own
+    /// nested span when the configuration asks for automaton-derived
+    /// future sets (both the static automaton mode and the dynamic mode
+    /// build on it; meaningful only with partial-order reduction on), and
+    /// returns the normalized root.
+    fn prepare(&mut self, tel: &Telemetry, procs: Vec<P>) -> Node<P> {
+        if self.config.por && self.config.may_access != MayAccessMode::Declared {
+            let auto_span = tel.span(Phase::ExtractAutomaton);
+            let index = FutureIndex::build(self.template.layout(), &procs);
+            auto_span.finish(Sample {
+                states: index.len() as u64,
+                ..Sample::default()
+            });
+            self.future = Some(index);
+        }
+        self.root(procs)
     }
 
     /// Computes the successors of `node` (whose runnable processes are
@@ -351,18 +589,17 @@ impl<P: Process + Clone + Eq + Hash> Engine<P> {
     /// proviso. Crash branching disables the reduction at any state that
     /// can still crash (a crash commutes with nothing its victim would
     /// do).
-    pub(crate) fn expand<F>(
+    fn expand<F>(
         &mut self,
         node: &Node<P>,
         runnable: &[usize],
-        mode: AmpleMode,
         visited: F,
     ) -> Result<Expansion<P>, ExploreError>
     where
         F: Fn(&Node<P>) -> bool,
     {
         if self.config.por && node.crashes_left == 0 && runnable.len() > 1 {
-            if let Some((i, canon)) = self.select_ample(node, runnable, mode, &visited)? {
+            if let Some((i, canon)) = self.select_ample(node, runnable, &visited)? {
                 let succ = self.scratch.succ[i].take().expect("ample successor cached");
                 for s in self.scratch.succ.iter_mut() {
                     *s = None;
@@ -378,10 +615,10 @@ impl<P: Process + Clone + Eq + Hash> Engine<P> {
         let mut out = Vec::with_capacity(runnable.len() * if crashing { 2 } else { 1 });
         for &i in runnable {
             if crashing {
-                let mut next = node.clone();
-                next.status[i] = Status::Crashed;
-                next.crashes_left -= 1;
-                out.push((ScheduleStep::Crash(ProcessId::new(i as u32)), next));
+                out.push((
+                    ScheduleStep::Crash(ProcessId::new(i as u32)),
+                    crash_step(node, i),
+                ));
             }
             // Reuse any successor the ample selection already computed for
             // this candidate instead of recomputing it.
@@ -417,7 +654,6 @@ impl<P: Process + Clone + Eq + Hash> Engine<P> {
         &mut self,
         node: &Node<P>,
         runnable: &[usize],
-        mode: AmpleMode,
         visited: &F,
     ) -> Result<AmpleChoice<P>, ExploreError>
     where
@@ -460,8 +696,7 @@ impl<P: Process + Clone + Eq + Hash> Engine<P> {
                     // future footprints implies pairwise independence
                     // with each future step.
                     if dynamic {
-                        if let Some(split) =
-                            future.and_then(|f| f.future_split_of(&node.procs[j]))
+                        if let Some(split) = future.and_then(|f| f.future_split_of(&node.procs[j]))
                         {
                             if fp.independent(split) {
                                 continue;
@@ -489,7 +724,7 @@ impl<P: Process + Clone + Eq + Hash> Engine<P> {
                 succ.procs[i].section() != node.procs[i].section()
                     || succ.procs[i].output() != node.procs[i].output()
             };
-            match mode {
+            match self.spec.ample_mode {
                 AmpleMode::Safety if !matches!(step, Step::Halt) && visible(succ) => {
                     continue 'candidates;
                 }
@@ -502,7 +737,7 @@ impl<P: Process + Clone + Eq + Hash> Engine<P> {
             // canonical form computed here rides along with the winner so
             // canonically-interning callers need not recompute it.
             if self.use_sym {
-                let canon = canonicalize(succ, &self.symmetry);
+                let canon = canonicalize(succ, &self.spec.symmetry);
                 if visited(&canon) {
                     continue 'candidates;
                 }
@@ -514,295 +749,6 @@ impl<P: Process + Clone + Eq + Hash> Engine<P> {
             return Ok(Some((i, None)));
         }
         Ok(None)
-    }
-}
-
-// ---------------------------------------------------------------------
-// The unified traversal driver.
-// ---------------------------------------------------------------------
-
-/// The search order of a [`GraphBuilder`] traversal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Order {
-    /// Depth-first with per-state property checks and schedule tracking
-    /// ([`GraphBuilder::run_dfs`]): the safety explorer's order.
-    Dfs,
-    /// Breadth-first interning one canonical representative per orbit
-    /// ([`GraphBuilder::build_graph`]): the progress and liveness order.
-    Bfs,
-}
-
-/// A borrowed state normalizer (see `cfc_mutex::StateNormalizer` for the
-/// owned form and the bisimulation contract).
-pub(crate) type NormalizerFn<'a, P> = &'a dyn Fn(&mut [P], &mut [Value]);
-
-/// A borrowed service predicate over the stepping process's
-/// `(before, after)` local states.
-pub(crate) type ServedFn<'a, P> = &'a dyn Fn(&P, &P) -> bool;
-
-/// The configuration of one [`GraphBuilder`] traversal: everything the
-/// three historical search loops disagreed on, made explicit.
-pub(crate) struct TraversalSpec<'a, P> {
-    /// Search order; must match the entry point called.
-    pub(crate) order: Order,
-    /// Record labeled forward edges and the creator tree (BFS only).
-    /// The safety DFS keeps no graph; progress and liveness need one.
-    pub(crate) record_edges: bool,
-    /// Which ample-set conditions partial-order reduction must respect.
-    pub(crate) ample_mode: AmpleMode,
-    /// The symmetry group canonical visited keys are computed under.
-    pub(crate) symmetry: SymmetryGroup,
-    /// Optional behavioral-quotient normalizer applied to the root and to
-    /// every successor before interning (see
-    /// `cfc_mutex::StateNormalizer` for the bisimulation contract).
-    /// Partial-order reduction is force-disabled while one is active —
-    /// the ample bookkeeping cannot see through the abstraction — and
-    /// reported schedules replay *modulo* the quotient: same sections,
-    /// outputs, and statuses, not necessarily byte-equal register values.
-    pub(crate) normalizer: Option<NormalizerFn<'a, P>>,
-    /// Optional service predicate `(before, after)` on the stepping
-    /// process, recorded on forward edges ([`GEdge::served`]); only
-    /// meaningful with `record_edges`.
-    pub(crate) served: Option<ServedFn<'a, P>>,
-    /// How many crash transitions the adversary may inject; overrides
-    /// [`ExploreConfig::max_crashes`] so wrappers that thread a separate
-    /// crash budget state it in one place.
-    pub(crate) crash_budget: u32,
-    /// The telemetry phase this traversal's span and snapshots are
-    /// attributed to (the BFS loop serves both the progress checker and
-    /// the liveness graph builder; the phase tells them apart in the
-    /// event stream).
-    pub(crate) phase: Phase,
-}
-
-impl<P> std::fmt::Debug for TraversalSpec<'_, P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraversalSpec")
-            .field("order", &self.order)
-            .field("record_edges", &self.record_edges)
-            .field("ample_mode", &self.ample_mode)
-            .field("normalizer", &self.normalizer.is_some())
-            .field("served", &self.served.is_some())
-            .field("crash_budget", &self.crash_budget)
-            .field("phase", &self.phase)
-            .finish()
-    }
-}
-
-/// The canonical state graph a BFS traversal produces: one interned
-/// representative per orbit (held packed in the [`NodeStore`]), labeled
-/// forward edges in CSR form (when recorded), the creator tree, and
-/// terminal flags.
-pub(crate) struct BuiltGraph<P> {
-    /// Canonical orbit representatives in discovery (BFS) order, one
-    /// single-copy record per orbit; decode on demand via
-    /// [`BuiltGraph::node`].
-    pub(crate) store: NodeStore<P>,
-    /// Labeled forward edges in CSR form, packed 6 bytes each in a
-    /// spillable arena; empty unless [`TraversalSpec::record_edges`] was
-    /// set.
-    pub(crate) edges: EdgeArena,
-    /// The node that first generated each node (`u32::MAX` at the root);
-    /// always strictly smaller than its child, so creator chains
-    /// terminate at the root — the predecessor tree schedules are
-    /// reconstructed from.
-    pub(crate) first_pred: Vec<u32>,
-    /// Whether the node is quiescent (no process runnable).
-    pub(crate) terminal: Vec<bool>,
-    /// Memoized reversed adjacency (built on first use; the historical
-    /// implementation re-allocated a `Vec<Vec<u32>>` per call, doubling
-    /// peak edge memory every time the progress checker asked).
-    rev: OnceCell<ReversedCsr>,
-}
-
-impl<P> BuiltGraph<P> {
-    /// The number of interned nodes.
-    pub(crate) fn len(&self) -> usize {
-        self.first_pred.len()
-    }
-
-    /// The reversed adjacency of the recorded forward edges, memoized,
-    /// in the exact order the historical progress checker accumulated
-    /// its reversed edges: predecessors appear in discovery order, and
-    /// the first predecessor of every non-root node is its creator.
-    pub(crate) fn reversed(&self) -> &ReversedCsr {
-        self.rev.get_or_init(|| self.edges.reversed(self.len()))
-    }
-}
-
-impl<P: Process + Clone + Eq + Hash> BuiltGraph<P> {
-    /// Decodes node `id` out of the store (an owned copy; the packed
-    /// backend materializes states transiently).
-    pub(crate) fn node(&self, id: u32) -> Node<P> {
-        self.store.node(id)
-    }
-}
-
-impl<P> std::fmt::Debug for BuiltGraph<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BuiltGraph")
-            .field("nodes", &self.len())
-            .field("edges", &self.edges.total_edges())
-            .finish()
-    }
-}
-
-/// Statistics of one [`GraphBuilder`] traversal, in the shared shape the
-/// public stat types (`ExploreStats`, `ProgressStats`, `LivenessStats`)
-/// are projected from.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct TraversalStats {
-    pub(crate) states: usize,
-    pub(crate) transitions: u64,
-    pub(crate) terminals: usize,
-    pub(crate) states_pruned_por: u64,
-    pub(crate) orbits_merged: u64,
-    /// Transitions skipped by dynamic sleep sets (safety DFS under
-    /// [`MayAccessMode::Dynamic`] only; zero everywhere else).
-    pub(crate) transitions_slept: u64,
-    /// Exact store/index/edge bytes and spill counts (`edge_bytes` is
-    /// zero for the DFS and for BFS without edge recording).
-    pub(crate) footprint: StoreFootprint,
-    /// Wall time of the traversal, measured by the telemetry clock
-    /// (ambient, so tests can inject a deterministic one).
-    pub(crate) wall_ns: u64,
-}
-
-/// One link of a DFS schedule, shared structurally between stack entries:
-/// the historical per-entry `Vec<ScheduleStep>` clone cost O(depth) per
-/// *pushed successor* (O(depth²) memory across one expansion chain); a
-/// parent pointer costs O(1) and materializes only on violation.
-struct PathLink {
-    step: ScheduleStep,
-    /// Steps from the root (parent depth + 1): telemetry snapshots
-    /// report the current DFS path depth without walking the chain.
-    depth: u32,
-    parent: Option<Rc<PathLink>>,
-}
-
-impl Drop for PathLink {
-    // Unlink iteratively: the default recursive drop would overflow the
-    // call stack on search paths millions of steps deep.
-    fn drop(&mut self) {
-        let mut cur = self.parent.take();
-        while let Some(rc) = cur {
-            match Rc::try_unwrap(rc) {
-                Ok(mut link) => cur = link.parent.take(),
-                Err(_) => break,
-            }
-        }
-    }
-}
-
-/// Filters a sleep mask after a step with footprint `taken` fires at
-/// `node`: every sleeping process whose next step races with the taken
-/// step wakes up (its deferred step no longer commutes past the trace).
-/// Bits of processes that are not runnable are dropped defensively —
-/// they cannot arise, since a process's status only changes on its own
-/// steps and crash budgets disable sleeping.
-fn wake_conflicting<P: Process + Clone>(
-    mask: u32,
-    node: &Node<P>,
-    layout: &cfc_core::Layout,
-    taken: &Footprint,
-    drop_races: Option<cfc_core::RegisterId>,
-) -> u32 {
-    let mut out = 0u32;
-    let mut rest = mask;
-    while rest != 0 {
-        let p = rest.trailing_zeros() as usize;
-        rest &= rest - 1;
-        if p < node.procs.len()
-            && node.status[p].runnable()
-            && !observed_conflict(
-                &Footprint::of_step(&node.procs[p].current(), layout),
-                taken,
-                drop_races,
-            )
-        {
-            out |= 1 << p;
-        }
-    }
-    out
-}
-
-/// Materializes the schedule a path link encodes, root-first.
-fn materialize_path(link: &Option<Rc<PathLink>>) -> Vec<ScheduleStep> {
-    let mut out = Vec::new();
-    let mut cur = link.as_deref();
-    while let Some(l) = cur {
-        out.push(l.step);
-        cur = l.parent.as_deref();
-    }
-    out.reverse();
-    out
-}
-
-/// The unified traversal driver: an [`Engine`] plus a [`TraversalSpec`],
-/// running the one canonical search loop every checker in this crate is
-/// a client of.
-pub(crate) struct GraphBuilder<'a, P> {
-    engine: Engine<P>,
-    spec: TraversalSpec<'a, P>,
-    max_states: usize,
-    spill_budget: Option<usize>,
-    progress: bool,
-}
-
-impl<P> std::fmt::Debug for GraphBuilder<'_, P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GraphBuilder")
-            .field("spec", &self.spec)
-            .field("max_states", &self.max_states)
-            .finish()
-    }
-}
-
-impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
-    /// Builds a driver for `n` processes over `memory`.
-    ///
-    /// The spec's crash budget replaces `config.max_crashes`, and
-    /// partial-order reduction is force-disabled when the spec carries a
-    /// normalizer (the ample bookkeeping cannot see through the
-    /// abstraction — asserted by the driver edge-case suite).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's symmetry group is over a different process
-    /// count.
-    pub(crate) fn new(
-        memory: Memory,
-        config: ExploreConfig,
-        spec: TraversalSpec<'a, P>,
-        n: usize,
-    ) -> Self {
-        let engine_config = ExploreConfig {
-            max_crashes: spec.crash_budget,
-            por: config.por && spec.normalizer.is_none(),
-            ..config
-        };
-        let engine = Engine::new(memory, spec.symmetry.clone(), engine_config, n);
-        GraphBuilder {
-            engine,
-            spec,
-            max_states: config.max_states,
-            spill_budget: config.spill_budget_bytes,
-            progress: config.progress,
-        }
-    }
-
-    /// The underlying engine — for witness re-derivation against the
-    /// graph this builder produced (`matches_canonical`, `template`,
-    /// `root`).
-    pub(crate) fn engine(&self) -> &Engine<P> {
-        &self.engine
-    }
-
-    /// Applies the spec's normalizer (if any) to `node` in place.
-    fn normalize(normalizer: Option<NormalizerFn<'_, P>>, node: &mut Node<P>) {
-        if let Some(f) = normalizer {
-            f(&mut node.procs, &mut node.values);
-        }
     }
 
     /// Depth-first traversal with per-state property checks — the safety
@@ -821,45 +767,30 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         procs: Vec<P>,
         mut state_check: FS,
         mut terminal_check: FT,
-    ) -> Result<TraversalStats, ExploreError>
+    ) -> Result<ExploreStats, ExploreError>
     where
         FS: FnMut(&StateView<'_, P>) -> Result<(), String>,
         FT: FnMut(&StateView<'_, P>) -> Result<(), String>,
     {
-        debug_assert_eq!(self.spec.order, Order::Dfs, "run_dfs needs Order::Dfs");
-        debug_assert!(!self.spec.record_edges, "the DFS records no graph");
-        let n = procs.len();
-        let normalizer = self.spec.normalizer;
         let mode = self.spec.ample_mode;
-        let tel = telemetry::runtime(self.progress);
-        let mut span = tel.span(self.spec.phase);
-        let engine = &mut self.engine;
-
-        if engine.wants_future_index() {
-            let auto_span = tel.span(Phase::ExtractAutomaton);
-            let index = FutureIndex::build(engine.template().layout(), &procs);
-            auto_span.finish(Sample {
-                states: index.len() as u64,
-                ..Sample::default()
-            });
-            engine.set_future_index(index);
-        }
+        debug_assert_eq!(mode, AmpleMode::Safety, "the DFS is the safety loop");
+        let n = procs.len();
+        let tel = telemetry::runtime(self.config.progress);
+        let mut span = tel.span(mode.phase());
+        let root = self.prepare(&tel, procs);
         // Sleep-set pruning rides only on the safety DFS under dynamic
         // mode, concretely (no symmetry), crash-free, and within mask
         // width — see `crate::dynamic` for why each boundary is
         // load-bearing.
         let sleep_on = sleep_sets_active(
-            engine.config.por,
-            engine.config.may_access == MayAccessMode::Dynamic,
+            self.config.por,
+            self.config.may_access == MayAccessMode::Dynamic,
             mode == AmpleMode::Safety,
-            engine.use_sym(),
-            self.spec.crash_budget,
+            self.use_sym,
+            self.config.max_crashes,
             n,
         );
-        let drop_races = engine.config.drop_races_on;
         let mut sleep = SleepTable::new();
-        let mut root = engine.root(procs);
-        Self::normalize(normalizer, &mut root);
 
         // Visited canonical states, held single-copy in the packed store.
         // With symmetry on, each entry also tracks the identity of the
@@ -868,12 +799,18 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         // from a plain revisit, by exact comparison (a hash could
         // collide and miscount).
         let mut visited: NodeStore<P> = NodeStore::new(
-            self.spill_budget,
-            engine.template().layout(),
+            self.config.spill_budget_bytes,
+            self.template.layout(),
             &root,
-            engine.use_sym(),
+            self.use_sym,
         );
-        let mut stats = TraversalStats::default();
+        let footprint = |visited: &NodeStore<P>, sleep: &SleepTable| StoreFootprint {
+            arena_bytes: visited.arena_bytes(),
+            index_bytes: visited.index_bytes() + sleep.heap_bytes() as u64,
+            edge_bytes: 0,
+            spilled_buckets: visited.spilled_buckets(),
+        };
+        let mut stats = ExploreStats::default();
         // DFS stack: (node, schedule-so-far, sleep mask). Schedules share
         // structure through parent links — one O(1) link per pushed
         // successor — and are materialized only to report a violation.
@@ -883,9 +820,8 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         let mut stack: Vec<(Node<P>, Option<Rc<PathLink>>, u32)> = vec![(root, None, 0)];
 
         while let Some((node, path, mut mask)) = stack.pop() {
-            let (id, outcome) = if engine.use_sym() {
-                let canon = engine.canonical_of(&node);
-                visited.visit(&canon, Some(&node))
+            let (id, outcome) = if self.use_sym {
+                visited.visit(&self.canonical_of(&node), Some(&node))
             } else {
                 visited.visit(&node, None)
             };
@@ -917,66 +853,38 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                     }
                 }
             };
+            let runnable: Vec<usize> = (0..n).filter(|&i| node.status[i].runnable()).collect();
             if fresh {
                 stats.states += 1;
-                if stats.states > self.max_states {
+                if stats.states > self.config.max_states {
                     return Err(ExploreError::StateBudget(stats.states));
                 }
                 span.tick(|| Sample {
-                    states: stats.states as u64,
-                    transitions: stats.transitions,
                     frontier: stack.len() as u64,
                     depth: path.as_ref().map_or(0, |l| l.depth as u64),
-                    states_pruned_por: stats.states_pruned_por,
-                    orbits_merged: stats.orbits_merged,
-                    transitions_slept: stats.transitions_slept,
-                    footprint: StoreFootprint {
-                        arena_bytes: visited.arena_bytes(),
-                        index_bytes: visited.index_bytes() + sleep.heap_bytes() as u64,
-                        edge_bytes: 0,
-                        spilled_buckets: visited.spilled_buckets(),
-                    },
+                    footprint: footprint(&visited, &sleep),
+                    ..stats.sample()
                 });
-
-                let mem = engine.memory_of(&node);
+                let mem = rebuild_memory(&self.template, &node.values);
                 let view = StateView {
                     procs: &node.procs,
                     status: &node.status,
                     memory: &mem,
                 };
-                if let Err(message) = state_check(&view) {
-                    return Err(ExploreError::Violation(Box::new(Violation {
-                        schedule: materialize_path(&path),
-                        message,
-                    })));
-                }
-            }
-
-            let runnable: Vec<usize> =
-                (0..n).filter(|&i| node.status[i].runnable()).collect();
-            if runnable.is_empty() {
+                state_check(&view).map_err(|m| violation_at(&path, m))?;
                 // Terminals have no transitions to re-cover; count and
                 // check them on the first visit only.
-                if fresh {
+                if runnable.is_empty() {
                     stats.terminals += 1;
-                    let mem = engine.memory_of(&node);
-                    let view = StateView {
-                        procs: &node.procs,
-                        status: &node.status,
-                        memory: &mem,
-                    };
-                    if let Err(message) = terminal_check(&view) {
-                        return Err(ExploreError::Violation(Box::new(Violation {
-                            schedule: materialize_path(&path),
-                            message,
-                        })));
-                    }
+                    terminal_check(&view).map_err(|m| violation_at(&path, m))?;
                 }
+            }
+            if runnable.is_empty() {
                 continue;
             }
 
             let depth = path.as_ref().map_or(0, |l| l.depth) + 1;
-            match engine.expand(&node, &runnable, mode, |key| visited.contains(key))? {
+            match self.expand(&node, &runnable, |key| visited.contains(key))? {
                 Expansion::Ample { pid, mut succ, .. } => {
                     stats.states_pruned_por += runnable.len() as u64 - 1;
                     if sleep_on && mask & (1 << pid.index()) != 0 {
@@ -988,13 +896,13 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                     }
                     stats.transitions += 1;
                     let child_mask = if sleep_on {
-                        let layout = engine.template().layout();
+                        let layout = self.template.layout();
                         let fp = Footprint::of_step(&node.procs[pid.index()].current(), layout);
-                        wake_conflicting(mask, &node, layout, &fp, drop_races)
+                        wake_conflicting(mask, &node, layout, &fp)
                     } else {
                         0
                     };
-                    Self::normalize(normalizer, &mut succ);
+                    self.normalize(&mut succ);
                     let link = Rc::new(PathLink {
                         step: ScheduleStep::Step(pid),
                         depth,
@@ -1008,7 +916,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                         // successor list is exactly one step per runnable
                         // process, in `runnable` order.
                         debug_assert_eq!(succs.len(), runnable.len());
-                        let layout = engine.template().layout();
+                        let layout = self.template.layout();
                         let fps: Vec<Footprint> = runnable
                             .iter()
                             .map(|&i| Footprint::of_step(&node.procs[i].current(), layout))
@@ -1022,8 +930,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                             stats.transitions += 1;
                             // Inherited sleepers stay asleep unless the
                             // taken step races with their next step...
-                            let mut child_mask =
-                                wake_conflicting(mask, &node, layout, &fps[k], drop_races);
+                            let mut child_mask = wake_conflicting(mask, &node, layout, &fps[k]);
                             // ...and every awake sibling explored before
                             // this branch (pushed later — the stack pops
                             // in reverse) whose step is independent of
@@ -1032,13 +939,11 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                             // the sibling's subtree.
                             for (k2, &j) in runnable.iter().enumerate().skip(k + 1) {
                                 let bit = 1u32 << j;
-                                if mask & bit == 0
-                                    && !observed_conflict(&fps[k2], &fps[k], drop_races)
-                                {
+                                if mask & bit == 0 && !observed_conflict(&fps[k2], &fps[k]) {
                                     child_mask |= bit;
                                 }
                             }
-                            Self::normalize(normalizer, &mut succ);
+                            self.normalize(&mut succ);
                             let link = Rc::new(PathLink {
                                 step,
                                 depth,
@@ -1049,7 +954,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                     } else {
                         for (step, mut succ) in succs {
                             stats.transitions += 1;
-                            Self::normalize(normalizer, &mut succ);
+                            self.normalize(&mut succ);
                             let link = Rc::new(PathLink {
                                 step,
                                 depth,
@@ -1061,22 +966,8 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 }
             }
         }
-        stats.footprint = StoreFootprint {
-            arena_bytes: visited.arena_bytes(),
-            index_bytes: visited.index_bytes() + sleep.heap_bytes() as u64,
-            edge_bytes: 0,
-            spilled_buckets: visited.spilled_buckets(),
-        };
-        stats.wall_ns = span.finish(Sample {
-            states: stats.states as u64,
-            transitions: stats.transitions,
-            frontier: 0,
-            depth: 0,
-            states_pruned_por: stats.states_pruned_por,
-            orbits_merged: stats.orbits_merged,
-            transitions_slept: stats.transitions_slept,
-            footprint: stats.footprint,
-        });
+        stats.footprint = footprint(&visited, &sleep);
+        stats.wall_ns = span.finish(stats.sample());
         Ok(stats)
     }
 
@@ -1085,7 +976,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
     /// graph builder, byte-identical to their historical search order:
     /// the same interning discipline (single-copy store keyed by digest
     /// buckets), crash branching, ample selection, budget accounting, and
-    /// reduction bookkeeping, with edge recording controlled by the spec.
+    /// reduction bookkeeping, recording every edge with its label.
     ///
     /// # Errors
     ///
@@ -1094,34 +985,18 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
     pub(crate) fn build_graph(
         &mut self,
         procs: Vec<P>,
-    ) -> Result<(BuiltGraph<P>, TraversalStats), ExploreError> {
-        debug_assert_eq!(self.spec.order, Order::Bfs, "build_graph needs Order::Bfs");
-        let n = procs.len();
-        let normalizer = self.spec.normalizer;
-        let served_hook = self.spec.served;
-        let record = self.spec.record_edges;
+    ) -> Result<(BuiltGraph<P>, ExploreStats), ExploreError> {
         let mode = self.spec.ample_mode;
-        let tel = telemetry::runtime(self.progress);
-        let mut span = tel.span(self.spec.phase);
-        let engine = &mut self.engine;
-        let mut stats = TraversalStats::default();
-
-        if engine.wants_future_index() {
-            let auto_span = tel.span(Phase::ExtractAutomaton);
-            let index = FutureIndex::build(engine.template().layout(), &procs);
-            auto_span.finish(Sample {
-                states: index.len() as u64,
-                ..Sample::default()
-            });
-            engine.set_future_index(index);
-        }
-        let mut root = engine.root(procs);
-        Self::normalize(normalizer, &mut root);
-        let root_canon = engine.canonical_of(&root);
+        debug_assert_ne!(mode, AmpleMode::Safety, "the safety mode runs the DFS");
+        let n = procs.len();
+        let tel = telemetry::runtime(self.config.progress);
+        let mut span = tel.span(mode.phase());
+        let root = self.prepare(&tel, procs);
+        let root_canon = self.canonical_of(&root);
 
         let mut store: NodeStore<P> = NodeStore::new(
-            self.spill_budget,
-            engine.template().layout(),
+            self.config.spill_budget_bytes,
+            self.template.layout(),
             &root_canon,
             false,
         );
@@ -1129,38 +1004,28 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         debug_assert!(root_fresh && root_id == 0, "the root interns first");
         let mut g = BuiltGraph {
             store,
-            edges: EdgeArena::new(self.spill_budget),
+            edges: EdgeArena::new(self.config.spill_budget_bytes),
             first_pred: vec![u32::MAX],
             terminal: vec![false],
             rev: OnceCell::new(),
         };
         // The budget is inclusive: a graph of exactly `max_states` nodes
         // completes; the first intern beyond it aborts immediately.
-        if g.store.len() > self.max_states {
+        if g.store.len() > self.config.max_states {
             return Err(ExploreError::StateBudget(g.store.len()));
         }
 
+        let mut stats = ExploreStats::default();
         let mut cursor = 0usize;
         while cursor < g.store.len() {
             span.tick(|| Sample {
                 states: g.store.len() as u64,
-                transitions: stats.transitions,
                 frontier: (g.store.len() - cursor) as u64,
-                depth: 0,
-                states_pruned_por: stats.states_pruned_por,
-                orbits_merged: stats.orbits_merged,
-                transitions_slept: 0,
-                footprint: StoreFootprint {
-                    arena_bytes: g.store.arena_bytes(),
-                    index_bytes: g.store.index_bytes(),
-                    edge_bytes: g.edges.heap_bytes(),
-                    spilled_buckets: g.store.spilled_buckets() + g.edges.spilled_segs(),
-                },
+                footprint: g.footprint(),
+                ..stats.sample()
             });
             let current = g.store.node(cursor as u32);
-            let runnable: Vec<usize> = (0..n)
-                .filter(|&i| current.status[i].runnable())
-                .collect();
+            let runnable: Vec<usize> = (0..n).filter(|&i| current.status[i].runnable()).collect();
             if runnable.is_empty() {
                 g.terminal[cursor] = true;
                 stats.terminals += 1;
@@ -1168,14 +1033,12 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 cursor += 1;
                 continue;
             }
-            let expansion =
-                engine.expand(&current, &runnable, mode, |key| g.store.contains(key))?;
             // Successors paired with their canonical form, when the ample
             // selection already computed it for the fresh-successor
             // proviso. (The ample path precomputes it only when no
             // normalizer rewrites the successor afterwards — POR is off
             // with one active — so a cached form is always still valid.)
-            let succs = match expansion {
+            let succs = match self.expand(&current, &runnable, |key| g.store.contains(key))? {
                 Expansion::Ample { pid, succ, canon } => {
                     stats.states_pruned_por += runnable.len() as u64 - 1;
                     vec![(ScheduleStep::Step(pid), succ, canon)]
@@ -1187,25 +1050,18 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             };
             for (step, mut succ, canon) in succs {
                 stats.transitions += 1;
-                Self::normalize(normalizer, &mut succ);
-                let label = record.then(|| {
-                    let (pid, crash) = match step {
-                        ScheduleStep::Step(p) => (p.index() as u32, false),
-                        ScheduleStep::Crash(p) => (p.index() as u32, true),
-                    };
-                    let served = !crash
-                        && served_hook.is_some_and(|f| {
-                            f(&current.procs[pid as usize], &succ.procs[pid as usize])
-                        });
-                    (pid, crash, served)
-                });
+                self.normalize(&mut succ);
+                let (pid, crash) = match step {
+                    ScheduleStep::Step(p) => (p.index() as u32, false),
+                    ScheduleStep::Crash(p) => (p.index() as u32, true),
+                };
+                let served = !crash
+                    && self.spec.served.is_some_and(|f| {
+                        f(&current.procs[pid as usize], &succ.procs[pid as usize])
+                    });
+                let canon = canon.or_else(|| self.use_sym.then(|| self.canonical_of(&succ)));
                 let (canon, permuted) = match canon {
                     Some(canon) => {
-                        let permuted = canon != succ;
-                        (canon, permuted)
-                    }
-                    None if engine.use_sym() => {
-                        let canon = engine.canonical_of(&succ);
                         let permuted = canon != succ;
                         (canon, permuted)
                     }
@@ -1215,45 +1071,87 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 if fresh {
                     g.first_pred.push(cursor as u32);
                     g.terminal.push(false);
-                    if g.store.len() > self.max_states {
+                    if g.store.len() > self.config.max_states {
                         return Err(ExploreError::StateBudget(g.store.len()));
                     }
                 } else if permuted {
                     stats.orbits_merged += 1;
                 }
-                if let Some((pid, crash, served)) = label {
-                    // The CSR arena appends at its open node, which is
-                    // exactly the cursor: edges are recorded only while
-                    // expanding it, and the seal below closes its range.
-                    g.edges.push(GEdge {
-                        to,
-                        pid,
-                        crash,
-                        served,
-                    });
-                }
+                // The CSR arena appends at its open node, which is
+                // exactly the cursor: edges are recorded only while
+                // expanding it, and the seal below closes its range.
+                g.edges.push(GEdge {
+                    to,
+                    pid,
+                    crash,
+                    served,
+                });
             }
             g.edges.seal();
             cursor += 1;
         }
         stats.states = g.store.len();
-        stats.footprint = StoreFootprint {
-            arena_bytes: g.store.arena_bytes(),
-            index_bytes: g.store.index_bytes(),
-            edge_bytes: g.edges.heap_bytes(),
-            spilled_buckets: g.store.spilled_buckets() + g.edges.spilled_segs(),
-        };
-        stats.wall_ns = span.finish(Sample {
-            states: stats.states as u64,
-            transitions: stats.transitions,
-            frontier: 0,
-            depth: 0,
-            states_pruned_por: stats.states_pruned_por,
-            orbits_merged: stats.orbits_merged,
-            transitions_slept: 0,
-            footprint: stats.footprint,
-        });
+        stats.footprint = g.footprint();
+        stats.wall_ns = span.finish(stats.sample());
         Ok((g, stats))
+    }
+
+    /// Re-derives a concrete schedule through the nodes `hops` of a graph
+    /// this driver built, each hop with an optional pid hint, starting at
+    /// the concrete state `cur` and leaving it at the last hop's concrete
+    /// state.
+    ///
+    /// Because the graph stores canonical representatives, an edge
+    /// `a → b` only promises that *some* step of *some* concrete member
+    /// of orbit `a` lands in orbit `b`. Each hop tries the hinted process
+    /// first, then every runnable process in pid order, each step before
+    /// its crash, and takes the first whose normalized successor falls
+    /// into the target's orbit — one always exists, because permuting a
+    /// symmetry class is an automorphism of the transition relation.
+    pub(crate) fn walk(
+        &self,
+        g: &BuiltGraph<P>,
+        cur: &mut Node<P>,
+        hops: impl IntoIterator<Item = (u32, Option<u32>)>,
+    ) -> Vec<ScheduleStep> {
+        hops.into_iter()
+            .map(|(id, hint)| {
+                let (step, next) = self.derive_step(cur, &g.node(id), hint.map(|h| h as usize));
+                *cur = next;
+                step
+            })
+            .collect()
+    }
+
+    /// One hop of [`GraphBuilder::walk`].
+    fn derive_step(
+        &self,
+        cur: &Node<P>,
+        target: &Node<P>,
+        hint: Option<usize>,
+    ) -> (ScheduleStep, Node<P>) {
+        let n = cur.status.len();
+        let order = hint
+            .into_iter()
+            .chain((0..n).filter(|&i| Some(i) != hint))
+            .filter(|&i| cur.status[i].runnable());
+        for i in order {
+            let pid = ProcessId::new(i as u32);
+            let succ = self
+                .successor(cur, i)
+                .expect("witness steps replay the explored semantics");
+            if self.matches_canonical(&succ, target) {
+                return (ScheduleStep::Step(pid), succ);
+            }
+            if cur.crashes_left > 0 {
+                let mut crashed = crash_step(cur, i);
+                self.normalize(&mut crashed);
+                if self.matches_canonical(&crashed, target) {
+                    return (ScheduleStep::Crash(pid), crashed);
+                }
+            }
+        }
+        unreachable!("every edge of the canonical quotient has a concrete witness")
     }
 }
 
@@ -1310,19 +1208,12 @@ mod tests {
         (memory, vec![mk(), mk()])
     }
 
-    fn spec<'a, P>(order: Order, record_edges: bool) -> TraversalSpec<'a, P> {
+    fn spec<'a, P>(ample_mode: AmpleMode) -> TraversalSpec<'a, P> {
         TraversalSpec {
-            order,
-            record_edges,
-            ample_mode: AmpleMode::Safety,
+            ample_mode,
             symmetry: SymmetryGroup::trivial(2),
             normalizer: None,
             served: None,
-            crash_budget: 0,
-            phase: match order {
-                Order::Dfs => Phase::SafetyDfs,
-                Order::Bfs => Phase::ProgressBfs,
-            },
         }
     }
 
@@ -1339,7 +1230,7 @@ mod tests {
         };
         let run = |normalize: bool| {
             let (memory, procs) = bumper_system(2);
-            let mut spec = spec(Order::Dfs, false);
+            let mut spec = spec(AmpleMode::Safety);
             spec.normalizer = normalize.then_some(&normalizer as &dyn Fn(&mut _, &mut _));
             let mut builder =
                 GraphBuilder::new(memory, ExploreConfig::default(), spec, procs.len());
@@ -1354,56 +1245,6 @@ mod tests {
         assert_eq!(folded.terminals, 1, "both-done is a single folded terminal");
     }
 
-    /// `record_edges: false` on the BFS (a combination neither progress
-    /// nor liveness uses): the node store, creator tree, and terminal
-    /// flags are still produced; only the edge lists stay empty.
-    #[test]
-    fn bfs_without_edge_recording_keeps_the_creator_tree() {
-        let (memory, procs) = bumper_system(1);
-        let mut builder = GraphBuilder::new(
-            memory,
-            ExploreConfig::default(),
-            spec(Order::Bfs, false),
-            procs.len(),
-        );
-        let (g, stats) = builder.build_graph(procs).unwrap();
-        assert_eq!(g.len(), stats.states);
-        assert_eq!(g.edges.total_edges(), 0);
-        assert_eq!(g.edges.nodes(), g.len(), "every node seals, even edgeless");
-        assert_eq!(
-            stats.footprint.edge_bytes,
-            (g.len() as u64 + 1) * 4,
-            "offsets only"
-        );
-        assert_eq!(g.first_pred[0], u32::MAX);
-        for (id, &pred) in g.first_pred.iter().enumerate().skip(1) {
-            assert!((pred as usize) < id, "creator ids decrease toward the root");
-        }
-        assert!(g.terminal.iter().any(|t| *t));
-    }
-
-    /// The spec's crash budget overrides the config's, so a wrapper that
-    /// threads crashes separately cannot desynchronize the two.
-    #[test]
-    fn spec_crash_budget_overrides_config() {
-        let (memory, procs) = bumper_system(1);
-        let mut s = spec(Order::Bfs, true);
-        s.crash_budget = 1;
-        // Deliberately contradictory config: zero crashes.
-        let mut builder = GraphBuilder::new(
-            memory,
-            ExploreConfig::default().with_max_crashes(0),
-            s,
-            procs.len(),
-        );
-        let (g, _) = builder.build_graph(procs).unwrap();
-        assert_eq!(g.node(0).crashes_left, 1, "spec budget wins");
-        assert!(
-            (0..g.len()).flat_map(|v| g.edges.edges(v)).any(|e| e.crash),
-            "crash transitions must be explored"
-        );
-    }
-
     /// A normalizer force-disables partial-order reduction: the ample
     /// bookkeeping cannot see through the abstraction, so the driver
     /// must not prune even when the config asks for POR.
@@ -1415,7 +1256,7 @@ mod tests {
             }
         };
         let (memory, procs) = bumper_system(1);
-        let mut s = spec(Order::Bfs, true);
+        let mut s = spec(AmpleMode::Progress);
         s.normalizer = Some(&normalizer);
         let config = ExploreConfig {
             por: true,
@@ -1428,7 +1269,7 @@ mod tests {
         // Without the normalizer the same config does prune (the Halt
         // steps at least are ample).
         let (memory, procs) = bumper_system(1);
-        let mut builder = GraphBuilder::new(memory, config, spec(Order::Bfs, true), procs.len());
+        let mut builder = GraphBuilder::new(memory, config, spec(AmpleMode::Progress), procs.len());
         let (_, stats) = builder.build_graph(procs).unwrap();
         assert!(stats.states_pruned_por > 0, "{stats:?}");
     }
@@ -1439,30 +1280,46 @@ mod tests {
     fn single_process_graph_is_a_chain() {
         let (memory, mut procs) = bumper_system(1);
         procs.truncate(1);
-        let mut s = spec(Order::Bfs, true);
+        let mut s = spec(AmpleMode::Progress);
         s.symmetry = SymmetryGroup::trivial(1);
         let mut builder = GraphBuilder::new(memory, ExploreConfig::default(), s, 1);
         let (g, stats) = builder.build_graph(procs).unwrap();
         assert_eq!(stats.terminals, 1);
         assert!((0..g.len()).all(|v| g.edges.degree(v) <= 1));
-        assert!((0..g.len()).flat_map(|v| g.edges.edges(v)).all(|e| !e.crash));
+        assert!((0..g.len())
+            .flat_map(|v| g.edges.edges(v))
+            .all(|e| !e.crash));
     }
 
     /// The memoized reversal equals a fresh nested-Vec reversal — same
-    /// predecessors, same per-node order — and the creator-first
-    /// invariant progress-schedule reconstruction depends on holds.
+    /// predecessors, same per-node order — and the creator-tree
+    /// invariants progress-schedule reconstruction depends on hold:
+    /// every node seals its edge range, creator ids decrease toward the
+    /// root, and each node's first predecessor is its creator. The graph
+    /// is built under the config's crash budget of one, so crash edges
+    /// must appear.
     #[test]
     fn memoized_reversal_preserves_creator_first_order() {
         let (memory, procs) = bumper_system(2);
-        let mut s = spec(Order::Bfs, true);
-        s.crash_budget = 1;
         let mut builder = GraphBuilder::new(
             memory,
             ExploreConfig::default().with_max_crashes(1),
-            s,
+            spec(AmpleMode::Progress),
             procs.len(),
         );
-        let (g, _) = builder.build_graph(procs).unwrap();
+        let (g, stats) = builder.build_graph(procs).unwrap();
+        assert_eq!(g.len(), stats.states);
+        assert_eq!(g.edges.nodes(), g.len(), "every node seals, even edgeless");
+        assert_eq!(g.first_pred[0], u32::MAX);
+        for (id, &pred) in g.first_pred.iter().enumerate().skip(1) {
+            assert!((pred as usize) < id, "creator ids decrease toward the root");
+        }
+        assert!(g.terminal.iter().any(|t| *t));
+        assert_eq!(g.node(0).crashes_left, 1, "the config's crash budget");
+        assert!(
+            (0..g.len()).flat_map(|v| g.edges.edges(v)).any(|e| e.crash),
+            "crash transitions must be explored"
+        );
         // Nested-Vec reference, the historical implementation.
         let mut reference: Vec<Vec<u32>> = vec![Vec::new(); g.len()];
         for v in 0..g.len() {

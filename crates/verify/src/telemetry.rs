@@ -58,7 +58,7 @@ pub const DEFAULT_STRIDE: u64 = 1 << 16;
 // ---------------------------------------------------------------------------
 
 /// Memory footprint of the visited store and edge arena, shared by
-/// [`Snapshot`]s and by `ExploreStats`/`ProgressStats`/`LivenessStats`.
+/// [`Snapshot`]s and by `ExploreStats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct StoreFootprint {
     /// Bytes held by the packed visited-state arena.

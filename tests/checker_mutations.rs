@@ -19,17 +19,21 @@
 //! | tas: (claim) "spin locks are FCFS" | overtaken forever | liveness |
 //! | bakery: wait-scan footprint under-reported | hook lies about future accesses | static lint |
 //! | dynamic POR: conflicts on one register dropped | sleep sets prune a racing interleaving | dynamic-vs-static differential |
+//!
+//! The last mutant lives in the verifier itself, planted through a
+//! test-only hook of `cfc_verify::dynamic`, so its kill is a unit test of
+//! that module (`conflict_under_reporting_is_killed_only_by_the_dynamic_differential`).
 
 mod common;
 
-use cfc::core::{ProcessId, RegisterId, Section, Status};
+use cfc::core::{ProcessId, Section, Status};
 use cfc::mutex::mutation::{
     BakeryMutation, PetersonMutation, TasSpinMutation, TournamentMutation,
 };
 use cfc::mutex::{Bakery, MutexAlgorithm, PetersonTwo, TasSpin, Tournament};
 use cfc::verify::{
     check_mutex_progress, check_mutex_safety, check_mutex_starvation, lint_model, replay,
-    ExploreError, FindingKind, MayAccessMode, ScheduleStep,
+    ExploreError, FindingKind, ScheduleStep,
 };
 use common::budget;
 
@@ -232,60 +236,6 @@ fn tas_fcfs_claim_is_refuted_by_the_liveness_checker() {
         cfc::core::Process::section(&replayed.procs[v]),
         Some(Section::Entry)
     );
-}
-
-// ---------------------------------------------------------------------
-// Dynamic-reduction mutant: a checker bug, not an algorithm bug.
-// ---------------------------------------------------------------------
-
-#[test]
-fn conflict_under_reporting_is_killed_only_by_the_dynamic_differential() {
-    // The tenth mutant lives in the *verifier*: `ExploreConfig::
-    // drop_races_on` makes the sleep-set machinery drop every observed
-    // conflict that goes through one register — the classic dynamic-POR
-    // bug of an incomplete independence relation. No single run can
-    // expose it (each explored interleaving is still executed
-    // faithfully); only comparing verdicts across may-access modes can.
-    //
-    // The victim: the doorway-less bakery for two, whose mutual-
-    // exclusion violation needs a particular race on `number[1]`
-    // (register 3 of the layout: `choosing[0..2]`, then `number[0..2]`).
-    // Hiding that register lets the sleep sets prune exactly the
-    // interleaving that reaches two occupants.
-    let hidden = RegisterId::new(3);
-    let mutant = || Bakery::new(2).with_mutation(BakeryMutation::DropDoorway);
-    let cfg = common::por_only(400_000).with_drop_races_on(hidden);
-
-    // Both static modes never consult the observed-conflict relation, so
-    // the knob is inert there: the violation is found and replays.
-    for mode in [MayAccessMode::Declared, MayAccessMode::Automaton] {
-        let err = check_mutex_safety(&mutant(), 1, cfg.with_may_access(mode)).unwrap_err();
-        let schedule = violation(err, "bakery/drop-doorway (static)");
-        assert_two_in_critical(&mutant(), 1, &schedule);
-    }
-    // The *sound* dynamic mode also finds it.
-    let sound = common::por_only(400_000).with_may_access(MayAccessMode::Dynamic);
-    let err = check_mutex_safety(&mutant(), 1, sound).unwrap_err();
-    assert_two_in_critical(&mutant(), 1, &violation(err, "bakery/drop-doorway (dynamic)"));
-
-    // The under-reporting dynamic mode misses the violation entirely —
-    // the kill is the verdict *disagreement* with the static oracles
-    // above, exactly what `tests/dynamic_equiv.rs` asserts can never
-    // happen with the knob off.
-    check_mutex_safety(&mutant(), 1, cfg.with_may_access(MayAccessMode::Dynamic)).expect(
-        "the under-reporting mutant must survive its own unsound exploration \
-         (if this fails, the mutant stopped being a differential-only kill)",
-    );
-
-    // And no false alarms: the honest bakery passes every mode, knob set
-    // or not — the mutant is killed by the differential and nothing else.
-    for mode in [
-        MayAccessMode::Declared,
-        MayAccessMode::Automaton,
-        MayAccessMode::Dynamic,
-    ] {
-        check_mutex_safety(&Bakery::new(2), 1, cfg.with_may_access(mode)).unwrap();
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -506,7 +506,7 @@ fn liveness_cell(r: Result<LivenessReport, ExploreError>) -> Cell {
     let s = report.stats;
     Cell {
         counts: (s.states, s.transitions, s.states_pruned_por, s.orbits_merged),
-        graphs: (s.victims, s.graphs),
+        graphs: (report.victims, report.graphs),
         footprint: s.footprint,
         verdict,
         fingerprint: format!("{:?}", s.sans_wall()),

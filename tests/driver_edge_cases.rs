@@ -77,10 +77,10 @@ fn stabilizer_quotient_checks_one_victim_per_class() {
     .unwrap();
     assert!(base.is_starvation_free() && sym.is_starvation_free());
     assert_eq!(base.bypass(), sym.bypass());
-    assert_eq!(base.stats.victims, 2);
+    assert_eq!(base.victims, 2);
     // One two-member class: a single representative, whose stabilizer
     // within the pair is trivial — the quotient degenerates soundly.
-    assert_eq!(sym.stats.victims, 1);
+    assert_eq!(sym.victims, 1);
 }
 
 /// Identity-embedding locks refine into singleton classes: the
@@ -90,7 +90,7 @@ fn stabilizer_quotient_checks_one_victim_per_class() {
 fn identity_embedding_locks_keep_per_process_victims() {
     for (label, config) in labeled_variants(20_000) {
         let report = check_mutex_starvation(&PetersonTwo::new(), config).unwrap();
-        assert_eq!(report.stats.victims, 2, "{label}");
+        assert_eq!(report.victims, 2, "{label}");
     }
 }
 

@@ -80,7 +80,7 @@ impl<P: Process + Clone + Eq + std::hash::Hash> Fixture<P> {
     /// The whole trace wall for one walk (see the module docs).
     fn check_walk(&self, walk: &[usize]) {
         let (schedule, futures) = self.drive(walk);
-        let tc = trace_causality(self.memory.clone(), self.procs.clone(), &schedule, None)
+        let tc = trace_causality(self.memory.clone(), self.procs.clone(), &schedule)
             .expect("replay of an executed schedule");
         assert_eq!(
             tc.events.len(),

@@ -130,7 +130,7 @@ fn peterson_is_starvation_free_in_every_reduction_mode() {
         // Both sides are checked in every mode (their lock states embed
         // a side, so the victim-per-class shortcut must not collapse
         // them).
-        assert_eq!(report.stats.victims, 2);
+        assert_eq!(report.victims, 2);
     }
 }
 

@@ -28,8 +28,8 @@ use std::rc::Rc;
 use cfc::core::ManualClock;
 use cfc::mutex::{Bakery, PetersonTwo};
 use cfc::verify::{
-    check_mutex_progress, check_mutex_safety, check_mutex_starvation, with_telemetry, JsonlSink,
-    Phase, Recorder, Telemetry, TelemetryEvent,
+    check_mutex_progress, check_mutex_safety, check_mutex_starvation, with_telemetry, ExploreStats,
+    JsonlSink, Phase, Recorder, Telemetry, TelemetryEvent,
 };
 use common::matrix::{check_passive, Progress, DECLARED, ROWS};
 
@@ -122,27 +122,19 @@ fn recording_telemetry() -> (Telemetry, Recorder) {
     (tel, rec)
 }
 
-#[test]
-fn final_safety_snapshot_reconstructs_returned_stats() {
-    let (tel, rec) = recording_telemetry();
-    let stats = with_telemetry(&tel, || {
-        check_mutex_safety(&Bakery::new(2), 1, common::reduced(200_000))
-    })
-    .unwrap();
-
-    let events = rec.events();
-    assert_well_formed(&events);
+/// Asserts that the last snapshot of `phase` — the one its span emits
+/// on finish — equals the returned `stats` field for field, carrying the
+/// same single clock reading as `wall_ns`.
+fn assert_final_snapshot(events: &[TelemetryEvent], phase: Phase, stats: &ExploreStats) {
+    assert_well_formed(events);
     let snap = events
         .iter()
         .rev()
         .find_map(|e| match e {
-            TelemetryEvent::Snapshot { phase, snap, .. } if *phase == Phase::SafetyDfs => {
-                Some(*snap)
-            }
+            TelemetryEvent::Snapshot { phase: p, snap, .. } if *p == phase => Some(*snap),
             _ => None,
         })
-        .expect("the safety span emits a final snapshot on finish");
-
+        .unwrap_or_else(|| panic!("the {phase} span emits a final snapshot on finish"));
     assert_eq!(snap.states, stats.states as u64);
     assert_eq!(snap.transitions, stats.transitions);
     assert_eq!(snap.states_pruned_por, stats.states_pruned_por);
@@ -150,6 +142,17 @@ fn final_safety_snapshot_reconstructs_returned_stats() {
     assert_eq!(snap.footprint, stats.footprint);
     assert_eq!(snap.elapsed_ns, stats.wall_ns, "single-read finish time");
     assert_eq!(snap.states_per_sec, stats.states_per_sec());
+}
+
+#[test]
+fn final_safety_snapshot_reconstructs_returned_stats() {
+    let (tel, rec) = recording_telemetry();
+    let stats = with_telemetry(&tel, || {
+        check_mutex_safety(&Bakery::new(2), 1, common::reduced(200_000))
+    })
+    .unwrap();
+    let events = rec.events();
+    assert_final_snapshot(&events, Phase::SafetyDfs, &stats);
 
     // The span-end event carries the same single clock reading.
     let end = events
@@ -177,26 +180,9 @@ fn final_progress_snapshot_reconstructs_returned_stats() {
     .unwrap();
 
     let events = rec.events();
-    assert_well_formed(&events);
     // The whole-check span (graph build + back-propagation) owns the
     // final snapshot and the stats wall time.
-    let snap = events
-        .iter()
-        .rev()
-        .find_map(|e| match e {
-            TelemetryEvent::Snapshot { phase, snap, .. } if *phase == Phase::ProgressCheck => {
-                Some(*snap)
-            }
-            _ => None,
-        })
-        .expect("the progress check emits a final snapshot on finish");
-    assert_eq!(snap.states, stats.states as u64);
-    assert_eq!(snap.transitions, stats.transitions);
-    assert_eq!(snap.states_pruned_por, stats.states_pruned_por);
-    assert_eq!(snap.orbits_merged, stats.orbits_merged);
-    assert_eq!(snap.footprint, stats.footprint);
-    assert_eq!(snap.elapsed_ns, stats.wall_ns);
-    assert_eq!(snap.states_per_sec, stats.states_per_sec());
+    assert_final_snapshot(&events, Phase::ProgressCheck, &stats);
 
     // Interior structure: the BFS build and the back-propagation pass
     // both ran as nested spans of the check.
@@ -208,6 +194,19 @@ fn final_progress_snapshot_reconstructs_returned_stats() {
             "missing nested {phase} span"
         );
     }
+}
+
+#[test]
+fn final_liveness_snapshot_reconstructs_returned_stats() {
+    let (tel, rec) = recording_telemetry();
+    let report = with_telemetry(&tel, || {
+        check_mutex_starvation(&PetersonTwo::new(), common::reduced(100_000))
+    })
+    .unwrap();
+    // The whole-check span (every graph build, SCC pass and witness
+    // validation) owns the final snapshot: the counters summed over the
+    // per-victim graphs, and the stats wall time.
+    assert_final_snapshot(&rec.events(), Phase::LivenessCheck, &report.stats);
 }
 
 #[test]
