@@ -91,7 +91,10 @@
 use std::fmt;
 use std::hash::Hash;
 
-use cfc_core::{Memory, OpResult, Process, ProcessId, Status, Step, SymmetryGroup, Value};
+use cfc_core::{
+    Event, EventKind, ExecError, Memory, OpResult, Process, ProcessId, Status, Step, SymmetryGroup,
+    Trace, Value,
+};
 
 use crate::analysis::MayAccessMode;
 use crate::graph::{canonicalize, full_hash, AmpleMode, GraphBuilder, Node, TraversalSpec};
@@ -609,7 +612,7 @@ where
 #[derive(Clone, Debug)]
 pub struct Replayed<P> {
     /// The events of the replayed run.
-    pub trace: cfc_core::Trace,
+    pub trace: Trace,
     /// The processes in their final states.
     pub procs: Vec<P>,
     /// The shared memory in its final state.
@@ -630,6 +633,49 @@ impl<P> Replayed<P> {
     }
 }
 
+impl<P: Process> Replayed<P> {
+    /// Applies one scheduling decision to the reached state under the
+    /// plain, un-reduced semantics, and records its event in the trace.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError::NotRunnable`] when the decision steps or
+    /// crashes a process that is not running, or the memory error of a
+    /// failed operation.
+    pub(crate) fn step(&mut self, decision: ScheduleStep) -> Result<(), ExecError> {
+        let (ScheduleStep::Step(pid) | ScheduleStep::Crash(pid)) = decision;
+        let i = pid.index();
+        if self.status.get(i) != Some(&Status::Running) {
+            return Err(ExecError::NotRunnable(pid));
+        }
+        let kind = match decision {
+            ScheduleStep::Crash(_) => {
+                self.status[i] = Status::Crashed;
+                EventKind::Crash
+            }
+            ScheduleStep::Step(_) => match self.procs[i].current() {
+                Step::Halt => {
+                    self.status[i] = Status::Done;
+                    EventKind::Done {
+                        output: self.procs[i].output(),
+                    }
+                }
+                Step::Internal => {
+                    self.procs[i].advance(OpResult::None);
+                    EventKind::Internal
+                }
+                Step::Op(op) => {
+                    let result = self.memory.apply(&op)?;
+                    self.procs[i].advance(result.clone());
+                    EventKind::Access { op, result }
+                }
+            },
+        };
+        self.trace.push(Event { pid, kind });
+        Ok(())
+    }
+}
+
 /// Replays a violating schedule on a fresh executor, returning the trace
 /// **and the reached state** — used to render counterexamples for humans
 /// and to confirm that a violation found by the *reduced* explorer
@@ -639,73 +685,26 @@ impl<P> Replayed<P> {
 ///
 /// # Errors
 ///
-/// Propagates executor errors; a schedule obtained from [`explore`],
-/// [`explore_sym`], or the progress checkers always replays cleanly.
-///
-/// # Panics
-///
-/// Panics if the schedule steps a process that has already halted or
-/// crashed — such schedules are never produced by the explorer.
+/// Returns [`ExecError::NotRunnable`] if the schedule steps or crashes a
+/// process that is no longer running (halted or crashed), or the memory
+/// error of an operation that fails. A schedule obtained from
+/// [`explore`], [`explore_sym`], or the progress checkers always replays
+/// cleanly.
 pub fn replay<P: Process>(
     memory: Memory,
-    mut procs: Vec<P>,
+    procs: Vec<P>,
     schedule: &[ScheduleStep],
-) -> Result<Replayed<P>, cfc_core::ExecError> {
-    use cfc_core::{Event, EventKind, Trace};
-    let mut mem = memory;
-    let mut trace = Trace::new();
-    let mut status = vec![Status::Running; procs.len()];
-    for s in schedule {
-        match s {
-            ScheduleStep::Crash(pid) => {
-                status[pid.index()] = Status::Crashed;
-                trace.push(Event {
-                    pid: *pid,
-                    kind: EventKind::Crash,
-                });
-            }
-            ScheduleStep::Step(pid) => {
-                let i = pid.index();
-                assert_eq!(
-                    status[i],
-                    Status::Running,
-                    "schedule steps {pid}, which is no longer running"
-                );
-                match procs[i].current() {
-                    Step::Halt => {
-                        status[i] = Status::Done;
-                        trace.push(Event {
-                            pid: *pid,
-                            kind: EventKind::Done {
-                                output: procs[i].output(),
-                            },
-                        });
-                    }
-                    Step::Internal => {
-                        procs[i].advance(OpResult::None);
-                        trace.push(Event {
-                            pid: *pid,
-                            kind: EventKind::Internal,
-                        });
-                    }
-                    Step::Op(op) => {
-                        let result = mem.apply(&op)?;
-                        procs[i].advance(result.clone());
-                        trace.push(Event {
-                            pid: *pid,
-                            kind: EventKind::Access { op, result },
-                        });
-                    }
-                }
-            }
-        }
-    }
-    Ok(Replayed {
-        trace,
+) -> Result<Replayed<P>, ExecError> {
+    let mut run = Replayed {
+        trace: Trace::new(),
+        status: vec![Status::Running; procs.len()],
         procs,
-        memory: mem,
-        status,
-    })
+        memory,
+    };
+    for &decision in schedule {
+        run.step(decision)?;
+    }
+    Ok(run)
 }
 
 #[cfg(test)]
@@ -1161,6 +1160,24 @@ mod tests {
             replayed.trace.iter().next().map(|e| &e.kind),
             Some(cfc_core::EventKind::Crash)
         ));
+    }
+
+    #[test]
+    fn replay_rejects_decisions_for_halted_processes() {
+        // Read, write, halt: process 0 is done after three steps, so a
+        // fourth step or a crash names a process that is not running.
+        let (memory, procs) = incr_system();
+        let p0 = ProcessId::new(0);
+        for extra in [ScheduleStep::Step(p0), ScheduleStep::Crash(p0)] {
+            let schedule = [
+                ScheduleStep::Step(p0),
+                ScheduleStep::Step(p0),
+                ScheduleStep::Step(p0),
+                extra,
+            ];
+            let err = replay(memory.clone(), procs.clone(), &schedule).unwrap_err();
+            assert_eq!(err, ExecError::NotRunnable(p0), "{extra}");
+        }
     }
 
     #[test]

@@ -535,8 +535,15 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         }
     }
 
+    /// Whether this driver explores a symmetry quotient (reduction on,
+    /// group non-trivial): one representative per orbit, so its edge
+    /// labels are slots, not pids.
+    pub(crate) fn is_quotient(&self) -> bool {
+        self.use_sym
+    }
+
     /// The normalized successor of `node` when process `i` steps.
-    pub(crate) fn successor(&self, node: &Node<P>, i: usize) -> Result<Node<P>, ExploreError> {
+    fn successor(&self, node: &Node<P>, i: usize) -> Result<Node<P>, ExploreError> {
         let mut succ = expand_step(node, i, &self.template)?;
         self.normalize(&mut succ);
         Ok(succ)

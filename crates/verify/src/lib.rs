@@ -100,6 +100,6 @@ pub use stress::{
     stress_mutex, stress_naming, MutexViolation, NamingViolation, StressError, StressStats,
 };
 pub use telemetry::{
-    current as current_telemetry, with_telemetry, HeartbeatSink, JsonlSink, NoopSink, Observer,
-    Phase, Recorder, Sample, Snapshot, StoreFootprint, Telemetry, TelemetryEvent,
+    with_telemetry, HeartbeatSink, JsonlSink, Observer, Phase, Recorder, Sample, Snapshot,
+    StoreFootprint, Telemetry, TelemetryEvent,
 };

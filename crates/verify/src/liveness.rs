@@ -12,11 +12,11 @@
 //!   ([`cfc_mutex::MutexAlgorithm::client_cycling`]), so the graph's
 //!   cycles are exactly the system's infinite behaviors.
 //! * A run is **weakly fair** when every process that stays
-//!   [runnable](Status::runnable) takes infinitely many steps. On a
-//!   finite graph an infinite run is a lasso (stem + loop), and since
-//!   `Done`/`Crashed` are absorbing, statuses are constant around any
-//!   loop — so a lasso is weakly fair iff every process running in its
-//!   loop steps at least once per revolution.
+//!   [runnable](cfc_core::Status::runnable) takes infinitely many
+//!   steps. On a finite graph an infinite run is a lasso (stem + loop),
+//!   and since `Done`/`Crashed` are absorbing, statuses are constant
+//!   around any loop — so a lasso is weakly fair iff every process
+//!   running in its loop steps at least once per revolution.
 //! * A process is **starved** when some weakly fair lasso keeps it
 //!   *pending* (trying, never served: in its entry section and never in
 //!   the critical section; running and never named) around the whole
@@ -47,9 +47,13 @@
 //!   classes, while identity-embedding locks fall back to per-process
 //!   victims on one shared graph. Because canonical edge labels are
 //!   slots rather than concrete identities, a fair-looking quotient SCC
-//!   is only a *candidate*: each is concretized and validated, and if
-//!   none survives the victim is settled on an exact (trivial-group)
-//!   graph.
+//!   is only a *candidate*, and a quotient-derived bypass witness only a
+//!   proposal: each victim is settled by one routine that concretizes
+//!   every candidate as one lap and validates it, then measures bypass
+//!   and validates the witness. A candidate or witness that fails
+//!   validation — an *artifact*, possible only on a non-trivial
+//!   quotient — sends the victim through the same routine on the exact
+//!   (trivial-group) graph, built at most once per check.
 //! * **Partial-order reduction** runs in [`AmpleMode::Liveness`]:
 //!   independence (C1) plus *strict* invisibility (C2 with no `Halt`
 //!   exemption — the fairness analysis reads statuses) plus the
@@ -84,21 +88,24 @@
 //! un-reduced semantics — including an independent recount of the
 //! overtakes — so a reported bound is never just a number. A witness
 //! whose quotient-level derivation fails validation (slot labels can in
-//! principle mislabel a serve) is re-derived on the exact trivial-group
-//! graph, whose labels are concrete.
+//! principle mislabel a serve) is an artifact like a failed lasso
+//! candidate: the victim is settled again on the exact graph, whose
+//! labels are concrete. If that graph outgrows the state budget, the
+//! quotient's bound is still reported and only its witness is
+//! forfeited.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 
-use cfc_core::{Memory, Process, ProcessId, Section, Status, SymmetryGroup, Value};
+use cfc_core::{Memory, Process, ProcessId, Section, SymmetryGroup, Value};
 use cfc_mutex::{MutexAlgorithm, MutexClient};
 use cfc_naming::NamingAlgorithm;
 
 use crate::csr::EdgeArena;
-use crate::explore::{replay, ExploreConfig, ExploreError, ExploreStats, ScheduleStep};
+use crate::explore::{replay, ExploreConfig, ExploreError, ExploreStats, Replayed, ScheduleStep};
 use crate::graph::{AmpleMode, BuiltGraph, GEdge, GraphBuilder, TraversalSpec};
-use crate::telemetry::{self, Phase, Sample};
+use crate::telemetry::{self, Phase, Sample, Telemetry};
 
 /// A borrowed state normalizer (see [`cfc_mutex::StateNormalizer`] for
 /// the owned form and the behavioral contract).
@@ -322,8 +329,8 @@ impl LivenessReport {
 /// # Panics
 ///
 /// Panics if `symmetry` is defined over a different process count, or on
-/// an internal inconsistency (a discovered lasso that fails concrete
-/// validation — which the engine's invariants rule out).
+/// an internal inconsistency (a witness derived on an exact graph that
+/// fails concrete validation — which the engine's invariants rule out).
 pub fn check_liveness_sym<P>(
     memory: Memory,
     procs: Vec<P>,
@@ -335,6 +342,12 @@ where
     P: Process + Clone + Eq + Hash,
 {
     let n = procs.len();
+    assert_eq!(
+        symmetry.n(),
+        n,
+        "symmetry group is over {} processes, system has {n}",
+        symmetry.n()
+    );
     // "Starvation of any class member ⇔ starvation of the class
     // representative" holds only when the members are interchangeable
     // *from the initial state* — permuting them must map the root to
@@ -392,95 +405,46 @@ where
     let tel = telemetry::runtime(config.progress);
     let _tel_guard = telemetry::install(&tel);
     let check_span = tel.span(Phase::LivenessCheck);
+    let check = Check {
+        memory: &memory,
+        procs: &procs,
+        config,
+        spec,
+        tel: &tel,
+    };
     let mut stats = ExploreStats::default();
     let (mut victims, mut graphs) = (0, 0);
     let mut bypass: Option<u64> = Some(0);
     let mut bypass_witness: Option<Box<BypassWitness>> = None;
-    // The exact trivial-group graph used to settle quotient artifacts is
+    // The exact graph that settles quotient artifacts is
     // victim-independent, so it is built at most once per check.
-    let mut exact_cache: Option<(GraphBuilder<'_, P>, BuiltGraph<P>)> = None;
+    let mut exact = None;
     for (group, victim_set) in victim_sets {
-        let sym_quotient = config.symmetry && !group.is_trivial();
-        let group_order = group.order();
-        let (builder, graph) = liveness_graph(
-            &memory,
-            &procs,
-            group,
-            config,
-            spec,
-            &mut stats,
-            &mut graphs,
-        )?;
+        let (builder, graph) = check.graph(group, &mut stats, &mut graphs)?;
         for v in victim_set {
             victims += 1;
-            let scc_span = tel.span(Phase::SccAnalysis);
-            let candidates = find_fair_starvation(&graph, v, spec);
-            scc_span.finish(Sample {
-                states: graph.len() as u64,
-                ..Sample::default()
-            });
-            let mut confirmed = None;
-            if !candidates.is_empty() {
-                let witness_span = tel.span(Phase::WitnessValidation);
-                for scc in &candidates {
-                    let Some(witness) =
-                        extract_witness(&builder, &graph, scc, v, procs.clone(), group_order)
-                    else {
-                        continue;
-                    };
-                    if validate_lasso(&memory, &procs, &witness, spec).is_ok() {
-                        confirmed = Some(witness);
-                        break;
+            let settled = match check.settle(&builder, &graph, v, bypass.is_some()) {
+                Ok(settled) => settled,
+                Err(Artifact { bound }) => {
+                    assert!(
+                        builder.is_quotient(),
+                        "witnesses derived on an exact graph validate"
+                    );
+                    let trivial = SymmetryGroup::trivial(n);
+                    let exact =
+                        exact.get_or_insert_with(|| check.graph(trivial, &mut stats, &mut graphs));
+                    match (exact, bound) {
+                        (Ok((builder, graph)), _) => check
+                            .settle(builder, graph, v, bypass.is_some())
+                            .expect("witnesses derived on an exact graph validate"),
+                        (Err(e), None) => return Err(e.clone()),
+                        // A failed bypass witness forfeits only the witness.
+                        (Err(_), Some(b)) => Settled::Free(Some(b), None),
                     }
-                    debug_assert!(sym_quotient, "exact candidates must validate");
                 }
-                witness_span.finish(Sample {
-                    states: candidates.len() as u64,
-                    ..Sample::default()
-                });
-            }
-            if let Some(witness) = confirmed {
-                stats.wall_ns = check_span.finish(stats.sample());
-                return Ok(LivenessReport {
-                    verdict: LivenessVerdict::Starvable(Box::new(witness)),
-                    stats,
-                    victims,
-                    graphs,
-                });
-            }
-            if !candidates.is_empty() && sym_quotient {
-                // Every candidate was a quotient artifact (slot-labeled
-                // fairness that no concrete loop realizes). Settle this
-                // victim exactly, on the graph of the trivial group,
-                // where labels are concrete and the fairness test is
-                // precise.
-                if exact_cache.is_none() {
-                    exact_cache = Some(exact_graph(
-                        &memory,
-                        &procs,
-                        config,
-                        spec,
-                        &mut stats,
-                        &mut graphs,
-                    )?);
-                }
-                let (exact_builder, exact) = exact_cache.as_ref().expect("just built");
-                let scc_span = tel.span(Phase::SccAnalysis);
-                let exact_candidates = find_fair_starvation(exact, v, spec);
-                scc_span.finish(Sample {
-                    states: exact.len() as u64,
-                    ..Sample::default()
-                });
-                if let Some(scc) = exact_candidates.first() {
-                    let witness_span = tel.span(Phase::WitnessValidation);
-                    let witness = extract_witness(exact_builder, exact, scc, v, procs.clone(), 1)
-                        .expect("exact fair SCCs concretize");
-                    validate_lasso(&memory, &procs, &witness, spec)
-                        .expect("exact lassos validate against the un-reduced semantics");
-                    witness_span.finish(Sample {
-                        states: 1,
-                        ..Sample::default()
-                    });
+            };
+            match settled {
+                Settled::Starvable(witness) => {
                     stats.wall_ns = check_span.finish(stats.sample());
                     return Ok(LivenessReport {
                         verdict: LivenessVerdict::Starvable(Box::new(witness)),
@@ -489,98 +453,15 @@ where
                         graphs,
                     });
                 }
-                // Bypass for this victim, settled on the exact graph —
-                // its labels are concrete, so a derived witness always
-                // validates.
-                let Some(a) = bypass else { continue };
-                let (bound, plan) = measure_bypass(exact, v, spec);
-                match bound {
-                    None => {
-                        bypass = None;
-                        bypass_witness = None;
-                    }
-                    Some(b) => {
+                Settled::Free(bound, witness) => match (bypass, bound) {
+                    (Some(a), Some(b)) => {
                         if b > a || (b == a && bypass_witness.is_none()) {
-                            bypass_witness = plan.map(|plan| {
-                                let w =
-                                    concretize_bypass(exact_builder, exact, &plan, v, b, &procs);
-                                validate_bypass(&memory, &procs, &w, spec)
-                                    .expect("exact bypass witnesses validate");
-                                Box::new(w)
-                            });
+                            bypass_witness = witness.map(Box::new);
                         }
                         bypass = Some(a.max(b));
                     }
-                }
-                continue;
-            }
-            // Bypass for this victim on the (possibly quotient) graph.
-            let Some(a) = bypass else { continue };
-            let (bound, plan) = measure_bypass(&graph, v, spec);
-            match bound {
-                None => {
-                    bypass = None;
-                    bypass_witness = None;
-                }
-                Some(b) => {
-                    if b > a || (b == a && bypass_witness.is_none()) {
-                        bypass_witness = None;
-                        if let Some(plan) = plan {
-                            let w = concretize_bypass(&builder, &graph, &plan, v, b, &procs);
-                            if validate_bypass(&memory, &procs, &w, spec).is_ok() {
-                                bypass_witness = Some(Box::new(w));
-                            } else {
-                                // The quotient's slot labels admitted a
-                                // path no concrete run realizes: settle
-                                // the witness on the exact graph (the
-                                // bound itself is quotient-invariant —
-                                // differential suites assert it). A
-                                // budget failure here only forfeits the
-                                // witness, never the verdict.
-                                debug_assert!(
-                                    sym_quotient,
-                                    "exact bypass witnesses validate"
-                                );
-                                if exact_cache.is_none() {
-                                    if let Ok(built) = exact_graph(
-                                        &memory,
-                                        &procs,
-                                        config,
-                                        spec,
-                                        &mut stats,
-                                        &mut graphs,
-                                    ) {
-                                        exact_cache = Some(built);
-                                    }
-                                }
-                                if let Some((exact_builder, exact)) = exact_cache.as_ref() {
-                                    let (ebound, eplan) = measure_bypass(exact, v, spec);
-                                    debug_assert_eq!(
-                                        ebound,
-                                        Some(b),
-                                        "quotient and exact bypass bounds agree"
-                                    );
-                                    if ebound == Some(b) {
-                                        if let Some(eplan) = eplan {
-                                            let w = concretize_bypass(
-                                                exact_builder,
-                                                exact,
-                                                &eplan,
-                                                v,
-                                                b,
-                                                &procs,
-                                            );
-                                            validate_bypass(&memory, &procs, &w, spec)
-                                                .expect("exact bypass witnesses validate");
-                                            bypass_witness = Some(Box::new(w));
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    bypass = Some(a.max(b));
-                }
+                    _ => (bypass, bypass_witness) = (None, None),
+                },
             }
         }
     }
@@ -596,66 +477,140 @@ where
     })
 }
 
-/// Builds one labeled liveness graph over the unified traversal driver:
-/// the liveness-safe ample mode (hence BFS order and recorded edges),
-/// service labels from the spec, and the spec's normalizer. Sums the
-/// traversal's counters into `stats` and counts the graph in `graphs`.
-fn liveness_graph<'s, P>(
-    memory: &Memory,
-    procs: &[P],
-    group: SymmetryGroup,
-    config: ExploreConfig,
-    spec: &LivenessSpec<'s, P>,
-    stats: &mut ExploreStats,
-    graphs: &mut usize,
-) -> Result<(GraphBuilder<'s, P>, BuiltGraph<P>), ExploreError>
-where
-    P: Process + Clone + Eq + Hash,
-{
-    let traversal = TraversalSpec {
-        ample_mode: AmpleMode::Liveness,
-        symmetry: group,
-        normalizer: spec.normalize,
-        served: Some(spec.served),
-    };
-    let mut builder = GraphBuilder::new(memory.clone(), config, traversal, procs.len());
-    let (graph, t) = builder.build_graph(procs.to_vec())?;
-    stats.states += t.states;
-    stats.transitions += t.transitions;
-    stats.terminals += t.terminals;
-    stats.states_pruned_por += t.states_pruned_por;
-    stats.orbits_merged += t.orbits_merged;
-    stats.footprint.accumulate(&t.footprint);
-    *graphs += 1;
-    Ok((builder, graph))
+#[cfg(test)]
+thread_local! {
+    /// The planted quotient-artifact fault, armed per thread by the unit
+    /// tests: while set, every witness derived on a non-trivial quotient
+    /// fails validation, which drives each victim through the
+    /// exact-graph fallback that no correct quotient reaches.
+    static REJECT_QUOTIENT_WITNESSES: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
 }
 
-/// The exact (trivial-group) liveness graph used to settle quotient
-/// artifacts and re-derive witnesses with concrete edge labels.
-fn exact_graph<'s, P>(
-    memory: &Memory,
-    procs: &[P],
+/// How one victim settles on one liveness graph.
+enum Settled {
+    /// A fair candidate concretized into a validated lasso.
+    Starvable(LassoWitness),
+    /// No fair candidate. The victim's bypass bound (`None` when it is
+    /// unbounded, or when it was not measured because the check's bound
+    /// already is) and, for a finite bound, the validated witness — absent
+    /// when no reachable state has the victim pending and engaged.
+    Free(Option<u64>, Option<BypassWitness>),
+}
+
+/// A fair candidate set with no valid member, or a bypass witness that
+/// failed validation — which only a non-trivial quotient's slot labels
+/// can cause.
+#[derive(Debug)]
+struct Artifact {
+    /// The quotient's finite bypass bound, when only the witness failed.
+    bound: Option<u64>,
+}
+
+/// What one liveness check builds its graphs from and settles its victims
+/// against.
+struct Check<'c, 's, P> {
+    memory: &'c Memory,
+    procs: &'c [P],
     config: ExploreConfig,
-    spec: &LivenessSpec<'s, P>,
-    stats: &mut ExploreStats,
-    graphs: &mut usize,
-) -> Result<(GraphBuilder<'s, P>, BuiltGraph<P>), ExploreError>
-where
-    P: Process + Clone + Eq + Hash,
-{
-    let exact_config = ExploreConfig {
-        symmetry: false,
-        ..config
-    };
-    liveness_graph(
-        memory,
-        procs,
-        SymmetryGroup::trivial(procs.len()),
-        exact_config,
-        spec,
-        stats,
-        graphs,
-    )
+    spec: &'c LivenessSpec<'s, P>,
+    tel: &'c Telemetry,
+}
+
+impl<'s, P: Process + Clone + Eq + Hash> Check<'_, 's, P> {
+    /// Builds one labeled liveness graph over the unified traversal
+    /// driver: the liveness-safe ample mode (hence BFS order and recorded
+    /// edges), service labels from the spec, and the spec's normalizer.
+    /// Returns it with the driver, which concretizes its paths. Sums the
+    /// traversal's counters into `stats` and counts the graph in `graphs`.
+    fn graph(
+        &self,
+        group: SymmetryGroup,
+        stats: &mut ExploreStats,
+        graphs: &mut usize,
+    ) -> Result<(GraphBuilder<'s, P>, BuiltGraph<P>), ExploreError> {
+        let traversal = TraversalSpec {
+            ample_mode: AmpleMode::Liveness,
+            symmetry: group,
+            normalizer: self.spec.normalize,
+            served: Some(self.spec.served),
+        };
+        let mut builder = GraphBuilder::new(
+            self.memory.clone(),
+            self.config,
+            traversal,
+            self.procs.len(),
+        );
+        let (graph, t) = builder.build_graph(self.procs.to_vec())?;
+        stats.states += t.states;
+        stats.transitions += t.transitions;
+        stats.terminals += t.terminals;
+        stats.states_pruned_por += t.states_pruned_por;
+        stats.orbits_merged += t.orbits_merged;
+        stats.footprint.accumulate(&t.footprint);
+        *graphs += 1;
+        Ok((builder, graph))
+    }
+
+    /// Settles `victim` on `graph`, which `builder` built. Each fair
+    /// candidate SCC is concretized as one lap and validated; the first
+    /// that validates starves the victim. With no candidate, the victim's
+    /// bypass is measured (unless `with_bypass` is off because the check's
+    /// bound is already unbounded) and a finite bound's witness is
+    /// concretized and validated.
+    ///
+    /// # Errors
+    ///
+    /// An [`Artifact`] when candidates exist but none validates, or when
+    /// the bypass witness fails validation.
+    fn settle(
+        &self,
+        builder: &GraphBuilder<'_, P>,
+        graph: &BuiltGraph<P>,
+        victim: usize,
+        with_bypass: bool,
+    ) -> Result<Settled, Artifact> {
+        let valid = |validation: Result<(), String>| {
+            #[cfg(test)]
+            if builder.is_quotient() && REJECT_QUOTIENT_WITNESSES.with(std::cell::Cell::get) {
+                return false;
+            }
+            validation.is_ok()
+        };
+        let scc_span = self.tel.span(Phase::SccAnalysis);
+        let candidates = find_fair_starvation(graph, victim, self.spec);
+        scc_span.finish(Sample {
+            states: graph.len() as u64,
+            ..Sample::default()
+        });
+        if !candidates.is_empty() {
+            let witness_span = self.tel.span(Phase::WitnessValidation);
+            let lasso = candidates
+                .iter()
+                .map(|scc| extract_witness(builder, graph, scc, victim, self.procs))
+                .find(|w| valid(validate_lasso(self.memory, self.procs, w, self.spec)));
+            witness_span.finish(Sample {
+                states: candidates.len() as u64,
+                ..Sample::default()
+            });
+            return lasso
+                .map(Settled::Starvable)
+                .ok_or(Artifact { bound: None });
+        }
+        if !with_bypass {
+            return Ok(Settled::Free(None, None));
+        }
+        let (bound, plan) = measure_bypass(graph, victim, self.spec);
+        let (Some(b), Some(plan)) = (bound, plan) else {
+            return Ok(Settled::Free(bound, None));
+        };
+        let witness = concretize_bypass(builder, graph, &plan, victim, b, self.procs);
+        let validation = validate_bypass(self.memory, self.procs, &witness, self.spec);
+        if !valid(validation) {
+            return Err(Artifact { bound });
+        }
+        Ok(Settled::Free(bound, Some(witness)))
+    }
 }
 
 /// Strongly connected components of the subgraph induced by `active`
@@ -726,16 +681,16 @@ fn tarjan_sccs(edges: &EdgeArena, active: &[bool]) -> Vec<Vec<u32>> {
     sccs
 }
 
-/// Marks the nodes where `victim` is running and pending.
-fn pending_mask<P: Process + Clone + Eq + Hash>(
+/// Marks the nodes where `victim` is running and `waiting`.
+fn victim_mask<P: Process + Clone + Eq + Hash>(
     g: &BuiltGraph<P>,
     victim: usize,
-    spec: &LivenessSpec<'_, P>,
+    waiting: impl Fn(&P) -> bool,
 ) -> Vec<bool> {
     (0..g.len())
         .map(|i| {
             let node = g.node(i as u32);
-            node.status[victim].runnable() && (spec.pending)(&node.procs[victim])
+            node.status[victim].runnable() && waiting(&node.procs[victim])
         })
         .collect()
 }
@@ -747,10 +702,11 @@ fn pending_mask<P: Process + Clone + Eq + Hash>(
 /// Under a symmetry quotient the edge labels are canonical *slots*, not
 /// concrete process identities — one concrete process's steps can show
 /// up under several slots as its peers permute around it — so coverage
-/// here is a candidate test, not a proof: every returned SCC must be
-/// confirmed by concretizing a lasso and [`validate_lasso`]-ing it (the
-/// caller falls back to an exact graph when no candidate survives).
-/// Without symmetry the labels are concrete and the test is exact.
+/// here is a candidate test, not a proof: the settle routine confirms a
+/// returned SCC by concretizing it as one lap and [`validate_lasso`]-ing
+/// it, and settles the victim on the exact graph when no candidate
+/// survives. Without symmetry the labels are concrete and the test is
+/// exact.
 fn find_fair_starvation<P>(
     g: &BuiltGraph<P>,
     victim: usize,
@@ -760,7 +716,7 @@ where
     P: Process + Clone + Eq + Hash,
 {
     let mut fair = Vec::new();
-    let active = pending_mask(g, victim, spec);
+    let active = victim_mask(g, victim, spec.pending);
     let mut member = vec![false; g.len()];
     'sccs: for scc in tarjan_sccs(&g.edges, &active) {
         for &v in &scc {
@@ -824,14 +780,7 @@ fn measure_bypass<P>(
 where
     P: Process + Clone + Eq + Hash,
 {
-    let active: Vec<bool> = (0..g.len())
-        .map(|i| {
-            let node = g.node(i as u32);
-            node.status[victim].runnable()
-                && (spec.pending)(&node.procs[victim])
-                && (spec.engaged)(&node.procs[victim])
-        })
-        .collect();
+    let active = victim_mask(g, victim, |p| (spec.pending)(p) && (spec.engaged)(p));
     let weight = |e: &GEdge| u64::from(e.served && !e.crash && e.pid as usize != victim);
 
     let sccs = tarjan_sccs(&g.edges, &active);
@@ -906,14 +855,33 @@ where
     (Some(answer), Some(BypassPlan { start, hops }))
 }
 
+/// Concretizes a path of `g` from the initial state, walked by the driver
+/// that built `g`: the creator-tree stem to `start`, then `hops` (each a
+/// `(target node, pid hint)`). Returns the two schedule pieces.
+fn concretize<P>(
+    builder: &GraphBuilder<'_, P>,
+    g: &BuiltGraph<P>,
+    procs: &[P],
+    start: u32,
+    hops: &[(u32, u32)],
+) -> (Vec<ScheduleStep>, Vec<ScheduleStep>)
+where
+    P: Process + Clone + Eq + Hash,
+{
+    let mut cur = builder.root(procs.to_vec());
+    let stem_hops = g.creator_path(start).into_iter().map(|id| (id, None));
+    let stem = builder.walk(g, &mut cur, stem_hops);
+    let tail = builder.walk(g, &mut cur, hops.iter().map(|&(t, pid)| (t, Some(pid))));
+    (stem, tail)
+}
+
 /// Turns a canonical-level [`BypassPlan`] into a concrete
-/// [`BypassWitness`]: the stem is re-derived along the creator tree to
-/// the plan's start node, the overtaking suffix along its hops —
-/// exactly the re-derivation the lasso extractor uses, so every hop has
-/// a concrete realization. The overtake count recorded in the witness
-/// is the count the *concrete* schedule achieves (a stabilizer quotient
-/// can in principle mislabel a serve, which is why the caller validates
-/// the witness and falls back to the exact graph on a mismatch).
+/// [`BypassWitness`]: the stem to the plan's start node, then the
+/// overtaking suffix along its hops, both [`concretize`]d like a lasso,
+/// so every hop has a concrete realization. The witness claims `bound`
+/// overtakes; on a stabilizer quotient a slot label can in principle
+/// mislabel a serve, so the settle routine validates the claim and
+/// treats a mismatch as an artifact.
 fn concretize_bypass<P>(
     builder: &GraphBuilder<'_, P>,
     g: &BuiltGraph<P>,
@@ -925,14 +893,7 @@ fn concretize_bypass<P>(
 where
     P: Process + Clone + Eq + Hash,
 {
-    let mut cur = builder.root(procs.to_vec());
-    let stem_hops = g.creator_path(plan.start).into_iter().map(|id| (id, None));
-    let stem = builder.walk(g, &mut cur, stem_hops);
-    let overtaking = builder.walk(
-        g,
-        &mut cur,
-        plan.hops.iter().map(|&(t, pid)| (t, Some(pid))),
-    );
+    let (stem, overtaking) = concretize(builder, g, procs, plan.start, &plan.hops);
     BypassWitness {
         victim: ProcessId::new(victim as u32),
         bypass: bound,
@@ -941,28 +902,24 @@ where
     }
 }
 
-/// Rebuilds a concrete, replayable lasso from a fair-candidate SCC of
-/// the canonical quotient, or `None` when the candidate is a quotient
-/// artifact (slot-labeled coverage that no concrete fair loop realizes).
+/// Rebuilds a concrete lasso from a fair-candidate SCC as one lap: the
+/// creator-path stem to the SCC's first member, then the representative
+/// loop once — one covering edge per running process, linked by BFS
+/// paths inside the SCC, and closed back.
 ///
-/// The representative-level loop (one covering edge per running process,
-/// connected by intra-SCC paths) is first threaded through the quotient,
-/// then *unrolled* concretely: one revolution returns to the loop
-/// entry's orbit but possibly to a permuted sibling, so revolutions are
-/// repeated until a concrete lap-boundary state recurs — bounded by the
-/// group order, since boundaries stay within one finite orbit. A
-/// process whose hops were absorbed by an identical-state sibling is
-/// repaired with an explicit self-loop spin; candidates that cannot be
-/// repaired are rejected. Survivors are still re-checked by
-/// [`validate_lasso`] before being reported.
+/// On an exact graph the lap returns to its entry state and steps every
+/// running process, because edge labels are pids. On a quotient it may
+/// end at a permuted sibling of its entry, or leave a process unstepped
+/// whose hops an identical sibling absorbed; [`validate_lasso`] rejects
+/// such a lap, and the settle routine re-runs the victim on the exact
+/// graph.
 fn extract_witness<P>(
     builder: &GraphBuilder<'_, P>,
     g: &BuiltGraph<P>,
     scc: &[u32],
     victim: usize,
-    procs: Vec<P>,
-    group_order: u64,
-) -> Option<LassoWitness>
+    procs: &[P],
+) -> LassoWitness
 where
     P: Process + Clone + Eq + Hash,
 {
@@ -970,17 +927,11 @@ where
     for &v in scc {
         member[v as usize] = true;
     }
-    let rep = g.node(scc[0]);
-    let running: Vec<u32> = (0..rep.status.len() as u32)
-        .filter(|&q| rep.status[q as usize].runnable())
-        .collect();
-
-    // Representative-level loop: visit one covering edge per running
-    // process, linked by BFS paths inside the SCC, and close back.
     let c0 = scc[0];
+    let rep = g.node(c0);
     let mut hops: Vec<(u32, u32)> = Vec::new(); // (target node, pid hint)
     let mut cur = c0;
-    for &q in &running {
+    for q in (0..rep.status.len() as u32).filter(|&q| rep.status[q as usize].runnable()) {
         let (from, edge) = scc
             .iter()
             .flat_map(|&v| g.edges.edges(v as usize).map(move |e| (v, e)))
@@ -993,78 +944,8 @@ where
     hops.extend(path_in_scc(g, &member, cur, c0));
     assert!(!hops.is_empty(), "fair SCC yields a nonempty loop");
 
-    // Concrete stem, re-derived along the creator tree.
-    let mut cur_node = builder.root(procs);
-    let stem_hops = g.creator_path(c0).into_iter().map(|id| (id, None));
-    let mut stem = builder.walk(g, &mut cur_node, stem_hops);
-
-    // Concrete laps, unrolled until a boundary state recurs.
-    let mut boundaries = vec![cur_node.clone()];
-    let mut laps: Vec<Vec<ScheduleStep>> = Vec::new();
-    let prefix_laps = loop {
-        let lap_hops = hops.iter().map(|&(t, pid)| (t, Some(pid)));
-        laps.push(builder.walk(g, &mut cur_node, lap_hops));
-        if let Some(j) = boundaries.iter().position(|b| *b == cur_node) {
-            break j;
-        }
-        if laps.len() as u64 > group_order {
-            debug_assert!(false, "lap boundaries must recur within the orbit");
-            return None;
-        }
-        boundaries.push(cur_node.clone());
-    };
-
-    // Laps before the recurrence extend the stem; the recurring laps are
-    // the genuine loop.
-    let mut cycle = Vec::new();
-    for lap in laps.drain(prefix_laps..) {
-        cycle.extend(lap);
-    }
-    for lap in laps {
-        stem.extend(lap);
-    }
-
-    // Fairness repair. Canonical matching cannot tell interchangeable
-    // processes in identical local states apart, so one spinner can
-    // absorb a sibling's hop during re-derivation and leave the sibling
-    // unstepped. Any such absorbed step was state-preserving, so the
-    // sibling's own step is a self-loop at some state of the loop:
-    // insert it explicitly there — closure, pendingness, and everyone
-    // else's steps are untouched.
-    let loop_entry = boundaries[prefix_laps].clone();
-    let mut states = vec![loop_entry];
-    let mut stepped = vec![false; states[0].status.len()];
-    for s in &cycle {
-        let ScheduleStep::Step(pid) = s else {
-            unreachable!("loops contain no crash edges")
-        };
-        stepped[pid.index()] = true;
-        let next = builder
-            .successor(states.last().expect("nonempty"), pid.index())
-            .expect("witness steps replay the explored semantics");
-        states.push(next);
-    }
-    let mut repairs: Vec<(usize, ScheduleStep)> = Vec::new();
-    for q in running.iter().map(|&q| q as usize) {
-        if stepped[q] {
-            continue;
-        }
-        // No in-place spin to insert: the candidate has no concrete
-        // weakly fair realization through this loop.
-        let repair = states.iter().enumerate().find_map(|(k, s)| {
-            let succ = builder.successor(s, q).ok()?;
-            (succ == *s).then_some((k, ScheduleStep::Step(ProcessId::new(q as u32))))
-        })?;
-        repairs.push(repair);
-    }
-    // Positions were computed against the pristine loop, so apply the
-    // insertions back to front to keep them aligned.
-    repairs.sort_by_key(|&(at, _)| std::cmp::Reverse(at));
-    for (at, spin) in repairs {
-        cycle.insert(at, spin);
-    }
-
-    Some(LassoWitness {
+    let (stem, cycle) = concretize(builder, g, procs, c0, &hops);
+    LassoWitness {
         victim: ProcessId::new(victim as u32),
         message: format!(
             "weak fairness does not save process {victim}: it stays pending around a \
@@ -1072,7 +953,7 @@ where
             cycle.len()
         ),
         lasso: Lasso { stem, cycle },
-    })
+    }
 }
 
 /// BFS path between two nodes inside an SCC, as (target, pid hint) hops.
@@ -1125,43 +1006,28 @@ pub fn validate_lasso<P>(
 where
     P: Process + Clone + Eq + Hash,
 {
-    use cfc_core::{OpResult, Step};
-
     if witness.lasso.cycle.is_empty() {
         return Err("empty loop".into());
     }
     let start = replay(memory.clone(), procs.to_vec(), &witness.lasso.stem)
         .map_err(|e| format!("stem does not replay: {e}"))?;
     let v = witness.victim.index();
+    let pending = |run: &Replayed<P>| run.status[v].runnable() && (spec.pending)(&run.procs[v]);
 
-    let mut cur_procs = start.procs.clone();
-    let mut mem = start.memory.clone();
-    let mut status = start.status.clone();
-    let mut stepped = vec![false; cur_procs.len()];
-    for (k, s) in witness.lasso.cycle.iter().enumerate() {
-        if !status[v].runnable() || !(spec.pending)(&cur_procs[v]) {
+    let mut run = start.clone();
+    let mut stepped = vec![false; procs.len()];
+    for (k, &s) in witness.lasso.cycle.iter().enumerate() {
+        if !pending(&run) {
             return Err(format!("victim not pending at loop step {k}"));
         }
         let ScheduleStep::Step(pid) = s else {
             return Err(format!("crash inside the loop at step {k}"));
         };
-        let i = pid.index();
-        if !status[i].runnable() {
-            return Err(format!("loop steps non-running process {pid} at step {k}"));
-        }
-        match cur_procs[i].current() {
-            Step::Halt => status[i] = Status::Done,
-            Step::Internal => cur_procs[i].advance(OpResult::None),
-            Step::Op(op) => {
-                let result = mem
-                    .apply(&op)
-                    .map_err(|e| format!("loop step {k} fails to apply: {e}"))?;
-                cur_procs[i].advance(result);
-            }
-        }
-        stepped[i] = true;
+        run.step(s)
+            .map_err(|e| format!("loop step {k} does not replay: {e}"))?;
+        stepped[pid.index()] = true;
     }
-    if !status[v].runnable() || !(spec.pending)(&cur_procs[v]) {
+    if !pending(&run) {
         return Err("victim not pending at loop close".into());
     }
     for (q, st) in start.status.iter().enumerate() {
@@ -1169,16 +1035,16 @@ where
             return Err(format!("loop is not weakly fair: process {q} never steps"));
         }
     }
-    if status != start.status {
+    if run.status != start.status {
         return Err("loop changes liveness statuses".into());
     }
 
     // Closure modulo the normalizer: the loop must return to a state the
     // checked semantics cannot distinguish from its entry.
-    let mut a_procs = start.procs.clone();
+    let mut a_procs = start.procs;
     let mut a_values = start.memory.snapshot().to_vec();
-    let mut b_procs = cur_procs;
-    let mut b_values = mem.snapshot().to_vec();
+    let mut b_procs = run.procs;
+    let mut b_values = run.memory.snapshot().to_vec();
     if let Some(f) = spec.normalize {
         f(&mut a_procs, &mut a_values);
         f(&mut b_procs, &mut b_values);
@@ -1211,60 +1077,38 @@ pub fn validate_bypass<P>(
 where
     P: Process + Clone + Eq + Hash,
 {
-    use cfc_core::{OpResult, Step};
-
-    let start = replay(memory.clone(), procs.to_vec(), &witness.stem)
+    let mut run = replay(memory.clone(), procs.to_vec(), &witness.stem)
         .map_err(|e| format!("stem does not replay: {e}"))?;
     let v = witness.victim.index();
-    let check = |procs: &[P], status: &[Status], at: &str| -> Result<(), String> {
-        if !status[v].runnable() {
+    let check = |run: &Replayed<P>, at: &str| -> Result<(), String> {
+        if !run.status[v].runnable() {
             return Err(format!("victim not running {at}"));
         }
-        if !(spec.pending)(&procs[v]) {
+        if !(spec.pending)(&run.procs[v]) {
             return Err(format!("victim not pending {at}"));
         }
-        if !(spec.engaged)(&procs[v]) {
+        if !(spec.engaged)(&run.procs[v]) {
             return Err(format!("victim not engaged {at}"));
         }
         Ok(())
     };
-    check(&start.procs, &start.status, "after the stem")?;
+    check(&run, "after the stem")?;
 
-    let mut cur = start.procs;
-    let mut mem = start.memory;
-    let mut status = start.status;
     let mut overtakes = 0u64;
-    for (k, s) in witness.overtaking.iter().enumerate() {
-        match s {
-            ScheduleStep::Crash(pid) => {
-                let i = pid.index();
-                if !status[i].runnable() {
-                    return Err(format!("overtaking step {k} crashes non-running {pid}"));
-                }
-                status[i] = Status::Crashed;
+    for (k, &s) in witness.overtaking.iter().enumerate() {
+        // The local state before the step of an overtaking candidate.
+        let before = match s {
+            ScheduleStep::Step(pid) if pid.index() != v => {
+                run.procs.get(pid.index()).map(|p| (pid.index(), p.clone()))
             }
-            ScheduleStep::Step(pid) => {
-                let i = pid.index();
-                if !status[i].runnable() {
-                    return Err(format!("overtaking step {k} steps non-running {pid}"));
-                }
-                let before = cur[i].clone();
-                match cur[i].current() {
-                    Step::Halt => status[i] = Status::Done,
-                    Step::Internal => cur[i].advance(OpResult::None),
-                    Step::Op(op) => {
-                        let result = mem
-                            .apply(&op)
-                            .map_err(|e| format!("overtaking step {k} fails to apply: {e}"))?;
-                        cur[i].advance(result);
-                    }
-                }
-                if i != v && (spec.served)(&before, &cur[i]) {
-                    overtakes += 1;
-                }
-            }
+            _ => None,
+        };
+        run.step(s)
+            .map_err(|e| format!("overtaking step {k} does not replay: {e}"))?;
+        if let Some((i, before)) = before {
+            overtakes += u64::from((spec.served)(&before, &run.procs[i]));
         }
-        check(&cur, &status, &format!("at overtaking step {}", k + 1))?;
+        check(&run, &format!("at overtaking step {}", k + 1))?;
     }
     if overtakes != witness.bypass {
         return Err(format!(
@@ -1273,6 +1117,17 @@ where
         ));
     }
     Ok(())
+}
+
+/// The [`LivenessSpec`] of naming: a walker is pending and engaged until
+/// it decides a name, and served when it does.
+fn naming_spec<'a, P: Process>() -> LivenessSpec<'a, P> {
+    LivenessSpec {
+        pending: &|p: &P| p.output().is_none(),
+        engaged: &|p: &P| p.output().is_none(),
+        served: &|before: &P, after: &P| before.output().is_none() && after.output().is_some(),
+        normalize: None,
+    }
 }
 
 /// The [`LivenessSpec`] of mutual exclusion over cycling clients.
@@ -1360,23 +1215,13 @@ where
     A::Proc: Clone + Eq + Hash,
 {
     let memory = alg.memory().map_err(ExploreError::Memory)?;
-    let spec = LivenessSpec {
-        pending: &|p: &A::Proc| p.output().is_none(),
-        engaged: &|p: &A::Proc| p.output().is_none(),
-        served: &|before: &A::Proc, after: &A::Proc| {
-            before.output().is_none() && after.output().is_some()
-        },
-        normalize: None,
-    };
+    let config = config.with_max_crashes(max_crashes);
     check_liveness_sym(
         memory,
         alg.processes(),
         &alg.symmetry(),
-        ExploreConfig {
-            max_crashes,
-            ..config
-        },
-        &spec,
+        config,
+        &naming_spec(),
     )
 }
 
@@ -1385,6 +1230,126 @@ mod tests {
     use super::*;
     use cfc_mutex::{Bakery, LamportFast, PetersonTwo, TasSpin};
     use cfc_naming::{TafTree, TasScan};
+
+    /// Runs `f` with the planted quotient-artifact fault armed on this
+    /// thread: every witness derived on a non-trivial quotient fails
+    /// validation.
+    fn with_quotient_witnesses_rejected<T>(f: impl FnOnce() -> T) -> T {
+        REJECT_QUOTIENT_WITNESSES.with(|r| r.set(true));
+        let out = f();
+        REJECT_QUOTIENT_WITNESSES.with(|r| r.set(false));
+        out
+    }
+
+    /// The cycling clients of a mutex algorithm, as the checker builds
+    /// them.
+    fn clients<A: MutexAlgorithm>(alg: &A) -> Vec<MutexClient<A::Lock>> {
+        (0..alg.n() as u32)
+            .map(|i| alg.client_cycling(ProcessId::new(i), 1))
+            .collect()
+    }
+
+    /// Symmetry reduction alone: TasSpin's spinners form one class, so
+    /// its one victim is settled on the victim's stabilizer quotient.
+    fn symmetric() -> ExploreConfig {
+        ExploreConfig {
+            symmetry: true,
+            ..ExploreConfig::default()
+        }
+    }
+
+    #[test]
+    fn quotient_lasso_artifacts_settle_on_the_exact_graph() {
+        let alg = TasSpin::new(3);
+        let plain = check_mutex_starvation(&alg, symmetric()).unwrap();
+        let hooked =
+            with_quotient_witnesses_rejected(|| check_mutex_starvation(&alg, symmetric())).unwrap();
+        let witness = hooked
+            .witness()
+            .expect("tas-spin starves on the exact graph");
+        let memory = alg.memory().unwrap();
+        validate_lasso(&memory, &clients(&alg), witness, &mutex_spec(None)).unwrap();
+        assert_eq!(hooked.victims, plain.victims);
+        assert_eq!(hooked.graphs, plain.graphs + 1, "one exact graph on top");
+    }
+
+    #[test]
+    fn quotient_bypass_artifacts_settle_on_the_exact_graph() {
+        let alg = TafTree::new(4).unwrap();
+        let check = || check_naming_lockout(&alg, 0, ExploreConfig::reduced());
+        let plain = check().unwrap();
+        let hooked = with_quotient_witnesses_rejected(check).unwrap();
+        assert!(plain.bypass().unwrap().is_some(), "wait-free => bounded");
+        assert_eq!(hooked.bypass(), plain.bypass());
+        let witness = hooked
+            .bypass_witness()
+            .expect("the exact graph derives a witness");
+        validate_bypass(
+            &alg.memory().unwrap(),
+            &alg.processes(),
+            witness,
+            &naming_spec(),
+        )
+        .unwrap();
+        assert_eq!(hooked.graphs, plain.graphs + 1, "one exact graph on top");
+    }
+
+    /// A budget that fits each quotient but not its exact graph: a
+    /// starvation artifact propagates the exact graph's budget error,
+    /// while a bypass-witness artifact keeps the bound and forfeits only
+    /// the witness.
+    #[test]
+    fn exact_fallback_budget_keeps_each_callers_contract() {
+        let alg = TasSpin::new(3);
+        let quotient = check_mutex_starvation(&alg, symmetric())
+            .unwrap()
+            .stats
+            .states;
+        let exact = check_mutex_starvation(&alg, ExploreConfig::default())
+            .unwrap()
+            .stats
+            .states;
+        assert!(quotient < exact, "{quotient} vs {exact}");
+        let config = symmetric().with_max_states(quotient);
+        let err = with_quotient_witnesses_rejected(|| check_mutex_starvation(&alg, config));
+        assert!(matches!(err, Err(ExploreError::StateBudget(_))), "{err:?}");
+
+        let alg = TafTree::new(4).unwrap();
+        let plain = check_naming_lockout(&alg, 0, ExploreConfig::reduced()).unwrap();
+        let unsym = ExploreConfig {
+            symmetry: false,
+            ..ExploreConfig::reduced()
+        };
+        let exact = check_naming_lockout(&alg, 0, unsym).unwrap().stats.states;
+        assert!(
+            plain.stats.states < exact,
+            "{} vs {exact}",
+            plain.stats.states
+        );
+        let config = ExploreConfig::reduced().with_max_states(plain.stats.states);
+        let hooked =
+            with_quotient_witnesses_rejected(|| check_naming_lockout(&alg, 0, config)).unwrap();
+        assert_eq!(hooked.bypass(), plain.bypass());
+        assert!(
+            hooked.bypass_witness().is_none(),
+            "only the witness is forfeited"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "symmetry group is over 2 processes, system has 3")]
+    fn a_symmetry_group_over_another_process_count_panics() {
+        let alg = TasSpin::new(3);
+        let spec = mutex_spec(None);
+        let group = SymmetryGroup::full(2);
+        let _ = check_liveness_sym(
+            alg.memory().unwrap(),
+            clients(&alg),
+            &group,
+            symmetric(),
+            &spec,
+        );
+    }
 
     #[test]
     fn tas_spin_is_starvable_with_a_validated_lasso() {
@@ -1407,10 +1372,12 @@ mod tests {
             .any(|s| matches!(s, ScheduleStep::Step(p) if *p != v)));
         // And it replays: the stem plus one revolution is a plain
         // schedule of the un-reduced semantics.
-        let clients: Vec<_> = (0..2)
-            .map(|i| alg.client_cycling(ProcessId::new(i), 1))
-            .collect();
-        replay(alg.memory().unwrap(), clients, &witness.lasso.unrolled()).unwrap();
+        replay(
+            alg.memory().unwrap(),
+            clients(&alg),
+            &witness.lasso.unrolled(),
+        )
+        .unwrap();
     }
 
     #[test]
@@ -1424,9 +1391,7 @@ mod tests {
         // schedule in which an engaged waiter really is overtaken once.
         let witness = report.bypass_witness().expect("bounded bypass => witness");
         assert_eq!(witness.bypass, 1);
-        let clients: Vec<_> = (0..2)
-            .map(|i| alg.client_cycling(ProcessId::new(i), 1))
-            .collect();
+        let clients = clients(&alg);
         validate_bypass(&alg.memory().unwrap(), &clients, witness, &mutex_spec(None)).unwrap();
     }
 
@@ -1435,9 +1400,7 @@ mod tests {
         let alg = PetersonTwo::new();
         let report = check_mutex_starvation(&alg, ExploreConfig::default()).unwrap();
         let witness = report.bypass_witness().unwrap().clone();
-        let clients: Vec<_> = (0..2)
-            .map(|i| alg.client_cycling(ProcessId::new(i), 1))
-            .collect();
+        let clients = clients(&alg);
         let spec = mutex_spec(None);
         let memory = alg.memory().unwrap();
         validate_bypass(&memory, &clients, &witness, &spec).unwrap();
@@ -1480,9 +1443,7 @@ mod tests {
         // quotient but must validate against the raw semantics.
         let witness = report.bypass_witness().expect("bounded bypass => witness");
         assert_eq!(witness.bypass, 2);
-        let clients: Vec<_> = (0..2)
-            .map(|i| alg.client_cycling(ProcessId::new(i), 1))
-            .collect();
+        let clients = clients(&alg);
         validate_bypass(&alg.memory().unwrap(), &clients, witness, &mutex_spec(None)).unwrap();
         // FCFS protects doorway-*completed* waiters, and bypass counting
         // starts earlier (at the victim's first entry step), so the lone
@@ -1502,15 +1463,13 @@ mod tests {
         // The naming bypass bound carries a witness too, validated under
         // the naming spec (pending = engaged = still nameless).
         let witness = report.bypass_witness().expect("bounded => witness");
-        let spec = LivenessSpec {
-            pending: &|p: &<TasScan as cfc_naming::NamingAlgorithm>::Proc| p.output().is_none(),
-            engaged: &|p: &<TasScan as cfc_naming::NamingAlgorithm>::Proc| p.output().is_none(),
-            served: &|b: &<TasScan as cfc_naming::NamingAlgorithm>::Proc, a| {
-                b.output().is_none() && a.output().is_some()
-            },
-            normalize: None,
-        };
-        validate_bypass(&alg.memory().unwrap(), &alg.processes(), witness, &spec).unwrap();
+        validate_bypass(
+            &alg.memory().unwrap(),
+            &alg.processes(),
+            witness,
+            &naming_spec(),
+        )
+        .unwrap();
         let report =
             check_naming_lockout(&TafTree::new(4).unwrap(), 0, ExploreConfig::reduced()).unwrap();
         assert!(report.is_starvation_free());
@@ -1524,9 +1483,7 @@ mod tests {
         let alg = TasSpin::new(2);
         let report = check_mutex_starvation(&alg, ExploreConfig::default()).unwrap();
         let witness = report.witness().unwrap().clone();
-        let clients: Vec<_> = (0..2)
-            .map(|i| alg.client_cycling(ProcessId::new(i), 1))
-            .collect();
+        let clients = clients(&alg);
         let spec = mutex_spec(None);
         validate_lasso(&alg.memory().unwrap(), &clients, &witness, &spec).unwrap();
 

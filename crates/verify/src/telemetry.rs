@@ -9,11 +9,11 @@
 //!   engine phase ([`Phase`]), periodic [`Snapshot`]s sampled on an
 //!   expansion-count stride, and derived [`TelemetryEvent::Spill`] /
 //!   [`TelemetryEvent::IndexGrowth`] notifications.
-//! * [`Observer`] — the sink trait, with four implementations:
-//!   [`NoopSink`] (the default is simply *no sinks*),
+//! * [`Observer`] — the sink trait, with three implementations:
 //!   [`HeartbeatSink`] (human-readable stderr lines, rate-limited),
 //!   [`JsonlSink`] (one JSON object per line, machine-readable), and
-//!   [`Recorder`] (in-memory, for tests).
+//!   [`Recorder`] (in-memory, for tests). A handle with no sinks, the
+//!   default, emits nothing.
 //! * [`Telemetry`] — a cheap cloneable handle bundling sinks, a
 //!   [`Clock`], and the sampling stride. Installed *ambiently* per
 //!   thread with [`with_telemetry`], so no driver signature changes:
@@ -404,16 +404,6 @@ pub trait Observer {
     fn on_event(&mut self, event: &TelemetryEvent);
 }
 
-/// A sink that drops every event. The default configuration is simply
-/// *no sinks* (cheaper still); this exists for explicitness in tests
-/// and docs.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSink;
-
-impl Observer for NoopSink {
-    fn on_event(&mut self, _event: &TelemetryEvent) {}
-}
-
 /// Human-readable progress lines on stderr, rate-limited to one beat
 /// per interval.
 ///
@@ -630,12 +620,8 @@ impl fmt::Debug for Telemetry {
 }
 
 impl Telemetry {
-    /// An inert handle: no sinks, nothing emitted.
-    pub fn off() -> Self {
-        Telemetry::default()
-    }
-
-    /// An empty handle to configure with the `with_*` builders.
+    /// An empty handle to configure with the `with_*` builders. With no
+    /// sinks attached it is inert: nothing is emitted.
     pub fn new() -> Self {
         Telemetry::default()
     }
@@ -714,7 +700,7 @@ impl Telemetry {
 }
 
 thread_local! {
-    static CURRENT: RefCell<Telemetry> = RefCell::new(Telemetry::off());
+    static CURRENT: RefCell<Telemetry> = RefCell::new(Telemetry::new());
 }
 
 /// Installs `tel` as this thread's ambient telemetry for the duration
@@ -1160,7 +1146,7 @@ mod tests {
         let tel = Telemetry::new().with_sink(rec.clone());
         with_telemetry(&tel, || {
             assert!(current().is_active());
-            with_telemetry(&Telemetry::off(), || {
+            with_telemetry(&Telemetry::new(), || {
                 assert!(!current().is_active());
             });
             assert!(current().is_active());
@@ -1171,7 +1157,7 @@ mod tests {
     #[test]
     fn inactive_span_never_probes_but_still_measures() {
         let clock = Rc::new(ManualClock::new());
-        let tel = Telemetry::off().with_clock(clock.clone());
+        let tel = Telemetry::new().with_clock(clock.clone());
         let mut span = tel.span(Phase::SafetyDfs);
         clock.advance(42);
         span.tick(|| panic!("probe must not run without sinks"));
