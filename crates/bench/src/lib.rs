@@ -55,7 +55,7 @@ fn artifact_dir(exe: &Path, is_target_dir: impl Fn(&Path) -> bool) -> Option<Pat
 /// The distinct *memory words* a process touched: packed registers count
 /// once per word, unpacked registers once each. Under coherent caching
 /// this is the remote-access count of the run (Section 1.2), and it is
-/// the quantity the [MS93] packing experiment reduces.
+/// the quantity the \[MS93\] packing experiment reduces.
 pub fn distinct_words(trace: &Trace, layout: &Layout, pid: ProcessId) -> usize {
     let mut words = BTreeSet::new();
     for (op, _) in trace.accesses_by(pid) {

@@ -7,8 +7,8 @@
 //! |---|---|---|
 //! | contention-free register | √(log n / (l + log log n)) (Thm 2) | 3⌈log n / l⌉ (Thm 3) |
 //! | contention-free step | log n / (l − 2 + 3 log log n) (Thm 1) | 7⌈log n / l⌉ (Thm 3) |
-//! | worst-case register | √(log n / (l + log log n)) (Thm 2) | O(log n) [Kes82] |
-//! | worst-case step | ∞ [AT92] | — |
+//! | worst-case register | √(log n / (l + log log n)) (Thm 2) | O(log n) \[Kes82\] |
+//! | worst-case step | ∞ \[AT92\] | — |
 
 use crate::{ceil_div, ceil_log2, log2};
 
@@ -118,7 +118,7 @@ pub fn thm3_register_upper(n: u64, l: u32) -> u64 {
 /// identities plus a distinguished "free" value, so `l`-bit registers host
 /// `2^l − 1` competitors per node. For `l = 1` the construction degenerates
 /// and we use binary Peterson (three shared bits) nodes instead — the
-/// Peterson–Fischer tournament [PF77]/[Kes82].
+/// Peterson–Fischer tournament \[PF77\]/\[Kes82\].
 pub fn tournament_arity(l: u32) -> u64 {
     assert!(l >= 1, "atomicity must be positive");
     if l == 1 {
@@ -158,7 +158,7 @@ pub fn tournament_register_upper(n: u64, l: u32) -> u64 {
 
 /// Worst-case register complexity upper bound for bit-register mutual
 /// exclusion, O(log n) via a binary tournament of 3-bit Peterson nodes
-/// ([Kes82]; our implementation uses 3 distinct bits per level).
+/// (\[Kes82\]; our implementation uses 3 distinct bits per level).
 pub fn kessels_wc_register_upper(n: u64) -> u64 {
     3 * u64::from(ceil_log2(n)).max(1)
 }
@@ -170,10 +170,10 @@ pub fn bit_access_lower(l: u32, c: u64) -> u64 {
     u64::from(l) + c - 1
 }
 
-/// Lamport's fast mutex [Lam87]: contention-free step complexity (5 entry
+/// Lamport's fast mutex \[Lam87\]: contention-free step complexity (5 entry
 /// + 2 exit accesses).
 pub const LAMPORT_FAST_STEPS: u64 = 7;
-/// Lamport's fast mutex [Lam87]: contention-free register complexity
+/// Lamport's fast mutex \[Lam87\]: contention-free register complexity
 /// (x, y, and the process's own b-flag).
 pub const LAMPORT_FAST_REGISTERS: u64 = 3;
 
@@ -208,7 +208,7 @@ pub fn bakery_bypass_upper(n: u64) -> u64 {
 /// tree-wide starvation freedom (though with **no** overall bypass bound
 /// beyond a single node: the tree has no wait-free doorway, so a waiter
 /// frozen mid-climb watches the far subtree pass unboundedly). `l ≥ 2`
-/// builds Lamport fast-mutex nodes, which are starvable [AT92] — and a
+/// builds Lamport fast-mutex nodes, which are starvable \[AT92\] — and a
 /// tournament of starvable nodes is starvable; the fair-cycle checker
 /// exhibits the lasso at `n = 3, l = 2`.
 pub fn tournament_starvation_free(l: u32) -> bool {

@@ -21,7 +21,7 @@ use std::fmt;
 /// | `TestAndFlip` | complement | yes |
 ///
 /// `TestAndFlip` is the paper's *fetch-and-complement* (the balancer of
-/// counting networks [AHS91]).
+/// counting networks \[AHS91\]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BitOp {
     /// No effect, no return value.

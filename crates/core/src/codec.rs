@@ -1,22 +1,21 @@
 //! Bit-packed state encoding: the paper's packing discipline applied to
 //! the verifier's own state storage.
 //!
-//! Section 1.3 (and the [MS93] experiment in `benches/packing.rs`) packs
+//! Section 1.3 (and the \[MS93\] experiment in `benches/packing.rs`) packs
 //! many narrow registers into few memory words; the exhaustive checkers
 //! benefit from exactly the same move. A global state is a sequence of
 //! narrow fields — per-process statuses, register values at their
-//! declared [`Layout`] widths, per-process local state — and this module
-//! provides the primitives to write them LSB-first into a compact byte
-//! record and read them back losslessly:
+//! declared [`Layout`] widths, a slot naming each process's local state
+//! — and this module provides the primitives to write them LSB-first
+//! into a compact byte record and read them back losslessly:
 //!
 //! * [`StateWriter`] / [`StateReader`] — the bit-level sink and source;
 //! * [`StateCodec`] — the fixed-width component-codec contract;
 //! * [`LayoutCodec`] — the width-aware memory-image codec derived from a
-//!   [`Layout`] (each register at its declared width);
-//! * [`Process::pack_state`] / [`Process::unpack_state`] (in
-//!   `crate::process`) — the per-algorithm hooks that let a process pack
-//!   its own local state into a few bits instead of being interned as an
-//!   opaque clone.
+//!   [`Layout`] (each register at its declared width).
+//!
+//! Process local states are not packed here: the store in `cfc-verify`
+//! interns each distinct local state once and writes its 32-bit slot.
 //!
 //! Round-trip identity is the load-bearing contract: `decode(encode(x))
 //! == x` for every reachable state makes the encoding injective, so

@@ -4,8 +4,8 @@ use std::fmt;
 
 /// Identifies a shared register within a [`Layout`](crate::Layout).
 ///
-/// Register ids are dense indices handed out by [`Layout::register`]
-/// (crate::Layout::register) in declaration order.
+/// Register ids are dense indices handed out by
+/// [`Layout::register`](crate::Layout::register) in declaration order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RegisterId(u32);
 

@@ -39,7 +39,7 @@ impl RegisterSpec {
 
 /// A declaration of the shared memory used by an algorithm: a set of
 /// registers with widths and initial values, plus optional *packed words*
-/// grouping several registers for multi-grain atomic access [MS93].
+/// grouping several registers for multi-grain atomic access \[MS93\].
 ///
 /// # Examples
 ///

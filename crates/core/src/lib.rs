@@ -10,7 +10,7 @@
 //!   one atomic step ([`Memory`], [`Layout`]).
 //! * **Single-bit read–modify–write operations** — the eight operations of
 //!   Section 3.1 ([`BitOp`]).
-//! * **Multi-grain packed words** in the style of Michael & Scott [MS93]:
+//! * **Multi-grain packed words** in the style of Michael & Scott \[MS93\]:
 //!   several small registers packed into one word, accessible in a single
 //!   atomic event ([`Layout::pack`]).
 //! * **Processes as state machines** ([`Process`]): a run is an alternating

@@ -11,7 +11,7 @@ use crate::value::Value;
 ///
 /// `Read`, `Write` and `Bit` touch a single register; `ReadWord` and
 /// `WriteWord` atomically access a packed word (multi-grain access in the
-/// style of [MS93]). An operation is one *event* in the paper's run
+/// style of \[MS93\]). An operation is one *event* in the paper's run
 /// semantics, and counts as one step for step complexity.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Op {

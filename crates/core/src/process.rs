@@ -127,29 +127,15 @@ pub trait Process {
         false
     }
 
-    /// Packs every varying part of this process's local state into `w`,
-    /// returning `true`; returns `false` when the process does not
-    /// support bit-packing (the default), in which case the packed state
-    /// store in `cfc-verify` falls back to interning opaque clones.
+    /// Packs this process's local state into `w`, returning `true`;
+    /// returns `false` (the default) when the process offers no packing.
     ///
-    /// Contract (checked by the store's probe and round-trip property
-    /// tests): the bit count written is **fixed** — the same for every
-    /// reachable state of every process of the system, independent of
-    /// the state's value — and [`Process::unpack_state`] applied to a
-    /// clone of *any* process of the system restores a state equal
-    /// (`Eq`) to the packed one. Anything not written must therefore be
-    /// identical across all processes and constant over time (shared
-    /// register handles, configuration); per-process identity must be
-    /// packed.
+    /// No checker reads this hook: the packed state store in
+    /// `cfc-verify` interns every local state into a side table and
+    /// stores a 32-bit slot per process, whatever this returns. It stays
+    /// only as an inert default because the checker benchmark
+    /// (`perfbench/`, a separate package) still calls it.
     fn pack_state(&self, _w: &mut crate::codec::StateWriter) -> bool {
-        false
-    }
-
-    /// Restores a state previously packed by [`Process::pack_state`]
-    /// onto `self` (a clone of any process of the same system),
-    /// returning `true`; must return `false` (reading nothing) exactly
-    /// when `pack_state` does.
-    fn unpack_state(&mut self, _r: &mut crate::codec::StateReader<'_>) -> bool {
         false
     }
 }
@@ -181,14 +167,6 @@ impl<P: Process + ?Sized> Process for Box<P> {
 
     fn may_access(&self, out: &mut RegisterSet) -> bool {
         (**self).may_access(out)
-    }
-
-    fn pack_state(&self, w: &mut crate::codec::StateWriter) -> bool {
-        (**self).pack_state(w)
-    }
-
-    fn unpack_state(&mut self, r: &mut crate::codec::StateReader<'_>) -> bool {
-        (**self).unpack_state(r)
     }
 }
 

@@ -1,8 +1,8 @@
 //! Traits tying mutual-exclusion algorithms to the execution model.
 
 use cfc_core::{
-    Layout, Memory, MemoryError, OpResult, Process, ProcessId, RegisterSet, Section,
-    StateReader, StateWriter, Step, SymmetryGroup, Value,
+    Layout, Memory, MemoryError, OpResult, Process, ProcessId, RegisterSet, Section, Step,
+    SymmetryGroup, Value,
 };
 
 /// A global-state abstraction used by the fair-cycle liveness checker in
@@ -77,27 +77,6 @@ pub trait LockProcess {
     /// whole tournament paths).
     fn lock_location(&self) -> Option<u64> {
         None
-    }
-
-    /// Packs every varying part of the lock's local state into `w`,
-    /// returning `true`; returns `false` (the default) when the lock does
-    /// not support bit-packing, in which case the packed state store in
-    /// `cfc-verify` falls back to interning opaque clones.
-    ///
-    /// Same contract as [`Process::pack_state`]: the bit count must be
-    /// fixed across every reachable state of every participant, and the
-    /// lock's own *identity* (its side, its ticket slot) must be packed,
-    /// because the symmetry-reduced store unpacks states onto a clone of
-    /// an arbitrary participant.
-    fn pack_lock(&self, _w: &mut StateWriter) -> bool {
-        false
-    }
-
-    /// Restores a state packed by [`LockProcess::pack_lock`] onto `self`
-    /// (a clone of any participant), returning `true`; must return
-    /// `false` (reading nothing) exactly when `pack_lock` does.
-    fn unpack_lock(&mut self, _r: &mut StateReader<'_>) -> bool {
-        false
     }
 }
 
@@ -392,46 +371,6 @@ impl<L: LockProcess> Process for MutexClient<L> {
         // entry/exit cycle, so it stays a sound over-approximation for
         // multi-trip clients too.
         self.lock.protocol_footprint(out)
-    }
-
-    fn pack_state(&self, w: &mut StateWriter) -> bool {
-        let tag = match self.section {
-            Section::Remainder => 0u64,
-            Section::Entry => 1,
-            Section::Critical => 2,
-            Section::Exit => 3,
-        };
-        w.push_bits(tag, 2);
-        w.push_bits(u64::from(self.trips_remaining), 32);
-        w.push_bits(u64::from(self.cs_steps), 32);
-        w.push_bits(u64::from(self.cs_left), 32);
-        w.push_bits(u64::from(self.forever), 1);
-        w.push_bits(u64::from(self.engaged), 1);
-        self.lock.pack_lock(w)
-    }
-
-    fn unpack_state(&mut self, r: &mut StateReader<'_>) -> bool {
-        let section = match r.take_bits(2) {
-            0 => Section::Remainder,
-            1 => Section::Entry,
-            2 => Section::Critical,
-            _ => Section::Exit,
-        };
-        let trips_remaining = r.take_bits(32) as u32;
-        let cs_steps = r.take_bits(32) as u32;
-        let cs_left = r.take_bits(32) as u32;
-        let forever = r.take_bits(1) != 0;
-        let engaged = r.take_bits(1) != 0;
-        if !self.lock.unpack_lock(r) {
-            return false;
-        }
-        self.section = section;
-        self.trips_remaining = trips_remaining;
-        self.cs_steps = cs_steps;
-        self.cs_left = cs_left;
-        self.forever = forever;
-        self.engaged = engaged;
-        true
     }
 }
 

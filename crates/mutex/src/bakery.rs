@@ -30,8 +30,7 @@
 use std::sync::Arc;
 
 use cfc_core::{
-    Layout, Op, OpResult, ProcessId, RegisterId, RegisterSet, StateReader, StateWriter, Step,
-    SymmetryGroup, Value,
+    Layout, Op, OpResult, ProcessId, RegisterId, RegisterSet, Step, SymmetryGroup, Value,
 };
 
 use crate::algorithm::{LockProcess, MutexAlgorithm, StateNormalizer};
@@ -395,61 +394,6 @@ impl LockProcess for BakeryLock {
         }
         Some(u64::from(self.me) << 20 | arg << 4 | tag)
     }
-
-    // Packed-store encoding: identity (16) + pc tag (4) + pc arg (16) +
-    // max_seen (17) + my_number (17) = 70 bits per lock. Tickets use
-    // `TICKET_WIDTH + 1` bits because `my_number = max_seen + 1` can
-    // transiently hold `2^TICKET_WIDTH` in the state *before* the
-    // over-wide `WriteNumber` step errors out.
-    fn pack_lock(&self, w: &mut StateWriter) -> bool {
-        if self.mutation.is_some() {
-            // Mutants are test-only fixtures; let them fall back to the
-            // interned store rather than model their perturbed state here.
-            return false;
-        }
-        let (tag, arg) = match self.pc {
-            Pc::Idle => (0u64, 0u64),
-            Pc::WriteChoosing1 => (1, 0),
-            Pc::ScanMax(j) => (2, u64::from(j)),
-            Pc::WriteNumber => (3, 0),
-            Pc::WriteChoosing0 => (4, 0),
-            Pc::WaitChoosing(j) => (5, u64::from(j)),
-            Pc::WaitNumber(j) => (6, u64::from(j)),
-            Pc::EntryDone => (7, 0),
-            Pc::ExitWriteNumber => (8, 0),
-            Pc::ExitDone => (9, 0),
-        };
-        w.push_bits(u64::from(self.me), 16);
-        w.push_bits(tag, 4);
-        w.push_bits(arg, 16);
-        w.push_bits(self.max_seen, TICKET_WIDTH + 1);
-        w.push_bits(self.my_number, TICKET_WIDTH + 1);
-        true
-    }
-
-    fn unpack_lock(&mut self, r: &mut StateReader<'_>) -> bool {
-        if self.mutation.is_some() {
-            return false;
-        }
-        self.me = r.take_bits(16) as u32;
-        let tag = r.take_bits(4);
-        let arg = r.take_bits(16) as u32;
-        self.pc = match tag {
-            0 => Pc::Idle,
-            1 => Pc::WriteChoosing1,
-            2 => Pc::ScanMax(arg),
-            3 => Pc::WriteNumber,
-            4 => Pc::WriteChoosing0,
-            5 => Pc::WaitChoosing(arg),
-            6 => Pc::WaitNumber(arg),
-            7 => Pc::EntryDone,
-            8 => Pc::ExitWriteNumber,
-            _ => Pc::ExitDone,
-        };
-        self.max_seen = r.take_bits(TICKET_WIDTH + 1);
-        self.my_number = r.take_bits(TICKET_WIDTH + 1);
-        true
-    }
 }
 
 #[cfg(test)]
@@ -598,31 +542,6 @@ mod tests {
         client.advance(OpResult::Value(Value::ZERO));
         assert_eq!(client.lock().pc, Pc::WriteNumber);
         assert_eq!(client.lock().my_number, 1 << TICKET_WIDTH);
-    }
-
-    #[test]
-    fn pack_round_trips_onto_any_participant() {
-        let alg = Bakery::new(3);
-        let mut client = alg.client_cycling(ProcessId::new(2), 1);
-        client.lock_mut().pc = Pc::WaitNumber(1);
-        client.lock_mut().my_number = 5;
-        client.lock_mut().max_seen = 4;
-        let mut w = StateWriter::new();
-        assert!(cfc_core::Process::pack_state(&client, &mut w));
-        let bytes = w.finish();
-        // Restore onto a clone of a *different* participant: identity is
-        // part of the packed payload.
-        let mut restored = alg.client_cycling(ProcessId::new(0), 1);
-        let mut r = StateReader::new(&bytes);
-        assert!(cfc_core::Process::unpack_state(&mut restored, &mut r));
-        assert_eq!(restored, client);
-        // Mutants decline packing and fall back to interning.
-        let mutant = Bakery::new(2).with_mutation(crate::mutation::BakeryMutation::SkipExitReset);
-        let mut w = StateWriter::new();
-        assert!(!cfc_core::Process::pack_state(
-            &mutant.client(ProcessId::new(0), 1),
-            &mut w
-        ));
     }
 
     #[test]

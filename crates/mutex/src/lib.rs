@@ -5,10 +5,10 @@
 //! "Contention-Free Complexity of Shared Memory Algorithms"* (PODC 1994),
 //! on top of the [`cfc_core`] execution model:
 //!
-//! * [`LamportFast`] — Lamport's fast mutual exclusion [Lam87]: constant
+//! * [`LamportFast`] — Lamport's fast mutual exclusion \[Lam87\]: constant
 //!   contention-free complexity (7 steps, 3 registers) with `Θ(log n)`-bit
 //!   registers.
-//! * [`Bakery`] and [`Dijkstra`] — the classic baselines ([Dij65] is the
+//! * [`Bakery`] and [`Dijkstra`] — the classic baselines (\[Dij65\] is the
 //!   paper's citation for the problem) with `Θ(n)` contention-free cost:
 //!   the contrast that motivates the contention-free measure.
 //! * [`PetersonTwo`] — Peterson's two-process algorithm over three bits,

@@ -17,8 +17,7 @@
 //! and exit costs 1, touching 3 distinct bits.
 
 use cfc_core::{
-    Layout, Op, OpResult, ProcessId, RegisterId, RegisterSet, StateReader, StateWriter, Step,
-    SymmetryGroup, Value,
+    Layout, Op, OpResult, ProcessId, RegisterId, RegisterSet, Step, SymmetryGroup, Value,
 };
 
 use crate::algorithm::{LockProcess, MutexAlgorithm};
@@ -243,49 +242,6 @@ impl LockProcess for PetersonLock {
             Pc::ExitDone => 7,
         };
         Some((self.me as u64) << 3 | tag)
-    }
-
-    // Packed-store encoding: side (1 bit) + pc tag (3 bits) = 4 bits per
-    // lock. Register handles are shared by both participants of a
-    // standalone [`PetersonTwo`], so they stay on the prototype. (The
-    // tournament's per-node copies hold *different* handles per process;
-    // its composite lock declines packing, so these hooks are never
-    // reached with node-local handles.)
-    fn pack_lock(&self, w: &mut StateWriter) -> bool {
-        if self.mutation.is_some() {
-            return false;
-        }
-        w.push_bits(self.me as u64, 1);
-        let tag = match self.pc {
-            Pc::Idle => 0u64,
-            Pc::WriteFlag => 1,
-            Pc::WriteTurn => 2,
-            Pc::ReadOtherFlag => 3,
-            Pc::ReadTurn => 4,
-            Pc::EntryDone => 5,
-            Pc::ExitWriteFlag => 6,
-            Pc::ExitDone => 7,
-        };
-        w.push_bits(tag, 3);
-        true
-    }
-
-    fn unpack_lock(&mut self, r: &mut StateReader<'_>) -> bool {
-        if self.mutation.is_some() {
-            return false;
-        }
-        self.me = r.take_bits(1) as usize;
-        self.pc = match r.take_bits(3) {
-            0 => Pc::Idle,
-            1 => Pc::WriteFlag,
-            2 => Pc::WriteTurn,
-            3 => Pc::ReadOtherFlag,
-            4 => Pc::ReadTurn,
-            5 => Pc::EntryDone,
-            6 => Pc::ExitWriteFlag,
-            _ => Pc::ExitDone,
-        };
-        true
     }
 }
 

@@ -4,9 +4,9 @@
 //! The simulation crates measure the paper's abstract complexity; this
 //! crate measures *time*. It provides:
 //!
-//! * [`FastMutex`] — Lamport's fast mutual exclusion [Lam87]: a
+//! * [`FastMutex`] — Lamport's fast mutual exclusion \[Lam87\]: a
 //!   constant-length uncontended fast path (5 accesses in, 2 out).
-//! * [`PetersonTree`] — the bit-only binary tournament ([PF77]/[Kes82]):
+//! * [`PetersonTree`] — the bit-only binary tournament (\[PF77\]/\[Kes82\]):
 //!   `Θ(log n)` uncontended accesses, the price Theorem 1 proves
 //!   unavoidable at atomicity 1.
 //! * [`TasLock`] — test-and-set / TTAS spinlocks, with optional

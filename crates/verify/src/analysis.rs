@@ -48,7 +48,7 @@ use std::hash::Hash;
 
 use cfc_core::{op_result_domain, Footprint, Layout, OpResult, Process, RegisterSet, Step};
 
-use crate::telemetry::{self, Phase, Sample};
+use crate::telemetry::{self, Phase, Snapshot};
 
 /// Which future-access over-approximation ample-set selection consults.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -403,7 +403,7 @@ pub fn lint_model<P>(layout: &Layout, procs: &[P]) -> LintReport
 where
     P: Process + Clone + Eq + Hash,
 {
-    let tel = telemetry::runtime(false);
+    let tel = telemetry::runtime();
     let span = tel.span(Phase::Lint);
     let mut report = LintReport {
         processes: procs.len(),
@@ -485,10 +485,10 @@ where
     report
         .findings
         .sort_by_key(|f| (f.process, f.location, f.kind));
-    report.wall_ns = span.finish(Sample {
+    report.wall_ns = span.finish(Snapshot {
         states: report.locations as u64,
         transitions: report.findings.len() as u64,
-        ..Sample::default()
+        ..Snapshot::default()
     });
     report
 }

@@ -13,14 +13,14 @@
 //!   fixpoint keeps its read/write split, so ample selection tests full
 //!   *independence* ([`Footprint::independent`]) instead of mere overlap
 //!   — two processes whose futures only share reads stay independent.
-//! * **Sleep sets** ([`SleepTable`]): the safety DFS threads a bitmask
+//! * **Sleep sets** (`SleepTable`): the safety DFS threads a bitmask
 //!   of processes whose next step was already explored in a sibling
 //!   branch and has *not since been raced with* — their successors are
 //!   Mazurkiewicz-equivalent to states reached via the sibling, so the
 //!   transitions are skipped. A process is woken the moment a step with
 //!   a conflicting footprint fires ([`observed_conflict`]). On a
 //!   revisit, the stored mask shrinks monotonically
-//!   ([`SleepTable::revisit`]): a state is re-expanded only when the new
+//!   (`SleepTable::revisit`): a state is re-expanded only when the new
 //!   visit sleeps strictly fewer processes than every earlier visit
 //!   covered, so termination is preserved (at most one re-expansion per
 //!   bit).
@@ -31,7 +31,7 @@
 //!   ∪ conflict order), and the differential/property walls use it to
 //!   audit what the in-engine sleep machinery treats as concurrent.
 //!
-//! Soundness boundaries are enforced by [`sleep_sets_active`]: sleeping
+//! Soundness boundaries are enforced by `sleep_sets_active`: sleeping
 //! is restricted to the safety DFS (cycle/progress back-propagation
 //! would see pruned *edges*), to concrete (non-quotient) exploration
 //! (masks index concrete process ids; a symmetry representative permutes

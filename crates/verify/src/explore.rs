@@ -98,7 +98,7 @@ use cfc_core::{
 
 use crate::analysis::MayAccessMode;
 use crate::graph::{canonicalize, full_hash, AmpleMode, GraphBuilder, Node, TraversalSpec};
-use crate::telemetry::{self, Phase, Sample, StoreFootprint};
+use crate::telemetry::{self, Phase, Snapshot, StoreFootprint};
 
 /// Limits and reduction switches for an exploration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,11 +134,6 @@ pub struct ExploreConfig {
     /// future-access sets, falling back to the declared hook for any
     /// state the automaton cannot resolve. Ignored when `por` is off.
     pub may_access: MayAccessMode,
-    /// Print a live stderr heartbeat while this exploration runs (the
-    /// `CFC_PROGRESS` environment variable turns this on globally; see
-    /// [`crate::telemetry`]). Purely observational: no count, verdict,
-    /// or schedule ever depends on it.
-    pub progress: bool,
 }
 
 impl Default for ExploreConfig {
@@ -150,7 +145,6 @@ impl Default for ExploreConfig {
             symmetry: false,
             spill_budget_bytes: None,
             may_access: MayAccessMode::Declared,
-            progress: false,
         }
     }
 }
@@ -191,13 +185,6 @@ impl ExploreConfig {
     #[must_use]
     pub fn with_may_access(mut self, may_access: MayAccessMode) -> Self {
         self.may_access = may_access;
-        self
-    }
-
-    /// Enables (or disables) the live stderr heartbeat.
-    #[must_use]
-    pub fn with_progress(mut self, progress: bool) -> Self {
-        self.progress = progress;
         self
     }
 }
@@ -271,18 +258,18 @@ impl ExploreStats {
         self
     }
 
-    /// The telemetry sample of these counters, as the final snapshot of
-    /// the check's span carries them (no frontier, no depth).
-    pub(crate) fn sample(&self) -> Sample {
-        Sample {
+    /// The telemetry snapshot of these counters, as the final snapshot
+    /// of the check's span carries them (no frontier, no depth; the span
+    /// sets the elapsed time and rate).
+    pub(crate) fn sample(&self) -> Snapshot {
+        Snapshot {
             states: self.states as u64,
             transitions: self.transitions,
-            frontier: 0,
-            depth: 0,
             states_pruned_por: self.states_pruned_por,
             orbits_merged: self.orbits_merged,
             transitions_slept: self.transitions_slept,
             footprint: self.footprint,
+            ..Snapshot::default()
         }
     }
 }
@@ -550,7 +537,7 @@ where
     // the builder (progress-bfs, extract-automaton) nest inside it.
     // `runtime` + ambient install means the env-hook sinks see the
     // wrapper span too, and the builder attaches nothing on top.
-    let tel = telemetry::runtime(config.progress);
+    let tel = telemetry::runtime();
     let _tel_guard = telemetry::install(&tel);
     let check_span = tel.span(Phase::ProgressCheck);
     let spec = TraversalSpec {
@@ -579,10 +566,10 @@ where
             }
         }
     }
-    bp_span.finish(Sample {
+    bp_span.finish(Snapshot {
         states: states as u64,
         transitions: stats.transitions,
-        ..Sample::default()
+        ..Snapshot::default()
     });
 
     if let Some(stuck) = (0..states).find(|&i| !can_finish[i]) {

@@ -54,7 +54,7 @@ use crate::explore::{
     ExploreConfig, ExploreError, ExploreStats, ScheduleStep, StateView, Violation,
 };
 use crate::store::{NodeStore, VisitOutcome};
-use crate::telemetry::{self, Phase, Sample, StoreFootprint, Telemetry};
+use crate::telemetry::{self, Phase, Snapshot, StoreFootprint, Telemetry};
 
 /// A global state of the explored system.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -578,9 +578,9 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         if self.config.por && self.config.may_access != MayAccessMode::Declared {
             let auto_span = tel.span(Phase::ExtractAutomaton);
             let index = FutureIndex::build(self.template.layout(), &procs);
-            auto_span.finish(Sample {
+            auto_span.finish(Snapshot {
                 states: index.len() as u64,
-                ..Sample::default()
+                ..Snapshot::default()
             });
             self.future = Some(index);
         }
@@ -782,7 +782,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         let mode = self.spec.ample_mode;
         debug_assert_eq!(mode, AmpleMode::Safety, "the DFS is the safety loop");
         let n = procs.len();
-        let tel = telemetry::runtime(self.config.progress);
+        let tel = telemetry::runtime();
         let mut span = tel.span(mode.phase());
         let root = self.prepare(&tel, procs);
         // Sleep-set pruning rides only on the safety DFS under dynamic
@@ -866,7 +866,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 if stats.states > self.config.max_states {
                     return Err(ExploreError::StateBudget(stats.states));
                 }
-                span.tick(|| Sample {
+                span.tick(|| Snapshot {
                     frontier: stack.len() as u64,
                     depth: path.as_ref().map_or(0, |l| l.depth as u64),
                     footprint: footprint(&visited, &sleep),
@@ -996,7 +996,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         let mode = self.spec.ample_mode;
         debug_assert_ne!(mode, AmpleMode::Safety, "the safety mode runs the DFS");
         let n = procs.len();
-        let tel = telemetry::runtime(self.config.progress);
+        let tel = telemetry::runtime();
         let mut span = tel.span(mode.phase());
         let root = self.prepare(&tel, procs);
         let root_canon = self.canonical_of(&root);
@@ -1007,7 +1007,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             &root_canon,
             false,
         );
-        let (root_id, root_fresh) = store.intern(root_canon);
+        let (root_id, root_fresh) = store.intern(&root_canon);
         debug_assert!(root_fresh && root_id == 0, "the root interns first");
         let mut g = BuiltGraph {
             store,
@@ -1025,7 +1025,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         let mut stats = ExploreStats::default();
         let mut cursor = 0usize;
         while cursor < g.store.len() {
-            span.tick(|| Sample {
+            span.tick(|| Snapshot {
                 states: g.store.len() as u64,
                 frontier: (g.store.len() - cursor) as u64,
                 footprint: g.footprint(),
@@ -1074,7 +1074,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                     }
                     None => (succ, false),
                 };
-                let (to, fresh) = g.store.intern(canon);
+                let (to, fresh) = g.store.intern(&canon);
                 if fresh {
                     g.first_pred.push(cursor as u32);
                     g.terminal.push(false);

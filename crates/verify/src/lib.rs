@@ -100,6 +100,6 @@ pub use stress::{
     stress_mutex, stress_naming, MutexViolation, NamingViolation, StressError, StressStats,
 };
 pub use telemetry::{
-    with_telemetry, HeartbeatSink, JsonlSink, Observer, Phase, Recorder, Sample, Snapshot,
+    with_telemetry, HeartbeatSink, JsonlSink, Observer, Phase, Recorder, Snapshot,
     StoreFootprint, Telemetry, TelemetryEvent,
 };

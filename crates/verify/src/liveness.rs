@@ -4,9 +4,9 @@
 //! The paper's algorithms promise *deadlock freedom* — somebody can
 //! always finish — which is strictly weaker than *starvation freedom* —
 //! everybody who keeps trying eventually finishes. The progress checker
-//! in [`crate::explore`] verifies the former; this module mechanizes the
-//! latter as a search for **fair lassos** in the same state graph the
-//! other checkers walk ([`crate::graph`]):
+//! in [`crate::explore`](mod@crate::explore) verifies the former; this
+//! module mechanizes the latter as a search for **fair lassos** in the
+//! same state graph the other checkers walk (`crate::graph`):
 //!
 //! * Clients cycle through their protocol forever
 //!   ([`cfc_mutex::MutexAlgorithm::client_cycling`]), so the graph's
@@ -54,7 +54,7 @@
 //!   validation — an *artifact*, possible only on a non-trivial
 //!   quotient — sends the victim through the same routine on the exact
 //!   (trivial-group) graph, built at most once per check.
-//! * **Partial-order reduction** runs in [`AmpleMode::Liveness`]:
+//! * **Partial-order reduction** runs in `AmpleMode::Liveness`:
 //!   independence (C1) plus *strict* invisibility (C2 with no `Halt`
 //!   exemption — the fairness analysis reads statuses) plus the
 //!   cycle-closing condition (C3, the fresh-successor proviso), so every
@@ -105,7 +105,7 @@ use cfc_naming::NamingAlgorithm;
 use crate::csr::EdgeArena;
 use crate::explore::{replay, ExploreConfig, ExploreError, ExploreStats, Replayed, ScheduleStep};
 use crate::graph::{AmpleMode, BuiltGraph, GEdge, GraphBuilder, TraversalSpec};
-use crate::telemetry::{self, Phase, Sample, Telemetry};
+use crate::telemetry::{self, Phase, Snapshot, Telemetry};
 
 /// A borrowed state normalizer (see [`cfc_mutex::StateNormalizer`] for
 /// the owned form and the behavioral contract).
@@ -402,7 +402,7 @@ where
     // extract-automaton) and the per-victim passes nest inside it.
     // `runtime` + ambient install means the env-hook sinks see the
     // wrapper span too, and the builder attaches nothing on top.
-    let tel = telemetry::runtime(config.progress);
+    let tel = telemetry::runtime();
     let _tel_guard = telemetry::install(&tel);
     let check_span = tel.span(Phase::LivenessCheck);
     let check = Check {
@@ -579,9 +579,9 @@ impl<'s, P: Process + Clone + Eq + Hash> Check<'_, 's, P> {
         };
         let scc_span = self.tel.span(Phase::SccAnalysis);
         let candidates = find_fair_starvation(graph, victim, self.spec);
-        scc_span.finish(Sample {
+        scc_span.finish(Snapshot {
             states: graph.len() as u64,
-            ..Sample::default()
+            ..Snapshot::default()
         });
         if !candidates.is_empty() {
             let witness_span = self.tel.span(Phase::WitnessValidation);
@@ -589,9 +589,9 @@ impl<'s, P: Process + Clone + Eq + Hash> Check<'_, 's, P> {
                 .iter()
                 .map(|scc| extract_witness(builder, graph, scc, victim, self.procs))
                 .find(|w| valid(validate_lasso(self.memory, self.procs, w, self.spec)));
-            witness_span.finish(Sample {
+            witness_span.finish(Snapshot {
                 states: candidates.len() as u64,
-                ..Sample::default()
+                ..Snapshot::default()
             });
             return lasso
                 .map(Settled::Starvable)

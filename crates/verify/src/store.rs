@@ -8,9 +8,10 @@
 //! * [`NodeCodec`] — a fixed-stride record codec for [`Node`]s: per-process
 //!   statuses at 2 bits, the crash budget at its exact width, register
 //!   values at their [`cfc_core::Layout`] widths, and process local states
-//!   either through the [`cfc_core::Process::pack_state`] hooks (when every
-//!   root process supports them) or as 32-bit slots into a side table of
-//!   interned distinct local states;
+//!   as 32-bit slots into a side table that holds each distinct local
+//!   state once. This is the one process encoding, for every family: a
+//!   slot is 32 bits however wide the local state it names, and the
+//!   algorithms need no packing code of their own;
 //! * [`SegArena`] — an append-only segmented arena of those records, with
 //!   a **spill tier**: once a configured resident-byte budget fills, cold
 //!   (oldest, discovery-ordered) full segments move to one temp file and
@@ -21,13 +22,12 @@
 //!   interning cost one encode plus a short probe, and node ids decode
 //!   transiently on expansion.
 //!
-//! Round-trip identity of the codec (checked by a construction-time probe
-//! and debug assertions on early insertions) makes the encoding
-//! injective, so byte-equality of records coincides with `Node` equality:
-//! every freshness and interning decision is exactly the one a store of
-//! whole `Node`s would make. `tests/packed_equiv.rs` holds the checkers
-//! built on this store against a naive `HashMap`-of-states explorer,
-//! count for count.
+//! Round-trip identity of the codec (checked by debug assertions on early
+//! insertions) makes the encoding injective, so byte-equality of records
+//! coincides with `Node` equality: every freshness and interning decision
+//! is exactly the one a store of whole `Node`s would make. The oracle
+//! matrix (`tests/common/matrix.rs`) holds the checkers built on this
+//! store against a naive `HashMap`-of-states explorer, count for count.
 
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
@@ -38,8 +38,9 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cfc_core::{bits_for, Layout, LayoutCodec, Process, StateCodec, StateReader, StateWriter,
-    Status, Value};
+use cfc_core::{
+    bits_for, Layout, LayoutCodec, StateCodec, StateReader, StateWriter, Status, Value,
+};
 
 use crate::graph::Node;
 use crate::index::OpenIndex;
@@ -62,28 +63,16 @@ pub(crate) enum VisitOutcome {
 // Record codec.
 // ---------------------------------------------------------------------
 
-/// How process local states are encoded.
-enum ProcMode<P> {
-    /// Every process packs itself via the [`Process::pack_state`] hooks at
-    /// a fixed probed width; decoding unpacks onto a clone of the
-    /// prototype (sound because the hooks pack all identity, see the
-    /// trait contract).
-    Hooks { proto: P, bits_per_proc: usize },
-    /// Opaque local states interned into a side table; records hold
-    /// 32-bit slots. The table grows with the number of *distinct* local
-    /// states, not with the number of global states.
-    Interned {
-        table: Vec<P>,
-        lookup: HashMap<P, u32>,
-    },
-}
-
-/// A fixed-stride codec for whole [`Node`]s.
+/// A fixed-stride codec for whole [`Node`]s. Process local states are
+/// interned into a side table and records hold 32-bit slots into it, so
+/// the table grows with the number of *distinct* local states, not with
+/// the number of global states.
 struct NodeCodec<P> {
     values: LayoutCodec,
     crash_bits: u32,
     n: usize,
-    procs: ProcMode<P>,
+    table: Vec<P>,
+    lookup: HashMap<P, u32>,
     rec_bytes: usize,
 }
 
@@ -103,63 +92,22 @@ fn tag_status(t: u64) -> Status {
     }
 }
 
-impl<P: Process + Clone + Eq + Hash> NodeCodec<P> {
+impl<P: Clone + Eq + Hash> NodeCodec<P> {
     /// Derives the codec from the layout and the root node: the crash
-    /// budget's width comes from the root (it only ever decreases), and a
-    /// probe decides between hook-packed and interned process encoding.
+    /// budget's width comes from the root (it only ever decreases).
     fn new(layout: &Layout, root: &Node<P>) -> Self {
         let values = LayoutCodec::new(layout);
         let crash_bits = bits_for(u64::from(root.crashes_left));
         let n = root.procs.len();
-        let procs = match Self::probe_hooks(root) {
-            Some((proto, bits_per_proc)) => ProcMode::Hooks {
-                proto,
-                bits_per_proc,
-            },
-            None => ProcMode::Interned {
-                table: Vec::new(),
-                lookup: HashMap::new(),
-            },
-        };
-        let proc_bits = match &procs {
-            ProcMode::Hooks { bits_per_proc, .. } => *bits_per_proc,
-            ProcMode::Interned { .. } => 32,
-        };
-        let total_bits =
-            2 * n + crash_bits as usize + values.encoded_bits() + proc_bits * n;
+        let total_bits = 2 * n + crash_bits as usize + values.encoded_bits() + 32 * n;
         NodeCodec {
             values,
             crash_bits,
             n,
-            procs,
+            table: Vec::new(),
+            lookup: HashMap::new(),
             rec_bytes: total_bits.div_ceil(8).max(1),
         }
-    }
-
-    /// Checks whether every root process packs itself at one fixed width
-    /// *and* round-trips onto a clone of an arbitrary prototype; any
-    /// failure selects the interned fallback.
-    fn probe_hooks(root: &Node<P>) -> Option<(P, usize)> {
-        let proto = root.procs.first()?.clone();
-        let mut width = None;
-        for p in &root.procs {
-            let mut w = StateWriter::new();
-            if !p.pack_state(&mut w) {
-                return None;
-            }
-            match width {
-                None => width = Some(w.bit_len()),
-                Some(prev) if prev != w.bit_len() => return None,
-                Some(_) => {}
-            }
-            let bytes = w.finish();
-            let mut restored = proto.clone();
-            let mut r = StateReader::new(&bytes);
-            if !restored.unpack_state(&mut r) || restored != *p {
-                return None;
-            }
-        }
-        Some((proto, width?))
     }
 
     fn rec_bytes(&self) -> usize {
@@ -167,51 +115,38 @@ impl<P: Process + Clone + Eq + Hash> NodeCodec<P> {
     }
 
     /// Encodes `node`, interning any process local states not seen before
-    /// (hence `&mut`). Infallible: used on the insertion path.
+    /// (hence `&mut`). Infallible: used on the insertion path. A local
+    /// state already in the table is looked up, never cloned.
     fn encode_mut(&mut self, node: &Node<P>, out: &mut Vec<u8>) {
         let mut w = StateWriter::new();
         self.encode_prefix(node, &mut w);
-        match &mut self.procs {
-            ProcMode::Hooks { .. } => {
-                for p in &node.procs {
-                    assert!(p.pack_state(&mut w), "pack_state regressed mid-run");
+        for p in &node.procs {
+            let slot = match self.lookup.get(p) {
+                Some(&slot) => slot,
+                None => {
+                    let slot = u32::try_from(self.table.len())
+                        .expect("more than u32::MAX distinct local states");
+                    self.table.push(p.clone());
+                    self.lookup.insert(p.clone(), slot);
+                    slot
                 }
-            }
-            ProcMode::Interned { table, lookup } => {
-                for p in &node.procs {
-                    let slot = *lookup.entry(p.clone()).or_insert_with(|| {
-                        let id = u32::try_from(table.len())
-                            .expect("more than u32::MAX distinct local states");
-                        table.push(p.clone());
-                        id
-                    });
-                    w.push_bits(u64::from(slot), 32);
-                }
-            }
+            };
+            w.push_bits(u64::from(slot), 32);
         }
         Self::finish_into(w, self.rec_bytes, out);
     }
 
-    /// Encodes `node` without interning: `None` when a local state is not
-    /// in the table — which proves the node is absent from the store, so
-    /// lookups can treat the failure as "not visited".
+    /// Encodes `node` without interning: `false` when a local state is
+    /// not in the table — which proves the node is absent from the store,
+    /// so lookups can treat the failure as "not visited".
     fn try_encode(&self, node: &Node<P>, out: &mut Vec<u8>) -> bool {
         let mut w = StateWriter::new();
         self.encode_prefix(node, &mut w);
-        match &self.procs {
-            ProcMode::Hooks { .. } => {
-                for p in &node.procs {
-                    assert!(p.pack_state(&mut w), "pack_state regressed mid-run");
-                }
-            }
-            ProcMode::Interned { lookup, .. } => {
-                for p in &node.procs {
-                    match lookup.get(p) {
-                        Some(&slot) => w.push_bits(u64::from(slot), 32),
-                        None => return false,
-                    }
-                }
-            }
+        for p in &node.procs {
+            let Some(&slot) = self.lookup.get(p) else {
+                return false;
+            };
+            w.push_bits(u64::from(slot), 32);
         }
         Self::finish_into(w, self.rec_bytes, out);
         true
@@ -237,18 +172,9 @@ impl<P: Process + Clone + Eq + Hash> NodeCodec<P> {
         let status: Vec<Status> = (0..self.n).map(|_| tag_status(r.take_bits(2))).collect();
         let crashes_left = r.take_bits(self.crash_bits) as u32;
         let values: Vec<Value> = self.values.decode(&mut r);
-        let procs: Vec<P> = match &self.procs {
-            ProcMode::Hooks { proto, .. } => (0..self.n)
-                .map(|_| {
-                    let mut p = proto.clone();
-                    assert!(p.unpack_state(&mut r), "unpack_state regressed mid-run");
-                    p
-                })
-                .collect(),
-            ProcMode::Interned { table, .. } => (0..self.n)
-                .map(|_| table[r.take_bits(32) as usize].clone())
-                .collect(),
-        };
+        let procs: Vec<P> = (0..self.n)
+            .map(|_| self.table[r.take_bits(32) as usize].clone())
+            .collect();
         Node {
             procs,
             values,
@@ -525,7 +451,7 @@ impl<P> NodeStore<P> {
     }
 }
 
-impl<P: Process + Clone + Eq + Hash> NodeStore<P> {
+impl<P: Clone + Eq + Hash> NodeStore<P> {
     /// Builds a store for states shaped like `root` (which is **not**
     /// inserted). `track_firsts` enables first-visitor identity for the
     /// DFS orbit-merge counter; `spill_budget` bounds resident arena
@@ -566,9 +492,9 @@ impl<P: Process + Clone + Eq + Hash> NodeStore<P> {
     }
 
     /// Interns `canon`, returning its dense id and whether it was fresh.
-    pub(crate) fn intern(&mut self, canon: Node<P>) -> (u32, bool) {
+    pub(crate) fn intern(&mut self, canon: &Node<P>) -> (u32, bool) {
         let mut rec = self.scratch.borrow_mut();
-        self.codec.encode_mut(&canon, &mut rec);
+        self.codec.encode_mut(canon, &mut rec);
         if let Some(id) = self.find(&rec) {
             return (id, false);
         }
@@ -582,7 +508,7 @@ impl<P: Process + Clone + Eq + Hash> NodeStore<P> {
         if cfg!(debug_assertions) && self.debug_checked < 1024 {
             self.debug_checked += 1;
             debug_assert!(
-                self.codec.decode(&rec) == canon,
+                self.codec.decode(&rec) == *canon,
                 "packed store round-trip mismatch: \
                  the codec is not injective for this system"
             );
@@ -601,7 +527,7 @@ impl<P: Process + Clone + Eq + Hash> NodeStore<P> {
         canon: &Node<P>,
         concrete: Option<&Node<P>>,
     ) -> (u32, VisitOutcome) {
-        let (id, fresh) = self.intern(canon.clone());
+        let (id, fresh) = self.intern(canon);
         let Some(Firsts { ids, arena }) = &mut self.firsts else {
             let outcome = if fresh {
                 VisitOutcome::Fresh
@@ -665,9 +591,11 @@ impl<P: Process + Clone + Eq + Hash> NodeStore<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfc_core::{Op, OpResult, RegisterId, Step};
+    use cfc_core::{Op, OpResult, Process, RegisterId, Step};
 
-    /// A minimal packable process: one counter, hook-encoded in 8 bits.
+    /// A minimal process with one counter. It claims an 8-bit packing
+    /// through `pack_state`, which the store must ignore: every local
+    /// state is interned.
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]
     struct Packable {
         reg: RegisterId,
@@ -685,23 +613,12 @@ mod tests {
             w.push_bits(u64::from(self.count), 8);
             true
         }
-        fn unpack_state(&mut self, r: &mut StateReader<'_>) -> bool {
-            self.count = r.take_bits(8) as u8;
-            true
-        }
     }
 
-    /// An opaque process (no hooks): forces the interned fallback.
+    /// An opaque local state: the store needs only `Clone + Eq + Hash`.
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]
     struct Opaque {
         word: u64,
-    }
-
-    impl Process for Opaque {
-        fn current(&self) -> Step {
-            Step::Halt
-        }
-        fn advance(&mut self, _: OpResult) {}
     }
 
     fn layout2() -> Layout {
@@ -736,12 +653,12 @@ mod tests {
         let x = node([1, 2], 3, 4, 1);
         let y = node([2, 1], 3, 4, 1);
         assert!(!s.contains(&x));
-        let (idx, fresh) = s.intern(x.clone());
+        let (idx, fresh) = s.intern(&x);
         assert!(fresh);
-        let (idx2, fresh2) = s.intern(x.clone());
+        let (idx2, fresh2) = s.intern(&x);
         assert!(!fresh2);
         assert_eq!(idx, idx2);
-        let (idy, fresh3) = s.intern(y.clone());
+        let (idy, fresh3) = s.intern(&y);
         assert!(fresh3);
         assert_ne!(idx, idy);
         assert!(s.contains(&x));
@@ -754,11 +671,11 @@ mod tests {
     fn packed_records_take_their_declared_bit_width() {
         let mut s = store(None, false);
         for c in 0..100u8 {
-            s.intern(node([c, c], 1, 2, 0));
+            s.intern(&node([c, c], 1, 2, 0));
         }
-        // 2 statuses (4b) + crash (2b) + values (8b) + 2 hook procs
-        // (16b) = 30 bits -> 4 bytes/record.
-        assert_eq!(s.arena_bytes(), 100 * 4);
+        // 2 statuses (4b) + crash (2b) + values (8b) + 2 interned slots
+        // (64b) = 78 bits -> 10 bytes/record, whatever `pack_state` says.
+        assert_eq!(s.arena_bytes(), 100 * 10);
     }
 
     #[test]
@@ -778,7 +695,7 @@ mod tests {
         };
         // A node with unseen local states is provably absent.
         assert!(!s.contains(&x));
-        let (id, fresh) = s.intern(x.clone());
+        let (id, fresh) = s.intern(&x);
         assert!(fresh);
         assert_eq!(s.node(id), x);
         assert!(s.contains(&x));
@@ -789,6 +706,13 @@ mod tests {
             ..root.clone()
         };
         assert!(!s.contains(&y));
+        // Interning it reuses both slots: the local-state table does not
+        // grow, and both records decode exactly.
+        let (idy, fresh) = s.intern(&y);
+        assert!(fresh);
+        assert_eq!(s.codec.table.len(), 2);
+        assert_eq!(s.node(id), x);
+        assert_eq!(s.node(idy), y);
     }
 
     #[test]
@@ -797,8 +721,8 @@ mod tests {
         // disk; the index must probe spilled records exactly.
         let mut s = store(Some(SEG_TARGET), false);
         let mut ids = Vec::new();
-        // Enough records to fill several 64 KiB segments (4-byte
-        // records, 16384 per segment).
+        // Enough records to fill several 64 KiB segments (10-byte
+        // records, 6553 per segment).
         for i in 0..60_000u32 {
             let x = node(
                 [(i % 251) as u8, (i / 251) as u8],
@@ -806,7 +730,7 @@ mod tests {
                 u64::from(i % 32),
                 i % 3,
             );
-            let (id, fresh) = s.intern(x);
+            let (id, fresh) = s.intern(&x);
             assert!(fresh, "all states distinct");
             ids.push(id);
         }
@@ -814,7 +738,7 @@ mod tests {
         // Reads and membership still hit spilled records exactly.
         let probe = node([77, 0], u64::from(77u32 % 8), u64::from(77u32 % 32), 77 % 3);
         assert!(s.contains(&probe));
-        let (_, fresh) = s.intern(probe);
+        let (_, fresh) = s.intern(&probe);
         assert!(!fresh, "reinterning a spilled state must dedupe");
         assert_eq!(s.len(), 60_000);
         let decoded = s.node(ids[123]);
@@ -849,7 +773,7 @@ mod tests {
             let x = node([(i % 251) as u8, (i / 251) as u8], u64::from(i % 8), 0, 0);
             let fresh_id = model.len() as u32;
             let want = *model.entry(x.clone()).or_insert(fresh_id);
-            assert_eq!(s.intern(x), (want, want == fresh_id));
+            assert_eq!(s.intern(&x), (want, want == fresh_id));
         }
         assert_eq!(s.len(), model.len());
         assert!(s.index_bytes() * 7 <= s.len() as u64 * 64);

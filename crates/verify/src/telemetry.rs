@@ -162,11 +162,16 @@ impl fmt::Display for Phase {
     }
 }
 
-/// One periodic progress sample of a running traversal.
+/// One periodic progress sample of a running traversal: the live
+/// counters a driver exposes at a sample point. Cheap to build: every
+/// counter is already maintained or an O(1) accessor; no allocation, no
+/// syscall.
 ///
-/// `elapsed_ns` is relative to the enclosing span's start;
-/// `states_per_sec` is the cumulative rate `states / elapsed` (integer,
-/// so snapshots stay `Eq` and round-trip exactly through JSON).
+/// A driver fills the counters and hands the snapshot to
+/// [`PhaseSpan::tick`] or [`PhaseSpan::finish`]; the span sets
+/// `elapsed_ns` and `states_per_sec` from its clock when it emits it
+/// (integers, so snapshots stay `Eq` and round-trip exactly through
+/// JSON).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Snapshot {
     /// States interned so far.
@@ -186,10 +191,12 @@ pub struct Snapshot {
     pub transitions_slept: u64,
     /// Store/index/edge footprint at the sample point.
     pub footprint: StoreFootprint,
-    /// Nanoseconds since the enclosing span started.
+    /// Nanoseconds since the enclosing span started. Set by the span
+    /// when it emits the snapshot; a driver leaves it 0.
     pub elapsed_ns: u64,
     /// Cumulative throughput: `states * 1e9 / elapsed_ns` (0 when no
-    /// time has passed).
+    /// time has passed). Set by the span when it emits the snapshot; a
+    /// driver leaves it 0.
     pub states_per_sec: u64,
 }
 
@@ -735,11 +742,10 @@ pub fn current() -> Telemetry {
 }
 
 /// The handle a driver actually runs under: the ambient handle, plus a
-/// stderr heartbeat when the config or the `CFC_PROGRESS` environment
-/// variable asks for one, plus a JSONL sink when
-/// `CFC_TELEMETRY_JSONL` names a file. Called once per driver entry,
-/// never in a hot loop.
-pub(crate) fn runtime(progress: bool) -> Telemetry {
+/// stderr heartbeat when the `CFC_PROGRESS` environment variable asks
+/// for one, plus a JSONL sink when `CFC_TELEMETRY_JSONL` names a file.
+/// Called once per driver entry, never in a hot loop.
+pub(crate) fn runtime() -> Telemetry {
     let mut tel = current();
     if tel.env_attached {
         return tel;
@@ -748,7 +754,7 @@ pub(crate) fn runtime(progress: bool) -> Telemetry {
     let env_on = env
         .as_deref()
         .is_some_and(|v| !v.is_empty() && v != "0" && v != "off" && v != "false");
-    if progress || env_on {
+    if env_on {
         let interval = env
             .as_deref()
             .and_then(|v| v.parse::<f64>().ok())
@@ -770,29 +776,6 @@ pub(crate) fn runtime(progress: bool) -> Telemetry {
 // ---------------------------------------------------------------------------
 // Phase spans
 // ---------------------------------------------------------------------------
-
-/// The live counters a driver exposes at a sample point. Cheap to
-/// build: every field is an already-maintained counter or an O(1)
-/// accessor; no allocation, no syscall.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Sample {
-    /// States interned so far.
-    pub states: u64,
-    /// Transitions taken so far.
-    pub transitions: u64,
-    /// Current frontier length.
-    pub frontier: u64,
-    /// Current DFS depth (0 for BFS).
-    pub depth: u64,
-    /// POR-pruned successor count so far.
-    pub states_pruned_por: u64,
-    /// Symmetry-merged state count so far.
-    pub orbits_merged: u64,
-    /// Transitions skipped by dynamic sleep sets so far.
-    pub transitions_slept: u64,
-    /// Current store footprint.
-    pub footprint: StoreFootprint,
-}
 
 /// An open phase span: created by [`Telemetry::span`], sampled with
 /// [`PhaseSpan::tick`], closed with [`PhaseSpan::finish`] (or by drop,
@@ -830,7 +813,7 @@ impl PhaseSpan {
     /// only then is `probe` invoked and the clock read. With no sink
     /// attached the cost is one branch and `probe` is never called.
     #[inline]
-    pub fn tick(&mut self, probe: impl FnOnce() -> Sample) {
+    pub fn tick(&mut self, probe: impl FnOnce() -> Snapshot) {
         if !self.active() {
             return;
         }
@@ -854,7 +837,7 @@ impl PhaseSpan {
     /// wall time in nanoseconds. The final snapshot therefore agrees
     /// exactly with the stats a driver returns when it stores this
     /// value as its `wall_ns`.
-    pub fn finish(mut self, final_sample: Sample) -> u64 {
+    pub fn finish(mut self, final_sample: Snapshot) -> u64 {
         let now = self.clock.now_ns();
         let elapsed = now.saturating_sub(self.start_ns);
         if self.active() {
@@ -874,8 +857,9 @@ impl PhaseSpan {
     /// Emits spill/index-growth events derived from footprint deltas,
     /// then the snapshot itself. `now` is a clock reading taken by the
     /// caller so one reading can stamp a snapshot and a span end.
-    fn emit_sample(&mut self, s: Sample, now: u64) {
-        let elapsed = now.saturating_sub(self.start_ns);
+    fn emit_sample(&mut self, mut s: Snapshot, now: u64) {
+        s.elapsed_ns = now.saturating_sub(self.start_ns);
+        s.states_per_sec = rate_per_sec(s.states, s.elapsed_ns);
         if s.footprint.spilled_buckets > self.last_footprint.spilled_buckets {
             self.tel.emit(&TelemetryEvent::Spill {
                 phase: self.phase,
@@ -900,18 +884,7 @@ impl PhaseSpan {
         self.tel.emit(&TelemetryEvent::Snapshot {
             phase: self.phase,
             at_ns: now,
-            snap: Snapshot {
-                states: s.states,
-                transitions: s.transitions,
-                frontier: s.frontier,
-                depth: s.depth,
-                states_pruned_por: s.states_pruned_por,
-                orbits_merged: s.orbits_merged,
-                transitions_slept: s.transitions_slept,
-                footprint: s.footprint,
-                elapsed_ns: elapsed,
-                states_per_sec: rate_per_sec(s.states, elapsed),
-            },
+            snap: s,
         });
     }
 }
@@ -953,8 +926,8 @@ mod tests {
     use cfc_core::ManualClock;
     use std::rc::Rc;
 
-    fn sample(states: u64) -> Sample {
-        Sample {
+    fn sample(states: u64) -> Snapshot {
+        Snapshot {
             states,
             transitions: states.saturating_sub(1),
             frontier: 3,
@@ -965,7 +938,7 @@ mod tests {
                 edge_bytes: 0,
                 spilled_buckets: 0,
             },
-            ..Sample::default()
+            ..Snapshot::default()
         }
     }
 
@@ -1161,7 +1134,7 @@ mod tests {
         let mut span = tel.span(Phase::SafetyDfs);
         clock.advance(42);
         span.tick(|| panic!("probe must not run without sinks"));
-        assert_eq!(span.finish(Sample::default()), 42);
+        assert_eq!(span.finish(Snapshot::default()), 42);
     }
 
     #[test]

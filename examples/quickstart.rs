@@ -12,7 +12,21 @@ use cfc::bounds::table::TextTable;
 use cfc::mutex::{measure, LamportFast, MutexAlgorithm, Tournament};
 use cfc::core::ProcessId;
 use cfc::verify::explore::ExploreConfig;
-use cfc::verify::{check_mutex_progress, check_mutex_safety};
+use cfc::verify::{
+    check_mutex_progress, check_mutex_safety, with_telemetry, ExploreError, ExploreStats,
+    HeartbeatSink, Telemetry,
+};
+
+/// Checks mutual exclusion, then deadlock freedom, of single-trip clients.
+fn verify(
+    alg: &Tournament,
+    cfg: ExploreConfig,
+) -> Result<(ExploreStats, ExploreStats), ExploreError> {
+    Ok((
+        check_mutex_safety(alg, 1, cfg)?,
+        check_mutex_progress(alg, 1, cfg)?,
+    ))
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Lamport's fast mutex: constant contention-free cost ==\n");
@@ -61,12 +75,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("\n== Exhaustive verification: tournament n=4, every interleaving ==\n");
-    let progress = std::env::args().any(|a| a == "--progress");
-    let cfg = ExploreConfig::reduced()
-        .with_max_states(4_000_000)
-        .with_progress(progress);
+    let cfg = ExploreConfig::reduced().with_max_states(4_000_000);
     let alg = Tournament::new(4, 1);
-    let safety = check_mutex_safety(&alg, 1, cfg)?;
+    let (safety, progress_stats) = if std::env::args().any(|a| a == "--progress") {
+        let tel = Telemetry::new().with_sink(HeartbeatSink::stderr(5.0));
+        with_telemetry(&tel, || verify(&alg, cfg))
+    } else {
+        verify(&alg, cfg)
+    }?;
     println!(
         "safety:   {} states, {} transitions in {:.1}ms ({} states/sec)",
         safety.states,
@@ -74,7 +90,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         safety.wall_ns as f64 / 1e6,
         safety.states_per_sec(),
     );
-    let progress_stats = check_mutex_progress(&alg, 1, cfg)?;
     println!(
         "progress: {} states, {} transitions in {:.1}ms ({} states/sec)",
         progress_stats.states,

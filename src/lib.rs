@@ -5,23 +5,23 @@
 //! Computation 126, 62–73, 1996) as a Rust workspace. This facade crate
 //! re-exports the whole public API; see the individual crates for depth:
 //!
-//! * [`core`](cfc_core) — the formal execution model: bit-granular shared
+//! * [`core`] — the formal execution model: bit-granular shared
 //!   registers with an atomicity parameter `l`, the eight single-bit RMW
 //!   operations, packed multi-grain words, processes as state machines,
 //!   schedulers, crash injection, traces, and the four complexity
 //!   measures.
-//! * [`bounds`](cfc_bounds) — every closed-form bound from the paper
+//! * [`bounds`] — every closed-form bound from the paper
 //!   (Theorems 1–7, Lemmas 3 and 6) as plain functions.
-//! * [`mutex`](cfc_mutex) — Lamport's fast mutex, Peterson, the Theorem 3
+//! * [`mutex`] — Lamport's fast mutex, Peterson, the Theorem 3
 //!   tournament trees, splitter-based contention detection, and the
 //!   Lemma 1 reduction.
-//! * [`naming`](cfc_naming) — the Section 3 wait-free naming algorithms
+//! * [`naming`] — the Section 3 wait-free naming algorithms
 //!   across bit-operation models, with generic dualization.
-//! * [`verify`](cfc_verify) — exhaustive interleaving exploration with
+//! * [`verify`] — exhaustive interleaving exploration with
 //!   safety, progress, and fair-cycle liveness checking (starvation
 //!   freedom, bounded bypass), the Lemma 2 merge attack, and
 //!   lower-bound adversaries.
-//! * [`native`](cfc_native) — the same algorithms on `std::sync::atomic`
+//! * [`native`] — the same algorithms on `std::sync::atomic`
 //!   for wall-clock experiments.
 //!
 //! ## Quick start

@@ -1,32 +1,23 @@
 //! Property tests for the packed state codec that backs the arena
 //! visited store (`cfc-verify/src/store.rs`): the store substitutes
 //! byte-equality for state equality, which is sound only if encoding is
-//! **injective** on the states that actually occur. These suites pin the
-//! two halves of that argument:
+//! **injective** on the states that actually occur. The store's record
+//! has two halves:
 //!
-//! * `LayoutCodec` (the memory-image half, used for every family) is a
-//!   lossless fixed-width round trip over the register layouts of every
-//!   algorithm family in the repo;
-//! * the `pack_state`/`unpack_state` fast-path hooks (the process half,
-//!   implemented by the Peterson and bakery clients) reconstruct the
-//!   exact process — identity fields included — from the bytes alone,
-//!   for states sampled by random walks of the real executor;
-//! * a full pack round trip leaves the symmetry-reduced explorer's
-//!   canonical key unchanged, so the packed store agrees with plain
-//!   state equality on which states are "the same" (the oracle matrix's
-//!   reference explorer checks the resulting counts end to end).
-
-mod common;
+//! * the memory image, encoded by `LayoutCodec` for every family. These
+//!   suites pin it as a lossless fixed-width round trip over the register
+//!   layouts of every algorithm family in the repo;
+//! * the process local states, which the store interns into a side table
+//!   of 32-bit slots, one encoding for every family. No algorithm packs
+//!   its own state, so the tests below pin that the real clients decline
+//!   the inert `Process::pack_state` default; the oracle matrix's
+//!   reference explorer checks the store's counts end to end.
 
 use cfc::core::{
-    mask, Executor, Layout, LayoutCodec, Process, ProcessId, StateCodec, StateReader, StateWriter,
-    SymmetryGroup, Value,
+    mask, Layout, LayoutCodec, Process, ProcessId, StateCodec, StateReader, StateWriter, Value,
 };
-use cfc::mutex::{
-    Bakery, DetectionAlgorithm, MutexAlgorithm, MutexClient, PetersonTwo, Splitter, Tournament,
-};
+use cfc::mutex::{Bakery, DetectionAlgorithm, MutexAlgorithm, PetersonTwo, Splitter, Tournament};
 use cfc::naming::{NamingAlgorithm, TafTree, TasScan};
-use cfc::verify::canonical_key;
 use proptest::prelude::*;
 
 /// One representative register layout per algorithm family.
@@ -39,84 +30,6 @@ fn family_layout(k: usize) -> Layout {
         4 => NamingAlgorithm::layout(&TafTree::new(4).unwrap()),
         _ => DetectionAlgorithm::layout(&Splitter::new(3)),
     }
-}
-
-/// Drives a mutex system along a pseudo-random schedule and returns the
-/// executor mid-flight, so packing is tested on genuinely reachable
-/// states (entry spins, held locks, exit protocols) rather than just the
-/// initial configuration.
-fn random_walk<A>(alg: &A, trips: u32, picks: &[usize]) -> Executor<MutexClient<A::Lock>>
-where
-    A: MutexAlgorithm,
-{
-    let clients = (0..alg.n() as u32)
-        .map(|i| alg.client(ProcessId::new(i), trips))
-        .collect();
-    let mut exec = Executor::new(alg.memory().unwrap(), clients);
-    for &p in picks {
-        let runnable = exec.runnable();
-        if runnable.is_empty() {
-            break;
-        }
-        exec.step_process(runnable[p % runnable.len()]).unwrap();
-    }
-    exec
-}
-
-/// Packs every client of a walked system and unpacks it onto a *fresh
-/// client of a different participant*: every field, the process identity
-/// included, must be reconstructed from the bytes alone, and the reader
-/// must consume exactly the bits the writer produced (the fixed-stride
-/// arena depends on that).
-fn assert_pack_round_trip<A>(alg: &A, trips: u32, picks: &[usize])
-where
-    A: MutexAlgorithm,
-    A::Lock: Clone + Eq + std::hash::Hash + std::fmt::Debug,
-{
-    let exec = random_walk(alg, trips, picks);
-    for i in 0..alg.n() {
-        let orig = exec.process(ProcessId::new(i as u32));
-        let mut w = StateWriter::new();
-        assert!(orig.pack_state(&mut w), "client {i} must take the packed fast path");
-        let bits = w.bit_len();
-        let bytes = w.finish();
-        let other = ProcessId::new(((i + 1) % alg.n()) as u32);
-        let mut decoded = alg.client(other, trips);
-        let mut r = StateReader::new(&bytes);
-        assert!(decoded.unpack_state(&mut r), "unpack must accept its own encoding");
-        assert_eq!(r.bit_pos(), bits, "unpack must consume exactly the packed bits");
-        assert_eq!(&decoded, orig, "client {i} did not survive the round trip");
-    }
-}
-
-/// A full pack round trip of every process must leave the canonical key
-/// unchanged — the invariant that lets the packed visited set stand in
-/// for whole states without changing which states the explorer merges.
-fn assert_canonical_key_stable<A>(alg: &A, trips: u32, picks: &[usize])
-where
-    A: MutexAlgorithm,
-    A::Lock: Clone + Eq + std::hash::Hash,
-{
-    let exec = random_walk(alg, trips, picks);
-    let group = SymmetryGroup::trivial(alg.n());
-    let pids: Vec<ProcessId> = (0..alg.n() as u32).map(ProcessId::new).collect();
-    let status: Vec<_> = pids.iter().map(|&p| exec.status(p)).collect();
-    let procs: Vec<_> = pids.iter().map(|&p| exec.process(p).clone()).collect();
-    let before = canonical_key(&procs, &status, exec.memory(), &group);
-    let rebuilt: Vec<_> = procs
-        .iter()
-        .map(|p| {
-            let mut w = StateWriter::new();
-            assert!(p.pack_state(&mut w));
-            let bytes = w.finish();
-            let mut q = alg.client(ProcessId::new(0), trips);
-            let mut r = StateReader::new(&bytes);
-            assert!(q.unpack_state(&mut r));
-            q
-        })
-        .collect();
-    let after = canonical_key(&rebuilt, &status, exec.memory(), &group);
-    assert_eq!(before, after, "canonical key changed under a pack round trip");
 }
 
 proptest! {
@@ -147,38 +60,12 @@ proptest! {
         prop_assert_eq!(r.bit_pos(), codec.encoded_bits());
         prop_assert_eq!(decoded, values);
     }
-
-    /// Reachable Peterson and bakery client states survive the packed
-    /// fast path exactly.
-    #[test]
-    fn reachable_mutex_states_pack_round_trip(
-        family in 0usize..2,
-        picks in prop::collection::vec(0usize..16, 0..48),
-    ) {
-        match family {
-            0 => assert_pack_round_trip(&PetersonTwo::new(), 2, &picks),
-            _ => assert_pack_round_trip(&Bakery::new(2), 1, &picks),
-        }
-    }
-
-    /// The canonical key the symmetry-reduced explorer deduplicates on
-    /// is invariant under the pack round trip.
-    #[test]
-    fn canonical_key_is_stable_under_pack_round_trip(
-        family in 0usize..2,
-        picks in prop::collection::vec(0usize..16, 0..48),
-    ) {
-        match family {
-            0 => assert_canonical_key_stable(&PetersonTwo::new(), 2, &picks),
-            _ => assert_canonical_key_stable(&Bakery::new(2), 1, &picks),
-        }
-    }
 }
 
 /// Tournament clients hold per-node register handles that differ between
-/// participants, so they must *decline* the packed fast path (returning
-/// `false`) rather than emit an ambiguous encoding; the store's probe
-/// then falls back to interning the process states.
+/// participants; they keep the `Process::pack_state` default and decline
+/// (returning `false`). The store interns their local states like every
+/// other family's.
 #[test]
 fn tournament_clients_decline_the_packed_fast_path() {
     let alg = Tournament::new(3, 1);
@@ -187,9 +74,8 @@ fn tournament_clients_decline_the_packed_fast_path() {
     assert!(!client.pack_state(&mut w));
 }
 
-/// Naming walkers never implemented the hooks, so the `Process` default
-/// (decline) applies — the interned fallback is what the differential
-/// suite exercises for them.
+/// Naming walkers keep the `Process::pack_state` default too: they
+/// decline and write nothing.
 #[test]
 fn naming_walkers_decline_the_packed_fast_path() {
     let walker = TasScan::new(3).process();

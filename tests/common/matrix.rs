@@ -272,13 +272,13 @@ const fn liveness(
 #[rustfmt::skip]
 pub const ROWS: &[Row] = &[
     // Mutual exclusion (Theorem 3's tournament and the classic locks).
-    row(Sys::Peterson(2), Safety, 0, Holds, 27, (2, 2), [
+    row(Sys::Peterson(2), Safety, 0, Holds, 9, (2, 2), [
         (208, 380, 0, 0), (208, 380, 0, 0), (192, 337, 16, 0), (192, 337, 16, 0),
         (174, 305, 16, 0), (174, 305, 16, 0), (181, 267, 18, 0), (174, 303, 18, 0)]),
     row(Sys::Lamport(2), Safety, 0, Holds, 10, (2, 2), [
         (337, 606, 0, 0), (337, 606, 0, 0), (315, 534, 42, 0), (315, 534, 42, 0),
         (279, 431, 76, 0), (279, 431, 76, 0), (263, 321, 80, 0), (263, 321, 80, 0)]),
-    row(Sys::Bakery(2), Safety, 0, Holds, 48, (3, 3), [
+    row(Sys::Bakery(2), Safety, 0, Holds, 13, (3, 3), [
         (243, 435, 0, 0), (243, 435, 0, 0), (210, 360, 24, 0), (210, 360, 24, 0),
         (192, 307, 42, 0), (192, 307, 42, 0), (158, 193, 71, 0), (178, 242, 79, 0)]),
     row(Sys::Dijkstra(2), Safety, 0, Holds, 10, (2, 2), [
@@ -347,13 +347,13 @@ pub const ROWS: &[Row] = &[
         (6, 8, 0, 0), (6, 8, 0, 0), (6, 7, 1, 0), (6, 7, 1, 0),
         (6, 7, 2, 0), (6, 7, 2, 0), (6, 7, 2, 0), (6, 7, 2, 0)]),
     // Deadlock freedom and naming progress.
-    row(Sys::Peterson(2), Progress, 0, Holds, 27, (2, 2), [
+    row(Sys::Peterson(2), Progress, 0, Holds, 9, (2, 2), [
         (168, 304, 0, 0), (168, 304, 0, 38), (168, 279, 25, 0), (165, 275, 25, 29),
         (149, 251, 23, 0), (146, 248, 21, 28), (149, 251, 23, 0), (146, 248, 21, 28)]),
     row(Sys::Lamport(2), Progress, 0, Holds, 10, (2, 2), [
         (291, 518, 0, 0), (291, 518, 0, 0), (291, 464, 54, 0), (291, 464, 54, 0),
         (242, 357, 82, 0), (242, 357, 82, 0), (242, 352, 87, 0), (242, 352, 87, 0)]),
-    row(Sys::Bakery(2), Progress, 0, Holds, 48, (3, 3), [
+    row(Sys::Bakery(2), Progress, 0, Holds, 13, (3, 3), [
         (217, 387, 0, 0), (217, 387, 0, 39), (217, 349, 38, 0), (206, 340, 35, 35),
         (189, 299, 39, 0), (172, 279, 41, 27), (171, 235, 76, 0), (157, 222, 70, 14)]),
     row(Sys::Dijkstra(2), Progress, 0, Holds, 10, (2, 2), [
@@ -393,7 +393,7 @@ pub const ROWS: &[Row] = &[
         (63, 108, 0, 0), (63, 108, 0, 0), (59, 95, 7, 0), (59, 95, 7, 0),
         (46, 65, 16, 0), (46, 65, 16, 0), (46, 65, 16, 0), (46, 65, 16, 0)]),
     // Fair-cycle liveness.
-    liveness(Sys::Peterson(1), Free(Some(1)), 27, [(2, 1), (2, 1)], [
+    liveness(Sys::Peterson(1), Free(Some(1)), 9, [(2, 1), (2, 1)], [
         (112, 224, 0, 0), (112, 224, 0, 0), (112, 224, 0, 0), (112, 224, 0, 0),
         (112, 224, 0, 0), (112, 224, 0, 0), (112, 224, 0, 0), (112, 224, 0, 0)]),
     liveness(Sys::Lamport(2), Starvable(33), 10, [(1, 1), (1, 1)], [
@@ -411,7 +411,7 @@ pub const ROWS: &[Row] = &[
 /// `exhaustive_heavy_rows_under_sharper_may_access`.
 #[rustfmt::skip]
 pub const HEAVY_ROWS: &[Row] = &[
-    row(Sys::Bakery(3), Safety, 0, Holds, 71, (13, 13), [
+    row(Sys::Bakery(3), Safety, 0, Holds, 20, (13, 13), [
         (9485, 25678, 0, 0), (9485, 25678, 0, 0), (8495, 22316, 782, 0), (8495, 22316, 782, 0),
         (8375, 20866, 1917, 0), (8375, 20866, 1917, 0), (5773, 9311, 4756, 0), (7314, 13742, 6078, 0)]),
     row(Sys::Lamport(3), Safety, 0, Holds, 14, (3, 3), [

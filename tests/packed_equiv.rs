@@ -55,11 +55,11 @@ fn spilling_preserves_counts_and_reports_spilled_segments() {
     assert_eq!(resident.footprint.spilled_buckets, 0, "an unbudgeted run spilled");
 }
 
-/// The acceptance bar for the representation: on a fast-path (packing)
-/// family and an interned-fallback family, the row's pinned record
-/// (which its baseline cell meets) takes at most half the bytes of the
-/// whole state the reference explorer keeps (the struct plus its
-/// process, register and status vectors).
+/// The acceptance bar for the representation: on two mutex families
+/// (Peterson's flat lock and the tournament's tree of them), the row's
+/// pinned record (which its baseline cell meets) takes at most half the
+/// bytes of the whole state the reference explorer keeps (the struct
+/// plus its process, register and status vectors).
 #[test]
 fn packed_store_is_at_most_half_the_boxed_footprint() {
     for sys in [Sys::Peterson(2), Sys::Tournament(3)] {
