@@ -89,7 +89,6 @@ fn run(
                 "-".into(),
                 "-".into(),
                 "-".into(),
-                "-".into(),
                 "(skipped)".into(),
                 "-".into(),
             ]);
@@ -106,7 +105,6 @@ fn run(
             stats.orbits_merged.to_string(),
             bytes_per_state(stats.footprint.total_bytes(), stats.states),
             stats.footprint.arena_bytes.to_string(),
-            stats.footprint.spilled_buckets.to_string(),
             format!("{:.1}", stats.wall_ns as f64 / 1e6),
             stats.states_per_sec().to_string(),
         ]);
@@ -132,7 +130,6 @@ fn run_progress(
                 "-".into(),
                 "-".into(),
                 "-".into(),
-                "-".into(),
                 "(skipped)".into(),
                 "-".into(),
             ]);
@@ -149,7 +146,6 @@ fn run_progress(
             stats.orbits_merged.to_string(),
             bytes_per_state(stats.footprint.total_bytes(), stats.states),
             stats.footprint.arena_bytes.to_string(),
-            stats.footprint.spilled_buckets.to_string(),
             format!("{:.1}", stats.wall_ns as f64 / 1e6),
             stats.states_per_sec().to_string(),
         ]);
@@ -168,7 +164,6 @@ fn print_progress_sweep() {
         "orbits merged",
         "bytes_per_state",
         "arena_bytes",
-        "spilled_buckets",
         "wall_ms",
         "states_per_sec",
     ]);
@@ -358,7 +353,6 @@ fn print_sweep() {
         "orbits merged",
         "bytes_per_state",
         "arena_bytes",
-        "spilled_buckets",
         "wall_ms",
         "states_per_sec",
     ]);

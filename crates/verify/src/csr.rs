@@ -5,9 +5,8 @@
 //! 16 bytes per edge, which dwarfs the packed state arena itself at
 //! liveness/progress scale. [`EdgeArena`] flattens that into compressed
 //! sparse row form: one offsets array (4 B/node) plus one stream of
-//! packed 6-byte edge records held in the same segmented arena machinery
-//! as the states, so cold edge segments can spill through the same
-//! temp-file tier (see `crate::store`).
+//! packed 6-byte edge records held in the same segmented arena as the
+//! states (see `crate::store`).
 //!
 //! The BFS driver only ever appends edges at its current cursor node and
 //! never retroactively, so CSR builds online: [`EdgeArena::push`]
@@ -19,8 +18,6 @@
 //! every non-root node is its creator**, which progress-schedule
 //! reconstruction depends on (`tests/prop_index.rs` pins the order
 //! against a nested-Vec reference).
-
-use std::cell::RefCell;
 
 use crate::store::SegArena;
 
@@ -63,15 +60,12 @@ fn decode(bytes: &[u8]) -> GEdge {
 }
 
 /// Forward edges of a state graph in online-built CSR form: an offsets
-/// array over a packed, spillable edge-record arena (see the [module
-/// docs](self)).
+/// array over a packed edge-record arena (see the [module docs](self)).
 pub struct EdgeArena {
     arena: SegArena,
     /// `offsets[v]..offsets[v + 1]` is sealed node `v`'s record range;
     /// the last entry is the running total, i.e. the open node's start.
     offsets: Vec<u32>,
-    /// Read scratch for records in spilled segments.
-    probe: RefCell<Vec<u8>>,
 }
 
 impl std::fmt::Debug for EdgeArena {
@@ -79,20 +73,22 @@ impl std::fmt::Debug for EdgeArena {
         f.debug_struct("EdgeArena")
             .field("nodes", &self.nodes())
             .field("edges", &self.total_edges())
-            .field("spilled_segs", &self.spilled_segs())
             .finish()
     }
 }
 
+impl Default for EdgeArena {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl EdgeArena {
-    /// Creates an empty arena. `spill_budget` bounds resident bytes of
-    /// full edge segments exactly like the state arena's budget (`None`:
-    /// never spill).
-    pub fn new(spill_budget: Option<usize>) -> Self {
+    /// Creates an empty arena.
+    pub fn new() -> Self {
         EdgeArena {
-            arena: SegArena::new(EDGE_BYTES, spill_budget),
+            arena: SegArena::new(EDGE_BYTES),
             offsets: vec![0],
-            probe: RefCell::new(Vec::new()),
         }
     }
 
@@ -129,8 +125,7 @@ impl EdgeArena {
     /// Decodes the `i`-th edge of sealed node `v` (in recording order).
     pub fn edge(&self, v: usize, i: usize) -> GEdge {
         debug_assert!(i < self.degree(v));
-        self.arena
-            .with_record(self.offsets[v] + i as u32, &self.probe, decode)
+        decode(self.arena.record(self.offsets[v] + i as u32))
     }
 
     /// Iterates sealed node `v`'s edges in recording order.
@@ -139,15 +134,10 @@ impl EdgeArena {
     }
 
     /// Bytes attributable to the edge structure: packed record payload
-    /// (resident + spilled) plus the offsets array.
+    /// plus the offsets array.
     pub fn heap_bytes(&self) -> u64 {
         self.arena.payload_bytes()
             + (self.offsets.len() * std::mem::size_of::<u32>()) as u64
-    }
-
-    /// Edge segments written to the spill tier so far.
-    pub fn spilled_segs(&self) -> u64 {
-        self.arena.spilled_segs()
     }
 
     /// The reversed adjacency over `nodes` nodes (every edge target must
@@ -228,27 +218,30 @@ mod tests {
             edge(7, 3, true, false),
             edge(42, 11, false, true),
         ];
-        let mut a = EdgeArena::new(None);
-        for &e in &cases {
+        // Enough edges on one node to fill several arena segments (6-byte
+        // records, 10922 per segment).
+        let n = 30_000;
+        let mut a = EdgeArena::new();
+        for &e in cases.iter().cycle().take(n) {
             a.push(e);
         }
         a.seal();
-        for (i, &e) in cases.iter().enumerate() {
+        for (i, &e) in cases.iter().cycle().take(n).enumerate() {
             assert_eq!(a.edge(0, i), e);
         }
-        assert_eq!(a.degree(0), cases.len());
+        assert_eq!(a.degree(0), n);
     }
 
     #[test]
     #[should_panic(expected = "14-bit edge field")]
     fn oversized_pid_is_rejected() {
-        EdgeArena::new(None).push(edge(0, 1 << PID_BITS, false, false));
+        EdgeArena::new().push(edge(0, 1 << PID_BITS, false, false));
     }
 
     #[test]
     fn reversal_orders_predecessors_by_source_then_recording_order() {
         // Node 0 -> {1, 2}, node 1 -> {2, 2}, node 2 -> {0}.
-        let mut a = EdgeArena::new(None);
+        let mut a = EdgeArena::new();
         a.push(edge(1, 0, false, false));
         a.push(edge(2, 1, false, false));
         a.seal();
@@ -261,27 +254,5 @@ mod tests {
         assert_eq!(rev.preds(0), &[2]);
         assert_eq!(rev.preds(1), &[0]);
         assert_eq!(rev.preds(2), &[0, 1, 1]);
-    }
-
-    #[test]
-    fn spilled_edge_segments_decode_exactly() {
-        // Budget 0 spills every full segment; reads must still be exact.
-        let mut a = EdgeArena::new(Some(0));
-        let n = 60_000u32;
-        for v in 0..n {
-            a.push(edge((v + 1) % n, v % 7, v % 3 == 0, v % 5 == 0));
-            a.seal();
-        }
-        assert!(a.spilled_segs() > 0, "budget 0 must spill");
-        for v in (0..n).step_by(997) {
-            let e = a.edge(v as usize, 0);
-            assert_eq!(e.to, (v + 1) % n);
-            assert_eq!(e.pid, v % 7);
-            assert_eq!(e.crash, v % 3 == 0);
-            assert_eq!(e.served, v % 5 == 0);
-        }
-        let rev = a.reversed(n as usize);
-        assert_eq!(rev.preds(1), &[0]);
-        assert_eq!(rev.preds(0), &[n - 1]);
     }
 }

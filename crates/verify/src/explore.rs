@@ -121,18 +121,15 @@ pub struct ExploreConfig {
     /// Enable symmetry reduction: canonicalize visited-state keys under
     /// the system's [`SymmetryGroup`]. A no-op under the trivial group.
     pub symmetry: bool,
-    /// Resident-memory budget (in bytes) for the packed visited arena
-    /// and the recorded edge arena; when the resident segments exceed
-    /// it, cold segments spill to a temporary file and are read back on
-    /// demand. `None` (the default) never spills.
-    pub spill_budget_bytes: Option<usize>,
     /// Which future-access over-approximation ample-set selection
     /// consults: [`MayAccessMode::Declared`] (the default) trusts the
     /// hand-written [`Process::may_access`] hooks;
     /// [`MayAccessMode::Automaton`] extracts each process's solo
     /// control automaton up front and uses its location-sensitive
     /// future-access sets, falling back to the declared hook for any
-    /// state the automaton cannot resolve. Ignored when `por` is off.
+    /// state the automaton cannot resolve; [`MayAccessMode::Dynamic`]
+    /// splits those sets into reads and writes and adds sleep sets in
+    /// the safety DFS only. Ignored when `por` is off.
     pub may_access: MayAccessMode,
 }
 
@@ -143,7 +140,6 @@ impl Default for ExploreConfig {
             max_crashes: 0,
             por: false,
             symmetry: false,
-            spill_budget_bytes: None,
             may_access: MayAccessMode::Declared,
         }
     }
@@ -170,14 +166,6 @@ impl ExploreConfig {
     #[must_use]
     pub fn with_max_crashes(mut self, max_crashes: u32) -> Self {
         self.max_crashes = max_crashes;
-        self
-    }
-
-    /// Sets the resident-memory budget that triggers spilling of cold
-    /// visited-arena segments.
-    #[must_use]
-    pub fn with_spill_budget(mut self, bytes: usize) -> Self {
-        self.spill_budget_bytes = Some(bytes);
         self
     }
 
@@ -228,9 +216,7 @@ pub struct ExploreStats {
     pub transitions_slept: u64,
     /// Exact store, index, and edge memory at the end of the search
     /// (summed over the liveness graphs). `edge_bytes` is 0 for the
-    /// safety DFS, which records no graph; `spilled_buckets` counts state
-    /// and edge segments alike and is 0 unless
-    /// [`ExploreConfig::spill_budget_bytes`] forced cold segments out.
+    /// safety DFS, which records no graph.
     pub footprint: StoreFootprint,
     /// Wall time in nanoseconds — of the search (safety), of the graph
     /// build plus back-propagation (progress), or of every graph build,

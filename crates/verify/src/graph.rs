@@ -314,7 +314,7 @@ pub(crate) struct BuiltGraph<P> {
     /// [`BuiltGraph::node`].
     pub(crate) store: NodeStore<P>,
     /// Labeled forward edges in CSR form, packed 6 bytes each in a
-    /// spillable arena.
+    /// segmented arena.
     pub(crate) edges: EdgeArena,
     /// The node that first generated each node (`u32::MAX` at the root);
     /// always strictly smaller than its child, so creator chains
@@ -356,13 +356,12 @@ impl<P> BuiltGraph<P> {
         path
     }
 
-    /// Exact store, index, and edge bytes and spill counts.
+    /// Exact store, index, and edge bytes.
     fn footprint(&self) -> StoreFootprint {
         StoreFootprint {
             arena_bytes: self.store.arena_bytes(),
             index_bytes: self.store.index_bytes(),
             edge_bytes: self.edges.heap_bytes(),
-            spilled_buckets: self.store.spilled_buckets() + self.edges.spilled_segs(),
         }
     }
 }
@@ -805,17 +804,11 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         // orbit-merge counter tell a merge with a permuted sibling apart
         // from a plain revisit, by exact comparison (a hash could
         // collide and miscount).
-        let mut visited: NodeStore<P> = NodeStore::new(
-            self.config.spill_budget_bytes,
-            self.template.layout(),
-            &root,
-            self.use_sym,
-        );
+        let mut visited: NodeStore<P> = NodeStore::new(self.template.layout(), &root, self.use_sym);
         let footprint = |visited: &NodeStore<P>, sleep: &SleepTable| StoreFootprint {
             arena_bytes: visited.arena_bytes(),
             index_bytes: visited.index_bytes() + sleep.heap_bytes() as u64,
             edge_bytes: 0,
-            spilled_buckets: visited.spilled_buckets(),
         };
         let mut stats = ExploreStats::default();
         // DFS stack: (node, schedule-so-far, sleep mask). Schedules share
@@ -1001,17 +994,12 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         let root = self.prepare(&tel, procs);
         let root_canon = self.canonical_of(&root);
 
-        let mut store: NodeStore<P> = NodeStore::new(
-            self.config.spill_budget_bytes,
-            self.template.layout(),
-            &root_canon,
-            false,
-        );
+        let mut store: NodeStore<P> = NodeStore::new(self.template.layout(), &root_canon, false);
         let (root_id, root_fresh) = store.intern(&root_canon);
         debug_assert!(root_fresh && root_id == 0, "the root interns first");
         let mut g = BuiltGraph {
             store,
-            edges: EdgeArena::new(self.config.spill_budget_bytes),
+            edges: EdgeArena::new(),
             first_pred: vec![u32::MAX],
             terminal: vec![false],
             rev: OnceCell::new(),

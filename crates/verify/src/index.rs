@@ -118,7 +118,7 @@ impl OpenIndex {
     /// id is absent (the visited set always probes first); the table is
     /// insert-only, so there is no update or delete path. When the load
     /// factor would exceed 7/8 the table doubles first, re-deriving the
-    /// digest of every resident id through `digest_of`.
+    /// digest of every stored id through `digest_of`.
     pub fn insert(&mut self, digest: u64, id: u32, digest_of: impl FnMut(u32) -> u64) {
         assert!(id != Self::EMPTY, "id space exhausted (u32::MAX is the free-slot sentinel)");
         if (u64::from(self.len) + 1) * 8 > (self.slots.len() as u64) * 7 {

@@ -12,10 +12,9 @@
 //!   state once. This is the one process encoding, for every family: a
 //!   slot is 32 bits however wide the local state it names, and the
 //!   algorithms need no packing code of their own;
-//! * [`SegArena`] — an append-only segmented arena of those records, with
-//!   a **spill tier**: once a configured resident-byte budget fills, cold
-//!   (oldest, discovery-ordered) full segments move to one temp file and
-//!   are read back on demand;
+//! * [`SegArena`] — an append-only arena of those records in 64 KiB
+//!   segments, so appending never copies the records already stored and
+//!   every read borrows a record in place;
 //! * [`NodeStore`] — the visited set / intern table: an open-addressed
 //!   digest index ([`crate::index::OpenIndex`], at most 64/7 B/state) maps
 //!   a 64-bit hash of the record bytes to record ids, so membership and
@@ -32,11 +31,7 @@
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
 use std::hash::{Hash, Hasher};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use cfc_core::{
     bits_for, Layout, LayoutCodec, StateCodec, StateReader, StateWriter, Status, Value,
@@ -185,54 +180,30 @@ impl<P: Clone + Eq + Hash> NodeCodec<P> {
 }
 
 // ---------------------------------------------------------------------
-// Segmented spillable arena.
+// Segmented arena.
 // ---------------------------------------------------------------------
 
-/// Resident segment size target, in bytes.
+/// Segment size target, in bytes.
 const SEG_TARGET: usize = 64 * 1024;
 
-static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-enum Seg {
-    Resident(Box<[u8]>),
-    /// Spilled to the temp file at this byte offset.
-    Spilled(u64),
-}
-
-/// An append-only arena of fixed-stride records with an optional spill
-/// tier: when the resident bytes of *full* segments exceed the budget,
-/// the oldest full segments are written sequentially to one temp file
-/// (removed on drop) and read back on demand. The partially filled tail
-/// segment — the hot end every fresh insertion compares against — never
-/// spills.
+/// An append-only arena of fixed-stride records in fixed-size segments:
+/// appending allocates a fresh segment when the last one fills and never
+/// copies or moves the records already stored, and every read borrows a
+/// record in place.
 pub(crate) struct SegArena {
     rec_bytes: usize,
     recs_per_seg: usize,
     len: u32,
-    segs: Vec<Seg>,
-    /// Index of the oldest still-resident segment (spilling is strictly
-    /// front-to-back, so everything before it is spilled).
-    first_resident: usize,
-    budget: Option<usize>,
-    spilled_segs: u64,
-    file: RefCell<Option<File>>,
-    path: Option<PathBuf>,
-    file_len: u64,
+    segs: Vec<Box<[u8]>>,
 }
 
 impl SegArena {
-    pub(crate) fn new(rec_bytes: usize, budget: Option<usize>) -> Self {
+    pub(crate) fn new(rec_bytes: usize) -> Self {
         SegArena {
             rec_bytes,
             recs_per_seg: (SEG_TARGET / rec_bytes).max(1),
             len: 0,
             segs: Vec::new(),
-            first_resident: 0,
-            budget,
-            spilled_segs: 0,
-            file: RefCell::new(None),
-            path: None,
-            file_len: 0,
         }
     }
 
@@ -240,13 +211,9 @@ impl SegArena {
         self.len
     }
 
-    /// Total payload bytes ever appended (resident + spilled).
+    /// Total payload bytes ever appended.
     pub(crate) fn payload_bytes(&self) -> u64 {
         u64::from(self.len) * self.rec_bytes as u64
-    }
-
-    pub(crate) fn spilled_segs(&self) -> u64 {
-        self.spilled_segs
     }
 
     pub(crate) fn push(&mut self, record: &[u8]) -> u32 {
@@ -256,118 +223,22 @@ impl SegArena {
         let slot = id as usize % self.recs_per_seg;
         if slot == 0 {
             self.segs
-                .push(Seg::Resident(vec![0u8; self.recs_per_seg * self.rec_bytes].into()));
-            self.maybe_spill();
+                .push(vec![0u8; self.recs_per_seg * self.rec_bytes].into());
         }
-        match self.segs.last_mut().expect("segment pushed above") {
-            Seg::Resident(buf) => {
-                buf[slot * self.rec_bytes..(slot + 1) * self.rec_bytes].copy_from_slice(record);
-            }
-            Seg::Spilled(_) => unreachable!("the tail segment never spills"),
-        }
+        let seg = self.segs.last_mut().expect("segment pushed above");
+        seg[slot * self.rec_bytes..(slot + 1) * self.rec_bytes].copy_from_slice(record);
         self.len = id + 1;
         id
     }
 
-    /// Copies record `id` into `buf` (reading through the spill file for
-    /// cold segments).
-    fn read_into(&self, id: u32, buf: &mut Vec<u8>) {
-        debug_assert!(id < self.len);
-        let seg = id as usize / self.recs_per_seg;
-        let off = (id as usize % self.recs_per_seg) * self.rec_bytes;
-        buf.clear();
-        match &self.segs[seg] {
-            Seg::Resident(bytes) => buf.extend_from_slice(&bytes[off..off + self.rec_bytes]),
-            Seg::Spilled(file_off) => {
-                buf.resize(self.rec_bytes, 0);
-                let mut file = self.file.borrow_mut();
-                let f = file.as_mut().expect("spilled segment implies a file");
-                f.seek(SeekFrom::Start(file_off + off as u64))
-                    .expect("seek spill file");
-                f.read_exact(buf).expect("read spill file");
-            }
-        }
-    }
-
-    /// Applies `f` to record `id`'s bytes: borrowed in place for
-    /// resident segments (the hot path — no copy), bounced through the
-    /// `probe` scratch buffer for spilled ones. This is what keeps the
+    /// Record `id`'s bytes, borrowed in place. This is what keeps the
     /// open index's probe runs cheap: each occupied slot on the path
     /// costs one in-place compare, not a buffer copy.
-    pub(crate) fn with_record<R>(
-        &self,
-        id: u32,
-        probe: &RefCell<Vec<u8>>,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> R {
+    pub(crate) fn record(&self, id: u32) -> &[u8] {
         debug_assert!(id < self.len);
         let seg = id as usize / self.recs_per_seg;
         let off = (id as usize % self.recs_per_seg) * self.rec_bytes;
-        match &self.segs[seg] {
-            Seg::Resident(bytes) => f(&bytes[off..off + self.rec_bytes]),
-            Seg::Spilled(_) => {
-                let mut buf = probe.borrow_mut();
-                self.read_into(id, &mut buf);
-                f(&buf)
-            }
-        }
-    }
-
-    /// Spills the oldest full resident segments until the resident bytes
-    /// of full segments fit the budget.
-    fn maybe_spill(&mut self) {
-        let Some(budget) = self.budget else { return };
-        let seg_bytes = self.recs_per_seg * self.rec_bytes;
-        // The last segment is the (empty, just pushed) tail; only the
-        // full segments before it are spill candidates.
-        let full = self.segs.len() - 1;
-        while full.saturating_sub(self.first_resident) * seg_bytes > budget
-            && self.first_resident < full
-        {
-            let victim = self.first_resident;
-            let Seg::Resident(bytes) = &self.segs[victim] else {
-                unreachable!("first_resident points at a resident segment");
-            };
-            let offset = self.file_len;
-            {
-                let mut file = self.file.borrow_mut();
-                if file.is_none() {
-                    let path = spill_path();
-                    let f = OpenOptions::new()
-                        .create_new(true)
-                        .read(true)
-                        .write(true)
-                        .open(&path)
-                        .expect("create spill file");
-                    self.path = Some(path);
-                    *file = Some(f);
-                }
-                let f = file.as_mut().expect("spill file opened above");
-                f.seek(SeekFrom::Start(offset)).expect("seek spill file");
-                f.write_all(bytes).expect("write spill file");
-            }
-            self.file_len = offset + seg_bytes as u64;
-            self.segs[victim] = Seg::Spilled(offset);
-            self.first_resident = victim + 1;
-            self.spilled_segs += 1;
-        }
-    }
-}
-
-fn spill_path() -> PathBuf {
-    let n = SPILL_COUNTER.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "cfc-visited-{}-{n}.spill",
-        std::process::id()
-    ))
-}
-
-impl Drop for SegArena {
-    fn drop(&mut self) {
-        if let Some(path) = self.path.take() {
-            self.file.borrow_mut().take();
-            let _ = std::fs::remove_file(path);
-        }
+        &self.segs[seg][off..off + self.rec_bytes]
     }
 }
 
@@ -399,8 +270,6 @@ pub(crate) struct NodeStore<P> {
     digest: fn(&[u8]) -> u64,
     /// Encode scratch, `RefCell` so `&self` lookups can encode.
     scratch: RefCell<Vec<u8>>,
-    /// Read scratch for probes through possibly-spilled records.
-    probe: RefCell<Vec<u8>>,
     firsts: Option<Firsts>,
     debug_checked: u32,
 }
@@ -410,7 +279,6 @@ impl<P> std::fmt::Debug for NodeStore<P> {
         f.debug_struct("NodeStore")
             .field("len", &self.len())
             .field("arena_bytes", &self.arena_bytes())
-            .field("spilled_buckets", &self.spilled_buckets())
             .finish()
     }
 }
@@ -432,12 +300,6 @@ impl<P> NodeStore<P> {
         self.arena.payload_bytes()
     }
 
-    /// Arena segments written to the spill tier so far (0 without a
-    /// budget).
-    pub(crate) fn spilled_buckets(&self) -> u64 {
-        self.arena.spilled_segs() + self.firsts.as_ref().map_or(0, |f| f.arena.spilled_segs())
-    }
-
     /// Heap bytes held by the digest index's slot array.
     pub(crate) fn index_bytes(&self) -> u64 {
         self.index.heap_bytes()
@@ -445,35 +307,27 @@ impl<P> NodeStore<P> {
 
     /// Finds the id of the record byte-equal to `rec`, if stored.
     fn find(&self, rec: &[u8]) -> Option<u32> {
-        self.index.find((self.digest)(rec), |id| {
-            self.arena.with_record(id, &self.probe, |bytes| bytes == rec)
-        })
+        self.index
+            .find((self.digest)(rec), |id| self.arena.record(id) == rec)
     }
 }
 
 impl<P: Clone + Eq + Hash> NodeStore<P> {
     /// Builds a store for states shaped like `root` (which is **not**
     /// inserted). `track_firsts` enables first-visitor identity for the
-    /// DFS orbit-merge counter; `spill_budget` bounds resident arena
-    /// bytes (`None`: never spill).
-    pub(crate) fn new(
-        spill_budget: Option<usize>,
-        layout: &Layout,
-        root: &Node<P>,
-        track_firsts: bool,
-    ) -> Self {
+    /// DFS orbit-merge counter.
+    pub(crate) fn new(layout: &Layout, root: &Node<P>, track_firsts: bool) -> Self {
         let codec = NodeCodec::new(layout, root);
         let rec_bytes = codec.rec_bytes();
         NodeStore {
             codec,
-            arena: SegArena::new(rec_bytes, spill_budget),
+            arena: SegArena::new(rec_bytes),
             index: OpenIndex::new(),
             digest,
             scratch: RefCell::new(Vec::new()),
-            probe: RefCell::new(Vec::new()),
             firsts: track_firsts.then(|| Firsts {
                 ids: Vec::new(),
-                arena: SegArena::new(rec_bytes, spill_budget),
+                arena: SegArena::new(rec_bytes),
             }),
             debug_checked: 0,
         }
@@ -499,9 +353,9 @@ impl<P: Clone + Eq + Hash> NodeStore<P> {
             return (id, false);
         }
         let id = self.arena.push(&rec);
-        let (arena, probe, digest) = (&self.arena, &self.probe, self.digest);
+        let (arena, digest) = (&self.arena, self.digest);
         self.index
-            .insert(digest(&rec), id, |x| arena.with_record(x, probe, digest));
+            .insert(digest(&rec), id, |x| digest(arena.record(x)));
         // Early-insertion decode-back check: `decode(encode(x)) == x` is
         // the injectivity contract everything rests on, so the first
         // insertions of every debug run verify it end to end.
@@ -550,24 +404,22 @@ impl<P: Clone + Eq + Hash> NodeStore<P> {
             }
             None => None,
         };
-        let mut stored = self.probe.borrow_mut();
         let outcome = if fresh {
             debug_assert_eq!(ids.len(), id as usize);
-            self.arena.read_into(id, &mut stored);
             match concrete_rec {
-                Some(c) if c != stored.as_slice() => ids.push(arena.push(c)),
+                Some(c) if c != self.arena.record(id) => ids.push(arena.push(c)),
                 _ => ids.push(u32::MAX),
             }
             VisitOutcome::Fresh
         } else {
             let fid = ids[id as usize];
-            if fid == u32::MAX {
-                self.arena.read_into(id, &mut stored);
+            let stored = if fid == u32::MAX {
+                self.arena.record(id)
             } else {
-                arena.read_into(fid, &mut stored);
-            }
+                arena.record(fid)
+            };
             let same = match concrete_rec {
-                Some(c) => c == stored.as_slice(),
+                Some(c) => c == stored,
                 // No concrete passed: the visitor is the canon itself.
                 None => fid == u32::MAX,
             };
@@ -582,9 +434,7 @@ impl<P: Clone + Eq + Hash> NodeStore<P> {
 
     /// Decodes stored state `id` (a transient owned copy).
     pub(crate) fn node(&self, id: u32) -> Node<P> {
-        let mut rec = self.probe.borrow_mut();
-        self.arena.read_into(id, &mut rec);
-        self.codec.decode(&rec)
+        self.codec.decode(self.arena.record(id))
     }
 }
 
@@ -643,13 +493,13 @@ mod tests {
         }
     }
 
-    fn store(budget: Option<usize>, track_firsts: bool) -> NodeStore<Packable> {
-        NodeStore::new(budget, &layout2(), &node([0, 0], 0, 0, 2), track_firsts)
+    fn store(track_firsts: bool) -> NodeStore<Packable> {
+        NodeStore::new(&layout2(), &node([0, 0], 0, 0, 2), track_firsts)
     }
 
     #[test]
     fn packed_store_interns_each_state_once() {
-        let mut s = store(None, false);
+        let mut s = store(false);
         let x = node([1, 2], 3, 4, 1);
         let y = node([2, 1], 3, 4, 1);
         assert!(!s.contains(&x));
@@ -669,7 +519,7 @@ mod tests {
 
     #[test]
     fn packed_records_take_their_declared_bit_width() {
-        let mut s = store(None, false);
+        let mut s = store(false);
         for c in 0..100u8 {
             s.intern(&node([c, c], 1, 2, 0));
         }
@@ -688,7 +538,7 @@ mod tests {
             status: vec![Status::Running; 2],
             crashes_left: 0,
         };
-        let mut s = NodeStore::new(None, &layout, &root, false);
+        let mut s = NodeStore::new(&layout, &root, false);
         let x = Node {
             procs: vec![Opaque { word: 7 }, Opaque { word: 9 }],
             ..root.clone()
@@ -716,41 +566,11 @@ mod tests {
     }
 
     #[test]
-    fn spill_tier_keeps_lookups_exact() {
-        // A budget of one segment forces everything but the tail to
-        // disk; the index must probe spilled records exactly.
-        let mut s = store(Some(SEG_TARGET), false);
-        let mut ids = Vec::new();
-        // Enough records to fill several 64 KiB segments (10-byte
-        // records, 6553 per segment).
-        for i in 0..60_000u32 {
-            let x = node(
-                [(i % 251) as u8, (i / 251) as u8],
-                u64::from(i % 8),
-                u64::from(i % 32),
-                i % 3,
-            );
-            let (id, fresh) = s.intern(&x);
-            assert!(fresh, "all states distinct");
-            ids.push(id);
-        }
-        assert!(s.spilled_buckets() > 0, "budget must have forced spills");
-        // Reads and membership still hit spilled records exactly.
-        let probe = node([77, 0], u64::from(77u32 % 8), u64::from(77u32 % 32), 77 % 3);
-        assert!(s.contains(&probe));
-        let (_, fresh) = s.intern(&probe);
-        assert!(!fresh, "reinterning a spilled state must dedupe");
-        assert_eq!(s.len(), 60_000);
-        let decoded = s.node(ids[123]);
-        assert_eq!(decoded.values[0], Value::new(123 % 8));
-    }
-
-    #[test]
     fn engineered_digest_collision_keeps_distinct_states_fresh() {
         // Two distinct canonical states with an *engineered* equal
         // digest must both intern Fresh and never report a merge: the
         // index resolves collisions by byte comparison, never by hash.
-        let mut s = store(None, true);
+        let mut s = store(true);
         s.digest = |_| 0xdead_beef;
         let x = node([1, 2], 3, 4, 1);
         let y = node([9, 9], 5, 5, 0);
@@ -764,24 +584,27 @@ mod tests {
     #[test]
     fn intern_ids_match_a_hash_map_model_across_growth() {
         // Enough distinct states (each interned twice) to force several
-        // index doublings; ids must be the dense first-insertion order a
-        // plain `HashMap` assigns, and the index must stay within its
-        // 7/8-load-factor envelope of 64/7 bytes per state.
-        let mut s = store(None, false);
+        // index doublings and fill several arena segments (10-byte
+        // records, 6553 per segment); ids must be the dense
+        // first-insertion order a plain `HashMap` assigns, and the index
+        // must stay within its 7/8-load-factor envelope of 64/7 bytes per
+        // state.
+        let mut s = store(false);
         let mut model: HashMap<Node<Packable>, u32> = HashMap::new();
-        for i in (0..3_000u32).chain(0..3_000) {
+        for i in (0..20_000u32).chain(0..20_000) {
             let x = node([(i % 251) as u8, (i / 251) as u8], u64::from(i % 8), 0, 0);
             let fresh_id = model.len() as u32;
             let want = *model.entry(x.clone()).or_insert(fresh_id);
             assert_eq!(s.intern(&x), (want, want == fresh_id));
         }
         assert_eq!(s.len(), model.len());
+        assert!(s.arena.segs.len() > 1);
         assert!(s.index_bytes() * 7 <= s.len() as u64 * 64);
     }
 
     #[test]
     fn visit_tracks_first_concrete_visitor_exactly() {
-        let mut s = store(None, true);
+        let mut s = store(true);
         let canon = node([1, 2], 0, 0, 0);
         let permuted = node([2, 1], 0, 0, 0);
         // First visit by a non-canonical concrete state.
@@ -801,7 +624,7 @@ mod tests {
 
     #[test]
     fn visit_without_tracking_reports_fresh_and_same_only() {
-        let mut s = store(None, false);
+        let mut s = store(false);
         let x = node([1, 1], 0, 0, 0);
         assert_eq!(s.visit(&x, None), (0, VisitOutcome::Fresh));
         assert_eq!(s.visit(&x, None), (0, VisitOutcome::RevisitSame));

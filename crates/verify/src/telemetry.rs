@@ -7,8 +7,8 @@
 //!
 //! * [`TelemetryEvent`] — the event vocabulary: span start/end per
 //!   engine phase ([`Phase`]), periodic [`Snapshot`]s sampled on an
-//!   expansion-count stride, and derived [`TelemetryEvent::Spill`] /
-//!   [`TelemetryEvent::IndexGrowth`] notifications.
+//!   expansion-count stride, and derived [`TelemetryEvent::IndexGrowth`]
+//!   notifications.
 //! * [`Observer`] — the sink trait, with three implementations:
 //!   [`HeartbeatSink`] (human-readable stderr lines, rate-limited),
 //!   [`JsonlSink`] (one JSON object per line, machine-readable), and
@@ -68,13 +68,10 @@ pub struct StoreFootprint {
     pub index_bytes: u64,
     /// Bytes held by the recorded edge list, when edges are recorded.
     pub edge_bytes: u64,
-    /// Hash buckets (or edge segments) spilled to disk under a memory
-    /// budget; 0 means fully resident.
-    pub spilled_buckets: u64,
 }
 
 impl StoreFootprint {
-    /// Total resident bytes across arena, index, and edges.
+    /// Total bytes across arena, index, and edges.
     pub fn total_bytes(&self) -> u64 {
         self.arena_bytes + self.index_bytes + self.edge_bytes
     }
@@ -85,7 +82,6 @@ impl StoreFootprint {
         self.arena_bytes += other.arena_bytes;
         self.index_bytes += other.index_bytes;
         self.edge_bytes += other.edge_bytes;
-        self.spilled_buckets += other.spilled_buckets;
     }
 }
 
@@ -233,16 +229,6 @@ pub enum TelemetryEvent {
         /// The sample itself.
         snap: Snapshot,
     },
-    /// The spilled-bucket count grew since the previous sample (the
-    /// visited set or edge arena spilled under a memory budget).
-    Spill {
-        /// Which phase.
-        phase: Phase,
-        /// Clock reading at the detecting sample.
-        at_ns: u64,
-        /// Total spilled buckets/segments after the growth.
-        spilled_buckets: u64,
-    },
     /// The index footprint grew since the previous sample (an
     /// `OpenIndex` doubling).
     IndexGrowth {
@@ -262,7 +248,6 @@ impl TelemetryEvent {
             TelemetryEvent::SpanStart { phase, .. }
             | TelemetryEvent::SpanEnd { phase, .. }
             | TelemetryEvent::Snapshot { phase, .. }
-            | TelemetryEvent::Spill { phase, .. }
             | TelemetryEvent::IndexGrowth { phase, .. } => *phase,
         }
     }
@@ -288,7 +273,7 @@ impl TelemetryEvent {
                  \"elapsed_ns\":{},\"states\":{},\"transitions\":{},\"frontier\":{},\
                  \"depth\":{},\"states_pruned_por\":{},\"orbits_merged\":{},\
                  \"transitions_slept\":{},\"states_per_sec\":{},\"arena_bytes\":{},\
-                 \"index_bytes\":{},\"edge_bytes\":{},\"spilled_buckets\":{}}}",
+                 \"index_bytes\":{},\"edge_bytes\":{}}}",
                 snap.elapsed_ns,
                 snap.states,
                 snap.transitions,
@@ -301,15 +286,6 @@ impl TelemetryEvent {
                 snap.footprint.arena_bytes,
                 snap.footprint.index_bytes,
                 snap.footprint.edge_bytes,
-                snap.footprint.spilled_buckets,
-            ),
-            TelemetryEvent::Spill {
-                phase,
-                at_ns,
-                spilled_buckets,
-            } => format!(
-                "{{\"event\":\"spill\",\"phase\":\"{phase}\",\"at_ns\":{at_ns},\
-                 \"spilled_buckets\":{spilled_buckets}}}"
             ),
             TelemetryEvent::IndexGrowth {
                 phase,
@@ -354,16 +330,10 @@ impl TelemetryEvent {
                         arena_bytes: json_u64(line, "arena_bytes")?,
                         index_bytes: json_u64(line, "index_bytes")?,
                         edge_bytes: json_u64(line, "edge_bytes")?,
-                        spilled_buckets: json_u64(line, "spilled_buckets")?,
                     },
                     elapsed_ns: json_u64(line, "elapsed_ns")?,
                     states_per_sec: json_u64(line, "states_per_sec")?,
                 },
-            },
-            "spill" => TelemetryEvent::Spill {
-                phase,
-                at_ns,
-                spilled_buckets: json_u64(line, "spilled_buckets")?,
             },
             "index_growth" => TelemetryEvent::IndexGrowth {
                 phase,
@@ -473,14 +443,13 @@ impl Observer for HeartbeatSink {
             TelemetryEvent::Snapshot { phase, at_ns, snap } if self.beat(*at_ns) => {
                 format!(
                     "[cfc] {phase:<18} {:>8} states  {:>8} trans  {:>7} st/s  \
-                     frontier {:>6}  depth {:>4}  mem {:>9}  spills {}",
+                     frontier {:>6}  depth {:>4}  mem {:>9}",
                     fmt_count(snap.states),
                     fmt_count(snap.transitions),
                     fmt_count(snap.states_per_sec),
                     fmt_count(snap.frontier),
                     snap.depth,
                     fmt_bytes(snap.footprint.total_bytes()),
-                    snap.footprint.spilled_buckets,
                 )
             }
             TelemetryEvent::SpanEnd {
@@ -495,11 +464,6 @@ impl Observer for HeartbeatSink {
                 fmt_count(*states),
                 fmt_count(*transitions),
             ),
-            TelemetryEvent::Spill {
-                phase,
-                spilled_buckets,
-                ..
-            } => format!("[cfc] {phase:<18} spilled to disk ({spilled_buckets} buckets total)"),
             _ => return,
         };
         // Best-effort: a full stderr must never fail the verification.
@@ -854,19 +818,12 @@ impl PhaseSpan {
         elapsed
     }
 
-    /// Emits spill/index-growth events derived from footprint deltas,
+    /// Emits index-growth events derived from footprint deltas,
     /// then the snapshot itself. `now` is a clock reading taken by the
     /// caller so one reading can stamp a snapshot and a span end.
     fn emit_sample(&mut self, mut s: Snapshot, now: u64) {
         s.elapsed_ns = now.saturating_sub(self.start_ns);
         s.states_per_sec = rate_per_sec(s.states, s.elapsed_ns);
-        if s.footprint.spilled_buckets > self.last_footprint.spilled_buckets {
-            self.tel.emit(&TelemetryEvent::Spill {
-                phase: self.phase,
-                at_ns: now,
-                spilled_buckets: s.footprint.spilled_buckets,
-            });
-        }
         // The first sample sees the index's initial allocation, which
         // is not a growth event; report only subsequent doublings.
         if self.last_footprint.index_bytes > 0
@@ -936,7 +893,6 @@ mod tests {
                 arena_bytes: states * 8,
                 index_bytes: 64,
                 edge_bytes: 0,
-                spilled_buckets: 0,
             },
             ..Snapshot::default()
         }
@@ -964,16 +920,10 @@ mod tests {
                         arena_bytes: 80,
                         index_bytes: 64,
                         edge_bytes: 40,
-                        spilled_buckets: 1,
                     },
                     elapsed_ns: 100,
                     states_per_sec: 100_000_000,
                 },
-            },
-            TelemetryEvent::Spill {
-                phase: Phase::LivenessGraph,
-                at_ns: 50,
-                spilled_buckets: 3,
             },
             TelemetryEvent::IndexGrowth {
                 phase: Phase::SafetyDfs,
@@ -1081,7 +1031,7 @@ mod tests {
     }
 
     #[test]
-    fn spill_and_index_growth_derived_from_footprint_deltas() {
+    fn index_growth_derived_from_footprint_deltas() {
         let rec = Recorder::new();
         let tel = Telemetry::new()
             .with_sink(rec.clone())
@@ -1091,24 +1041,19 @@ mod tests {
         let mut s = sample(1);
         span.tick(|| s); // first sample: initial allocation, no growth events
         s.footprint.index_bytes = 128;
-        s.footprint.spilled_buckets = 2;
         span.tick(|| s);
         span.finish(s);
         let events = rec.events();
         assert!(events
             .iter()
-            .any(|e| matches!(e, TelemetryEvent::Spill { spilled_buckets: 2, .. })));
-        assert!(events
-            .iter()
             .any(|e| matches!(e, TelemetryEvent::IndexGrowth { index_bytes: 128, .. })));
-        // Exactly one of each: unchanged footprints emit nothing.
+        // Exactly one: unchanged footprints emit nothing.
         assert_eq!(
             events
                 .iter()
-                .filter(|e| matches!(e, TelemetryEvent::Spill { .. }
-                    | TelemetryEvent::IndexGrowth { .. }))
+                .filter(|e| matches!(e, TelemetryEvent::IndexGrowth { .. }))
                 .count(),
-            2
+            1
         );
     }
 

@@ -11,10 +11,7 @@
 
 mod common;
 
-use cfc::mutex::LamportFast;
-use cfc::verify::{check_mutex_safety, ExploreStats};
 use common::matrix::{check_rows, reference_run, Progress, Safety, Sys, BASELINE, ROWS};
-use common::por_only;
 
 #[test]
 fn packed_and_boxed_agree_on_mutex_safety() {
@@ -29,30 +26,6 @@ fn packed_and_boxed_agree_on_naming_and_detection() {
 #[test]
 fn packed_and_boxed_agree_on_progress_graphs() {
     check_rows(&[BASELINE], |r| r.checker == Progress);
-}
-
-/// Forcing the spill tier (budget 0: every filled segment goes to disk)
-/// must not change a single count — spilled records are read back for
-/// the same exact byte comparison — and must actually spill.
-#[test]
-fn spilling_preserves_counts_and_reports_spilled_segments() {
-    let counts = |s: &ExploreStats| {
-        let s = s.sans_wall();
-        (s.states, s.transitions, s.terminals, s.states_pruned_por, s.orbits_merged)
-    };
-    let cfg = por_only(25_000);
-    let resident = check_mutex_safety(&LamportFast::new(3), 1, cfg).unwrap();
-    // The arena must outgrow a couple of 64 KiB segments, or budget 0
-    // has nothing to evict; grow the instance rather than weaken this.
-    assert!(
-        resident.footprint.arena_bytes > 128 * 1024,
-        "arena too small to exercise spilling ({} bytes)",
-        resident.footprint.arena_bytes
-    );
-    let spilled = check_mutex_safety(&LamportFast::new(3), 1, cfg.with_spill_budget(0)).unwrap();
-    assert_eq!(counts(&resident), counts(&spilled), "spilling changed search counts");
-    assert!(spilled.footprint.spilled_buckets > 0, "budget 0 spilled nothing");
-    assert_eq!(resident.footprint.spilled_buckets, 0, "an unbudgeted run spilled");
 }
 
 /// The acceptance bar for the representation: on two mutex families

@@ -10,8 +10,7 @@
 //!   pass against a nested-`Vec` reversal reference on random graphs —
 //!   the per-node predecessor *order* must match exactly (ascending
 //!   source, then recording order), which is the creator-first guarantee
-//!   progress-schedule reconstruction depends on — with the spill tier
-//!   both off and forced.
+//!   progress-schedule reconstruction depends on.
 
 use std::collections::HashMap;
 
@@ -57,12 +56,8 @@ fn check_against_model(values: &[u64], digest: impl Fn(u64) -> u64) {
 
 /// Builds an [`EdgeArena`] and the nested-`Vec` reference adjacency
 /// from the same (source-sorted) edge list.
-fn build_both(
-    nodes: usize,
-    sorted: &[(usize, GEdge)],
-    budget: Option<usize>,
-) -> (EdgeArena, Vec<Vec<GEdge>>) {
-    let mut arena = EdgeArena::new(budget);
+fn build_both(nodes: usize, sorted: &[(usize, GEdge)]) -> (EdgeArena, Vec<Vec<GEdge>>) {
+    let mut arena = EdgeArena::new();
     let mut nested: Vec<Vec<GEdge>> = vec![Vec::new(); nodes];
     let mut cursor = 0usize;
     for &(src, e) in sorted {
@@ -124,7 +119,7 @@ proptest! {
     /// Random DAG-shaped-or-not edge lists over a fixed node count: the
     /// CSR arena must round-trip every edge in recording order, and its
     /// counting-sort reversal must equal the nested-Vec reference
-    /// element for element — order included — resident or spilled.
+    /// element for element — order included.
     #[test]
     fn csr_reversal_matches_the_nested_vec_reference(
         raw in prop::collection::vec(
@@ -140,25 +135,17 @@ proptest! {
             .collect();
         sorted.sort_by_key(|&(src, _)| src);
 
-        for budget in [None, Some(0)] {
-            let (arena, nested) = build_both(NODES, &sorted, budget);
-            prop_assert_eq!(arena.nodes(), NODES);
-            for (v, out) in nested.iter().enumerate() {
-                prop_assert_eq!(arena.degree(v), out.len());
-                let decoded: Vec<GEdge> = arena.edges(v).collect();
-                prop_assert_eq!(&decoded, out, "node {} round-trip (budget {:?})", v, budget);
-            }
-            let rev = arena.reversed(NODES);
-            let reference = reference_reversed(NODES, &nested);
-            for (v, preds) in reference.iter().enumerate() {
-                prop_assert_eq!(
-                    rev.preds(v),
-                    preds.as_slice(),
-                    "node {} predecessor order (budget {:?})",
-                    v,
-                    budget
-                );
-            }
+        let (arena, nested) = build_both(NODES, &sorted);
+        prop_assert_eq!(arena.nodes(), NODES);
+        for (v, out) in nested.iter().enumerate() {
+            prop_assert_eq!(arena.degree(v), out.len());
+            let decoded: Vec<GEdge> = arena.edges(v).collect();
+            prop_assert_eq!(&decoded, out, "node {} round-trip", v);
+        }
+        let rev = arena.reversed(NODES);
+        let reference = reference_reversed(NODES, &nested);
+        for (v, preds) in reference.iter().enumerate() {
+            prop_assert_eq!(rev.preds(v), preds.as_slice(), "node {} predecessor order", v);
         }
     }
 }

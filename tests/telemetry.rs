@@ -63,7 +63,6 @@ fn assert_well_formed(events: &[TelemetryEvent]) -> usize {
             TelemetryEvent::SpanStart { at_ns, .. }
             | TelemetryEvent::SpanEnd { at_ns, .. }
             | TelemetryEvent::Snapshot { at_ns, .. }
-            | TelemetryEvent::Spill { at_ns, .. }
             | TelemetryEvent::IndexGrowth { at_ns, .. } => *at_ns,
         };
         assert!(at >= last_at, "timestamp ran backwards: {e:?}");
@@ -102,7 +101,7 @@ fn assert_well_formed(events: &[TelemetryEvent]) -> usize {
                 );
                 *w = (snap.states, snap.transitions);
             }
-            TelemetryEvent::Spill { phase, .. } | TelemetryEvent::IndexGrowth { phase, .. } => {
+            TelemetryEvent::IndexGrowth { phase, .. } => {
                 assert!(stack.contains(phase), "store event outside any span");
             }
         }
