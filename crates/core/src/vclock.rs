@@ -10,11 +10,11 @@
 //! every conflicting earlier event. Two events with incomparable clocks
 //! are concurrent — neither can observe the other.
 //!
-//! The verifier (`cfc-verify::dynamic`) uses these clocks to audit its
-//! observed-conflict tracking: dynamic partial-order reduction sleeps a
-//! process only when its next step is concurrent (footprint-independent)
-//! with the step taken, and the clock laws tested in
-//! `tests/prop_dynamic.rs` pin down what "concurrent" must mean.
+//! The verifier's `trace_causality` (`cfc-verify::dynamic`) assigns
+//! these clocks to a replayed schedule, joining along the same
+//! observed-conflict relation that dynamic partial-order reduction's
+//! sleep sets test on step footprints; `tests/prop_dynamic.rs` pins the
+//! clock laws. The search itself never reads a clock.
 //!
 //! Trailing zero components are insignificant: `[1, 0]` and `[1]`
 //! denote the same clock, and equality, ordering, and hashing all agree

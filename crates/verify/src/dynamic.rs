@@ -28,15 +28,20 @@
 //!   assigns every event a [`VectorClock`] — join of the clocks of its
 //!   conflicting predecessors, then a tick of its own component. The
 //!   clock order *is* the trace's happens-before relation (program order
-//!   ∪ conflict order), and the differential/property walls use it to
-//!   audit what the in-engine sleep machinery treats as concurrent.
+//!   ∪ conflict order), computed from the same conflict relation the
+//!   sleep sets test; `tests/prop_dynamic.rs` pins its clock laws. The
+//!   search itself never reads a clock: every sleep decision tests
+//!   [`observed_conflict`] on step footprints. What checks the sleep sets
+//!   is the oracle matrix's dynamic columns and the planted
+//!   conflict-under-reporting mutant, which only that differential kills.
 //!
-//! Soundness boundaries are enforced by `sleep_sets_active`: sleeping
-//! is restricted to the safety DFS (cycle/progress back-propagation
-//! would see pruned *edges*), to concrete (non-quotient) exploration
-//! (masks index concrete process ids; a symmetry representative permutes
-//! them), and to crash-free budgets (a crash is an extra, always-enabled
-//! transition the sibling branch never covered).
+//! Soundness boundaries are enforced by `sleep_sets_active`, which only
+//! the safety DFS calls: sleeping is restricted to the safety DFS
+//! (cycle/progress back-propagation would see pruned *edges*), to
+//! concrete (non-quotient) exploration (masks index concrete process
+//! ids; a symmetry representative permutes them), and to crash-free
+//! budgets (a crash is an extra, always-enabled transition the sibling
+//! branch never covered).
 //!
 //! [`MayAccessMode::Declared`]: crate::MayAccessMode::Declared
 //! [`MayAccessMode::Automaton`]: crate::MayAccessMode::Automaton
@@ -44,33 +49,31 @@
 //! [`Footprint::independent`]: cfc_core::Footprint::independent
 
 use cfc_core::{
-    Footprint, Memory, OpResult, Process, ProcessId, RegisterId, RegisterSet, Status, Step,
-    VectorClock,
+    Footprint, Memory, Process, ProcessId, RegisterId, RegisterSet, Status, VectorClock,
 };
 
-use crate::explore::ScheduleStep;
+use crate::explore::{replay, ScheduleStep};
 
 /// Sleep-set masks are `u32` bitmasks over concrete process ids, so
 /// sleeping deactivates itself beyond this many processes.
 pub const MAX_SLEEP_PROCS: usize = 32;
 
-/// Should the safety DFS thread sleep sets through this traversal?
+/// Should the safety DFS thread sleep sets through this traversal? Only
+/// the DFS asks; the progress and liveness graph builds never sleep.
 ///
 /// Every condition is load-bearing (see the module docs): `dynamic` is
-/// the mode opt-in, `safety_dfs` excludes the progress/liveness graph
-/// builds (they consume *edges*, which sleeping prunes), `use_sym`
-/// excludes the symmetry quotient (masks index concrete pids),
-/// `max_crashes` excludes crash branching (crashes are always enabled,
-/// never covered by a sibling), and `n` bounds the mask width.
+/// the mode opt-in, `use_sym` excludes the symmetry quotient (masks
+/// index concrete pids), `max_crashes` excludes crash branching (crashes
+/// are always enabled, never covered by a sibling), and `n` bounds the
+/// mask width.
 pub(crate) fn sleep_sets_active(
     por: bool,
     dynamic: bool,
-    safety_dfs: bool,
     use_sym: bool,
     max_crashes: u32,
     n: usize,
 ) -> bool {
-    por && dynamic && safety_dfs && !use_sym && max_crashes == 0 && n <= MAX_SLEEP_PROCS
+    por && dynamic && !use_sym && max_crashes == 0 && n <= MAX_SLEEP_PROCS
 }
 
 #[cfg(test)]
@@ -205,11 +208,12 @@ impl TraceCausality {
 
 /// Replays a schedule and computes its happens-before relation.
 ///
-/// The replay mirrors [`crate::explore::replay`] but is *tolerant*:
-/// steps of crashed, halted, or out-of-range processes are skipped
-/// instead of panicking, so the property suites can feed it arbitrary
-/// generated walks. Crash entries change status only — a crash is not
-/// an event of the happens-before relation.
+/// The replay steps through `Replayed::step`, the one un-reduced stepper
+/// behind [`crate::explore::replay`], but it is *tolerant*: decisions
+/// for processes that are not running (crashed, halted, or out of range)
+/// are skipped instead of rejected, so the property suites can feed it
+/// arbitrary generated walks. A crash changes its victim's status only —
+/// it is not an event of the happens-before relation.
 ///
 /// # Errors
 ///
@@ -217,38 +221,31 @@ impl TraceCausality {
 /// the replay machinery.
 pub fn trace_causality<P: Process>(
     memory: Memory,
-    mut procs: Vec<P>,
+    procs: Vec<P>,
     schedule: &[ScheduleStep],
 ) -> Result<TraceCausality, cfc_core::ExecError> {
-    let mut mem = memory;
-    let layout = mem.layout().clone();
-    let mut status = vec![Status::Running; procs.len()];
+    let mut run = replay(memory, procs, &[])?;
     let mut out = TraceCausality::default();
     // Per-process clocks and, per register, the last writing event and
     // the reading events since that write — the only predecessors a new
     // access can conflict with.
-    let mut clocks = vec![VectorClock::new(); procs.len()];
+    let mut clocks = vec![VectorClock::new(); run.procs.len()];
     let mut last_writer: Vec<Option<usize>> = Vec::new();
     let mut readers_since: Vec<Vec<usize>> = Vec::new();
     #[cfg(test)]
     let drop_races_on = DROP_RACES_ON.with(std::cell::Cell::get);
 
-    for s in schedule {
-        let pid = match s {
-            ScheduleStep::Crash(pid) => {
-                if let Some(st) = status.get_mut(pid.index()) {
-                    *st = Status::Crashed;
-                }
-                continue;
-            }
-            ScheduleStep::Step(pid) => *pid,
-        };
+    for &decision in schedule {
+        let pid = decision.pid();
         let i = pid.index();
-        if i >= procs.len() || status[i] != Status::Running {
+        if run.status.get(i) != Some(&Status::Running) {
             continue;
         }
-        let step = procs[i].current();
-        let fp = Footprint::of_step(&step, &layout);
+        if let ScheduleStep::Crash(_) = decision {
+            run.step(decision)?;
+            continue;
+        }
+        let fp = Footprint::of_step(&run.procs[i].current(), run.memory.layout());
         let index = out.events.len();
         let mut clock = clocks[i].clone();
 
@@ -315,16 +312,7 @@ pub fn trace_causality<P: Process>(
                 readers_since[ri].push(index);
             }
         }
-        match step {
-            Step::Halt => {
-                status[i] = Status::Done;
-            }
-            Step::Internal => procs[i].advance(OpResult::None),
-            Step::Op(op) => {
-                let result = mem.apply(&op)?;
-                procs[i].advance(result);
-            }
-        }
+        run.step(decision)?;
         out.events.push(CausalEvent {
             index,
             pid,
@@ -338,7 +326,7 @@ pub fn trace_causality<P: Process>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfc_core::{Layout, Op, Value};
+    use cfc_core::{Layout, Op, OpResult, Step, Value};
 
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]
     struct Toggler {
@@ -547,14 +535,13 @@ mod tests {
 
     #[test]
     fn sleep_gate_requires_every_condition() {
-        assert!(sleep_sets_active(true, true, true, false, 0, 3));
+        assert!(sleep_sets_active(true, true, false, 0, 3));
         for bad in [
-            sleep_sets_active(false, true, true, false, 0, 3),
-            sleep_sets_active(true, false, true, false, 0, 3),
-            sleep_sets_active(true, true, false, false, 0, 3),
-            sleep_sets_active(true, true, true, true, 0, 3),
-            sleep_sets_active(true, true, true, false, 1, 3),
-            sleep_sets_active(true, true, true, false, 0, MAX_SLEEP_PROCS + 1),
+            sleep_sets_active(false, true, false, 0, 3),
+            sleep_sets_active(true, false, false, 0, 3),
+            sleep_sets_active(true, true, true, 0, 3),
+            sleep_sets_active(true, true, false, 1, 3),
+            sleep_sets_active(true, true, false, 0, MAX_SLEEP_PROCS + 1),
         ] {
             assert!(!bad);
         }

@@ -273,6 +273,15 @@ pub enum ScheduleStep {
     Crash(ProcessId),
 }
 
+impl ScheduleStep {
+    /// The process the decision steps or crashes.
+    pub fn pid(self) -> ProcessId {
+        match self {
+            ScheduleStep::Step(p) | ScheduleStep::Crash(p) => p,
+        }
+    }
+}
+
 impl fmt::Display for ScheduleStep {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -616,7 +625,7 @@ impl<P: Process> Replayed<P> {
     /// crashes a process that is not running, or the memory error of a
     /// failed operation.
     pub(crate) fn step(&mut self, decision: ScheduleStep) -> Result<(), ExecError> {
-        let (ScheduleStep::Step(pid) | ScheduleStep::Crash(pid)) = decision;
+        let pid = decision.pid();
         let i = pid.index();
         if self.status.get(i) != Some(&Status::Running) {
             return Err(ExecError::NotRunnable(pid));

@@ -10,9 +10,11 @@
 //! transitions. This module owns everything they share so the graph
 //! semantics cannot drift apart:
 //!
-//! * [`Node`] — the global-state representation and its successor
-//!   function ([`expand_step`], crash branching inside
-//!   [`GraphBuilder::expand`]);
+//! * [`Node`] — the global-state representation — and
+//!   [`GraphBuilder::successor`], the one function that steps or crashes
+//!   a node and normalizes the result ([`GraphBuilder::expand`] fills one
+//!   reused successor buffer through it, and [`GraphBuilder::walk`]
+//!   re-derives witness hops through it);
 //! * canonicalization under a [`SymmetryGroup`] ([`canonicalize`],
 //!   [`state_fingerprint`]) for symmetry-reduced visited keys;
 //! * ample-set selection for partial-order reduction, parameterized by
@@ -113,51 +115,6 @@ pub(crate) fn canonicalize<P: Process + Clone + Hash>(
     canon
 }
 
-/// Computes the successor of `node` when process `i` takes its next step.
-pub(crate) fn expand_step<P: Process + Clone>(
-    node: &Node<P>,
-    i: usize,
-    template: &Memory,
-) -> Result<Node<P>, ExploreError> {
-    let mut next = node.clone();
-    match next.procs[i].current() {
-        Step::Halt => next.status[i] = Status::Done,
-        Step::Internal => next.procs[i].advance(OpResult::None),
-        Step::Op(op) => {
-            // Runtime analog of the static hook lint (`crate::analysis`):
-            // the executed step must be covered by the declared
-            // `may_access` at the pre-state. Debug builds only — this
-            // catches hook drift the solo analysis cannot see, such as a
-            // normalizer rewriting a process into a control point its
-            // hook never anticipated.
-            #[cfg(debug_assertions)]
-            {
-                let mut declared = RegisterSet::new();
-                if node.procs[i].may_access(&mut declared) {
-                    let fp = Footprint::of_op(&op, template.layout());
-                    debug_assert!(
-                        fp.reads.is_subset(&declared) && fp.writes.is_subset(&declared),
-                        "process {i}: step footprint {fp:?} escapes its declared may_access set"
-                    );
-                }
-            }
-            let mut mem = rebuild_memory(template, &next.values);
-            let result = mem.apply(&op).map_err(ExploreError::Memory)?;
-            next.values = mem.snapshot().to_vec();
-            next.procs[i].advance(result);
-        }
-    }
-    Ok(next)
-}
-
-/// The successor of `node` when the adversary crashes process `i`.
-fn crash_step<P: Clone>(node: &Node<P>, i: usize) -> Node<P> {
-    let mut next = node.clone();
-    next.status[i] = Status::Crashed;
-    next.crashes_left -= 1;
-    next
-}
-
 /// A memory instance with `values` poked over the layout of `template`.
 pub(crate) fn rebuild_memory(template: &Memory, values: &[Value]) -> Memory {
     let mut mem = template.clone();
@@ -230,31 +187,10 @@ impl AmpleMode {
     }
 }
 
-/// The successors of one node, as chosen by the engine.
-#[derive(Debug)]
-pub(crate) enum Expansion<P> {
-    /// Partial-order reduction proved one process sufficient: its single
-    /// successor stands for the whole enabled set.
-    Ample {
-        /// The process that stepped.
-        pid: ProcessId,
-        /// Its successor state.
-        succ: Node<P>,
-        /// The canonical form of `succ`, already computed for the
-        /// fresh-successor proviso when symmetry reduction is on — so
-        /// callers that intern canonically need not recanonicalize.
-        canon: Option<Node<P>>,
-    },
-    /// Full expansion: for every runnable process, its step successor —
-    /// preceded by its crash successor whenever crashes remain.
-    Full(Vec<(ScheduleStep, Node<P>)>),
-}
-
-/// The result of an ample selection: the winning candidate's process
-/// index paired with its successor's canonical form (already computed
-/// for the fresh-successor proviso when symmetry reduction is on), or
-/// `None` when the state must be fully expanded.
-type AmpleChoice<P> = Option<(usize, Option<Node<P>>)>;
+/// The successor buffer [`GraphBuilder::expand`] fills, in push order:
+/// each decision with its normalized successor and, when the ample
+/// selection already computed it, the successor's canonical form.
+type Successors<P> = Vec<(ScheduleStep, Node<P>, Option<Node<P>>)>;
 
 /// Reused per-state scratch of the ample selection: future-access sets
 /// and the successors computed while testing candidates (handed to the
@@ -541,11 +477,48 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         self.use_sym
     }
 
-    /// The normalized successor of `node` when process `i` steps.
-    fn successor(&self, node: &Node<P>, i: usize) -> Result<Node<P>, ExploreError> {
-        let mut succ = expand_step(node, i, &self.template)?;
-        self.normalize(&mut succ);
-        Ok(succ)
+    /// The successor of `node` under `decision`, normalized: the process
+    /// takes its next step, or the adversary crashes it. The one place
+    /// the driver steps or crashes a node.
+    fn successor(&self, node: &Node<P>, decision: ScheduleStep) -> Result<Node<P>, ExploreError> {
+        let i = decision.pid().index();
+        let mut next = node.clone();
+        match decision {
+            ScheduleStep::Crash(_) => {
+                next.status[i] = Status::Crashed;
+                next.crashes_left -= 1;
+            }
+            ScheduleStep::Step(_) => match next.procs[i].current() {
+                Step::Halt => next.status[i] = Status::Done,
+                Step::Internal => next.procs[i].advance(OpResult::None),
+                Step::Op(op) => {
+                    // Runtime analog of the static hook lint
+                    // (`crate::analysis`): the executed step must be
+                    // covered by the declared `may_access` at the
+                    // pre-state. Debug builds only — this catches hook
+                    // drift the solo analysis cannot see, such as a
+                    // normalizer rewriting a process into a control point
+                    // its hook never anticipated.
+                    #[cfg(debug_assertions)]
+                    {
+                        let mut declared = RegisterSet::new();
+                        if node.procs[i].may_access(&mut declared) {
+                            let fp = Footprint::of_op(&op, self.template.layout());
+                            debug_assert!(
+                                fp.reads.is_subset(&declared) && fp.writes.is_subset(&declared),
+                                "process {i}: step footprint {fp:?} escapes its declared may_access set"
+                            );
+                        }
+                    }
+                    let mut mem = rebuild_memory(&self.template, &next.values);
+                    let result = mem.apply(&op).map_err(ExploreError::Memory)?;
+                    next.values = mem.snapshot().to_vec();
+                    next.procs[i].advance(result);
+                }
+            },
+        }
+        self.normalize(&mut next);
+        Ok(next)
     }
 
     /// The canonical (orbit-representative) form of `node` — `node`
@@ -555,16 +528,6 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             canonicalize(node, &self.spec.symmetry)
         } else {
             node.clone()
-        }
-    }
-
-    /// Whether the concrete node `concrete` falls into the orbit whose
-    /// canonical representative is `canon`.
-    fn matches_canonical(&self, concrete: &Node<P>, canon: &Node<P>) -> bool {
-        if self.use_sym {
-            canonicalize(concrete, &self.spec.symmetry) == *canon
-        } else {
-            concrete == canon
         }
     }
 
@@ -586,9 +549,11 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         self.root(procs)
     }
 
-    /// Computes the successors of `node` (whose runnable processes are
-    /// `runnable`): a single ample successor when partial-order reduction
-    /// applies, the full enabled set (crash transitions first) otherwise.
+    /// Fills `out` with the successors of `node` (whose runnable
+    /// processes are `runnable`) in push order, and returns whether it
+    /// holds a single ample successor. Otherwise it holds the full enabled
+    /// set: each runnable process's crash successor (while crashes
+    /// remain), then its step successor.
     ///
     /// `visited` answers whether a (canonical) node has already been seen;
     /// the ample conditions consult it for the cycle/fresh-successor
@@ -600,46 +565,43 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         node: &Node<P>,
         runnable: &[usize],
         visited: F,
-    ) -> Result<Expansion<P>, ExploreError>
+        out: &mut Successors<P>,
+    ) -> Result<bool, ExploreError>
     where
         F: Fn(&Node<P>) -> bool,
     {
-        if self.config.por && node.crashes_left == 0 && runnable.len() > 1 {
-            if let Some((i, canon)) = self.select_ample(node, runnable, &visited)? {
-                let succ = self.scratch.succ[i].take().expect("ample successor cached");
-                for s in self.scratch.succ.iter_mut() {
-                    *s = None;
-                }
-                return Ok(Expansion::Ample {
-                    pid: ProcessId::new(i as u32),
-                    succ,
-                    canon,
-                });
+        out.clear();
+        if self.config.por
+            && node.crashes_left == 0
+            && runnable.len() > 1
+            && self.select_ample(node, runnable, &visited, out)?
+        {
+            for s in self.scratch.succ.iter_mut() {
+                *s = None;
             }
+            return Ok(true);
         }
-        let crashing = node.crashes_left > 0;
-        let mut out = Vec::with_capacity(runnable.len() * if crashing { 2 } else { 1 });
         for &i in runnable {
-            if crashing {
-                out.push((
-                    ScheduleStep::Crash(ProcessId::new(i as u32)),
-                    crash_step(node, i),
-                ));
+            let pid = ProcessId::new(i as u32);
+            if node.crashes_left > 0 {
+                let crash = ScheduleStep::Crash(pid);
+                out.push((crash, self.successor(node, crash)?, None));
             }
             // Reuse any successor the ample selection already computed for
             // this candidate instead of recomputing it.
+            let step = ScheduleStep::Step(pid);
             let next = match self.scratch.succ[i].take() {
                 Some(cached) => cached,
-                None => expand_step(node, i, &self.template)?,
+                None => self.successor(node, step)?,
             };
-            out.push((ScheduleStep::Step(ProcessId::new(i as u32)), next));
+            out.push((step, next, None));
         }
-        Ok(Expansion::Full(out))
+        Ok(false)
     }
 
-    /// Selects an ample process at `node`, leaving its (already computed)
-    /// successor in the scratch, or returns `None` when the state must be
-    /// fully expanded.
+    /// Selects an ample process at `node` and pushes its (already
+    /// computed) successor onto `out`, or returns `false` when the state
+    /// must be fully expanded.
     ///
     /// A candidate `i` is ample when its next step is
     /// 1. independent of every step any *other* running process can ever
@@ -661,7 +623,8 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         node: &Node<P>,
         runnable: &[usize],
         visited: &F,
-    ) -> Result<AmpleChoice<P>, ExploreError>
+        out: &mut Successors<P>,
+    ) -> Result<bool, ExploreError>
     where
         F: Fn(&Node<P>) -> bool,
     {
@@ -719,8 +682,9 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             // Successors computed here are kept in the scratch: if no
             // ample candidate survives, the full expansion reuses them
             // instead of recomputing.
-            let succ = expand_step(node, i, &self.template)?;
-            let succ = self.scratch.succ[i].insert(succ);
+            let decision = ScheduleStep::Step(ProcessId::new(i as u32));
+            let succ = self.successor(node, decision)?;
+            let succ = &*self.scratch.succ[i].insert(succ);
             // Condition 2: invisibility of the step — required whenever
             // per-state observations must be preserved. Safety checks
             // never read liveness statuses under reduction, so `Halt`
@@ -742,19 +706,15 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             // Condition 3: the cycle / fresh-successor proviso. The
             // canonical form computed here rides along with the winner so
             // canonically-interning callers need not recompute it.
-            if self.use_sym {
-                let canon = canonicalize(succ, &self.spec.symmetry);
-                if visited(&canon) {
-                    continue 'candidates;
-                }
-                return Ok(Some((i, Some(canon))));
-            }
-            if visited(succ) {
+            let canon = self.use_sym.then(|| canonicalize(succ, &self.spec.symmetry));
+            if visited(canon.as_ref().unwrap_or(succ)) {
                 continue 'candidates;
             }
-            return Ok(Some((i, None)));
+            let succ = self.scratch.succ[i].take().expect("candidate successor cached");
+            out.push((decision, succ, canon));
+            return Ok(true);
         }
-        Ok(None)
+        Ok(false)
     }
 
     /// Depth-first traversal with per-state property checks — the safety
@@ -791,7 +751,6 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         let sleep_on = sleep_sets_active(
             self.config.por,
             self.config.may_access == MayAccessMode::Dynamic,
-            mode == AmpleMode::Safety,
             self.use_sym,
             self.config.max_crashes,
             n,
@@ -818,6 +777,12 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         // processes whose next step out of this node is covered by an
         // already-pushed sibling branch.
         let mut stack: Vec<(Node<P>, Option<Rc<PathLink>>, u32)> = vec![(root, None, 0)];
+        // Buffers reused across states: the runnable processes, the
+        // successors `expand` fills, and, under sleep sets, each buffered
+        // step's pid bit and footprint.
+        let mut runnable = Vec::with_capacity(n);
+        let mut succs = Vec::new();
+        let mut fps: Vec<(u32, Footprint)> = Vec::new();
 
         while let Some((node, path, mut mask)) = stack.pop() {
             let (id, outcome) = if self.use_sym {
@@ -853,7 +818,8 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                     }
                 }
             };
-            let runnable: Vec<usize> = (0..n).filter(|&i| node.status[i].runnable()).collect();
+            runnable.clear();
+            runnable.extend((0..n).filter(|&i| node.status[i].runnable()));
             if fresh {
                 stats.states += 1;
                 if stats.states > self.config.max_states {
@@ -884,86 +850,51 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             }
 
             let depth = path.as_ref().map_or(0, |l| l.depth) + 1;
-            match self.expand(&node, &runnable, |key| visited.contains(key))? {
-                Expansion::Ample { pid, mut succ, .. } => {
-                    stats.states_pruned_por += runnable.len() as u64 - 1;
-                    if sleep_on && mask & (1 << pid.index()) != 0 {
-                        // The single ample transition is asleep: a
-                        // sibling branch of some ancestor already covers
-                        // it, so this branch ends here.
+            if self.expand(&node, &runnable, |key| visited.contains(key), &mut succs)? {
+                stats.states_pruned_por += runnable.len() as u64 - 1;
+            }
+            // Under sleep sets the crash budget is 0, so each buffered
+            // entry is one process's step, named by its pid bit.
+            if sleep_on {
+                let layout = self.template.layout();
+                fps.clear();
+                fps.extend(succs.iter().map(|(step, ..)| {
+                    let i = step.pid().index();
+                    (1u32 << i, Footprint::of_step(&node.procs[i].current(), layout))
+                }));
+            }
+            for (k, (step, succ, _)) in succs.drain(..).enumerate() {
+                let mut child_mask = 0;
+                if sleep_on {
+                    let (bit, fp) = &fps[k];
+                    // An asleep entry is covered by a sibling branch of
+                    // some ancestor, so its branch ends here.
+                    if mask & bit != 0 {
                         stats.transitions_slept += 1;
                         continue;
                     }
-                    stats.transitions += 1;
-                    let child_mask = if sleep_on {
-                        let layout = self.template.layout();
-                        let fp = Footprint::of_step(&node.procs[pid.index()].current(), layout);
-                        wake_conflicting(mask, &node, layout, &fp)
-                    } else {
-                        0
-                    };
-                    self.normalize(&mut succ);
-                    let link = Rc::new(PathLink {
-                        step: ScheduleStep::Step(pid),
-                        depth,
-                        parent: path,
-                    });
-                    stack.push((succ, Some(link), child_mask));
-                }
-                Expansion::Full(succs) => {
-                    if sleep_on {
-                        // Crash budget is zero under sleeping, so the
-                        // successor list is exactly one step per runnable
-                        // process, in `runnable` order.
-                        debug_assert_eq!(succs.len(), runnable.len());
-                        let layout = self.template.layout();
-                        let fps: Vec<Footprint> = runnable
-                            .iter()
-                            .map(|&i| Footprint::of_step(&node.procs[i].current(), layout))
-                            .collect();
-                        for (k, (step, mut succ)) in succs.into_iter().enumerate() {
-                            let pid_bit = 1u32 << runnable[k];
-                            if mask & pid_bit != 0 {
-                                stats.transitions_slept += 1;
-                                continue;
-                            }
-                            stats.transitions += 1;
-                            // Inherited sleepers stay asleep unless the
-                            // taken step races with their next step...
-                            let mut child_mask = wake_conflicting(mask, &node, layout, &fps[k]);
-                            // ...and every awake sibling explored before
-                            // this branch (pushed later — the stack pops
-                            // in reverse) whose step is independent of
-                            // the taken one goes to sleep: its successor
-                            // here is reachable, via commutation, from
-                            // the sibling's subtree.
-                            for (k2, &j) in runnable.iter().enumerate().skip(k + 1) {
-                                let bit = 1u32 << j;
-                                if mask & bit == 0 && !observed_conflict(&fps[k2], &fps[k]) {
-                                    child_mask |= bit;
-                                }
-                            }
-                            self.normalize(&mut succ);
-                            let link = Rc::new(PathLink {
-                                step,
-                                depth,
-                                parent: path.clone(),
-                            });
-                            stack.push((succ, Some(link), child_mask));
-                        }
-                    } else {
-                        for (step, mut succ) in succs {
-                            stats.transitions += 1;
-                            self.normalize(&mut succ);
-                            let link = Rc::new(PathLink {
-                                step,
-                                depth,
-                                parent: path.clone(),
-                            });
-                            stack.push((succ, Some(link), 0));
+                    // Inherited sleepers stay asleep unless the taken step
+                    // races with their next step...
+                    child_mask = wake_conflicting(mask, &node, self.template.layout(), fp);
+                    // ...and every awake later entry (explored before this
+                    // branch: the stack pops in reverse) whose step is
+                    // independent of the taken one goes to sleep: its
+                    // successor here is reachable, via commutation, from
+                    // that entry's subtree. An ample expansion is the
+                    // one-entry case.
+                    for (later_bit, later_fp) in &fps[k + 1..] {
+                        if mask & later_bit == 0 && !observed_conflict(later_fp, fp) {
+                            child_mask |= later_bit;
                         }
                     }
                 }
+                stats.transitions += 1;
+                let link = Rc::new(PathLink {
+                    step,
+                    depth,
+                    parent: path.clone(),
+                });
+                stack.push((succ, Some(link), child_mask));
             }
         }
         stats.footprint = footprint(&visited, &sleep);
@@ -1011,6 +942,10 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         }
 
         let mut stats = ExploreStats::default();
+        // Buffers reused across states: the runnable processes and the
+        // successors `expand` fills.
+        let mut runnable = Vec::with_capacity(n);
+        let mut succs = Vec::new();
         let mut cursor = 0usize;
         while cursor < g.store.len() {
             span.tick(|| Snapshot {
@@ -1020,7 +955,8 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 ..stats.sample()
             });
             let current = g.store.node(cursor as u32);
-            let runnable: Vec<usize> = (0..n).filter(|&i| current.status[i].runnable()).collect();
+            runnable.clear();
+            runnable.extend((0..n).filter(|&i| current.status[i].runnable()));
             if runnable.is_empty() {
                 g.terminal[cursor] = true;
                 stats.terminals += 1;
@@ -1028,32 +964,21 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 cursor += 1;
                 continue;
             }
-            // Successors paired with their canonical form, when the ample
+            // Each successor comes with its canonical form when the ample
             // selection already computed it for the fresh-successor
-            // proviso. (The ample path precomputes it only when no
-            // normalizer rewrites the successor afterwards — POR is off
-            // with one active — so a cached form is always still valid.)
-            let succs = match self.expand(&current, &runnable, |key| g.store.contains(key))? {
-                Expansion::Ample { pid, succ, canon } => {
-                    stats.states_pruned_por += runnable.len() as u64 - 1;
-                    vec![(ScheduleStep::Step(pid), succ, canon)]
-                }
-                Expansion::Full(list) => list
-                    .into_iter()
-                    .map(|(step, succ)| (step, succ, None))
-                    .collect(),
-            };
-            for (step, mut succ, canon) in succs {
+            // proviso.
+            if self.expand(&current, &runnable, |key| g.store.contains(key), &mut succs)? {
+                stats.states_pruned_por += runnable.len() as u64 - 1;
+            }
+            for (step, succ, canon) in succs.drain(..) {
                 stats.transitions += 1;
-                self.normalize(&mut succ);
-                let (pid, crash) = match step {
-                    ScheduleStep::Step(p) => (p.index() as u32, false),
-                    ScheduleStep::Crash(p) => (p.index() as u32, true),
-                };
+                let pid = step.pid().index();
+                let crash = matches!(step, ScheduleStep::Crash(_));
                 let served = !crash
-                    && self.spec.served.is_some_and(|f| {
-                        f(&current.procs[pid as usize], &succ.procs[pid as usize])
-                    });
+                    && self
+                        .spec
+                        .served
+                        .is_some_and(|f| f(&current.procs[pid], &succ.procs[pid]));
                 let canon = canon.or_else(|| self.use_sym.then(|| self.canonical_of(&succ)));
                 let (canon, permuted) = match canon {
                     Some(canon) => {
@@ -1077,7 +1002,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 // expanding it, and the seal below closes its range.
                 g.edges.push(GEdge {
                     to,
-                    pid,
+                    pid: pid as u32,
                     crash,
                     served,
                 });
@@ -1132,17 +1057,13 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             .filter(|&i| cur.status[i].runnable());
         for i in order {
             let pid = ProcessId::new(i as u32);
-            let succ = self
-                .successor(cur, i)
-                .expect("witness steps replay the explored semantics");
-            if self.matches_canonical(&succ, target) {
-                return (ScheduleStep::Step(pid), succ);
-            }
-            if cur.crashes_left > 0 {
-                let mut crashed = crash_step(cur, i);
-                self.normalize(&mut crashed);
-                if self.matches_canonical(&crashed, target) {
-                    return (ScheduleStep::Crash(pid), crashed);
+            let crash = (cur.crashes_left > 0).then_some(ScheduleStep::Crash(pid));
+            for decision in std::iter::once(ScheduleStep::Step(pid)).chain(crash) {
+                let succ = self
+                    .successor(cur, decision)
+                    .expect("witness steps replay the explored semantics");
+                if self.canonical_of(&succ) == *target {
+                    return (decision, succ);
                 }
             }
         }

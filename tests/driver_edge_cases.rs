@@ -1,8 +1,8 @@
 //! Edge-case coverage for the unified traversal driver, at the public
 //! checker surface: degenerate process counts, trivial stabilizer
-//! groups, the normalizer/POR interaction, and crash-budget boundaries —
-//! the corners where three formerly separate search loops used to be
-//! able to disagree.
+//! groups, the normalizer/POR interaction, a normalizer under a crash
+//! budget, and crash-budget boundaries — the corners where three
+//! formerly separate search loops used to be able to disagree.
 
 mod common;
 
@@ -166,4 +166,49 @@ fn progress_violation_schedules_replay_through_the_shared_driver() {
             .all(|s| matches!(s, ScheduleStep::Step(_))),
         "no crash budget, no crash steps"
     );
+}
+
+/// A normalizer under a crash budget: the bakery's ticket quotient
+/// rewrites every crash successor, and the witness's crash hop is
+/// re-derived through it. A customer that crashes holding a ticket
+/// wedges its peer, so every variant is starvable. The normalizer turns
+/// POR off, and refining by the initial state leaves the bakery's
+/// symmetry group trivial, so every variant explores the same graph.
+#[test]
+fn bakery_crash_under_the_normalizer_starves_the_survivor() {
+    let alg = Bakery::new(2);
+    for (label, config) in labeled_variants(200_000) {
+        let report = check_mutex_starvation(&alg, config.with_max_crashes(1)).unwrap();
+        assert_eq!(
+            (report.stats.states, report.stats.transitions),
+            (1_662, 3_324),
+            "{label}"
+        );
+        let w = report
+            .witness()
+            .unwrap_or_else(|| panic!("{label}: a crashed ticket holder must starve its peer"));
+        let crashes = w
+            .lasso
+            .stem
+            .iter()
+            .filter(|s| matches!(s, ScheduleStep::Crash(_)))
+            .count();
+        assert_eq!(crashes, 1, "{label}: {w}");
+        assert!(
+            w.lasso
+                .cycle
+                .iter()
+                .all(|s| *s == ScheduleStep::Step(w.victim)),
+            "{label}: only the victim moves around the loop: {w}"
+        );
+        let clients = (0..2)
+            .map(|i| alg.client_cycling(ProcessId::new(i), 1))
+            .collect();
+        let replayed = replay(alg.memory().unwrap(), clients, &w.lasso.unrolled()).unwrap();
+        assert_eq!(
+            replayed.status[w.victim.index()],
+            Status::Running,
+            "{label}"
+        );
+    }
 }

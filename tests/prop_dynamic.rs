@@ -1,6 +1,6 @@
 //! Property wall for the dynamic-reduction substrate: the vector-clock
-//! laws and the observed-conflict relation that sleep-set pruning
-//! (`MayAccessMode::Dynamic`) is built on.
+//! laws of `trace_causality`, and the observed-conflict relation that
+//! sleep-set pruning (`MayAccessMode::Dynamic`) is built on.
 //!
 //! Three families of claims, each driven by random interleavings of the
 //! real algorithm processes:
@@ -12,8 +12,10 @@
 //!   in program order, every recorded conflict edge is a
 //!   happens-before edge, and the clock order *equals* the transitive
 //!   closure of program order ∪ observed-conflict order — no more, no
-//!   less. That equality is what justifies reading `leq` as "cannot be
-//!   reordered" inside the sleep machinery;
+//!   less. The sleep machinery itself reads no clock: it tests
+//!   `observed_conflict` on step footprints, and what checks it is the
+//!   oracle matrix's dynamic columns and the planted
+//!   conflict-under-reporting mutant;
 //! * **footprint containment** — every register two events race on is
 //!   inside the automaton future set of *both* stepping processes at
 //!   the moment they stepped. Observed conflicts are a refinement of
