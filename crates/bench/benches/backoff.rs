@@ -57,7 +57,10 @@ fn print_backoff_table(max_threads: usize) {
             threads.to_string(),
             format!("{:.0}", t_plain.as_nanos()),
             format!("{:.0}", t_backoff.as_nanos()),
-            format!("{:.1}x", t_backoff.as_nanos() as f64 / solo.as_nanos().max(1) as f64),
+            format!(
+                "{:.1}x",
+                t_backoff.as_nanos() as f64 / solo.as_nanos().max(1) as f64
+            ),
         ]);
     }
     println!("{table}");

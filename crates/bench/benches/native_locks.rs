@@ -41,17 +41,13 @@ fn bench_uncontended(c: &mut Criterion) {
         // The Θ(n) baseline: uncontended bakery latency grows with the
         // slot count while Lamport's stays flat (the paper's motivation
         // in nanoseconds).
-        group.bench_with_input(
-            BenchmarkId::new("bakery", slots),
-            &slots,
-            |b, &slots| {
-                let m = BakeryMutex::new(slots);
-                b.iter(|| {
-                    m.lock(0);
-                    m.unlock(0);
-                });
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("bakery", slots), &slots, |b, &slots| {
+            let m = BakeryMutex::new(slots);
+            b.iter(|| {
+                m.lock(0);
+                m.unlock(0);
+            });
+        });
     }
     group.bench_function("ttas", |b| {
         let m = TasLock::new(SpinStrategy::Ttas);

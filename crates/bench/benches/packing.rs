@@ -16,8 +16,8 @@
 use cfc_bench::distinct_words;
 use cfc_bounds::table::TextTable;
 use cfc_core::{
-    bits_for, run_solo, Layout, Memory, Op, OpResult, Process, ProcessId, RegisterId, Step,
-    Value, WordId,
+    bits_for, run_solo, Layout, Memory, Op, OpResult, Process, ProcessId, RegisterId, Step, Value,
+    WordId,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
@@ -103,8 +103,20 @@ fn print_packing_table() {
             let words = distinct_words(&trace, &layout, pid);
             table.row([
                 n.to_string(),
-                if packed { "x,y packed in one word" } else { "separate registers" }.to_string(),
-                format!("{} bits", if packed { 2 * bits_for(n as u64) } else { bits_for(n as u64) }),
+                if packed {
+                    "x,y packed in one word"
+                } else {
+                    "separate registers"
+                }
+                .to_string(),
+                format!(
+                    "{} bits",
+                    if packed {
+                        2 * bits_for(n as u64)
+                    } else {
+                        bits_for(n as u64)
+                    }
+                ),
                 c.steps.to_string(),
                 words.to_string(),
             ]);

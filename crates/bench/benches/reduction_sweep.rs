@@ -21,9 +21,9 @@
 use std::time::Duration;
 
 use cfc_bounds::table::TextTable;
+use cfc_mutex::Splitter;
 use cfc_mutex::{Bakery, LamportFast, PetersonTwo, TasSpin, Tournament};
 use cfc_naming::{TafTree, TasScan, TasTarTree};
-use cfc_mutex::Splitter;
 use cfc_verify::explore::ExploreConfig;
 use cfc_verify::{
     check_detection_safety, check_mutex_progress, check_mutex_safety, check_mutex_starvation,

@@ -13,8 +13,8 @@ use cfc_bounds::mutex as bounds;
 use cfc_bounds::table::TextTable;
 use cfc_core::{bits_for, Process, ProcessId, Section};
 use cfc_mutex::{
-    measure, Bakery, Dijkstra, LamportFast, LockProcess, MutexAlgorithm, MutexClient,
-    PetersonTwo, TasSpin, Tournament,
+    measure, Bakery, Dijkstra, LamportFast, LockProcess, MutexAlgorithm, MutexClient, PetersonTwo,
+    TasSpin, Tournament,
 };
 use cfc_verify::{
     check_mutex_starvation, validate_bypass, validate_lasso, ExploreConfig, LivenessSpec,
@@ -51,7 +51,11 @@ where
     match (report.witness(), report.bypass()) {
         (Some(lasso), _) => {
             validate_lasso(&memory, &clients, lasso, &liveness_spec()).unwrap();
-            assert!(claimed.is_none(), "{}: claimed a bound but starves", alg.name());
+            assert!(
+                claimed.is_none(),
+                "{}: claimed a bound but starves",
+                alg.name()
+            );
             format!("starvable (lasso: {} loop steps)", lasso.lasso.cycle.len())
         }
         (None, Some(Some(bound))) => {

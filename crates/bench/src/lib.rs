@@ -143,8 +143,7 @@ mod tests {
 
     #[test]
     fn write_artifact_round_trips_a_table_to_csv() {
-        let mut table = TextTable::new(["n", "cf steps", "note"])
-            .with_title("round-trip artifact");
+        let mut table = TextTable::new(["n", "cf steps", "note"]).with_title("round-trip artifact");
         table.row(["2", "7", "plain"]);
         table.row(["4096", "7", "comma, inside"]);
         table.row(["65536", "7", "say \"hi\""]);
@@ -194,7 +193,10 @@ mod tests {
             Some(PathBuf::from("/work/cfc-target/cfc-artifacts"))
         );
         // The executable itself is never the target directory.
-        assert_eq!(artifact_dir(Path::new("/target"), |d| d.ends_with("target")), None);
+        assert_eq!(
+            artifact_dir(Path::new("/target"), |d| d.ends_with("target")),
+            None
+        );
         assert_eq!(artifact_dir(exe, |_| false), None);
     }
 

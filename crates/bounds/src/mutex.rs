@@ -268,10 +268,7 @@ mod tests {
             for l in [1u32, 2, 8] {
                 let c = thm2_register_lower_int(n, l);
                 let b = log2(n) / (l as f64 + log2(n).log2());
-                assert!(
-                    ((c + 1) * (c + 1)) as f64 > b,
-                    "n={n} l={l} c={c} b={b}"
-                );
+                assert!(((c + 1) * (c + 1)) as f64 > b, "n={n} l={l} c={c} b={b}");
             }
         }
     }

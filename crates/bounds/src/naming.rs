@@ -180,11 +180,7 @@ mod tests {
         ];
         for (class, bounds) in expected {
             for (measure, bound) in Measure::ALL.into_iter().zip(bounds) {
-                assert_eq!(
-                    tight_bound(class, measure),
-                    bound,
-                    "{class} / {measure}"
-                );
+                assert_eq!(tight_bound(class, measure), bound, "{class} / {measure}");
             }
         }
         let _ = (CfRegister, CfStep, WcRegister, WcStep); // row order used above

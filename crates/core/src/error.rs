@@ -211,7 +211,10 @@ mod tests {
             register: RegisterId::new(3),
             width: 8,
         };
-        assert_eq!(e.to_string(), "bit operation applied to register r3 of width 8");
+        assert_eq!(
+            e.to_string(),
+            "bit operation applied to register r3 of width 8"
+        );
         let e = ExecError::Budget { events: 10 };
         assert!(e.to_string().contains("10"));
     }

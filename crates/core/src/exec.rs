@@ -444,8 +444,7 @@ mod tests {
     fn budget_guards_against_runaway_runs() {
         let (memory, c) = counter_memory();
         let procs = vec![Incrementer::new(c, 1_000)];
-        let mut exec =
-            Executor::new(memory, procs).with_config(ExecConfig { max_events: 10 });
+        let mut exec = Executor::new(memory, procs).with_config(ExecConfig { max_events: 10 });
         let err = exec.run(RoundRobin::new()).unwrap_err();
         assert_eq!(err, ExecError::Budget { events: 10 });
     }

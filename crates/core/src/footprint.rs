@@ -65,10 +65,7 @@ impl RegisterSet {
 
     /// Do the two sets share a member?
     pub fn intersects(&self, other: &RegisterSet) -> bool {
-        self.words
-            .iter()
-            .zip(&other.words)
-            .any(|(a, b)| a & b != 0)
+        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
     /// Adds every member of `other`.
@@ -257,7 +254,10 @@ mod tests {
         assert!(small.is_subset(&large));
         assert!(!large.is_subset(&small));
         assert!(RegisterSet::new().is_subset(&small));
-        assert_eq!(large.iter().map(|r| r.index()).collect::<Vec<_>>(), [3, 130]);
+        assert_eq!(
+            large.iter().map(|r| r.index()).collect::<Vec<_>>(),
+            [3, 130]
+        );
     }
 
     #[test]

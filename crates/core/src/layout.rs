@@ -254,7 +254,12 @@ impl Layout {
 
 impl fmt::Display for Layout {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "layout ({} registers, {} words):", self.len(), self.word_count())?;
+        writeln!(
+            f,
+            "layout ({} registers, {} words):",
+            self.len(),
+            self.word_count()
+        )?;
         for (id, spec) in self.iter() {
             write!(
                 f,
@@ -353,7 +358,10 @@ mod tests {
     fn unknown_register_pack_rejected() {
         let mut layout = Layout::new();
         let ghost = RegisterId::new(9);
-        assert_eq!(layout.pack(&[ghost]), Err(LayoutError::UnknownRegister(ghost)));
+        assert_eq!(
+            layout.pack(&[ghost]),
+            Err(LayoutError::UnknownRegister(ghost))
+        );
     }
 
     #[test]

@@ -100,8 +100,8 @@ pub use memory::Memory;
 pub use metrics::Complexity;
 pub use op::{AccessClass, Op, OpResult, Step};
 pub use process::{Process, Section};
-pub use sym::SymmetryGroup;
 pub use sched::{FixedOrder, Lockstep, RandomSched, RoundRobin, Scheduler, Sequential, Solo};
+pub use sym::SymmetryGroup;
 pub use trace::{Event, EventKind, Trace};
 pub use value::{bits_for, mask, Value, MAX_WIDTH};
 pub use vclock::VectorClock;

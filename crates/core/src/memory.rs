@@ -175,7 +175,10 @@ impl Memory {
                     .ok_or(MemoryError::UnknownWord(*w))?;
                 for &(r, _) in fields {
                     if !members.contains(&r) {
-                        return Err(MemoryError::FieldNotInWord { word: *w, register: r });
+                        return Err(MemoryError::FieldNotInWord {
+                            word: *w,
+                            register: r,
+                        });
                     }
                 }
                 for &(r, v) in fields {
@@ -309,7 +312,10 @@ mod tests {
         let mut layout = Layout::new();
         let x = layout.register("x", 4, 3);
         let mut m = Memory::new(layout, 4).unwrap();
-        assert_eq!(m.apply(&Op::Read(x)).unwrap(), OpResult::Value(Value::new(3)));
+        assert_eq!(
+            m.apply(&Op::Read(x)).unwrap(),
+            OpResult::Value(Value::new(3))
+        );
         m.apply(&Op::Write(x, Value::new(9))).unwrap();
         assert_eq!(m.get(x), Value::new(9));
     }
@@ -346,7 +352,10 @@ mod tests {
         let w = layout.pack(&[x, y]).unwrap();
         let mut m = Memory::new(layout, 8).unwrap();
         let err = m
-            .apply(&Op::WriteWord(w, vec![(x, Value::new(5)), (y, Value::new(7))]))
+            .apply(&Op::WriteWord(
+                w,
+                vec![(x, Value::new(5)), (y, Value::new(7))],
+            ))
             .unwrap_err();
         assert!(matches!(err, MemoryError::ValueTooWide { register, .. } if register == y));
         // No field of the failed word write may land.
@@ -398,7 +407,8 @@ mod tests {
         let r = m.apply(&Op::ReadWord(w)).unwrap();
         assert_eq!(r.values(), &[Value::new(1), Value::new(2)]);
 
-        m.apply(&Op::WriteWord(w, vec![(y, Value::new(7))])).unwrap();
+        m.apply(&Op::WriteWord(w, vec![(y, Value::new(7))]))
+            .unwrap();
         assert_eq!(m.get(x), Value::new(1));
         assert_eq!(m.get(y), Value::new(7));
     }

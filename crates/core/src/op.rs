@@ -229,8 +229,14 @@ mod tests {
         assert_eq!(Op::Bit(r, BitOp::Skip).class(), AccessClass::Read);
         assert_eq!(Op::Bit(r, BitOp::Write1).class(), AccessClass::Write);
         assert_eq!(Op::Bit(r, BitOp::Flip).class(), AccessClass::Write);
-        assert_eq!(Op::Bit(r, BitOp::TestAndSet).class(), AccessClass::ReadWrite);
-        assert_eq!(Op::Bit(r, BitOp::TestAndFlip).class(), AccessClass::ReadWrite);
+        assert_eq!(
+            Op::Bit(r, BitOp::TestAndSet).class(),
+            AccessClass::ReadWrite
+        );
+        assert_eq!(
+            Op::Bit(r, BitOp::TestAndFlip).class(),
+            AccessClass::ReadWrite
+        );
     }
 
     #[test]

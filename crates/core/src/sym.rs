@@ -114,7 +114,11 @@ impl SymmetryGroup {
     ///
     /// Panics if `fixed >= n`.
     pub fn stabilizer(&self, fixed: usize) -> SymmetryGroup {
-        assert!(fixed < self.n, "process {fixed} out of range (n = {})", self.n);
+        assert!(
+            fixed < self.n,
+            "process {fixed} out of range (n = {})",
+            self.n
+        );
         let classes = self
             .classes
             .iter()

@@ -127,7 +127,10 @@ mod tests {
     fn masking_truncates() {
         assert_eq!(Value::new(0b1011).masked(2), Value::new(0b11));
         assert_eq!(Value::new(0xFF).masked(8), Value::new(0xFF));
-        assert_eq!(Value::new(u64::MAX).masked(MAX_WIDTH).raw(), mask(MAX_WIDTH));
+        assert_eq!(
+            Value::new(u64::MAX).masked(MAX_WIDTH).raw(),
+            mask(MAX_WIDTH)
+        );
     }
 
     #[test]

@@ -17,8 +17,7 @@ use cfc_core::{
 /// with unbounded auxiliary counters (bakery tickets) into finite
 /// quotients so that cycle detection terminates. Safety and progress
 /// checking never use it.
-pub type StateNormalizer<L> =
-    Box<dyn Fn(&mut [MutexClient<L>], &mut [Value]) + Send + Sync>;
+pub type StateNormalizer<L> = Box<dyn Fn(&mut [MutexClient<L>], &mut [Value]) + Send + Sync>;
 
 /// The entry/exit state machine of one mutual-exclusion participant.
 ///
@@ -143,12 +142,7 @@ pub trait MutexAlgorithm {
     /// critical section is an observable state: with zero dwell steps a
     /// client passes through [`Section::Critical`] instantaneously and a
     /// mutual-exclusion monitor would never see two occupants.
-    fn client_with_cs(
-        &self,
-        pid: ProcessId,
-        trips: u32,
-        cs_steps: u32,
-    ) -> MutexClient<Self::Lock> {
+    fn client_with_cs(&self, pid: ProcessId, trips: u32, cs_steps: u32) -> MutexClient<Self::Lock> {
         MutexClient::with_cs_steps(self.lock(pid), trips, cs_steps)
     }
 

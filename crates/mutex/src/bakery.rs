@@ -266,22 +266,16 @@ impl LockProcess for BakeryLock {
     fn current(&self) -> Step {
         match self.pc {
             Pc::Idle | Pc::EntryDone | Pc::ExitDone => Step::Halt,
-            Pc::WriteChoosing1 => {
-                Step::Op(Op::Write(self.choosing[self.me as usize], Value::ONE))
-            }
+            Pc::WriteChoosing1 => Step::Op(Op::Write(self.choosing[self.me as usize], Value::ONE)),
             Pc::ScanMax(j) => Step::Op(Op::Read(self.number[j as usize])),
             Pc::WriteNumber => Step::Op(Op::Write(
                 self.number[self.me as usize],
                 Value::new(self.my_number),
             )),
-            Pc::WriteChoosing0 => {
-                Step::Op(Op::Write(self.choosing[self.me as usize], Value::ZERO))
-            }
+            Pc::WriteChoosing0 => Step::Op(Op::Write(self.choosing[self.me as usize], Value::ZERO)),
             Pc::WaitChoosing(j) => Step::Op(Op::Read(self.choosing[j as usize])),
             Pc::WaitNumber(j) => Step::Op(Op::Read(self.number[j as usize])),
-            Pc::ExitWriteNumber => {
-                Step::Op(Op::Write(self.number[self.me as usize], Value::ZERO))
-            }
+            Pc::ExitWriteNumber => Step::Op(Op::Write(self.number[self.me as usize], Value::ZERO)),
         }
     }
 
@@ -435,9 +429,7 @@ mod tests {
             let pid = sched.pick(&runnable).unwrap();
             exec.step_process(pid).unwrap();
             let in_cs = (0..n as u32)
-                .filter(|&i| {
-                    exec.process(ProcessId::new(i)).section() == Some(Section::Critical)
-                })
+                .filter(|&i| exec.process(ProcessId::new(i)).section() == Some(Section::Critical))
                 .count();
             assert!(in_cs <= 1, "mutual exclusion violated");
         }
@@ -522,7 +514,11 @@ mod tests {
         let mut exec = cfc_core::Executor::new(alg.memory().unwrap(), vec![client]);
         let err = exec.step_process(ProcessId::new(0)).unwrap_err();
         match err {
-            ExecError::Memory(MemoryError::ValueTooWide { register, width, value }) => {
+            ExecError::Memory(MemoryError::ValueTooWide {
+                register,
+                width,
+                value,
+            }) => {
                 assert_eq!(register, alg.number[0]);
                 assert_eq!(width, TICKET_WIDTH);
                 assert_eq!(value, Value::new(1 << TICKET_WIDTH));
@@ -562,11 +558,7 @@ mod tests {
             .iter()
             .filter_map(|e| e.access())
             .filter_map(|(op, _)| match op {
-                Op::Write(r, v)
-                    if alg.number.contains(r) && v.raw() != 0 =>
-                {
-                    Some(v.raw())
-                }
+                Op::Write(r, v) if alg.number.contains(r) && v.raw() != 0 => Some(v.raw()),
                 _ => None,
             })
             .collect();

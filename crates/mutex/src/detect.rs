@@ -246,7 +246,8 @@ mod tests {
     #[test]
     fn mutex_detector_solo_outputs_one() {
         let det = MutexDetector::new(LamportFast::new(4));
-        let (_, proc_, _) = run_solo(det.memory().unwrap(), det.process(ProcessId::new(1))).unwrap();
+        let (_, proc_, _) =
+            run_solo(det.memory().unwrap(), det.process(ProcessId::new(1))).unwrap();
         assert_eq!(proc_.output(), Some(Value::ONE));
     }
 

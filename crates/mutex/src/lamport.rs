@@ -291,8 +291,7 @@ mod tests {
             let alg = LamportFast::new(n);
             for pid in [0, n - 1] {
                 let pid = ProcessId::new(pid as u32);
-                let (trace, _, _) =
-                    run_solo(alg.memory().unwrap(), alg.client(pid, 1)).unwrap();
+                let (trace, _, _) = run_solo(alg.memory().unwrap(), alg.client(pid, 1)).unwrap();
                 // Solo traces index the lone process as pid 0.
                 let trips = trip_complexities(&trace, &alg.layout(), ProcessId::new(0));
                 assert_eq!(trips.len(), 1);
@@ -357,9 +356,7 @@ mod tests {
             let pid = sched.pick(&runnable).unwrap();
             exec.step_process(pid).unwrap();
             let in_cs = (0..3)
-                .filter(|&i| {
-                    exec.process(ProcessId::new(i)).section() == Some(Section::Critical)
-                })
+                .filter(|&i| exec.process(ProcessId::new(i)).section() == Some(Section::Critical))
                 .count();
             assert!(in_cs <= 1, "mutual exclusion violated");
         }

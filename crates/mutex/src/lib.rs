@@ -66,10 +66,10 @@ mod tournament;
 
 pub use algorithm::{LockProcess, MutexAlgorithm, MutexClient, StateNormalizer};
 pub use bakery::{Bakery, BakeryLock, TICKET_WIDTH};
-pub use dijkstra::{Dijkstra, DijkstraLock};
 pub use detect::{
     BrokenDetector, BrokenDetectorProc, DetectionAlgorithm, MutexDetector, MutexDetectorProc,
 };
+pub use dijkstra::{Dijkstra, DijkstraLock};
 pub use lamport::{LamportFast, LamportLock};
 pub use peterson::{PetersonLock, PetersonTwo};
 pub use splitter::{ChunkedSplitter, Splitter, SplitterProc, SplitterTree, SplitterTreeProc};

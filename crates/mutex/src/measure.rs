@@ -187,8 +187,7 @@ mod tests {
     #[test]
     fn detection_profiles() {
         // Splitter tree for n = 64, l = 2: 4-ary tree of depth 3.
-        let c =
-            contention_free_detection(&SplitterTree::new(64, 2), ProcessId::new(9)).unwrap();
+        let c = contention_free_detection(&SplitterTree::new(64, 2), ProcessId::new(9)).unwrap();
         assert_eq!(c.steps, 4 * 3);
         let p = LemmaProfile::from(c);
         assert_eq!(p.write_steps, 6); // x and y per level

@@ -589,7 +589,12 @@ mod tests {
 
     #[test]
     fn tree_contention_free_profile_is_4d_and_2d() {
-        for (n, l, d) in [(8usize, 1u32, 3u64), (8, 3, 1), (256, 4, 2), (1 << 16, 4, 4)] {
+        for (n, l, d) in [
+            (8usize, 1u32, 3u64),
+            (8, 3, 1),
+            (256, 4, 2),
+            (1 << 16, 4, 4),
+        ] {
             let alg = SplitterTree::new(n, l);
             assert_eq!(u64::from(alg.depth()), d, "n={n} l={l}");
             let (trace, _, _) =
@@ -604,7 +609,9 @@ mod tests {
     fn sequential_runs_have_exactly_one_winner() {
         for (n, l) in [(3usize, 1u32), (5, 2), (9, 4)] {
             let alg = SplitterTree::new(n, l);
-            let procs = (0..n as u32).map(|i| alg.process(ProcessId::new(i))).collect();
+            let procs = (0..n as u32)
+                .map(|i| alg.process(ProcessId::new(i)))
+                .collect();
             let (_, _, procs) = run_sequential(alg.memory().unwrap(), procs).unwrap();
             let winners: Vec<usize> = procs
                 .iter()
@@ -621,7 +628,9 @@ mod tests {
         use cfc_core::{ExecConfig, FaultPlan, RoundRobin};
         for (n, l) in [(2usize, 1u32), (3, 1), (4, 1), (4, 2), (9, 2)] {
             let alg = SplitterTree::new(n, l);
-            let procs = (0..n as u32).map(|i| alg.process(ProcessId::new(i))).collect();
+            let procs = (0..n as u32)
+                .map(|i| alg.process(ProcessId::new(i)))
+                .collect();
             let exec = cfc_core::run_schedule(
                 alg.memory().unwrap(),
                 procs,

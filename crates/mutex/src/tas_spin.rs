@@ -11,7 +11,9 @@
 //! starvation baseline against Peterson's bounded bypass and the
 //! bakery's FCFS order.
 
-use cfc_core::{BitOp, Layout, Op, OpResult, ProcessId, RegisterId, RegisterSet, Step, SymmetryGroup, Value};
+use cfc_core::{
+    BitOp, Layout, Op, OpResult, ProcessId, RegisterId, RegisterSet, Step, SymmetryGroup, Value,
+};
 
 use crate::algorithm::{LockProcess, MutexAlgorithm};
 use crate::mutation::TasSpinMutation;
@@ -188,9 +190,7 @@ mod tests {
             }
             exec.step_process(sched.pick(&runnable).unwrap()).unwrap();
             let in_cs = (0..3)
-                .filter(|&i| {
-                    exec.process(ProcessId::new(i)).section() == Some(Section::Critical)
-                })
+                .filter(|&i| exec.process(ProcessId::new(i)).section() == Some(Section::Critical))
                 .count();
             assert!(in_cs <= 1, "mutual exclusion violated");
         }
@@ -200,8 +200,7 @@ mod tests {
     #[test]
     fn solo_trip_is_two_steps_one_bit() {
         let alg = TasSpin::new(4);
-        let trip =
-            crate::measure::contention_free_trip(&alg, ProcessId::new(2)).unwrap();
+        let trip = crate::measure::contention_free_trip(&alg, ProcessId::new(2)).unwrap();
         assert_eq!(trip.entry.steps, 1);
         assert_eq!(trip.exit.steps, 1);
         assert_eq!(trip.total.registers, 1);

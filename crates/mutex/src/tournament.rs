@@ -547,9 +547,7 @@ mod tests {
             let pid = sched.pick(&runnable).unwrap();
             exec.step_process(pid).unwrap();
             let in_cs = (0..n as u32)
-                .filter(|&i| {
-                    exec.process(ProcessId::new(i)).section() == Some(Section::Critical)
-                })
+                .filter(|&i| exec.process(ProcessId::new(i)).section() == Some(Section::Critical))
                 .count();
             assert!(in_cs <= 1, "mutual exclusion violated");
         }

@@ -84,11 +84,7 @@ pub struct NamingRun {
 /// Returns the first [`NamingViolation`] found, or propagates executor
 /// errors (as a budget-exceeded style failure they indicate lost
 /// wait-freedom).
-pub fn run_checked<A, S>(
-    alg: &A,
-    sched: S,
-    faults: FaultPlan,
-) -> Result<NamingRun, CheckError>
+pub fn run_checked<A, S>(alg: &A, sched: S, faults: FaultPlan) -> Result<NamingRun, CheckError>
 where
     A: NamingAlgorithm,
     S: Scheduler,
@@ -197,7 +193,12 @@ mod tests {
 
     #[test]
     fn lockstep_run_passes_checks() {
-        run_checked(&TafTree::new(16).unwrap(), Lockstep::new(), FaultPlan::new()).unwrap();
+        run_checked(
+            &TafTree::new(16).unwrap(),
+            Lockstep::new(),
+            FaultPlan::new(),
+        )
+        .unwrap();
     }
 
     #[test]

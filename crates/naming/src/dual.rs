@@ -171,15 +171,20 @@ mod tests {
         .unwrap();
         let base_names: Vec<Option<u64>> =
             base.outputs().iter().map(|o| o.map(|v| v.raw())).collect();
-        let dual_names: Vec<Option<u64>> =
-            dualled.outputs().iter().map(|o| o.map(|v| v.raw())).collect();
+        let dual_names: Vec<Option<u64>> = dualled
+            .outputs()
+            .iter()
+            .map(|o| o.map(|v| v.raw()))
+            .collect();
         assert_eq!(run(base_names), run(dual_names));
         // Same number of events: complexity is preserved exactly.
         assert_eq!(base.trace().access_count(), dualled.trace().access_count());
     }
 
     fn interleaved(n: u32, len: usize) -> Vec<ProcessId> {
-        (0..len).map(|i| ProcessId::new((i as u32 * 7 + 3) % n)).collect()
+        (0..len)
+            .map(|i| ProcessId::new((i as u32 * 7 + 3) % n))
+            .collect()
     }
 
     #[test]

@@ -45,8 +45,8 @@ mod tas_scan;
 mod tas_tar_tree;
 
 pub use algorithm::NamingAlgorithm;
-pub use impossibility::{lockstep_symmetry_witness, FlipReadAttempt, SymmetryWitness};
 pub use dual::{DualProc, Dualized};
+pub use impossibility::{lockstep_symmetry_witness, FlipReadAttempt, SymmetryWitness};
 pub use model::Model;
 pub use taf_tree::{NotAPowerOfTwo, TafTree, TreeWalkProc};
 pub use tas_read_search::{TasReadSearch, TasReadSearchProc};

@@ -204,7 +204,9 @@ mod tests {
 
     #[test]
     fn collect_from_ops() {
-        let m: Model = [BitOp::Read, BitOp::Read, BitOp::Flip].into_iter().collect();
+        let m: Model = [BitOp::Read, BitOp::Read, BitOp::Flip]
+            .into_iter()
+            .collect();
         assert_eq!(m.len(), 2);
         assert_eq!(m.to_string(), "read, flip");
     }

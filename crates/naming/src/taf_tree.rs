@@ -66,7 +66,11 @@ pub struct NotAPowerOfTwo(pub usize);
 
 impl std::fmt::Display for NotAPowerOfTwo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "tree naming requires a power-of-two process count, got {}", self.0)
+        write!(
+            f,
+            "tree naming requires a power-of-two process count, got {}",
+            self.0
+        )
     }
 }
 
@@ -157,10 +161,9 @@ impl TreeWalkProc {
 impl Process for TreeWalkProc {
     fn current(&self) -> Step {
         match self.pc {
-            TreePc::AtNode(v) => Step::Op(Op::Bit(
-                self.nodes[(v - 1) as usize],
-                BitOp::TestAndFlip,
-            )),
+            TreePc::AtNode(v) => {
+                Step::Op(Op::Bit(self.nodes[(v - 1) as usize], BitOp::TestAndFlip))
+            }
             TreePc::Done(_) => Step::Halt,
         }
     }
@@ -287,12 +290,7 @@ mod tests {
             ExecConfig::default(),
         )
         .unwrap();
-        let survivors: Vec<u64> = exec
-            .outputs()
-            .iter()
-            .flatten()
-            .map(|v| v.raw())
-            .collect();
+        let survivors: Vec<u64> = exec.outputs().iter().flatten().map(|v| v.raw()).collect();
         assert_eq!(survivors.len(), 6);
         let mut sorted = survivors.clone();
         sorted.sort_unstable();

@@ -86,7 +86,10 @@ impl NamingAlgorithm for TasReadSearch {
 enum SearchPc {
     /// Binary search: the first `0` bit is believed to lie in `lo..=hi`
     /// (`hi` may be the virtual always-0 sentinel at index `len`).
-    Search { lo: u64, hi: u64 },
+    Search {
+        lo: u64,
+        hi: u64,
+    },
     /// About to `test-and-set` the search's candidate bit.
     Probe(u64),
     /// Fallback linear scan from this index.
@@ -173,9 +176,7 @@ impl Process for TasReadSearchProc {
         let start = match self.pc {
             // The search never looks below `lo` again — except for the
             // everything-taken conclusion, which re-probes the last bit.
-            SearchPc::Search { lo, .. } => {
-                lo.min((self.bits.len() as u64).saturating_sub(1))
-            }
+            SearchPc::Search { lo, .. } => lo.min((self.bits.len() as u64).saturating_sub(1)),
             SearchPc::Probe(i) | SearchPc::Scan(i) => i,
             SearchPc::Done(_) => return true,
         };
@@ -216,7 +217,10 @@ mod tests {
             let (trace, _, _) = run_sequential(alg.memory().unwrap(), alg.processes()).unwrap();
             let log_n = u64::from(64 - (n as u64 - 1).leading_zeros());
             let layout = alg.layout();
-            for (i, c) in all_process_complexities(&trace, &layout, n).iter().enumerate() {
+            for (i, c) in all_process_complexities(&trace, &layout, n)
+                .iter()
+                .enumerate()
+            {
                 assert!(
                     c.steps <= log_n + 1,
                     "n={n} process {i}: {} steps > log n + 1 = {}",
@@ -266,7 +270,11 @@ mod tests {
             let mut sorted = names.clone();
             sorted.sort_unstable();
             sorted.dedup();
-            assert_eq!(sorted.len(), names.len(), "seed {seed}: duplicates {names:?}");
+            assert_eq!(
+                sorted.len(),
+                names.len(),
+                "seed {seed}: duplicates {names:?}"
+            );
             for pid in 0..n {
                 assert!(exec.steps_taken(ProcessId::new(pid as u32)) <= alg.step_budget());
             }

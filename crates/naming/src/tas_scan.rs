@@ -222,9 +222,7 @@ mod tests {
             ExecConfig::default(),
         )
         .unwrap();
-        let survivors: Vec<u64> = (1..4)
-            .map(|i| exec.outputs()[i].unwrap().raw())
-            .collect();
+        let survivors: Vec<u64> = (1..4).map(|i| exec.outputs()[i].unwrap().raw()).collect();
         let mut sorted = survivors.clone();
         sorted.sort_unstable();
         sorted.dedup();

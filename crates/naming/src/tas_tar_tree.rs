@@ -184,7 +184,10 @@ mod tests {
         let tt = TasTarTree::new(8).unwrap();
         let (_, _, taf_procs) = run_sequential(taf.memory().unwrap(), taf.processes()).unwrap();
         let (_, _, tt_procs) = run_sequential(tt.memory().unwrap(), tt.processes()).unwrap();
-        let taf_names: Vec<u64> = taf_procs.iter().map(|p| p.output().unwrap().raw()).collect();
+        let taf_names: Vec<u64> = taf_procs
+            .iter()
+            .map(|p| p.output().unwrap().raw())
+            .collect();
         let tt_names: Vec<u64> = tt_procs.iter().map(|p| p.output().unwrap().raw()).collect();
         assert_eq!(taf_names, tt_names);
     }

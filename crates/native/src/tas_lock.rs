@@ -124,7 +124,11 @@ mod tests {
 
     #[test]
     fn all_strategies_protect_the_counter() {
-        for strategy in [SpinStrategy::Tas, SpinStrategy::Ttas, SpinStrategy::TtasBackoff] {
+        for strategy in [
+            SpinStrategy::Tas,
+            SpinStrategy::Ttas,
+            SpinStrategy::TtasBackoff,
+        ] {
             let m = TasLock::new(strategy);
             assert_eq!(hammer(&m, 4, 2_000), 8_000, "{:?}", strategy);
         }

@@ -13,9 +13,7 @@
 //! bounds.
 
 use cfc_core::metrics::all_process_complexities;
-use cfc_core::{
-    Complexity, ExecConfig, ExecError, FaultPlan, Lockstep, RandomSched, Sequential,
-};
+use cfc_core::{Complexity, ExecConfig, ExecError, FaultPlan, Lockstep, RandomSched, Sequential};
 use cfc_naming::NamingAlgorithm;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -251,8 +251,10 @@ impl<P: Process + Clone + Eq + Hash> ControlAutomaton<P> {
                 let mut acc = self.locations[i].future_rw.clone();
                 for s in self.locations[i].successors.clone() {
                     if s as usize != i {
-                        acc.reads.union_with(&self.locations[s as usize].future_rw.reads);
-                        acc.writes.union_with(&self.locations[s as usize].future_rw.writes);
+                        acc.reads
+                            .union_with(&self.locations[s as usize].future_rw.reads);
+                        acc.writes
+                            .union_with(&self.locations[s as usize].future_rw.writes);
                     }
                 }
                 if acc != self.locations[i].future_rw {
@@ -287,7 +289,8 @@ impl<P: Process + Clone + Eq + Hash> ControlAutomaton<P> {
     /// continuation of the state (solo or embedded in a concurrent run)
     /// can read or write.
     pub fn future_of(&self, state: &P) -> Option<&RegisterSet> {
-        self.location_of(state).map(|id| &self.locations[id as usize].future)
+        self.location_of(state)
+            .map(|id| &self.locations[id as usize].future)
     }
 
     /// The current-step footprint at a location.
@@ -677,15 +680,13 @@ mod tests {
     fn honest_hook_lints_clean_dishonest_is_flagged() {
         let (layout, p) = setup();
         let clean = lint_model(&layout, std::slice::from_ref(&p));
-        assert!(clean.is_clean(), "unexpected findings: {:?}", clean.findings);
-        assert_eq!(clean.locations, 3);
-        let dirty = lint_model(
-            &layout,
-            &[Brancher {
-                honest: false,
-                ..p
-            }],
+        assert!(
+            clean.is_clean(),
+            "unexpected findings: {:?}",
+            clean.findings
         );
+        assert_eq!(clean.locations, 3);
+        let dirty = lint_model(&layout, &[Brancher { honest: false, ..p }]);
         // The under-report breaks coverage at the read location (misses
         // the conditional write) and at the write location itself.
         assert_eq!(dirty.findings.len(), 2);

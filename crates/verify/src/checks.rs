@@ -16,7 +16,11 @@ use crate::explore::{explore_sym, ExploreConfig, ExploreError, ExploreStats, Sta
 ///
 /// Returns a violation with its schedule, or budget exhaustion for
 /// oversized systems.
-pub fn check_mutex_safety<A>(alg: &A, trips: u32, config: ExploreConfig) -> Result<ExploreStats, ExploreError>
+pub fn check_mutex_safety<A>(
+    alg: &A,
+    trips: u32,
+    config: ExploreConfig,
+) -> Result<ExploreStats, ExploreError>
 where
     A: MutexAlgorithm,
     A::Lock: Clone + Eq + Hash,
@@ -64,7 +68,10 @@ where
 /// # Errors
 ///
 /// Returns a violation with its schedule, or budget exhaustion.
-pub fn check_detection_safety<A>(alg: &A, config: ExploreConfig) -> Result<ExploreStats, ExploreError>
+pub fn check_detection_safety<A>(
+    alg: &A,
+    config: ExploreConfig,
+) -> Result<ExploreStats, ExploreError>
 where
     A: DetectionAlgorithm,
     A::Proc: Clone + Eq + Hash,
@@ -279,8 +286,7 @@ mod tests {
 
     #[test]
     fn lamport_two_processes_is_safe() {
-        let stats =
-            check_mutex_safety(&LamportFast::new(2), 1, ExploreConfig::default()).unwrap();
+        let stats = check_mutex_safety(&LamportFast::new(2), 1, ExploreConfig::default()).unwrap();
         assert!(stats.states > 50);
     }
 
@@ -288,8 +294,7 @@ mod tests {
     fn deadlock_freedom_verified_exhaustively() {
         // From every reachable state, the system can still quiesce:
         // deadlock freedom, checked over the full state graph.
-        let stats =
-            check_mutex_progress(&PetersonTwo::new(), 2, ExploreConfig::default()).unwrap();
+        let stats = check_mutex_progress(&PetersonTwo::new(), 2, ExploreConfig::default()).unwrap();
         assert!(stats.terminals >= 1);
         check_mutex_progress(&LamportFast::new(2), 1, ExploreConfig::default()).unwrap();
         check_mutex_progress(&Tournament::new(4, 1), 1, ExploreConfig::default()).unwrap();
@@ -317,8 +322,8 @@ mod tests {
         // From every reachable state (including mid-crash ones), some
         // continuation has every walker decide or crash.
         check_naming_progress(&TasScan::new(3), 1, ExploreConfig::default()).unwrap();
-        let red = check_naming_progress(&TafTree::new(4).unwrap(), 0, ExploreConfig::reduced())
-            .unwrap();
+        let red =
+            check_naming_progress(&TafTree::new(4).unwrap(), 0, ExploreConfig::reduced()).unwrap();
         assert!(red.orbits_merged > 0, "{red:?}");
         check_naming_progress(&TasReadSearch::new(3), 0, ExploreConfig::reduced()).unwrap();
         check_naming_progress(&TasTarTree::new(2).unwrap(), 1, ExploreConfig::reduced()).unwrap();
@@ -378,8 +383,7 @@ mod tests {
 
     #[test]
     fn splitter_detection_is_safe_for_three() {
-        let stats =
-            check_detection_safety(&Splitter::new(3), ExploreConfig::default()).unwrap();
+        let stats = check_detection_safety(&Splitter::new(3), ExploreConfig::default()).unwrap();
         assert!(stats.states > 100);
     }
 
@@ -420,12 +424,8 @@ mod tests {
 
     #[test]
     fn taf_tree_names_unique_under_crashes() {
-        let stats = check_naming_uniqueness(
-            &TafTree::new(4).unwrap(),
-            2,
-            ExploreConfig::default(),
-        )
-        .unwrap();
+        let stats = check_naming_uniqueness(&TafTree::new(4).unwrap(), 2, ExploreConfig::default())
+            .unwrap();
         assert!(stats.terminals > 0);
     }
 
@@ -436,8 +436,7 @@ mod tests {
 
     #[test]
     fn tas_tar_tree_names_unique() {
-        check_naming_uniqueness(&TasTarTree::new(4).unwrap(), 1, ExploreConfig::default())
-            .unwrap();
+        check_naming_uniqueness(&TasTarTree::new(4).unwrap(), 1, ExploreConfig::default()).unwrap();
     }
 
     #[test]

@@ -42,7 +42,11 @@ const EDGE_BYTES: usize = 6;
 const PID_BITS: u32 = 14;
 
 fn encode(e: GEdge, out: &mut [u8; EDGE_BYTES]) {
-    assert!(e.pid < (1 << PID_BITS), "pid {} exceeds the 14-bit edge field", e.pid);
+    assert!(
+        e.pid < (1 << PID_BITS),
+        "pid {} exceeds the 14-bit edge field",
+        e.pid
+    );
     out[..4].copy_from_slice(&e.to.to_le_bytes());
     let tag = (e.pid as u16) | (u16::from(e.crash) << 14) | (u16::from(e.served) << 15);
     out[4..].copy_from_slice(&tag.to_le_bytes());
@@ -136,8 +140,7 @@ impl EdgeArena {
     /// Bytes attributable to the edge structure: packed record payload
     /// plus the offsets array.
     pub fn heap_bytes(&self) -> u64 {
-        self.arena.payload_bytes()
-            + (self.offsets.len() * std::mem::size_of::<u32>()) as u64
+        self.arena.payload_bytes() + (self.offsets.len() * std::mem::size_of::<u32>()) as u64
     }
 
     /// The reversed adjacency over `nodes` nodes (every edge target must

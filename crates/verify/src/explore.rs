@@ -357,10 +357,7 @@ impl<P: Process> StateView<'_, P> {
 
     /// How many processes have decided the given output.
     pub fn count_output(&self, v: Value) -> usize {
-        self.procs
-            .iter()
-            .filter(|p| p.output() == Some(v))
-            .count()
+        self.procs.iter().filter(|p| p.output() == Some(v)).count()
     }
 }
 
@@ -1218,8 +1215,8 @@ mod tests {
         // schedule ("state N of M"); they must now carry a concrete path
         // that replays to the stuck state.
         let (memory, procs) = deadlock_pair();
-        let err = check_progress(memory.clone(), procs.clone(), ExploreConfig::default())
-            .unwrap_err();
+        let err =
+            check_progress(memory.clone(), procs.clone(), ExploreConfig::default()).unwrap_err();
         let ExploreError::Violation(v) = err else {
             panic!("expected a progress violation");
         };
@@ -1243,9 +1240,13 @@ mod tests {
             },
             ExploreConfig::reduced(),
         ] {
-            let err =
-                check_progress_sym(memory.clone(), procs.clone(), &SymmetryGroup::full(2), config)
-                    .unwrap_err();
+            let err = check_progress_sym(
+                memory.clone(),
+                procs.clone(),
+                &SymmetryGroup::full(2),
+                config,
+            )
+            .unwrap_err();
             let ExploreError::Violation(v) = err else {
                 panic!("expected a progress violation");
             };
@@ -1286,8 +1287,8 @@ mod tests {
     #[test]
     fn progress_budget_is_enforced() {
         let (memory, procs) = incr_system();
-        let err = check_progress(memory, procs, ExploreConfig::default().with_max_states(3))
-            .unwrap_err();
+        let err =
+            check_progress(memory, procs, ExploreConfig::default().with_max_states(3)).unwrap_err();
         assert!(matches!(err, ExploreError::StateBudget(_)));
     }
 }

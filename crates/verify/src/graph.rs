@@ -706,11 +706,15 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             // Condition 3: the cycle / fresh-successor proviso. The
             // canonical form computed here rides along with the winner so
             // canonically-interning callers need not recompute it.
-            let canon = self.use_sym.then(|| canonicalize(succ, &self.spec.symmetry));
+            let canon = self
+                .use_sym
+                .then(|| canonicalize(succ, &self.spec.symmetry));
             if visited(canon.as_ref().unwrap_or(succ)) {
                 continue 'candidates;
             }
-            let succ = self.scratch.succ[i].take().expect("candidate successor cached");
+            let succ = self.scratch.succ[i]
+                .take()
+                .expect("candidate successor cached");
             out.push((decision, succ, canon));
             return Ok(true);
         }
@@ -860,7 +864,10 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 fps.clear();
                 fps.extend(succs.iter().map(|(step, ..)| {
                     let i = step.pid().index();
-                    (1u32 << i, Footprint::of_step(&node.procs[i].current(), layout))
+                    (
+                        1u32 << i,
+                        Footprint::of_step(&node.procs[i].current(), layout),
+                    )
                 }));
             }
             for (k, (step, succ, _)) in succs.drain(..).enumerate() {

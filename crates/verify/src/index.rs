@@ -120,7 +120,10 @@ impl OpenIndex {
     /// factor would exceed 7/8 the table doubles first, re-deriving the
     /// digest of every stored id through `digest_of`.
     pub fn insert(&mut self, digest: u64, id: u32, digest_of: impl FnMut(u32) -> u64) {
-        assert!(id != Self::EMPTY, "id space exhausted (u32::MAX is the free-slot sentinel)");
+        assert!(
+            id != Self::EMPTY,
+            "id space exhausted (u32::MAX is the free-slot sentinel)"
+        );
         if (u64::from(self.len) + 1) * 8 > (self.slots.len() as u64) * 7 {
             self.grow(digest_of);
         }
@@ -172,8 +175,9 @@ mod tests {
         }
 
         fn find(&self, value: u64) -> Option<u32> {
-            self.index
-                .find((self.digest)(value), |id| self.records[id as usize] == value)
+            self.index.find((self.digest)(value), |id| {
+                self.records[id as usize] == value
+            })
         }
 
         /// Interns `value`, returning (id, fresh) like the store does.
@@ -184,8 +188,9 @@ mod tests {
             let id = self.records.len() as u32;
             self.records.push(value);
             let records = &self.records;
-            self.index
-                .insert((self.digest)(value), id, |i| (self.digest)(records[i as usize]));
+            self.index.insert((self.digest)(value), id, |i| {
+                (self.digest)(records[i as usize])
+            });
             (id, true)
         }
     }

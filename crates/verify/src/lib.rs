@@ -74,17 +74,16 @@ pub use analysis::{
     lint_model, ControlAutomaton, ExtractError, Finding, FindingKind, FutureIndex, LintReport,
     MayAccessMode,
 };
-pub use dynamic::{
-    observed_conflict, trace_causality, CausalEvent, ConflictEdge, TraceCausality,
-    MAX_SLEEP_PROCS,
-};
 pub use checks::{
     check_detection_progress, check_detection_safety, check_mutex_progress, check_mutex_safety,
     check_naming_progress, check_naming_uniqueness,
 };
+pub use dynamic::{
+    observed_conflict, trace_causality, CausalEvent, ConflictEdge, TraceCausality, MAX_SLEEP_PROCS,
+};
 pub use explore::{
-    canonical_key, check_progress, check_progress_sym, explore, explore_sym, replay,
-    ExploreConfig, ExploreError, ExploreStats, ProgressStats, Replayed, ScheduleStep, Violation,
+    canonical_key, check_progress, check_progress_sym, explore, explore_sym, replay, ExploreConfig,
+    ExploreError, ExploreStats, ProgressStats, Replayed, ScheduleStep, Violation,
 };
 pub use index::OpenIndex;
 pub use liveness::{
@@ -100,6 +99,6 @@ pub use stress::{
     stress_mutex, stress_naming, MutexViolation, NamingViolation, StressError, StressStats,
 };
 pub use telemetry::{
-    with_telemetry, HeartbeatSink, JsonlSink, Observer, Phase, Recorder, Snapshot,
-    StoreFootprint, Telemetry, TelemetryEvent,
+    with_telemetry, HeartbeatSink, JsonlSink, Observer, Phase, Recorder, Snapshot, StoreFootprint,
+    Telemetry, TelemetryEvent,
 };

@@ -610,15 +610,24 @@ mod tests {
         // First visit by a non-canonical concrete state.
         assert_eq!(s.visit(&canon, Some(&permuted)), (0, VisitOutcome::Fresh));
         // Same concrete again: not a merge.
-        assert_eq!(s.visit(&canon, Some(&permuted)), (0, VisitOutcome::RevisitSame));
+        assert_eq!(
+            s.visit(&canon, Some(&permuted)),
+            (0, VisitOutcome::RevisitSame)
+        );
         // A different concrete sibling: a genuine merge.
-        assert_eq!(s.visit(&canon, Some(&canon.clone())), (0, VisitOutcome::RevisitMerged));
+        assert_eq!(
+            s.visit(&canon, Some(&canon.clone())),
+            (0, VisitOutcome::RevisitMerged)
+        );
 
         // And a canonical-first orbit: the sentinel path.
         let c2 = node([3, 4], 1, 1, 0);
         let p2 = node([4, 3], 1, 1, 0);
         assert_eq!(s.visit(&c2, Some(&c2.clone())), (1, VisitOutcome::Fresh));
-        assert_eq!(s.visit(&c2, Some(&c2.clone())), (1, VisitOutcome::RevisitSame));
+        assert_eq!(
+            s.visit(&c2, Some(&c2.clone())),
+            (1, VisitOutcome::RevisitSame)
+        );
         assert_eq!(s.visit(&c2, Some(&p2)), (1, VisitOutcome::RevisitMerged));
     }
 

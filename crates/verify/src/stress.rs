@@ -130,13 +130,13 @@ where
             if runnable.is_empty() || events >= events_per_run {
                 break;
             }
-            let pid = sched.pick(&runnable).expect("random scheduler always picks");
+            let pid = sched
+                .pick(&runnable)
+                .expect("random scheduler always picks");
             exec.step_process(pid).map_err(StressError::Exec)?;
             events += 1;
             let in_cs = (0..alg.n() as u32)
-                .filter(|&i| {
-                    exec.process(ProcessId::new(i)).section() == Some(Section::Critical)
-                })
+                .filter(|&i| exec.process(ProcessId::new(i)).section() == Some(Section::Critical))
                 .count();
             if in_cs > 1 {
                 return Err(StressError::Violation(MutexViolation {
@@ -168,11 +168,7 @@ where
 ///
 /// Returns the first violation found (with its seed), or an execution
 /// error.
-pub fn stress_naming<A>(
-    alg: &A,
-    runs: u64,
-    events_per_run: u64,
-) -> Result<StressStats, StressError>
+pub fn stress_naming<A>(alg: &A, runs: u64, events_per_run: u64) -> Result<StressStats, StressError>
 where
     A: NamingAlgorithm,
 {
@@ -202,7 +198,9 @@ where
             if runnable.is_empty() || events >= events_per_run {
                 break;
             }
-            let pid = sched.pick(&runnable).expect("random scheduler always picks");
+            let pid = sched
+                .pick(&runnable)
+                .expect("random scheduler always picks");
             exec.step_process(pid).map_err(StressError::Exec)?;
             events += 1;
             let i = pid.index();

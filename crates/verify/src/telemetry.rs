@@ -945,7 +945,10 @@ mod tests {
             assert_eq!(&back, e, "round trip through {line}");
         }
         assert_eq!(TelemetryEvent::parse_json_line(""), None);
-        assert_eq!(TelemetryEvent::parse_json_line("{\"event\":\"bogus\"}"), None);
+        assert_eq!(
+            TelemetryEvent::parse_json_line("{\"event\":\"bogus\"}"),
+            None
+        );
     }
 
     #[test]
@@ -1044,9 +1047,13 @@ mod tests {
         span.tick(|| s);
         span.finish(s);
         let events = rec.events();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TelemetryEvent::IndexGrowth { index_bytes: 128, .. })));
+        assert!(events.iter().any(|e| matches!(
+            e,
+            TelemetryEvent::IndexGrowth {
+                index_bytes: 128,
+                ..
+            }
+        )));
         // Exactly one: unchanged footprints emit nothing.
         assert_eq!(
             events

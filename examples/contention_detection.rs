@@ -54,7 +54,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("== Lemma 2 merge attack ==\n");
     for (name, resists) in [
-        ("splitter (n=4)", merge_attack(&Splitter::new(4), ProcessId::new(0), ProcessId::new(1))?.is_none()),
+        (
+            "splitter (n=4)",
+            merge_attack(&Splitter::new(4), ProcessId::new(0), ProcessId::new(1))?.is_none(),
+        ),
         (
             "detect(lamport-fast) (n=3)",
             merge_attack(
@@ -67,8 +70,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         println!("{name}: Lemma 2 condition holds, merge attack impossible = {resists}");
     }
-    let witness = merge_attack(&BrokenDetector::new(2), ProcessId::new(0), ProcessId::new(1))?
-        .expect("the broken detector must fall");
+    let witness = merge_attack(
+        &BrokenDetector::new(2),
+        ProcessId::new(0),
+        ProcessId::new(1),
+    )?
+    .expect("the broken detector must fall");
     println!("\nbroken-constant-detector: ATTACKED — the merged run below has two winners:\n");
     println!("{witness}");
 

@@ -17,7 +17,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{breaking}/256 models contain a mutate-and-return operation \
          (test-and-set, test-and-reset, or test-and-flip);"
     );
-    println!("the remaining {} cannot solve naming deterministically.\n", 256 - breaking);
+    println!(
+        "the remaining {} cannot solve naming deterministically.\n",
+        256 - breaking
+    );
     for ops in [
         vec![BitOp::Read, BitOp::Write0, BitOp::Write1],
         vec![BitOp::Flip, BitOp::Read],
@@ -26,7 +29,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let m = Model::new(&ops);
         println!(
             "  {{{m}}} breaks symmetry: {}",
-            if m.breaks_symmetry() { "yes" } else { "NO — naming impossible" }
+            if m.breaks_symmetry() {
+                "yes"
+            } else {
+                "NO — naming impossible"
+            }
         );
     }
 

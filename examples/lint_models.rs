@@ -19,9 +19,7 @@ use std::hash::Hash;
 use std::process::ExitCode;
 
 use cfc::core::{Layout, Process, ProcessId};
-use cfc::mutex::{
-    Bakery, DetectionAlgorithm, MutexAlgorithm, PetersonTwo, Splitter, Tournament,
-};
+use cfc::mutex::{Bakery, DetectionAlgorithm, MutexAlgorithm, PetersonTwo, Splitter, Tournament};
 use cfc::naming::{NamingAlgorithm, TafTree, TasScan};
 use cfc::verify::{lint_model, with_telemetry, HeartbeatSink, Telemetry};
 
@@ -71,7 +69,9 @@ fn lint_all() -> usize {
     total += lint("taf-tree", &taf.layout(), &taf.processes());
 
     let splitter = Splitter::new(3);
-    let procs: Vec<_> = (0..3).map(|i| splitter.process(ProcessId::new(i))).collect();
+    let procs: Vec<_> = (0..3)
+        .map(|i| splitter.process(ProcessId::new(i)))
+        .collect();
     total += lint("splitter", &splitter.layout(), &procs);
 
     total

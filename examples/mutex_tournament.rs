@@ -14,10 +14,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Contention-free profile per node kind ==\n");
     let mut table = TextTable::new([
-        "n", "l", "arity", "depth", "cf steps", "cf registers", "bit accesses",
+        "n",
+        "l",
+        "arity",
+        "depth",
+        "cf steps",
+        "cf registers",
+        "bit accesses",
     ])
     .with_title("Tournament contention-free cost (Lamport nodes for l >= 2, Peterson for l = 1)");
-    for (n, l) in [(64usize, 1u32), (64, 2), (64, 3), (64, 6), (4096, 1), (4096, 4)] {
+    for (n, l) in [
+        (64usize, 1u32),
+        (64, 2),
+        (64, 3),
+        (64, 6),
+        (4096, 1),
+        (4096, 4),
+    ] {
         let alg = Tournament::sparse(n, l, &[ProcessId::new(0)]);
         let trip = measure::contention_free_trip(&alg, ProcessId::new(0))?;
         table.row([
@@ -38,8 +51,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("== Worst-case register complexity under full contention ==\n");
-    let mut table = TextTable::new(["n", "depth", "worst registers over all trips", "3*depth bound"])
-        .with_title("Peterson tournament (l = 1), all processes competing, fair round-robin");
+    let mut table = TextTable::new([
+        "n",
+        "depth",
+        "worst registers over all trips",
+        "3*depth bound",
+    ])
+    .with_title("Peterson tournament (l = 1), all processes competing, fair round-robin");
     for n in [4usize, 8, 16] {
         let alg = Tournament::new(n, 1);
         let trips = measure::contended_round_robin(&alg, 1)?;

@@ -22,7 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "wc steps",
         "wc registers",
     ])
-    .with_title("contention-free = sequential schedule; worst-case = lockstep + random adversaries");
+    .with_title(
+        "contention-free = sequential schedule; worst-case = lockstep + random adversaries",
+    );
 
     let mut render = |name: &str, model: String, p: cfc::verify::NamingProfile| {
         table.row([
@@ -36,7 +38,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let scan = TasScan::new(n);
-    render("tas-scan", scan.model().to_string(), naming_profile(&scan, 20)?);
+    render(
+        "tas-scan",
+        scan.model().to_string(),
+        naming_profile(&scan, 20)?,
+    );
     let search = TasReadSearch::new(n);
     render(
         "tas-read-search",
@@ -44,21 +50,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         naming_profile(&search, 20)?,
     );
     let tt = TasTarTree::new(n)?;
-    render("tas-tar-tree", tt.model().to_string(), naming_profile(&tt, 20)?);
+    render(
+        "tas-tar-tree",
+        tt.model().to_string(),
+        naming_profile(&tt, 20)?,
+    );
     let taf = TafTree::new(n)?;
-    render("taf-tree", taf.model().to_string(), naming_profile(&taf, 20)?);
+    render(
+        "taf-tree",
+        taf.model().to_string(),
+        naming_profile(&taf, 20)?,
+    );
     println!("{table}");
 
     println!("== The paper's tight-bound table, evaluated at n = {n} ==\n");
-    let mut table = TextTable::new([
-        "measure",
-        "tas",
-        "read+tas",
-        "read+tas+tar",
-        "taf",
-        "rmw",
-    ])
-    .with_title("Tight bounds for naming (Section 3.3)");
+    let mut table = TextTable::new(["measure", "tas", "read+tas", "read+tas+tar", "taf", "rmw"])
+        .with_title("Tight bounds for naming (Section 3.3)");
     for measure in Measure::ALL {
         let mut row = vec![measure.to_string()];
         for class in ModelClass::ALL {

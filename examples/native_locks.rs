@@ -45,17 +45,28 @@ fn main() {
     let fast = FastMutex::new(8);
     let tree = PetersonTree::new(8);
     let tas = TasLock::new(SpinStrategy::Ttas);
-    println!("{:<22} {:>10.1} ns   (constant: 7 accesses)", fast.name(), uncontended_ns(&fast, iters));
+    println!(
+        "{:<22} {:>10.1} ns   (constant: 7 accesses)",
+        fast.name(),
+        uncontended_ns(&fast, iters)
+    );
     println!(
         "{:<22} {:>10.1} ns   (Θ(log n): depth {} tree)",
         tree.name(),
         uncontended_ns(&tree, iters),
         tree.depth()
     );
-    println!("{:<22} {:>10.1} ns   (hardware RMW baseline)", tas.name(), uncontended_ns(&tas, iters));
+    println!(
+        "{:<22} {:>10.1} ns   (hardware RMW baseline)",
+        tas.name(),
+        uncontended_ns(&tas, iters)
+    );
 
     println!("\n== Contended throughput, with and without backoff ==\n");
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4).min(8);
+    let threads = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(4)
+        .min(8);
     let per_thread = 50_000u64;
     for build in [false, true] {
         let mutex = if build {

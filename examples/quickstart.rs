@@ -9,8 +9,8 @@
 
 use cfc::bounds::mutex as bounds;
 use cfc::bounds::table::TextTable;
-use cfc::mutex::{measure, LamportFast, MutexAlgorithm, Tournament};
 use cfc::core::ProcessId;
+use cfc::mutex::{measure, LamportFast, MutexAlgorithm, Tournament};
 use cfc::verify::explore::ExploreConfig;
 use cfc::verify::{
     check_mutex_progress, check_mutex_safety, with_telemetry, ExploreError, ExploreStats,

@@ -15,8 +15,7 @@
 mod common;
 
 use common::matrix::{
-    check_cell, check_rows, strict_rows, Liveness, Progress, Safety, AUTOMATON, POR,
-    POR_AUTOMATON,
+    check_cell, check_rows, strict_rows, Liveness, Progress, Safety, AUTOMATON, POR, POR_AUTOMATON,
 };
 
 #[test]

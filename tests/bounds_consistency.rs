@@ -20,7 +20,9 @@ fn detector_profiles(n: usize, l: u32) -> Vec<(String, LemmaProfile)> {
     let tree = SplitterTree::sparse(n, l, &[pid]);
     out.push((
         tree.name().to_string(),
-        measure::contention_free_detection(&tree, pid).unwrap().into(),
+        measure::contention_free_detection(&tree, pid)
+            .unwrap()
+            .into(),
     ));
 
     if l >= cfc::core::bits_for(n as u64 - 1) {
@@ -34,7 +36,9 @@ fn detector_profiles(n: usize, l: u32) -> Vec<(String, LemmaProfile)> {
         let det = MutexDetector::new(LamportFast::new(n));
         out.push((
             det.name().to_string(),
-            measure::contention_free_detection(&det, pid).unwrap().into(),
+            measure::contention_free_detection(&det, pid)
+                .unwrap()
+                .into(),
         ));
     }
 
@@ -42,7 +46,9 @@ fn detector_profiles(n: usize, l: u32) -> Vec<(String, LemmaProfile)> {
     let det = MutexDetector::new(tournament);
     out.push((
         det.name().to_string(),
-        measure::contention_free_detection(&det, pid).unwrap().into(),
+        measure::contention_free_detection(&det, pid)
+            .unwrap()
+            .into(),
     ));
     out
 }
@@ -190,9 +196,7 @@ fn bypass_bounds_match_fair_cycle_measurements() {
 
     fn spec<'a, L: LockProcess>() -> LivenessSpec<'a, MutexClient<L>> {
         LivenessSpec {
-            pending: &|c: &MutexClient<L>| {
-                cfc::core::Process::section(c) == Some(Section::Entry)
-            },
+            pending: &|c: &MutexClient<L>| cfc::core::Process::section(c) == Some(Section::Entry),
             engaged: &|c: &MutexClient<L>| c.engaged(),
             served: &|b: &MutexClient<L>, a: &MutexClient<L>| {
                 cfc::core::Process::section(b) != Some(Section::Critical)
@@ -259,7 +263,9 @@ fn detection_has_bounded_worst_case_steps_but_mutex_does_not() {
     let n = 8usize;
     let tree = SplitterTree::new(n, 1);
     let bound = 4 * u64::from(tree.depth());
-    let procs = (0..n as u32).map(|i| tree.process(ProcessId::new(i))).collect();
+    let procs = (0..n as u32)
+        .map(|i| tree.process(ProcessId::new(i)))
+        .collect();
     let exec = cfc::core::run_schedule(
         tree.memory().unwrap(),
         procs,

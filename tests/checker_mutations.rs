@@ -27,9 +27,7 @@
 mod common;
 
 use cfc::core::{ProcessId, Section, Status};
-use cfc::mutex::mutation::{
-    BakeryMutation, PetersonMutation, TasSpinMutation, TournamentMutation,
-};
+use cfc::mutex::mutation::{BakeryMutation, PetersonMutation, TasSpinMutation, TournamentMutation};
 use cfc::mutex::{Bakery, MutexAlgorithm, PetersonTwo, TasSpin, Tournament};
 use cfc::verify::{
     check_mutex_progress, check_mutex_safety, check_mutex_starvation, lint_model, replay,
@@ -218,7 +216,9 @@ fn tas_fcfs_claim_is_refuted_by_the_liveness_checker() {
         report.bypass().is_none(),
         "a starvable lock cannot carry any bypass bound, let alone FCFS"
     );
-    let witness = report.witness().expect("the claim must be refuted by a lasso");
+    let witness = report
+        .witness()
+        .expect("the claim must be refuted by a lasso");
     // The refutation is replayable: across three revolutions the victim
     // keeps stepping (weak fairness) yet never enters, while the winner
     // is served again and again.

@@ -455,7 +455,12 @@ fn safety_cell(
 ) -> Cell {
     match r {
         Ok(s) => Cell {
-            counts: (s.states, s.transitions, s.states_pruned_por, s.orbits_merged),
+            counts: (
+                s.states,
+                s.transitions,
+                s.states_pruned_por,
+                s.orbits_merged,
+            ),
             terminals: s.terminals,
             slept: s.transitions_slept,
             footprint: s.footprint,
@@ -473,17 +478,27 @@ fn progress_cell(
 ) -> Cell {
     match r {
         Ok(s) => Cell {
-            counts: (s.states, s.transitions, s.states_pruned_por, s.orbits_merged),
+            counts: (
+                s.states,
+                s.transitions,
+                s.states_pruned_por,
+                s.orbits_merged,
+            ),
             terminals: s.terminals,
             footprint: s.footprint,
             fingerprint: format!("{:?}", s.sans_wall()),
             ..Cell::default()
         },
         Err(e) => violated_cell(e, |v| {
-            assert!(!v.schedule.is_empty(), "a stuck state needs a concrete schedule");
+            assert!(
+                !v.schedule.is_empty(),
+                "a stuck state needs a concrete schedule"
+            );
             if crashes == 0 {
                 assert!(
-                    v.schedule.iter().all(|s| matches!(s, ScheduleStep::Step(_))),
+                    v.schedule
+                        .iter()
+                        .all(|s| matches!(s, ScheduleStep::Step(_))),
                     "a crash-free check produced a crash"
                 );
             }
@@ -505,7 +520,12 @@ fn liveness_cell(r: Result<LivenessReport, ExploreError>) -> Cell {
     };
     let s = report.stats;
     Cell {
-        counts: (s.states, s.transitions, s.states_pruned_por, s.orbits_merged),
+        counts: (
+            s.states,
+            s.transitions,
+            s.states_pruned_por,
+            s.orbits_merged,
+        ),
         graphs: (report.victims, report.graphs),
         footprint: s.footprint,
         verdict,
@@ -550,7 +570,11 @@ where
     A::Lock: Clone + Eq + Hash + 'static,
 {
     let pids = || (0..alg.n() as u32).map(ProcessId::new);
-    let with_cs = || pids().map(|p| alg.client_with_cs(p, trips, 1)).collect::<Vec<_>>();
+    let with_cs = || {
+        pids()
+            .map(|p| alg.client_with_cs(p, trips, 1))
+            .collect::<Vec<_>>()
+    };
     let plain = || pids().map(|p| alg.client(p, trips)).collect::<Vec<_>>();
     let Some(cfg) = cfg else {
         let memory = alg.memory().unwrap();
@@ -559,11 +583,13 @@ where
                 memory,
                 with_cs(),
                 0,
-                &|procs: &[MutexClient<A::Lock>], _: &Memory, _: &[Status]| {
-                    match procs.iter().filter(|p| p.section() == Some(Section::Critical)).count() {
-                        0 | 1 => Ok(()),
-                        k => Err(format!("{k} in the critical section")),
-                    }
+                &|procs: &[MutexClient<A::Lock>], _: &Memory, _: &[Status]| match procs
+                    .iter()
+                    .filter(|p| p.section() == Some(Section::Critical))
+                    .count()
+                {
+                    0 | 1 => Ok(()),
+                    k => Err(format!("{k} in the critical section")),
                 },
                 &|_: &[MutexClient<A::Lock>], _: &Memory, status: &[Status]| {
                     if status.iter().all(|s| *s == Status::Done) {
@@ -585,7 +611,10 @@ where
                 .iter()
                 .filter(|c| c.section() == Some(Section::Critical))
                 .count();
-            assert!(in_cs >= 2, "replayed state has {in_cs} in the critical section");
+            assert!(
+                in_cs >= 2,
+                "replayed state has {in_cs} in the critical section"
+            );
             SHARED_CS
         }),
         Progress => progress_cell(check_mutex_progress(alg, trips, cfg), 0, |s| {
@@ -621,9 +650,11 @@ where
                 &|procs, _, _| distinct(procs),
                 &|procs, _, status| {
                     distinct(procs)?;
-                    match procs.iter().zip(status).position(|(p, s)| {
-                        *s != Status::Crashed && p.output().is_none()
-                    }) {
+                    match procs
+                        .iter()
+                        .zip(status)
+                        .position(|(p, s)| *s != Status::Crashed && p.output().is_none())
+                    {
                         Some(i) => Err(format!("process {i} neither crashed nor decided")),
                         None => Ok(()),
                     }
@@ -648,13 +679,19 @@ where
             );
             let mut seen = HashSet::new();
             assert!(
-                r.view().outputs().into_iter().flatten().any(|v| !seen.insert(v.raw())),
+                r.view()
+                    .outputs()
+                    .into_iter()
+                    .flatten()
+                    .any(|v| !seen.insert(v.raw())),
                 "the replayed view does not re-fail the uniqueness check"
             );
             Violated(format!("{outputs:?}").into())
         }),
         Progress => progress_cell(check_naming_progress(alg, crashes, cfg), crashes, |s| {
-            replay(alg.memory().unwrap(), alg.processes(), s).unwrap().status
+            replay(alg.memory().unwrap(), alg.processes(), s)
+                .unwrap()
+                .status
         }),
         Liveness => liveness_cell(check_naming_lockout(alg, crashes, cfg)),
     }
@@ -672,7 +709,10 @@ where
             .collect::<Vec<_>>()
     };
     let winners = |procs: &[A::Proc]| {
-        procs.iter().filter(|p| p.output() == Some(Value::ONE)).count()
+        procs
+            .iter()
+            .filter(|p| p.output() == Some(Value::ONE))
+            .count()
     };
     let Some(cfg) = cfg else {
         let memory = alg.memory().unwrap();
@@ -694,7 +734,10 @@ where
     match checker {
         Safety => safety_cell(check_detection_safety(alg, cfg), |v| {
             let r = replay(alg.memory().unwrap(), procs(), &v.schedule).unwrap();
-            assert!(winners(&r.procs) >= 2, "replayed state has fewer than two winners");
+            assert!(
+                winners(&r.procs) >= 2,
+                "replayed state has fewer than two winners"
+            );
             TWO_WINNERS
         }),
         Progress => progress_cell(check_detection_progress(alg, cfg), 0, |s| {
@@ -761,7 +804,10 @@ fn observe(row: &Row, col: usize) -> Cell {
     let mut cell = run(row.sys, row.checker, row.crashes, Some(config(col)));
     if let Violated(_) = cell.verdict {
         let (again, events) = recorded(row, col, 1);
-        assert_eq!(cell.fingerprint, again.fingerprint, "a recorder changed the violation");
+        assert_eq!(
+            cell.fingerprint, again.fingerprint,
+            "a recorder changed the violation"
+        );
         let search = if row.checker == Safety {
             Phase::SafetyDfs
         } else {
@@ -848,10 +894,17 @@ pub fn check_cell(row: &Row, col: usize) -> Cell {
     }
     assert_eq!(
         cell.terminals,
-        if symmetry { row.terminals.1 } else { row.terminals.0 },
+        if symmetry {
+            row.terminals.1
+        } else {
+            row.terminals.0
+        },
         "{what}: terminals"
     );
-    assert_eq!(cell.graphs, row.graphs[symmetry as usize], "{what}: (victims, graphs)");
+    assert_eq!(
+        cell.graphs, row.graphs[symmetry as usize],
+        "{what}: (victims, graphs)"
+    );
     assert_eq!(
         cell.footprint.arena_bytes,
         cell.counts.0 as u64 * row.arena,

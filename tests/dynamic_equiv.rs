@@ -21,7 +21,9 @@ use common::matrix::{
 
 #[test]
 fn three_modes_agree_on_mutex_safety() {
-    check_rows(&DYNAMIC, |r| r.checker == Safety && r.sys.is_mutex() && r.verdict == Holds);
+    check_rows(&DYNAMIC, |r| {
+        r.checker == Safety && r.sys.is_mutex() && r.verdict == Holds
+    });
 }
 
 #[test]
@@ -44,7 +46,9 @@ fn crash_budgets_keep_the_modes_agreeing() {
 /// tournament replays to two processes in the critical section.
 #[test]
 fn dynamic_violation_replays_to_two_in_critical() {
-    check_rows(&DYNAMIC, |r| r.checker == Safety && matches!(r.sys, Sys::LeafToRoot(_)));
+    check_rows(&DYNAMIC, |r| {
+        r.checker == Safety && matches!(r.sys, Sys::LeafToRoot(_))
+    });
 }
 
 /// A naming violation found in any cell replays to the row's multiset
@@ -74,6 +78,10 @@ fn dynamic_strictly_sharpens_bakery_and_splitter() {
             "{:?}: observed conflicts must strictly shrink the automaton's graph",
             row.sys
         );
-        assert!(dynamic.slept > 0, "{:?}: a strict shrink with nothing slept", row.sys);
+        assert!(
+            dynamic.slept > 0,
+            "{:?}: a strict shrink with nothing slept",
+            row.sys
+        );
     }
 }

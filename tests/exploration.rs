@@ -149,7 +149,11 @@ fn eight_tree_walkers_explore_to_quiescence() {
     // walker halts.
     let stats = check_naming_uniqueness(&TafTree::new(8).unwrap(), 0, reduced(50_000)).unwrap();
     assert!(stats.terminals >= 1, "no quiescent state reached");
-    assert!(stats.states < 20_000, "reduction regressed: {} states", stats.states);
+    assert!(
+        stats.states < 20_000,
+        "reduction regressed: {} states",
+        stats.states
+    );
     assert!(stats.orbits_merged > 1_000);
 }
 

@@ -13,9 +13,7 @@
 mod common;
 
 use cfc::core::{ProcessId, Section, Status};
-use cfc::mutex::{
-    Bakery, Dijkstra, LamportFast, MutexAlgorithm, PetersonTwo, TasSpin, Tournament,
-};
+use cfc::mutex::{Bakery, Dijkstra, LamportFast, MutexAlgorithm, PetersonTwo, TasSpin, Tournament};
 use cfc::naming::{TafTree, TasReadSearch, TasScan};
 use cfc::verify::{
     check_mutex_starvation, check_naming_lockout, replay, ExploreConfig, LivenessReport,
@@ -151,17 +149,18 @@ fn naming_algorithms_are_lockout_free() {
         let bypass = report.bypass().unwrap().expect("wait-free => bounded");
         assert!(bypass <= 3, "{label}: {bypass}");
     }
-    let report =
-        check_naming_lockout(&TasReadSearch::new(3), 0, ExploreConfig::reduced()).unwrap();
+    let report = check_naming_lockout(&TasReadSearch::new(3), 0, ExploreConfig::reduced()).unwrap();
     assert!(report.is_starvation_free());
 }
 
 #[test]
 fn bakery_three_bypass_scales_with_the_crowd() {
     // 2(n−1) at n = 3; the ticket quotient keeps ~42k states.
-    let report =
-        check_mutex_starvation(&Bakery::new(3), ExploreConfig::reduced().with_max_states(80_000))
-            .unwrap();
+    let report = check_mutex_starvation(
+        &Bakery::new(3),
+        ExploreConfig::reduced().with_max_states(80_000),
+    )
+    .unwrap();
     assert!(report.is_starvation_free());
     assert_eq!(report.bypass(), Some(Some(4)));
 }

@@ -42,9 +42,13 @@ fn lemma2_condition_fails_only_for_the_broken_detector() {
 
 #[test]
 fn broken_detector_yields_a_two_winner_run() {
-    let witness = merge_attack(&BrokenDetector::new(2), ProcessId::new(0), ProcessId::new(1))
-        .unwrap()
-        .expect("attack must construct the forbidden run");
+    let witness = merge_attack(
+        &BrokenDetector::new(2),
+        ProcessId::new(0),
+        ProcessId::new(1),
+    )
+    .unwrap()
+    .expect("attack must construct the forbidden run");
     // Both processes halted with output 1 in the merged trace.
     let winners = [ProcessId::new(0), ProcessId::new(1)]
         .iter()

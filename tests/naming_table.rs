@@ -149,11 +149,16 @@ fn dual_models_have_identical_measured_complexity() {
 fn models_match_table_columns() {
     assert_eq!(TasScan::new(4).model(), cfc::naming::Model::TAS_ONLY);
     assert_eq!(TasReadSearch::new(4).model(), cfc::naming::Model::READ_TAS);
-    assert!(cfc::naming::Model::READ_TAS_TAR
-        .superset_of(TasTarTree::new(4).unwrap().model()));
-    assert_eq!(TafTree::new(4).unwrap().model(), cfc::naming::Model::TAF_ONLY);
+    assert!(cfc::naming::Model::READ_TAS_TAR.superset_of(TasTarTree::new(4).unwrap().model()));
+    assert_eq!(
+        TafTree::new(4).unwrap().model(),
+        cfc::naming::Model::TAF_ONLY
+    );
     assert!(cfc::naming::Model::RMW.superset_of(TafTree::new(4).unwrap().model()));
-    assert!(TafTree::new(4).unwrap().model().contains(BitOp::TestAndFlip));
+    assert!(TafTree::new(4)
+        .unwrap()
+        .model()
+        .contains(BitOp::TestAndFlip));
 }
 
 #[test]

@@ -62,7 +62,11 @@ fn bakery_heavy_contention() {
 
 #[test]
 fn tas_variants_heavy_contention() {
-    for strategy in [SpinStrategy::Tas, SpinStrategy::Ttas, SpinStrategy::TtasBackoff] {
+    for strategy in [
+        SpinStrategy::Tas,
+        SpinStrategy::Ttas,
+        SpinStrategy::TtasBackoff,
+    ] {
         exact_counter(&TasLock::new(strategy), 8, 5_000);
     }
 }

@@ -66,9 +66,12 @@ fn exhaustive_heavy_rows_under_sharper_may_access() {
 #[ignore = "16-walker naming quotient; run via cargo test --release -- --ignored"]
 fn exhaustive_taf_tree_sixteen() {
     let alg = TafTree::new(16).unwrap();
-    let stats =
-        check_naming_uniqueness(&alg, 0, ExploreConfig::reduced().with_max_states(400_000_000))
-            .unwrap();
+    let stats = check_naming_uniqueness(
+        &alg,
+        0,
+        ExploreConfig::reduced().with_max_states(400_000_000),
+    )
+    .unwrap();
     assert!(
         stats.states > 20_000_000,
         "expected the 16-walker quotient well past the n=8 scale, visited {}",

@@ -26,20 +26,26 @@ fn mutex_progress_agrees_across_reductions() {
 
 #[test]
 fn naming_progress_agrees_across_reductions() {
-    check_rows(&DECLARED_POR, |r| r.checker == Progress && r.sys.is_naming());
+    check_rows(&DECLARED_POR, |r| {
+        r.checker == Progress && r.sys.is_naming()
+    });
 }
 
 /// Splitters always terminate: progress holds for every participant.
 #[test]
 fn detection_progress_agrees_across_reductions() {
-    check_rows(&DECLARED_POR, |r| r.checker == Progress && matches!(r.sys, Sys::Splitter(_)));
+    check_rows(&DECLARED_POR, |r| {
+        r.checker == Progress && matches!(r.sys, Sys::Splitter(_))
+    });
 }
 
 /// Lemma 1's mutex-derived detector: losers busy-wait forever, so every
 /// variant must find a stuck state that replays to a non-quiescent one.
 #[test]
 fn lemma1_detector_violation_replays_in_every_variant() {
-    check_rows(&DECLARED_POR, |r| r.checker == Progress && r.sys == Sys::Lemma1);
+    check_rows(&DECLARED_POR, |r| {
+        r.checker == Progress && r.sys == Sys::Lemma1
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -73,7 +79,11 @@ fn eight_walker_progress_verifies_only_reduced() {
         other => panic!("expected the un-reduced graph to overflow, got {other:?}"),
     }
     let stats = check_naming_progress(&TafTree::new(8).unwrap(), 0, reduced(cap)).unwrap();
-    assert!(stats.states < 20_000, "reduction regressed: {}", stats.states);
+    assert!(
+        stats.states < 20_000,
+        "reduction regressed: {}",
+        stats.states
+    );
     assert!(stats.orbits_merged > 0);
 }
 

@@ -48,7 +48,12 @@ impl<P: Process + Clone + Eq + std::hash::Hash> Fixture<P> {
                 "process {i}: initial state must resolve in the future index"
             );
         }
-        Fixture { layout, memory, procs, index }
+        Fixture {
+            layout,
+            memory,
+            procs,
+            index,
+        }
     }
 
     /// Drives a random interleaving, asserting before every operation

@@ -47,7 +47,11 @@ struct Fixture<P> {
 impl<P: Process + Clone + Eq + std::hash::Hash> Fixture<P> {
     fn new(layout: Layout, memory: Memory, procs: Vec<P>) -> Self {
         let index = FutureIndex::build(&layout, &procs);
-        Fixture { memory, procs, index }
+        Fixture {
+            memory,
+            procs,
+            index,
+        }
     }
 
     /// Executes a random walk, returning the schedule of steps that

@@ -100,9 +100,8 @@ where
         // Starvable: the lasso validates and three replayed revolutions
         // keep the victim pending — the reduced graph's finding holds
         // un-reduced.
-        validate_lasso(&memory, &clients, witness, &spec()).unwrap_or_else(|e| {
-            panic!("{} ({config:?}): lasso fails validation: {e}", alg.name())
-        });
+        validate_lasso(&memory, &clients, witness, &spec())
+            .unwrap_or_else(|e| panic!("{} ({config:?}): lasso fails validation: {e}", alg.name()));
         let mut schedule = witness.lasso.stem.clone();
         for _ in 0..3 {
             schedule.extend(witness.lasso.cycle.iter().copied());
@@ -120,9 +119,15 @@ where
     let witness = report
         .bypass_witness()
         .unwrap_or_else(|| panic!("{} ({config:?}): bound {bound} without witness", alg.name()));
-    assert_eq!(witness.bypass, bound, "witness must achieve the reported bound");
+    assert_eq!(
+        witness.bypass, bound,
+        "witness must achieve the reported bound"
+    );
     validate_bypass(&memory, &clients, witness, &spec()).unwrap_or_else(|e| {
-        panic!("{} ({config:?}): bypass witness fails validation: {e}", alg.name())
+        panic!(
+            "{} ({config:?}): bypass witness fails validation: {e}",
+            alg.name()
+        )
     });
     assert_eq!(
         independent_overtake_count(alg, witness),
@@ -175,9 +180,9 @@ fn naming_bypass_witnesses_validate() {
         let report = check_naming_lockout(&alg, 0, config).unwrap();
         assert!(report.is_starvation_free(), "{label}");
         let bound = report.bypass().unwrap().expect("wait-free => bounded");
-        let witness = report.bypass_witness().unwrap_or_else(|| {
-            panic!("{label}: naming bound {bound} without witness")
-        });
+        let witness = report
+            .bypass_witness()
+            .unwrap_or_else(|| panic!("{label}: naming bound {bound} without witness"));
         assert_eq!(witness.bypass, bound, "{label}");
         let spec = LivenessSpec {
             pending: &|p: &<TasScan as NamingAlgorithm>::Proc| p.output().is_none(),

@@ -19,13 +19,17 @@ use common::matrix::{check_rows, Holds, Safety, Sys, DECLARED_POR};
 
 #[test]
 fn safe_mutex_configs_agree_across_reductions() {
-    check_rows(&DECLARED_POR, |r| r.checker == Safety && r.sys.is_mutex() && r.verdict == Holds);
+    check_rows(&DECLARED_POR, |r| {
+        r.checker == Safety && r.sys.is_mutex() && r.verdict == Holds
+    });
 }
 
 /// The naming rows under up to one crash, and the splitter.
 #[test]
 fn safe_naming_configs_agree_across_reductions() {
-    check_rows(&DECLARED_POR, |r| r.checker == Safety && !r.sys.is_mutex() && r.verdict == Holds);
+    check_rows(&DECLARED_POR, |r| {
+        r.checker == Safety && !r.sys.is_mutex() && r.verdict == Holds
+    });
 }
 
 /// The paper's literal leaf-to-root exit order is unsafe for composed
@@ -33,7 +37,9 @@ fn safe_naming_configs_agree_across_reductions() {
 /// in the critical section.
 #[test]
 fn planted_mutex_bug_caught_by_all_variants() {
-    check_rows(&DECLARED_POR, |r| r.checker == Safety && matches!(r.sys, Sys::LeafToRoot(_)));
+    check_rows(&DECLARED_POR, |r| {
+        r.checker == Safety && matches!(r.sys, Sys::LeafToRoot(_))
+    });
 }
 
 #[test]

@@ -47,7 +47,13 @@ fn lamport_fast_is_not_starvation_free() {
     let alg = LamportFast::new(2);
     let report = check_mutex_starvation(&alg, ExploreConfig::default()).unwrap();
     let witness = report.witness().expect("lamport-fast must be starvable");
-    validate_lasso(&alg.memory().unwrap(), &cycling_clients(&alg), witness, &spec()).unwrap();
+    validate_lasso(
+        &alg.memory().unwrap(),
+        &cycling_clients(&alg),
+        witness,
+        &spec(),
+    )
+    .unwrap();
 
     // Replay regression of the discovered lasso: fifty revolutions are a
     // plain schedule. The victim takes at least one step per revolution
@@ -148,7 +154,15 @@ fn discovered_lasso_is_minimal_evidence_not_an_accident() {
         .lasso
         .cycle
         .retain(|s| !matches!(s, ScheduleStep::Step(p) if *p == victim));
-    let err = validate_lasso(&alg.memory().unwrap(), &cycling_clients(&alg), &witness, &spec())
-        .unwrap_err();
-    assert!(err.contains("not weakly fair") || err.contains("never steps"), "{err}");
+    let err = validate_lasso(
+        &alg.memory().unwrap(),
+        &cycling_clients(&alg),
+        &witness,
+        &spec(),
+    )
+    .unwrap_err();
+    assert!(
+        err.contains("not weakly fair") || err.contains("never steps"),
+        "{err}"
+    );
 }

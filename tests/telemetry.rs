@@ -218,8 +218,15 @@ fn liveness_emits_balanced_scc_and_graph_spans() {
 
     let events = rec.events();
     let closed = assert_well_formed(&events);
-    assert!(closed >= 3, "expected check + graph + scc spans, got {closed}");
-    for phase in [Phase::LivenessCheck, Phase::LivenessGraph, Phase::SccAnalysis] {
+    assert!(
+        closed >= 3,
+        "expected check + graph + scc spans, got {closed}"
+    );
+    for phase in [
+        Phase::LivenessCheck,
+        Phase::LivenessGraph,
+        Phase::SccAnalysis,
+    ] {
         assert!(
             events
                 .iter()
@@ -251,10 +258,7 @@ fn violation_paths_still_balance_spans() {
     })
     .unwrap();
     assert!(
-        matches!(
-            report.verdict,
-            cfc::verify::LivenessVerdict::Starvable(_)
-        ),
+        matches!(report.verdict, cfc::verify::LivenessVerdict::Starvable(_)),
         "lamport fast path is the starvable fixture"
     );
     assert_well_formed(&rec.events());
@@ -299,8 +303,7 @@ fn jsonl_stream_round_trips_through_the_recorder() {
     let parsed: Vec<TelemetryEvent> = text
         .lines()
         .map(|l| {
-            TelemetryEvent::parse_json_line(l)
-                .unwrap_or_else(|| panic!("unparseable line: {l}"))
+            TelemetryEvent::parse_json_line(l).unwrap_or_else(|| panic!("unparseable line: {l}"))
         })
         .collect();
     assert_eq!(parsed, recorded, "jsonl encode/decode must be lossless");
@@ -312,12 +315,7 @@ fn lint_span_is_observed_and_timed() {
     let bakery = Bakery::new(2);
     let procs: Vec<_> = (0..2)
         .map(|i| {
-            cfc::mutex::MutexAlgorithm::client_with_cs(
-                &bakery,
-                cfc::core::ProcessId::new(i),
-                1,
-                1,
-            )
+            cfc::mutex::MutexAlgorithm::client_with_cs(&bakery, cfc::core::ProcessId::new(i), 1, 1)
         })
         .collect();
     let (tel, rec) = recording_telemetry();
