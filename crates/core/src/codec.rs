@@ -96,6 +96,19 @@ impl StateWriter {
     pub fn finish(self) -> Vec<u8> {
         self.bytes
     }
+
+    /// The bytes written so far, zero-padded to whole bytes: the record
+    /// [`StateWriter::finish`] would return, borrowed.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Empties the writer and keeps its buffer, so one writer can encode
+    /// record after record without allocating.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.len_bits = 0;
+    }
 }
 
 /// An LSB-first bit source over a packed record.
@@ -255,6 +268,21 @@ mod tests {
         let mut r = StateReader::new(&bytes);
         assert_eq!(r.take_bits(0), 0);
         assert_eq!(r.take_bits(2), 0b11);
+    }
+
+    #[test]
+    fn cleared_writer_encodes_like_a_fresh_one() {
+        let mut w = StateWriter::new();
+        w.push_bits(0x1FF, 9);
+        assert_eq!(w.bytes(), &[0xFF, 0x01]);
+        w.clear();
+        assert_eq!(w.bit_len(), 0);
+        assert!(w.bytes().is_empty());
+        w.push_bits(0b10, 2);
+        let mut fresh = StateWriter::new();
+        fresh.push_bits(0b10, 2);
+        assert_eq!(w.bytes(), fresh.bytes());
+        assert_eq!(w.finish(), fresh.finish());
     }
 
     #[test]

@@ -83,7 +83,9 @@ pub trait Process {
 
     /// A 64-bit fingerprint of the process's local state, used by the
     /// symmetry-reduced explorer in `cfc-verify` to canonically order
-    /// interchangeable processes.
+    /// interchangeable processes. The explorer's store calls it once per
+    /// distinct local state and status, when it first interns the state,
+    /// and caches the result; it is not called once per comparison.
     ///
     /// The fingerprint must be a pure function of the local state, and
     /// should be injective on the states one algorithm instance can reach

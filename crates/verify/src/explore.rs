@@ -110,7 +110,8 @@ pub struct ExploreConfig {
     /// count is exactly `max_states` completes, and the first state
     /// beyond it aborts with [`ExploreError::StateBudget`] carrying
     /// `max_states + 1` — the count at the moment the budget broke, not
-    /// however far an expansion batch happened to overshoot.
+    /// however far an expansion batch happened to overshoot. State ids
+    /// are 32-bit, so a budget above `u32::MAX - 1` acts as exactly that.
     pub max_states: usize,
     /// How many crash transitions the adversary may inject in one run.
     pub max_crashes: u32,
@@ -363,10 +364,14 @@ impl<P: Process> StateView<'_, P> {
 
 /// A 64-bit digest of the canonical form the symmetry-reduced explorer
 /// assigns to a global state — a test/diagnostic hook, **not** the
-/// literal visited-set key: the explorer keys its visited set on the
-/// full canonical node (including the remaining crash budget, fixed to 0
-/// here) precisely so that hash collisions can never merge unrelated
-/// states.
+/// literal visited-set key: the explorer's store keys its visited set on
+/// the full canonical record (including the remaining crash budget,
+/// fixed to 0 here) precisely so that hash collisions can never merge
+/// unrelated states. This hook builds the canonical node through the
+/// reference canonicalization, which clones the state and hashes each
+/// class member; the store reaches the same representative by sorting
+/// fingerprints it cached per interned local state, and its unit tests
+/// hold the two equal.
 ///
 /// Permuting processes within one class of `symmetry` (their states and
 /// statuses together, leaving memory fixed) leaves the digest unchanged —

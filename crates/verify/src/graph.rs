@@ -15,8 +15,13 @@
 //!   a node and normalizes the result ([`GraphBuilder::expand`] fills one
 //!   reused successor buffer through it, and [`GraphBuilder::walk`]
 //!   re-derives witness hops through it);
-//! * canonicalization under a [`SymmetryGroup`] ([`canonicalize`],
-//!   [`state_fingerprint`]) for symmetry-reduced visited keys;
+//! * the orbit order under a [`SymmetryGroup`]: [`state_fingerprint`]
+//!   orders interchangeable processes, and [`canonicalize`] builds the
+//!   representative node. The traversals never call it: they hand
+//!   concrete nodes to the [`NodeStore`], which sorts cached per-slot
+//!   fingerprints to key each state by the same representative (see
+//!   `crate::store`). `canonicalize` stays as the reference the store is
+//!   tested against and behind the public `canonical_key`;
 //! * ample-set selection for partial-order reduction, parameterized by
 //!   [`AmpleMode`]: the safety explorer needs the full C1–C3 conditions,
 //!   while progress checking can drop the invisibility condition C2
@@ -92,6 +97,10 @@ pub(crate) fn full_hash<T: Hash>(t: &T) -> u64 {
 
 /// The orbit representative of a node: within every symmetry class, the
 /// (local state, status) pairs are rearranged into fingerprint order.
+/// This is the reference form, behind the public `canonical_key` and the
+/// store's unit tests; the traversals reach the same representative
+/// through the [`NodeStore`], which sorts fingerprints it cached per
+/// interned local state instead of cloning the node and re-hashing.
 ///
 /// Sorting is *stable*, so fingerprint collisions between distinct local
 /// states can only forfeit a merge, never create an unsound one: two
@@ -188,9 +197,8 @@ impl AmpleMode {
 }
 
 /// The successor buffer [`GraphBuilder::expand`] fills, in push order:
-/// each decision with its normalized successor and, when the ample
-/// selection already computed it, the successor's canonical form.
-type Successors<P> = Vec<(ScheduleStep, Node<P>, Option<Node<P>>)>;
+/// each decision with its normalized concrete successor.
+type Successors<P> = Vec<(ScheduleStep, Node<P>)>;
 
 /// Reused per-state scratch of the ample selection: future-access sets
 /// and the successors computed while testing candidates (handed to the
@@ -391,9 +399,10 @@ fn violation_at(link: &Option<Rc<PathLink>>, message: String) -> ExploreError {
 /// ample-selection scratch and the future-access index it consults.
 pub(crate) struct GraphBuilder<'a, P> {
     template: Memory,
-    /// The caller's configuration, with `por` cleared when the spec
-    /// carries a normalizer (the ample bookkeeping cannot see through the
-    /// abstraction — asserted by the driver edge-case suite).
+    /// The caller's configuration, with the state budget clamped to
+    /// `MAX_STATES` and `por` cleared when the spec carries a normalizer
+    /// (the ample bookkeeping cannot see through the abstraction —
+    /// asserted by the driver edge-case suite).
     config: ExploreConfig,
     spec: TraversalSpec<'a, P>,
     /// Whether symmetry reduction is effective (enabled and non-trivial).
@@ -418,8 +427,15 @@ impl<P> std::fmt::Debug for GraphBuilder<'_, P> {
     }
 }
 
+/// The largest effective state budget. Store ids are `u32`, and the
+/// arena and the open index reserve `u32::MAX`; under this budget the
+/// driver's own check reports [`ExploreError::StateBudget`] before either
+/// ceiling is reached.
+const MAX_STATES: usize = u32::MAX as usize - 1;
+
 impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
-    /// Builds a driver for `n` processes over `memory`.
+    /// Builds a driver for `n` processes over `memory`. A state budget
+    /// above `MAX_STATES` is clamped to it.
     ///
     /// # Panics
     ///
@@ -440,6 +456,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         GraphBuilder {
             template: memory,
             config: ExploreConfig {
+                max_states: config.max_states.min(MAX_STATES),
                 por: config.por && spec.normalizer.is_none(),
                 ..config
             },
@@ -521,14 +538,15 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         Ok(next)
     }
 
-    /// The canonical (orbit-representative) form of `node` — `node`
-    /// itself, cloned, when symmetry reduction is off.
-    fn canonical_of(&self, node: &Node<P>) -> Node<P> {
-        if self.use_sym {
-            canonicalize(node, &self.spec.symmetry)
+    /// A store for states shaped like `root`, keyed canonically under
+    /// the spec's symmetry group when the reduction is effective.
+    fn new_store(&self, root: &Node<P>, track_firsts: bool) -> NodeStore<P> {
+        let classes = if self.use_sym {
+            self.spec.symmetry.classes().to_vec()
         } else {
-            node.clone()
-        }
+            Vec::new()
+        };
+        NodeStore::new(self.template.layout(), root, classes, track_firsts)
     }
 
     /// Opens a traversal: builds the future-access index under its own
@@ -555,8 +573,8 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
     /// set: each runnable process's crash successor (while crashes
     /// remain), then its step successor.
     ///
-    /// `visited` answers whether a (canonical) node has already been seen;
-    /// the ample conditions consult it for the cycle/fresh-successor
+    /// `visited` answers whether a concrete node's orbit has already been
+    /// seen; the ample conditions consult it for the cycle/fresh-successor
     /// proviso. Crash branching disables the reduction at any state that
     /// can still crash (a crash commutes with nothing its victim would
     /// do).
@@ -585,7 +603,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             let pid = ProcessId::new(i as u32);
             if node.crashes_left > 0 {
                 let crash = ScheduleStep::Crash(pid);
-                out.push((crash, self.successor(node, crash)?, None));
+                out.push((crash, self.successor(node, crash)?));
             }
             // Reuse any successor the ample selection already computed for
             // this candidate instead of recomputing it.
@@ -594,7 +612,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 Some(cached) => cached,
                 None => self.successor(node, step)?,
             };
-            out.push((step, next, None));
+            out.push((step, next));
         }
         Ok(false)
     }
@@ -703,19 +721,15 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 }
                 _ => {}
             }
-            // Condition 3: the cycle / fresh-successor proviso. The
-            // canonical form computed here rides along with the winner so
-            // canonically-interning callers need not recompute it.
-            let canon = self
-                .use_sym
-                .then(|| canonicalize(succ, &self.spec.symmetry));
-            if visited(canon.as_ref().unwrap_or(succ)) {
+            // Condition 3: the cycle / fresh-successor proviso, on the
+            // successor's orbit (the store canonicalizes it).
+            if visited(succ) {
                 continue 'candidates;
             }
             let succ = self.scratch.succ[i]
                 .take()
                 .expect("candidate successor cached");
-            out.push((decision, succ, canon));
+            out.push((decision, succ));
             return Ok(true);
         }
         Ok(false)
@@ -761,13 +775,14 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         );
         let mut sleep = SleepTable::new();
 
-        // Visited canonical states, held single-copy in the packed store.
-        // With symmetry on, each entry also tracks the identity of the
+        // Visited canonical states, held single-copy in the packed store,
+        // which canonicalizes the concrete nodes it is handed. With
+        // symmetry on, each entry also tracks the identity of the
         // concrete state that first reached it — that lets the
         // orbit-merge counter tell a merge with a permuted sibling apart
         // from a plain revisit, by exact comparison (a hash could
         // collide and miscount).
-        let mut visited: NodeStore<P> = NodeStore::new(self.template.layout(), &root, self.use_sym);
+        let mut visited = self.new_store(&root, self.use_sym);
         let footprint = |visited: &NodeStore<P>, sleep: &SleepTable| StoreFootprint {
             arena_bytes: visited.arena_bytes(),
             index_bytes: visited.index_bytes() + sleep.heap_bytes() as u64,
@@ -789,11 +804,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         let mut fps: Vec<(u32, Footprint)> = Vec::new();
 
         while let Some((node, path, mut mask)) = stack.pop() {
-            let (id, outcome) = if self.use_sym {
-                visited.visit(&self.canonical_of(&node), Some(&node))
-            } else {
-                visited.visit(&node, None)
-            };
+            let (id, outcome) = visited.visit(&node);
             // A revisit normally ends the branch. With sleeping on, a
             // revisit that sleeps *fewer* processes than every earlier
             // visit covered must re-expand the state (without re-counting
@@ -870,7 +881,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                     )
                 }));
             }
-            for (k, (step, succ, _)) in succs.drain(..).enumerate() {
+            for (k, (step, succ)) in succs.drain(..).enumerate() {
                 let mut child_mask = 0;
                 if sleep_on {
                     let (bit, fp) = &fps[k];
@@ -930,10 +941,9 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         let tel = telemetry::runtime();
         let mut span = tel.span(mode.phase());
         let root = self.prepare(&tel, procs);
-        let root_canon = self.canonical_of(&root);
 
-        let mut store: NodeStore<P> = NodeStore::new(self.template.layout(), &root_canon, false);
-        let (root_id, root_fresh) = store.intern(&root_canon);
+        let mut store = self.new_store(&root, false);
+        let (root_id, root_fresh, _) = store.intern(&root);
         debug_assert!(root_fresh && root_id == 0, "the root interns first");
         let mut g = BuiltGraph {
             store,
@@ -971,13 +981,10 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 cursor += 1;
                 continue;
             }
-            // Each successor comes with its canonical form when the ample
-            // selection already computed it for the fresh-successor
-            // proviso.
             if self.expand(&current, &runnable, |key| g.store.contains(key), &mut succs)? {
                 stats.states_pruned_por += runnable.len() as u64 - 1;
             }
-            for (step, succ, canon) in succs.drain(..) {
+            for (step, succ) in succs.drain(..) {
                 stats.transitions += 1;
                 let pid = step.pid().index();
                 let crash = matches!(step, ScheduleStep::Crash(_));
@@ -986,15 +993,9 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                         .spec
                         .served
                         .is_some_and(|f| f(&current.procs[pid], &succ.procs[pid]));
-                let canon = canon.or_else(|| self.use_sym.then(|| self.canonical_of(&succ)));
-                let (canon, permuted) = match canon {
-                    Some(canon) => {
-                        let permuted = canon != succ;
-                        (canon, permuted)
-                    }
-                    None => (succ, false),
-                };
-                let (to, fresh) = g.store.intern(&canon);
+                // A successor that is not its own orbit representative
+                // and lands on a stored orbit is an orbit merge.
+                let (to, fresh, permuted) = g.store.intern(&succ);
                 if fresh {
                     g.first_pred.push(cursor as u32);
                     g.terminal.push(false);
@@ -1043,18 +1044,21 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
     ) -> Vec<ScheduleStep> {
         hops.into_iter()
             .map(|(id, hint)| {
-                let (step, next) = self.derive_step(cur, &g.node(id), hint.map(|h| h as usize));
+                let (step, next) = self.derive_step(cur, g, id, hint.map(|h| h as usize));
                 *cur = next;
                 step
             })
             .collect()
     }
 
-    /// One hop of [`GraphBuilder::walk`].
+    /// One hop of [`GraphBuilder::walk`]: a decision at `cur` whose
+    /// successor's orbit is `g`'s node `target`, found by a lookup-only
+    /// probe of `g`'s store.
     fn derive_step(
         &self,
         cur: &Node<P>,
-        target: &Node<P>,
+        g: &BuiltGraph<P>,
+        target: u32,
         hint: Option<usize>,
     ) -> (ScheduleStep, Node<P>) {
         let n = cur.status.len();
@@ -1069,7 +1073,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 let succ = self
                     .successor(cur, decision)
                     .expect("witness steps replay the explored semantics");
-                if self.canonical_of(&succ) == *target {
+                if g.store.id_of(&succ) == Some(target) {
                     return (decision, succ);
                 }
             }
@@ -1195,6 +1199,32 @@ mod tests {
         let mut builder = GraphBuilder::new(memory, config, spec(AmpleMode::Progress), procs.len());
         let (_, stats) = builder.build_graph(procs).unwrap();
         assert!(stats.states_pruned_por > 0, "{stats:?}");
+    }
+
+    /// A budget past the 32-bit id space is clamped to the largest one
+    /// the store can hold, so the driver's budget check fires before the
+    /// arena's or the index's id assertion could.
+    #[test]
+    fn unbounded_budget_clamps_to_the_id_space() {
+        let (memory, procs) = bumper_system(1);
+        let config = ExploreConfig::default().with_max_states(usize::MAX);
+        let builder = GraphBuilder::new(
+            memory,
+            config,
+            spec::<Bumper>(AmpleMode::Safety),
+            procs.len(),
+        );
+        assert_eq!(builder.config.max_states, u32::MAX as usize - 1);
+        // Budgets inside the id space are untouched.
+        let (memory, procs) = bumper_system(1);
+        let config = ExploreConfig::default().with_max_states(7);
+        let builder = GraphBuilder::new(
+            memory,
+            config,
+            spec::<Bumper>(AmpleMode::Safety),
+            procs.len(),
+        );
+        assert_eq!(builder.config.max_states, 7);
     }
 
     /// One-process systems degenerate cleanly: a single chain of states,

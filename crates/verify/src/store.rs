@@ -19,7 +19,21 @@
 //!   digest index ([`crate::index::OpenIndex`], at most 64/7 B/state) maps
 //!   a 64-bit hash of the record bytes to record ids, so membership and
 //!   interning cost one encode plus a short probe, and node ids decode
-//!   transiently on expansion.
+//!   transiently on expansion. Callers hand it concrete nodes: under a
+//!   symmetry group the store canonicalizes them itself (below).
+//!
+//! **Canonicalization.** A store built with the non-singleton classes of
+//! a symmetry group keys every state by its orbit representative, the one
+//! `crate::graph::canonicalize` defines: within each class, the members'
+//! (local state, status) pairs in `state_fingerprint` order, ties kept in
+//! pid order. It computes that record without building a node. When a
+//! local state is first interned, the store caches its fingerprint under
+//! each of the three statuses; every encode then turns the node into
+//! slots once, sorts each class's (cached fingerprint, position in class)
+//! keys in a reused buffer, and writes the record from the permuted
+//! (status, slot) pairs. Nothing is hashed twice and nothing on the
+//! encode path allocates. A store without classes holds no fingerprint
+//! cache and writes the concrete record as is.
 //!
 //! Round-trip identity of the codec (checked by debug assertions on early
 //! insertions) makes the encoding injective, so byte-equality of records
@@ -34,10 +48,10 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use cfc_core::{
-    bits_for, Layout, LayoutCodec, StateCodec, StateReader, StateWriter, Status, Value,
+    bits_for, Layout, LayoutCodec, Process, StateCodec, StateReader, StateWriter, Status, Value,
 };
 
-use crate::graph::Node;
+use crate::graph::{state_fingerprint, Node};
 use crate::index::OpenIndex;
 
 /// The outcome of recording a state in the visited set
@@ -68,7 +82,41 @@ struct NodeCodec<P> {
     n: usize,
     table: Vec<P>,
     lookup: HashMap<P, u32>,
+    /// The symmetry group's non-singleton classes; empty without
+    /// symmetry.
+    classes: Vec<Vec<usize>>,
+    /// Per slot, its local state's `state_fingerprint` under each status
+    /// (indexed by `status_tag`). Filled only when `classes` is
+    /// non-empty.
+    fps: Vec<[u64; 3]>,
     rec_bytes: usize,
+}
+
+/// The encode buffers a store reuses across calls.
+struct Scratch {
+    /// The slot of each process's local state, by pid.
+    slots: Vec<u32>,
+    /// The canonical arrangement: position `i` of the canonical record
+    /// holds process `perm[i]`'s status and slot. The identity outside
+    /// the classes.
+    perm: Vec<usize>,
+    /// One class's (fingerprint, position in class) sort keys.
+    keys: Vec<(u64, usize)>,
+    writer: StateWriter,
+    /// The record written last.
+    rec: Vec<u8>,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Self {
+        Scratch {
+            slots: Vec::with_capacity(n),
+            perm: (0..n).collect(),
+            keys: Vec::with_capacity(n),
+            writer: StateWriter::new(),
+            rec: Vec::new(),
+        }
+    }
 }
 
 fn status_tag(s: Status) -> u64 {
@@ -87,10 +135,11 @@ fn tag_status(t: u64) -> Status {
     }
 }
 
-impl<P: Clone + Eq + Hash> NodeCodec<P> {
-    /// Derives the codec from the layout and the root node: the crash
-    /// budget's width comes from the root (it only ever decreases).
-    fn new(layout: &Layout, root: &Node<P>) -> Self {
+impl<P: Process + Clone + Eq + Hash> NodeCodec<P> {
+    /// Derives the codec from the layout and the root node (the crash
+    /// budget's width comes from the root; it only ever decreases) and
+    /// the symmetry group's non-singleton classes.
+    fn new(layout: &Layout, root: &Node<P>, classes: Vec<Vec<usize>>) -> Self {
         let values = LayoutCodec::new(layout);
         let crash_bits = bits_for(u64::from(root.crashes_left));
         let n = root.procs.len();
@@ -101,6 +150,8 @@ impl<P: Clone + Eq + Hash> NodeCodec<P> {
             n,
             table: Vec::new(),
             lookup: HashMap::new(),
+            classes,
+            fps: Vec::new(),
             rec_bytes: total_bits.div_ceil(8).max(1),
         }
     }
@@ -109,57 +160,105 @@ impl<P: Clone + Eq + Hash> NodeCodec<P> {
         self.rec_bytes
     }
 
-    /// Encodes `node`, interning any process local states not seen before
-    /// (hence `&mut`). Infallible: used on the insertion path. A local
-    /// state already in the table is looked up, never cloned.
-    fn encode_mut(&mut self, node: &Node<P>, out: &mut Vec<u8>) {
-        let mut w = StateWriter::new();
-        self.encode_prefix(node, &mut w);
+    /// Fills `slots` with the slot of each of `node`'s local states,
+    /// interning the ones not seen before (hence `&mut`). A local state
+    /// already in the table is looked up, never cloned; a new one has
+    /// its fingerprints cached when the codec has classes.
+    fn intern_slots(&mut self, node: &Node<P>, slots: &mut Vec<u32>) {
+        debug_assert_eq!(node.procs.len(), self.n);
+        slots.clear();
         for p in &node.procs {
             let slot = match self.lookup.get(p) {
                 Some(&slot) => slot,
                 None => {
                     let slot = u32::try_from(self.table.len())
                         .expect("more than u32::MAX distinct local states");
+                    if !self.classes.is_empty() {
+                        self.fps.push(
+                            [Status::Running, Status::Done, Status::Crashed]
+                                .map(|s| state_fingerprint(p, s)),
+                        );
+                    }
                     self.table.push(p.clone());
                     self.lookup.insert(p.clone(), slot);
                     slot
                 }
             };
-            w.push_bits(u64::from(slot), 32);
+            slots.push(slot);
         }
-        Self::finish_into(w, self.rec_bytes, out);
     }
 
-    /// Encodes `node` without interning: `false` when a local state is
+    /// Fills `slots` without interning: `false` when a local state is
     /// not in the table — which proves the node is absent from the store,
     /// so lookups can treat the failure as "not visited".
-    fn try_encode(&self, node: &Node<P>, out: &mut Vec<u8>) -> bool {
-        let mut w = StateWriter::new();
-        self.encode_prefix(node, &mut w);
+    fn find_slots(&self, node: &Node<P>, slots: &mut Vec<u32>) -> bool {
+        debug_assert_eq!(node.procs.len(), self.n);
+        slots.clear();
         for p in &node.procs {
             let Some(&slot) = self.lookup.get(p) else {
                 return false;
             };
-            w.push_bits(u64::from(slot), 32);
+            slots.push(slot);
         }
-        Self::finish_into(w, self.rec_bytes, out);
         true
     }
 
-    fn encode_prefix(&self, node: &Node<P>, w: &mut StateWriter) {
-        debug_assert_eq!(node.procs.len(), self.n);
-        for &s in &node.status {
-            w.push_bits(status_tag(s), 2);
+    /// The one encode routine, after the slots are resolved into
+    /// `sc.slots`: orders each class by its members' cached fingerprints
+    /// into `sc.perm` and writes the canonical record of `node` into
+    /// `sc.rec`. Returns whether that record differs from `node`'s own.
+    ///
+    /// Sorting (fingerprint, position in class) keys is the stable
+    /// fingerprint sort `crate::graph::canonicalize` runs, so both pick
+    /// the same representative.
+    fn encode(&self, node: &Node<P>, sc: &mut Scratch) -> bool {
+        let Scratch {
+            slots,
+            perm,
+            keys,
+            writer,
+            rec,
+        } = sc;
+        let mut permuted = false;
+        for class in &self.classes {
+            keys.clear();
+            keys.extend(class.iter().enumerate().map(|(k, &i)| {
+                let tag = status_tag(node.status[i]) as usize;
+                (self.fps[slots[i] as usize][tag], k)
+            }));
+            keys.sort_unstable();
+            for (&dst, &(_, k)) in class.iter().zip(keys.iter()) {
+                let src = class[k];
+                perm[dst] = src;
+                permuted |= slots[src] != slots[dst] || node.status[src] != node.status[dst];
+            }
+        }
+        self.write(node, slots, |i| perm[i], writer, rec);
+        permuted
+    }
+
+    /// Writes the record of `node`, whose slots are `slots`, with process
+    /// `src(i)`'s status and slot at position `i`, into `out`.
+    fn write(
+        &self,
+        node: &Node<P>,
+        slots: &[u32],
+        src: impl Fn(usize) -> usize,
+        w: &mut StateWriter,
+        out: &mut Vec<u8>,
+    ) {
+        w.clear();
+        for i in 0..self.n {
+            w.push_bits(status_tag(node.status[src(i)]), 2);
         }
         w.push_bits(u64::from(node.crashes_left), self.crash_bits);
         self.values.encode(&node.values, w);
-    }
-
-    fn finish_into(w: StateWriter, rec_bytes: usize, out: &mut Vec<u8>) {
+        for i in 0..self.n {
+            w.push_bits(u64::from(slots[src(i)]), 32);
+        }
         out.clear();
-        out.extend_from_slice(&w.finish());
-        out.resize(rec_bytes, 0);
+        out.extend_from_slice(w.bytes());
+        out.resize(self.rec_bytes, 0);
     }
 
     fn decode(&self, bytes: &[u8]) -> Node<P> {
@@ -257,8 +356,8 @@ struct Firsts {
 }
 
 /// The visited set + canonical state table shared by every traversal:
-/// states go in once (canonically), get a dense `u32` id, and decode
-/// transiently on expansion.
+/// states go in once (canonically, under the store's symmetry classes),
+/// get a dense `u32` id, and decode transiently on expansion.
 pub(crate) struct NodeStore<P> {
     codec: NodeCodec<P>,
     arena: SegArena,
@@ -269,7 +368,7 @@ pub(crate) struct NodeStore<P> {
     /// by content alone.
     digest: fn(&[u8]) -> u64,
     /// Encode scratch, `RefCell` so `&self` lookups can encode.
-    scratch: RefCell<Vec<u8>>,
+    scratch: RefCell<Scratch>,
     firsts: Option<Firsts>,
     debug_checked: u32,
 }
@@ -312,19 +411,26 @@ impl<P> NodeStore<P> {
     }
 }
 
-impl<P: Clone + Eq + Hash> NodeStore<P> {
+impl<P: Process + Clone + Eq + Hash> NodeStore<P> {
     /// Builds a store for states shaped like `root` (which is **not**
-    /// inserted). `track_firsts` enables first-visitor identity for the
-    /// DFS orbit-merge counter.
-    pub(crate) fn new(layout: &Layout, root: &Node<P>, track_firsts: bool) -> Self {
-        let codec = NodeCodec::new(layout, root);
+    /// inserted), keyed canonically under the symmetry group whose
+    /// non-singleton classes are `classes` (empty: no symmetry).
+    /// `track_firsts` enables first-visitor identity for the DFS
+    /// orbit-merge counter.
+    pub(crate) fn new(
+        layout: &Layout,
+        root: &Node<P>,
+        classes: Vec<Vec<usize>>,
+        track_firsts: bool,
+    ) -> Self {
+        let codec = NodeCodec::new(layout, root, classes);
         let rec_bytes = codec.rec_bytes();
         NodeStore {
+            scratch: RefCell::new(Scratch::new(codec.n)),
             codec,
             arena: SegArena::new(rec_bytes),
             index: OpenIndex::new(),
             digest,
-            scratch: RefCell::new(Vec::new()),
             firsts: track_firsts.then(|| Firsts {
                 ids: Vec::new(),
                 arena: SegArena::new(rec_bytes),
@@ -333,55 +439,66 @@ impl<P: Clone + Eq + Hash> NodeStore<P> {
         }
     }
 
-    /// Whether `key` (already canonical) is stored. `&self`, so traversal
-    /// loops can consult it while the engine is mutably borrowed.
-    pub(crate) fn contains(&self, key: &Node<P>) -> bool {
-        let mut rec = self.scratch.borrow_mut();
-        if !self.codec.try_encode(key, &mut rec) {
+    /// The id of `node`'s orbit representative, if stored. Lookup only:
+    /// `&self`, so traversal loops can consult it while the engine is
+    /// mutably borrowed.
+    pub(crate) fn id_of(&self, node: &Node<P>) -> Option<u32> {
+        let mut sc = self.scratch.borrow_mut();
+        if !self.codec.find_slots(node, &mut sc.slots) {
             // A local state the intern table has never seen: the node
             // cannot be stored.
-            return false;
+            return None;
         }
-        self.find(&rec).is_some()
+        self.codec.encode(node, &mut sc);
+        self.find(&sc.rec)
     }
 
-    /// Interns `canon`, returning its dense id and whether it was fresh.
-    pub(crate) fn intern(&mut self, canon: &Node<P>) -> (u32, bool) {
-        let mut rec = self.scratch.borrow_mut();
-        self.codec.encode_mut(canon, &mut rec);
-        if let Some(id) = self.find(&rec) {
-            return (id, false);
+    /// Whether `node`'s orbit representative is stored.
+    pub(crate) fn contains(&self, node: &Node<P>) -> bool {
+        self.id_of(node).is_some()
+    }
+
+    /// Interns `node`'s orbit representative. Returns its dense id,
+    /// whether it was fresh, and whether its record differs from
+    /// `node`'s own (the node is not its own representative).
+    pub(crate) fn intern(&mut self, node: &Node<P>) -> (u32, bool, bool) {
+        let mut sc = self.scratch.borrow_mut();
+        self.codec.intern_slots(node, &mut sc.slots);
+        let permuted = self.codec.encode(node, &mut sc);
+        if let Some(id) = self.find(&sc.rec) {
+            return (id, false, permuted);
         }
-        let id = self.arena.push(&rec);
+        let id = self.arena.push(&sc.rec);
         let (arena, digest) = (&self.arena, self.digest);
         self.index
-            .insert(digest(&rec), id, |x| digest(arena.record(x)));
+            .insert(digest(&sc.rec), id, |x| digest(arena.record(x)));
         // Early-insertion decode-back check: `decode(encode(x)) == x` is
         // the injectivity contract everything rests on, so the first
-        // insertions of every debug run verify it end to end.
+        // insertions of every debug run verify it end to end, on the
+        // canonical arrangement the record was written from.
         if cfg!(debug_assertions) && self.debug_checked < 1024 {
             self.debug_checked += 1;
+            let mut canon = node.clone();
+            for (dst, &src) in sc.perm.iter().enumerate() {
+                canon.procs[dst] = node.procs[src].clone();
+                canon.status[dst] = node.status[src];
+            }
             debug_assert!(
-                self.codec.decode(&rec) == *canon,
+                self.codec.decode(&sc.rec) == canon,
                 "packed store round-trip mismatch: \
                  the codec is not injective for this system"
             );
         }
-        (id, true)
+        (id, true, permuted)
     }
 
-    /// Records a visit of the canonical key `canon` reached by the
-    /// concrete state `concrete` (pass `None` when canonical and concrete
-    /// coincide, i.e. without symmetry reduction). Returns the interned
-    /// id of the canonical state (dense, assigned in first-visit order —
-    /// the key dynamic reduction's per-state sleep masks are stored
-    /// under) alongside the visit classification.
-    pub(crate) fn visit(
-        &mut self,
-        canon: &Node<P>,
-        concrete: Option<&Node<P>>,
-    ) -> (u32, VisitOutcome) {
-        let (id, fresh) = self.intern(canon);
+    /// Records a visit of the concrete state `node`, keyed by its orbit
+    /// representative. Returns the interned id of the representative
+    /// (dense, assigned in first-visit order — the key dynamic
+    /// reduction's per-state sleep masks are stored under) alongside the
+    /// visit classification.
+    pub(crate) fn visit(&mut self, node: &Node<P>) -> (u32, VisitOutcome) {
+        let (id, fresh, permuted) = self.intern(node);
         let Some(Firsts { ids, arena }) = &mut self.firsts else {
             let outcome = if fresh {
                 VisitOutcome::Fresh
@@ -390,38 +507,29 @@ impl<P: Clone + Eq + Hash> NodeStore<P> {
             };
             return (id, outcome);
         };
-        // Encode the concrete visitor; its local states are the same
-        // multiset as the canon's (a permutation), so the intern table
-        // already covers them.
-        let mut rec = self.scratch.borrow_mut();
-        let concrete_rec: Option<&[u8]> = match concrete {
-            Some(c) => {
-                assert!(
-                    self.codec.try_encode(c, &mut rec),
-                    "concrete visitor uses local states absent from its own orbit"
-                );
-                Some(&rec)
-            }
-            None => None,
-        };
+        // The concrete record is needed only when it differs from the
+        // canonical one; it is written from the slots the intern just
+        // resolved.
+        let mut sc = self.scratch.borrow_mut();
+        let sc = &mut *sc;
+        if permuted {
+            self.codec
+                .write(node, &sc.slots, |i| i, &mut sc.writer, &mut sc.rec);
+        }
         let outcome = if fresh {
             debug_assert_eq!(ids.len(), id as usize);
-            match concrete_rec {
-                Some(c) if c != self.arena.record(id) => ids.push(arena.push(c)),
-                _ => ids.push(u32::MAX),
-            }
+            ids.push(if permuted {
+                arena.push(&sc.rec)
+            } else {
+                u32::MAX
+            });
             VisitOutcome::Fresh
         } else {
             let fid = ids[id as usize];
-            let stored = if fid == u32::MAX {
-                self.arena.record(id)
+            let same = if permuted {
+                fid != u32::MAX && arena.record(fid) == sc.rec.as_slice()
             } else {
-                arena.record(fid)
-            };
-            let same = match concrete_rec {
-                Some(c) => c == stored,
-                // No concrete passed: the visitor is the canon itself.
-                None => fid == u32::MAX,
+                fid == u32::MAX
             };
             if same {
                 VisitOutcome::RevisitSame
@@ -441,7 +549,10 @@ impl<P: Clone + Eq + Hash> NodeStore<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfc_core::{Op, OpResult, Process, RegisterId, Step};
+    use crate::graph::canonicalize;
+    use cfc_core::{Op, OpResult, RegisterId, Step, SymmetryGroup};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// A minimal process with one counter. It claims an 8-bit packing
     /// through `pack_state`, which the store must ignore: every local
@@ -465,10 +576,37 @@ mod tests {
         }
     }
 
-    /// An opaque local state: the store needs only `Clone + Eq + Hash`.
+    /// An opaque local state: besides `Clone + Eq + Hash`, the store
+    /// reads nothing of it but its fingerprint, and only under symmetry.
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]
     struct Opaque {
         word: u64,
+    }
+
+    impl Process for Opaque {
+        fn current(&self) -> Step {
+            Step::Halt
+        }
+        fn advance(&mut self, _: OpResult) {}
+    }
+
+    /// A counter whose fingerprint collides across distinct states
+    /// (`count % 3`), so canonical order falls back to the pid tie-break.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct Colliding {
+        count: u8,
+    }
+
+    impl Process for Colliding {
+        fn current(&self) -> Step {
+            Step::Internal
+        }
+        fn advance(&mut self, _: OpResult) {
+            self.count += 1;
+        }
+        fn fingerprint(&self) -> Option<u64> {
+            Some(u64::from(self.count % 3))
+        }
     }
 
     fn layout2() -> Layout {
@@ -493,33 +631,46 @@ mod tests {
         }
     }
 
-    fn store(track_firsts: bool) -> NodeStore<Packable> {
-        NodeStore::new(&layout2(), &node([0, 0], 0, 0, 2), track_firsts)
+    fn store(classes: Vec<Vec<usize>>, track_firsts: bool) -> NodeStore<Packable> {
+        NodeStore::new(&layout2(), &node([0, 0], 0, 0, 2), classes, track_firsts)
+    }
+
+    /// `x` with the processes (local states and statuses together) at
+    /// positions `i` and `j` swapped.
+    fn swapped<P: Clone>(x: &Node<P>, i: usize, j: usize) -> Node<P> {
+        let mut y = x.clone();
+        y.procs.swap(i, j);
+        y.status.swap(i, j);
+        y
     }
 
     #[test]
     fn packed_store_interns_each_state_once() {
-        let mut s = store(false);
+        let mut s = store(Vec::new(), false);
         let x = node([1, 2], 3, 4, 1);
         let y = node([2, 1], 3, 4, 1);
         assert!(!s.contains(&x));
-        let (idx, fresh) = s.intern(&x);
-        assert!(fresh);
-        let (idx2, fresh2) = s.intern(&x);
+        let (idx, fresh, permuted) = s.intern(&x);
+        assert!(fresh && !permuted);
+        let (idx2, fresh2, _) = s.intern(&x);
         assert!(!fresh2);
         assert_eq!(idx, idx2);
-        let (idy, fresh3) = s.intern(&y);
+        let (idy, fresh3, _) = s.intern(&y);
         assert!(fresh3);
         assert_ne!(idx, idy);
         assert!(s.contains(&x));
+        assert_eq!(s.id_of(&y), Some(idy));
         assert_eq!(s.node(idx), x);
         assert_eq!(s.node(idy), y);
         assert_eq!(s.len(), 2);
+        // Without classes the store neither hashes nor caches
+        // fingerprints.
+        assert!(s.codec.fps.is_empty());
     }
 
     #[test]
     fn packed_records_take_their_declared_bit_width() {
-        let mut s = store(false);
+        let mut s = store(Vec::new(), false);
         for c in 0..100u8 {
             s.intern(&node([c, c], 1, 2, 0));
         }
@@ -538,14 +689,14 @@ mod tests {
             status: vec![Status::Running; 2],
             crashes_left: 0,
         };
-        let mut s = NodeStore::new(&layout, &root, false);
+        let mut s = NodeStore::new(&layout, &root, Vec::new(), false);
         let x = Node {
             procs: vec![Opaque { word: 7 }, Opaque { word: 9 }],
             ..root.clone()
         };
         // A node with unseen local states is provably absent.
         assert!(!s.contains(&x));
-        let (id, fresh) = s.intern(&x);
+        let (id, fresh, _) = s.intern(&x);
         assert!(fresh);
         assert_eq!(s.node(id), x);
         assert!(s.contains(&x));
@@ -558,7 +709,7 @@ mod tests {
         assert!(!s.contains(&y));
         // Interning it reuses both slots: the local-state table does not
         // grow, and both records decode exactly.
-        let (idy, fresh) = s.intern(&y);
+        let (idy, fresh, _) = s.intern(&y);
         assert!(fresh);
         assert_eq!(s.codec.table.len(), 2);
         assert_eq!(s.node(id), x);
@@ -567,17 +718,17 @@ mod tests {
 
     #[test]
     fn engineered_digest_collision_keeps_distinct_states_fresh() {
-        // Two distinct canonical states with an *engineered* equal
-        // digest must both intern Fresh and never report a merge: the
-        // index resolves collisions by byte comparison, never by hash.
-        let mut s = store(true);
+        // Two distinct orbits with an *engineered* equal digest must both
+        // intern Fresh and never report a merge: the index resolves
+        // collisions by byte comparison, never by hash.
+        let mut s = store(vec![vec![0, 1]], true);
         s.digest = |_| 0xdead_beef;
         let x = node([1, 2], 3, 4, 1);
         let y = node([9, 9], 5, 5, 0);
-        assert_eq!(s.visit(&x, None), (0, VisitOutcome::Fresh));
-        assert_eq!(s.visit(&y, None), (1, VisitOutcome::Fresh));
-        assert_eq!(s.visit(&x, None), (0, VisitOutcome::RevisitSame));
-        assert_eq!(s.visit(&y, None), (1, VisitOutcome::RevisitSame));
+        assert_eq!(s.visit(&x), (0, VisitOutcome::Fresh));
+        assert_eq!(s.visit(&y), (1, VisitOutcome::Fresh));
+        assert_eq!(s.visit(&x), (0, VisitOutcome::RevisitSame));
+        assert_eq!(s.visit(&y), (1, VisitOutcome::RevisitSame));
         assert_eq!(s.len(), 2);
     }
 
@@ -589,13 +740,13 @@ mod tests {
         // first-insertion order a plain `HashMap` assigns, and the index
         // must stay within its 7/8-load-factor envelope of 64/7 bytes per
         // state.
-        let mut s = store(false);
+        let mut s = store(Vec::new(), false);
         let mut model: HashMap<Node<Packable>, u32> = HashMap::new();
         for i in (0..20_000u32).chain(0..20_000) {
             let x = node([(i % 251) as u8, (i / 251) as u8], u64::from(i % 8), 0, 0);
             let fresh_id = model.len() as u32;
             let want = *model.entry(x.clone()).or_insert(fresh_id);
-            assert_eq!(s.intern(&x), (want, want == fresh_id));
+            assert_eq!(s.intern(&x), (want, want == fresh_id, false));
         }
         assert_eq!(s.len(), model.len());
         assert!(s.arena.segs.len() > 1);
@@ -604,38 +755,132 @@ mod tests {
 
     #[test]
     fn visit_tracks_first_concrete_visitor_exactly() {
-        let mut s = store(true);
-        let canon = node([1, 2], 0, 0, 0);
-        let permuted = node([2, 1], 0, 0, 0);
+        let group = SymmetryGroup::from_classes(2, vec![vec![0, 1]]);
+        let mut s = store(group.classes().to_vec(), true);
+        // Each orbit below has two members; `canonicalize` names the
+        // representative.
+        let orbit = |x: Node<Packable>| {
+            let canon = canonicalize(&x, &group);
+            let other = swapped(&canon, 0, 1);
+            assert_ne!(canon, other);
+            (canon, other)
+        };
+        let (canon, permuted) = orbit(node([1, 2], 0, 0, 0));
         // First visit by a non-canonical concrete state.
-        assert_eq!(s.visit(&canon, Some(&permuted)), (0, VisitOutcome::Fresh));
+        assert_eq!(s.visit(&permuted), (0, VisitOutcome::Fresh));
+        assert_ne!(s.firsts.as_ref().unwrap().ids[0], u32::MAX);
         // Same concrete again: not a merge.
-        assert_eq!(
-            s.visit(&canon, Some(&permuted)),
-            (0, VisitOutcome::RevisitSame)
-        );
+        assert_eq!(s.visit(&permuted), (0, VisitOutcome::RevisitSame));
         // A different concrete sibling: a genuine merge.
-        assert_eq!(
-            s.visit(&canon, Some(&canon.clone())),
-            (0, VisitOutcome::RevisitMerged)
-        );
+        assert_eq!(s.visit(&canon), (0, VisitOutcome::RevisitMerged));
 
         // And a canonical-first orbit: the sentinel path.
-        let c2 = node([3, 4], 1, 1, 0);
-        let p2 = node([4, 3], 1, 1, 0);
-        assert_eq!(s.visit(&c2, Some(&c2.clone())), (1, VisitOutcome::Fresh));
-        assert_eq!(
-            s.visit(&c2, Some(&c2.clone())),
-            (1, VisitOutcome::RevisitSame)
-        );
-        assert_eq!(s.visit(&c2, Some(&p2)), (1, VisitOutcome::RevisitMerged));
+        let (c2, p2) = orbit(node([3, 4], 1, 1, 0));
+        assert_eq!(s.visit(&c2), (1, VisitOutcome::Fresh));
+        assert_eq!(s.firsts.as_ref().unwrap().ids[1], u32::MAX);
+        assert_eq!(s.visit(&c2), (1, VisitOutcome::RevisitSame));
+        assert_eq!(s.visit(&p2), (1, VisitOutcome::RevisitMerged));
     }
 
     #[test]
     fn visit_without_tracking_reports_fresh_and_same_only() {
-        let mut s = store(false);
+        let mut s = store(Vec::new(), false);
         let x = node([1, 1], 0, 0, 0);
-        assert_eq!(s.visit(&x, None), (0, VisitOutcome::Fresh));
-        assert_eq!(s.visit(&x, None), (0, VisitOutcome::RevisitSame));
+        assert_eq!(s.visit(&x), (0, VisitOutcome::Fresh));
+        assert_eq!(s.visit(&x), (0, VisitOutcome::RevisitSame));
+    }
+
+    /// Every class-respecting permutation of `x` under classes {0, 1, 2}
+    /// and {3, 4}: all 3! x 2! arrangements, `x` itself among them.
+    fn class_permutations(x: &Node<Colliding>) -> Vec<Node<Colliding>> {
+        const PERMS3: [[usize; 3]; 6] = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        let mut out = Vec::new();
+        for p in PERMS3 {
+            for q in [[3, 4], [4, 3]] {
+                let src = [p[0], p[1], p[2], q[0], q[1]];
+                let mut y = x.clone();
+                for (dst, &from) in src.iter().enumerate() {
+                    y.procs[dst] = x.procs[from].clone();
+                    y.status[dst] = x.status[from];
+                }
+                out.push(y);
+            }
+        }
+        out
+    }
+
+    /// The store's canonical form is `canonicalize`'s, exactly: under
+    /// colliding fingerprints (so the pid tie-break runs), over all three
+    /// statuses and a crash budget, for random nodes of five processes in
+    /// classes {0, 1, 2} and {3, 4}. Every class-respecting permutation
+    /// of a node finds the node's id exactly when `canonicalize` maps it
+    /// to the same representative, which is always the case unless two
+    /// members of a class collide: a collision forfeits the merge, in the
+    /// store as in `canonicalize`.
+    #[test]
+    fn store_canonical_form_equals_canonicalize() {
+        let group = SymmetryGroup::from_classes(5, vec![vec![0, 1, 2], vec![3, 4]]);
+        let mut layout = Layout::new();
+        layout.register("r", 2, 0);
+        let statuses = [Status::Running, Status::Done, Status::Crashed];
+        let root = Node {
+            procs: vec![Colliding { count: 0 }; 5],
+            values: vec![Value::ZERO],
+            status: vec![Status::Running; 5],
+            crashes_left: 2,
+        };
+        let mut s = NodeStore::new(&layout, &root, group.classes().to_vec(), false);
+        let mut rng = StdRng::seed_from_u64(18);
+        // Whether two members of a class have equal fingerprints and
+        // statuses but different local states.
+        let collides = |x: &Node<Colliding>| {
+            group.classes().iter().any(|class| {
+                class.iter().any(|&i| {
+                    class.iter().any(|&j| {
+                        x.status[i] == x.status[j]
+                            && x.procs[i] != x.procs[j]
+                            && x.procs[i].fingerprint() == x.procs[j].fingerprint()
+                    })
+                })
+            })
+        };
+        let (mut merged, mut split) = (0, 0);
+        for _ in 0..3_000 {
+            let x = Node {
+                procs: (0..5)
+                    .map(|_| Colliding {
+                        count: rng.gen_range(0..6u8),
+                    })
+                    .collect(),
+                values: vec![Value::new(rng.gen_range(0..4u64))],
+                status: (0..5).map(|_| statuses[rng.gen_range(0..3usize)]).collect(),
+                crashes_left: rng.gen_range(0..3u32),
+            };
+            let canon = canonicalize(&x, &group);
+            let (id, _, permuted) = s.intern(&x);
+            assert_eq!(s.node(id), canon, "{x:?}");
+            assert_eq!(permuted, canon != x, "{x:?}");
+            for y in class_permutations(&x) {
+                let same_rep = canonicalize(&y, &group) == canon;
+                assert!(same_rep || collides(&x), "{y:?} leaves {x:?}'s orbit");
+                assert_eq!(s.id_of(&y) == Some(id), same_rep, "{y:?} vs {x:?}");
+                assert_eq!(s.contains(&y), s.id_of(&y).is_some());
+                if same_rep {
+                    // A revisit through a permuted sibling.
+                    assert_eq!(s.intern(&y), (id, false, y != canon), "{y:?}");
+                    merged += usize::from(y != canon);
+                } else {
+                    split += 1;
+                }
+            }
+        }
+        assert!(merged > 0 && split > 0, "{merged} merges, {split} splits");
     }
 }
