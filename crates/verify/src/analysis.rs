@@ -138,7 +138,6 @@ struct Location<P> {
     /// write and whose reads miss every future write stays ample even
     /// when both sides read a common register.
     future_rw: Footprint,
-    terminal: bool,
 }
 
 /// A per-process control automaton over havoc memory.
@@ -180,7 +179,6 @@ impl<P: Process + Clone + Eq + Hash> ControlAutomaton<P> {
             let rep = auto.locations[i].representative.clone();
             let results = match rep.current() {
                 Step::Halt => {
-                    auto.locations[i].terminal = true;
                     i += 1;
                     continue;
                 }
@@ -226,7 +224,6 @@ impl<P: Process + Clone + Eq + Hash> ControlAutomaton<P> {
                     successors: Vec::new(),
                     future: RegisterSet::new(),
                     future_rw: Footprint::default(),
-                    terminal: false,
                 });
                 Ok(id)
             }

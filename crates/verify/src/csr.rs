@@ -174,8 +174,9 @@ impl EdgeArena {
 }
 
 /// The predecessor adjacency of an [`EdgeArena`], as two flat arrays
-/// (offsets + packed predecessor ids) — the memoizable replacement for
-/// the historical per-call `Vec<Vec<u32>>` reversal.
+/// (offsets + packed predecessor ids) — the replacement for the
+/// historical per-call `Vec<Vec<u32>>` reversal. The progress checker
+/// builds it once per check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReversedCsr {
     offsets: Vec<u32>,

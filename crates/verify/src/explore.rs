@@ -548,13 +548,15 @@ where
     // span close below.
     let (g, mut stats) = builder.build_graph(procs.clone())?;
 
-    // Back-propagate reachability of quiescence over reversed edges
-    // (memoized CSR: two flat arrays, not a per-call Vec<Vec>).
+    // Back-propagate reachability of quiescence over the edge arena,
+    // reversed once into a CSR. The seeds are the quiescent nodes, which
+    // are exactly those sealed with no edge: a running process always has
+    // a step successor.
     let bp_span = tel.span(Phase::BackPropagation);
     let states = g.len();
-    let rev_edges = g.reversed();
-    let mut can_finish = g.terminal.clone();
-    let mut work: Vec<usize> = (0..states).filter(|&i| g.terminal[i]).collect();
+    let rev_edges = g.edges.reversed(states);
+    let mut can_finish: Vec<bool> = (0..states).map(|i| g.edges.degree(i) == 0).collect();
+    let mut work: Vec<usize> = (0..states).filter(|&i| can_finish[i]).collect();
     while let Some(s) = work.pop() {
         for &pred in rev_edges.preds(s) {
             if !can_finish[pred as usize] {

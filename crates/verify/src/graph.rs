@@ -34,19 +34,19 @@
 //!   symmetry group, state normalizer, service predicate). The ample mode
 //!   fixes the rest. [`AmpleMode::Safety`] runs the DFS
 //!   ([`GraphBuilder::run_dfs`]), which memoizes concrete states keyed
-//!   canonically at pop time, invokes per-state checks, and records no
+//!   canonically at pop time, invokes per-state checks, keeps the
+//!   schedule to the popped state in one path vector, and records no
 //!   graph. The progress and liveness modes run the BFS
 //!   ([`GraphBuilder::build_graph`]), which interns one canonical
-//!   representative per orbit and returns the labeled [`BuiltGraph`].
+//!   representative per orbit and returns the labeled [`BuiltGraph`],
+//!   whose terminals are the nodes sealed with no edge.
 //!   Both loops return [`ExploreStats`], and every witness schedule is
 //!   re-derived concretely along a built graph by [`GraphBuilder::walk`].
 //!   The interning discipline, crash branching, budget accounting, and
 //!   reduction bookkeeping live here exactly once.
 
-use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::rc::Rc;
 
 use cfc_core::{
     Footprint, Memory, OpResult, Process, ProcessId, RegisterSet, Status, Step, SymmetryGroup,
@@ -54,12 +54,13 @@ use cfc_core::{
 };
 
 use crate::analysis::{FutureIndex, MayAccessMode};
+use crate::csr::EdgeArena;
 pub(crate) use crate::csr::GEdge;
-use crate::csr::{EdgeArena, ReversedCsr};
 use crate::dynamic::{observed_conflict, sleep_sets_active, SleepTable};
 use crate::explore::{
     ExploreConfig, ExploreError, ExploreStats, ScheduleStep, StateView, Violation,
 };
+use crate::liveness::NormalizeFn;
 use crate::store::{NodeStore, VisitOutcome};
 use crate::telemetry::{self, Phase, Snapshot, StoreFootprint, Telemetry};
 
@@ -217,10 +218,6 @@ impl<P> AmpleScratch<P> {
     }
 }
 
-/// A borrowed state normalizer (see `cfc_mutex::StateNormalizer` for the
-/// owned form and the bisimulation contract).
-pub(crate) type NormalizerFn<'a, P> = &'a dyn Fn(&mut [P], &mut [Value]);
-
 /// A borrowed service predicate over the stepping process's
 /// `(before, after)` local states.
 pub(crate) type ServedFn<'a, P> = &'a dyn Fn(&P, &P) -> bool;
@@ -242,7 +239,7 @@ pub(crate) struct TraversalSpec<'a, P> {
     /// the ample bookkeeping cannot see through the abstraction — and
     /// reported schedules replay *modulo* the quotient: same sections,
     /// outputs, and statuses, not necessarily byte-equal register values.
-    pub(crate) normalizer: Option<NormalizerFn<'a, P>>,
+    pub(crate) normalizer: Option<NormalizeFn<'a, P>>,
     /// Optional service predicate `(before, after)` on the stepping
     /// process, recorded on forward edges ([`GEdge::served`]); only
     /// meaningful for the BFS, which records edges.
@@ -251,11 +248,13 @@ pub(crate) struct TraversalSpec<'a, P> {
 
 /// The canonical state graph a BFS traversal produces: one interned
 /// representative per orbit (held packed in the [`NodeStore`]), labeled
-/// forward edges in CSR form, the creator tree, and terminal flags.
+/// forward edges in CSR form, and the creator tree. A node is quiescent
+/// (terminal) exactly when it was sealed with no edge: a running process
+/// always has a step successor.
 pub(crate) struct BuiltGraph<P> {
     /// Canonical orbit representatives in discovery (BFS) order, one
     /// single-copy record per orbit; decode on demand via
-    /// [`BuiltGraph::node`].
+    /// [`NodeStore::node`].
     pub(crate) store: NodeStore<P>,
     /// Labeled forward edges in CSR form, packed 6 bytes each in a
     /// segmented arena.
@@ -265,26 +264,12 @@ pub(crate) struct BuiltGraph<P> {
     /// terminate at the root — the predecessor tree schedules are
     /// reconstructed from.
     pub(crate) first_pred: Vec<u32>,
-    /// Whether the node is quiescent (no process runnable).
-    pub(crate) terminal: Vec<bool>,
-    /// Memoized reversed adjacency (built on first use; the historical
-    /// implementation re-allocated a `Vec<Vec<u32>>` per call, doubling
-    /// peak edge memory every time the progress checker asked).
-    rev: OnceCell<ReversedCsr>,
 }
 
 impl<P> BuiltGraph<P> {
     /// The number of interned nodes.
     pub(crate) fn len(&self) -> usize {
         self.first_pred.len()
-    }
-
-    /// The reversed adjacency of the recorded forward edges, memoized,
-    /// in the exact order the historical progress checker accumulated
-    /// its reversed edges: predecessors appear in discovery order, and
-    /// the first predecessor of every non-root node is its creator.
-    pub(crate) fn reversed(&self) -> &ReversedCsr {
-        self.rev.get_or_init(|| self.edges.reversed(self.len()))
     }
 
     /// The creator-tree path from the root to node `id`, root-first and
@@ -310,46 +295,12 @@ impl<P> BuiltGraph<P> {
     }
 }
 
-impl<P: Process + Clone + Eq + Hash> BuiltGraph<P> {
-    /// Decodes node `id` out of the store (an owned copy; the packed
-    /// backend materializes states transiently).
-    pub(crate) fn node(&self, id: u32) -> Node<P> {
-        self.store.node(id)
-    }
-}
-
 impl<P> std::fmt::Debug for BuiltGraph<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BuiltGraph")
             .field("nodes", &self.len())
             .field("edges", &self.edges.total_edges())
             .finish()
-    }
-}
-
-/// One link of a DFS schedule, shared structurally between stack entries:
-/// the historical per-entry `Vec<ScheduleStep>` clone cost O(depth) per
-/// *pushed successor* (O(depth²) memory across one expansion chain); a
-/// parent pointer costs O(1) and materializes only on violation.
-struct PathLink {
-    step: ScheduleStep,
-    /// Steps from the root (parent depth + 1): telemetry snapshots
-    /// report the current DFS path depth without walking the chain.
-    depth: u32,
-    parent: Option<Rc<PathLink>>,
-}
-
-impl Drop for PathLink {
-    // Unlink iteratively: the default recursive drop would overflow the
-    // call stack on search paths millions of steps deep.
-    fn drop(&mut self) {
-        let mut cur = self.parent.take();
-        while let Some(rc) = cur {
-            match Rc::try_unwrap(rc) {
-                Ok(mut link) => cur = link.parent.take(),
-                Err(_) => break,
-            }
-        }
     }
 }
 
@@ -378,19 +329,6 @@ fn wake_conflicting<P: Process + Clone>(
         }
     }
     out
-}
-
-/// The violation `message` at the end of the path `link` encodes, with
-/// its schedule materialized root-first.
-fn violation_at(link: &Option<Rc<PathLink>>, message: String) -> ExploreError {
-    let mut schedule = Vec::new();
-    let mut cur = link.as_deref();
-    while let Some(l) = cur {
-        schedule.push(l.step);
-        cur = l.parent.as_deref();
-    }
-    schedule.reverse();
-    ExploreError::Violation(Box::new(Violation { schedule, message }))
 }
 
 /// The unified traversal driver: the memory template, one
@@ -573,26 +511,23 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
     /// set: each runnable process's crash successor (while crashes
     /// remain), then its step successor.
     ///
-    /// `visited` answers whether a concrete node's orbit has already been
-    /// seen; the ample conditions consult it for the cycle/fresh-successor
-    /// proviso. Crash branching disables the reduction at any state that
-    /// can still crash (a crash commutes with nothing its victim would
-    /// do).
-    fn expand<F>(
+    /// `visited` is the traversal's store; the ample conditions ask it
+    /// whether a concrete successor's orbit has already been seen, for the
+    /// cycle/fresh-successor proviso. Crash branching disables the
+    /// reduction at any state that can still crash (a crash commutes with
+    /// nothing its victim would do).
+    fn expand(
         &mut self,
         node: &Node<P>,
         runnable: &[usize],
-        visited: F,
+        visited: &NodeStore<P>,
         out: &mut Successors<P>,
-    ) -> Result<bool, ExploreError>
-    where
-        F: Fn(&Node<P>) -> bool,
-    {
+    ) -> Result<bool, ExploreError> {
         out.clear();
         if self.config.por
             && node.crashes_left == 0
             && runnable.len() > 1
-            && self.select_ample(node, runnable, &visited, out)?
+            && self.select_ample(node, runnable, visited, out)?
         {
             for s in self.scratch.succ.iter_mut() {
                 *s = None;
@@ -636,16 +571,13 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
     ///    it is the strengthened fresh-successor proviso — either way,
     ///    every cycle of the reduced graph contains a fully expanded
     ///    state, so no transition is ignored forever.
-    fn select_ample<F>(
+    fn select_ample(
         &mut self,
         node: &Node<P>,
         runnable: &[usize],
-        visited: &F,
+        visited: &NodeStore<P>,
         out: &mut Successors<P>,
-    ) -> Result<bool, ExploreError>
-    where
-        F: Fn(&Node<P>) -> bool,
-    {
+    ) -> Result<bool, ExploreError> {
         // Future-access over-approximations, computed once per state into
         // the reused scratch buffers. Under `MayAccessMode::Automaton`
         // the per-location sets of the solo control automata take
@@ -723,7 +655,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             }
             // Condition 3: the cycle / fresh-successor proviso, on the
             // successor's orbit (the store canonicalizes it).
-            if visited(succ) {
+            if visited.contains(succ) {
                 continue 'candidates;
             }
             let succ = self.scratch.succ[i]
@@ -740,7 +672,9 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
     /// states are memoized at pop time (keyed canonically under the
     /// spec's symmetry group), `state_check` runs in every reachable
     /// state, `terminal_check` in every quiescent one, and violations
-    /// carry the schedule that reached them.
+    /// carry the schedule that reached them: one path vector, cut back
+    /// to the popped entry's parent and extended by its decision at
+    /// every pop, so a push allocates nothing.
     ///
     /// # Errors
     ///
@@ -789,13 +723,17 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             edge_bytes: 0,
         };
         let mut stats = ExploreStats::default();
-        // DFS stack: (node, schedule-so-far, sleep mask). Schedules share
-        // structure through parent links — one O(1) link per pushed
-        // successor — and are materialized only to report a violation.
+        // DFS stack: (node, depth, decision, sleep mask). The depth counts
+        // the steps from the root and the decision is the last of them
+        // (`None` at the root). Every entry popped between a node and one
+        // of its children descends from that node, so one schedule
+        // vector, cut back to the popped entry's parent and extended by
+        // its decision, is the schedule that reached the popped node.
         // The mask (bit per pid; always 0 when sleeping is off) names the
         // processes whose next step out of this node is covered by an
         // already-pushed sibling branch.
-        let mut stack: Vec<(Node<P>, Option<Rc<PathLink>>, u32)> = vec![(root, None, 0)];
+        let mut stack: Vec<(Node<P>, u32, Option<ScheduleStep>, u32)> = vec![(root, 0, None, 0)];
+        let mut path: Vec<ScheduleStep> = Vec::new();
         // Buffers reused across states: the runnable processes, the
         // successors `expand` fills, and, under sleep sets, each buffered
         // step's pid bit and footprint.
@@ -803,7 +741,9 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         let mut succs = Vec::new();
         let mut fps: Vec<(u32, Footprint)> = Vec::new();
 
-        while let Some((node, path, mut mask)) = stack.pop() {
+        while let Some((node, depth, decision, mut mask)) = stack.pop() {
+            path.truncate(depth.saturating_sub(1) as usize);
+            path.extend(decision);
             let (id, outcome) = visited.visit(&node);
             // A revisit normally ends the branch. With sleeping on, a
             // revisit that sleeps *fewer* processes than every earlier
@@ -842,7 +782,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 }
                 span.tick(|| Snapshot {
                     frontier: stack.len() as u64,
-                    depth: path.as_ref().map_or(0, |l| l.depth as u64),
+                    depth: u64::from(depth),
                     footprint: footprint(&visited, &sleep),
                     ..stats.sample()
                 });
@@ -852,20 +792,25 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                     status: &node.status,
                     memory: &mem,
                 };
-                state_check(&view).map_err(|m| violation_at(&path, m))?;
+                let violation = |message| {
+                    ExploreError::Violation(Box::new(Violation {
+                        schedule: path.clone(),
+                        message,
+                    }))
+                };
+                state_check(&view).map_err(violation)?;
                 // Terminals have no transitions to re-cover; count and
                 // check them on the first visit only.
                 if runnable.is_empty() {
                     stats.terminals += 1;
-                    terminal_check(&view).map_err(|m| violation_at(&path, m))?;
+                    terminal_check(&view).map_err(violation)?;
                 }
             }
             if runnable.is_empty() {
                 continue;
             }
 
-            let depth = path.as_ref().map_or(0, |l| l.depth) + 1;
-            if self.expand(&node, &runnable, |key| visited.contains(key), &mut succs)? {
+            if self.expand(&node, &runnable, &visited, &mut succs)? {
                 stats.states_pruned_por += runnable.len() as u64 - 1;
             }
             // Under sleep sets the crash budget is 0, so each buffered
@@ -907,12 +852,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                     }
                 }
                 stats.transitions += 1;
-                let link = Rc::new(PathLink {
-                    step,
-                    depth,
-                    parent: path.clone(),
-                });
-                stack.push((succ, Some(link), child_mask));
+                stack.push((succ, depth + 1, Some(step), child_mask));
             }
         }
         stats.footprint = footprint(&visited, &sleep);
@@ -949,8 +889,6 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             store,
             edges: EdgeArena::new(),
             first_pred: vec![u32::MAX],
-            terminal: vec![false],
-            rev: OnceCell::new(),
         };
         // The budget is inclusive: a graph of exactly `max_states` nodes
         // completes; the first intern beyond it aborts immediately.
@@ -975,13 +913,12 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             runnable.clear();
             runnable.extend((0..n).filter(|&i| current.status[i].runnable()));
             if runnable.is_empty() {
-                g.terminal[cursor] = true;
                 stats.terminals += 1;
                 g.edges.seal();
                 cursor += 1;
                 continue;
             }
-            if self.expand(&current, &runnable, |key| g.store.contains(key), &mut succs)? {
+            if self.expand(&current, &runnable, &g.store, &mut succs)? {
                 stats.states_pruned_por += runnable.len() as u64 - 1;
             }
             for (step, succ) in succs.drain(..) {
@@ -998,7 +935,6 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 let (to, fresh, permuted) = g.store.intern(&succ);
                 if fresh {
                     g.first_pred.push(cursor as u32);
-                    g.terminal.push(false);
                     if g.store.len() > self.config.max_states {
                         return Err(ExploreError::StateBudget(g.store.len()));
                     }
@@ -1086,6 +1022,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
 mod tests {
     use super::*;
     use cfc_core::{Layout, Op, RegisterId};
+    use cfc_naming::{NamingAlgorithm, TasScan};
 
     /// A process bumping a private counter `laps` times, tracking a lap
     /// count in otherwise-dead local state the normalizer can fold.
@@ -1135,6 +1072,13 @@ mod tests {
         (memory, vec![mk(), mk()])
     }
 
+    /// The normalizer that folds every bumper's dead scratch.
+    fn fold_scratch(procs: &mut [Bumper], _values: &mut [Value]) {
+        for p in procs {
+            p.scratch = 0;
+        }
+    }
+
     fn spec<'a, P>(ample_mode: AmpleMode) -> TraversalSpec<'a, P> {
         TraversalSpec {
             ample_mode,
@@ -1150,15 +1094,10 @@ mod tests {
     /// reachable terminal observations stay identical.
     #[test]
     fn dfs_with_normalizer_merges_dead_scratch() {
-        let normalizer = |procs: &mut [Bumper], _values: &mut [Value]| {
-            for p in procs {
-                p.scratch = 0;
-            }
-        };
         let run = |normalize: bool| {
             let (memory, procs) = bumper_system(2);
             let mut spec = spec(AmpleMode::Safety);
-            spec.normalizer = normalize.then_some(&normalizer as &dyn Fn(&mut _, &mut _));
+            spec.normalizer = normalize.then_some(&fold_scratch as NormalizeFn<_>);
             let mut builder =
                 GraphBuilder::new(memory, ExploreConfig::default(), spec, procs.len());
             builder.run_dfs(procs, |_| Ok(()), |_| Ok(())).unwrap()
@@ -1177,14 +1116,9 @@ mod tests {
     /// must not prune even when the config asks for POR.
     #[test]
     fn normalizer_disables_partial_order_reduction() {
-        let normalizer = |procs: &mut [Bumper], _values: &mut [Value]| {
-            for p in procs {
-                p.scratch = 0;
-            }
-        };
         let (memory, procs) = bumper_system(1);
         let mut s = spec(AmpleMode::Progress);
-        s.normalizer = Some(&normalizer);
+        s.normalizer = Some(&fold_scratch);
         let config = ExploreConfig {
             por: true,
             ..ExploreConfig::default()
@@ -1244,15 +1178,53 @@ mod tests {
             .all(|e| !e.crash));
     }
 
-    /// The memoized reversal equals a fresh nested-Vec reversal — same
-    /// predecessors, same per-node order — and the creator-tree
-    /// invariants progress-schedule reconstruction depends on hold:
-    /// every node seals its edge range, creator ids decrease toward the
-    /// root, and each node's first predecessor is its creator. The graph
-    /// is built under the config's crash budget of one, so crash edges
-    /// must appear.
+    /// The invariants the progress checker and its schedule
+    /// reconstruction rest on, for one built graph: every node seals its
+    /// edge range; a node has no edge exactly when no process is
+    /// runnable in it, so the terminals are the zero-degree nodes;
+    /// creator ids decrease toward the root; and the arena's reversal
+    /// equals a nested-Vec reversal (same predecessors, same per-node
+    /// order) in which each node's first predecessor is its creator.
+    fn assert_progress_graph<P: Process + Clone + Eq + Hash>(
+        g: &BuiltGraph<P>,
+        stats: &ExploreStats,
+    ) {
+        assert_eq!(g.len(), stats.states);
+        assert_eq!(g.edges.nodes(), g.len(), "every node seals, even edgeless");
+        for v in 0..g.len() {
+            let quiescent = !g.store.node(v as u32).status.iter().any(|s| s.runnable());
+            assert_eq!(g.edges.degree(v) == 0, quiescent, "node {v}");
+        }
+        let terminals = (0..g.len()).filter(|&v| g.edges.degree(v) == 0).count();
+        assert_eq!(terminals, stats.terminals);
+        assert_eq!(g.first_pred[0], u32::MAX);
+        for (id, &pred) in g.first_pred.iter().enumerate().skip(1) {
+            assert!((pred as usize) < id, "creator ids decrease toward the root");
+        }
+        // Nested-Vec reference, the historical implementation.
+        let mut reference: Vec<Vec<u32>> = vec![Vec::new(); g.len()];
+        for v in 0..g.len() {
+            for e in g.edges.edges(v) {
+                reference[e.to as usize].push(v as u32);
+            }
+        }
+        let rev = g.edges.reversed(g.len());
+        assert_eq!(rev.len(), g.len());
+        for (v, expect) in reference.iter().enumerate() {
+            assert_eq!(rev.preds(v), expect.as_slice(), "node {v}");
+            if v > 0 && !rev.preds(v).is_empty() {
+                assert_eq!(rev.preds(v)[0], g.first_pred[v], "creator first");
+            }
+        }
+    }
+
+    /// The progress-graph invariants hold on the bumper system under a
+    /// crash budget of one (so crash edges must appear), under POR, and
+    /// under a normalizer, and on a naming system that combines all
+    /// three reductions' bookkeeping: tas-scan n=3 with one crash under
+    /// `ExploreConfig::reduced()`.
     #[test]
-    fn memoized_reversal_preserves_creator_first_order() {
+    fn reversal_preserves_creator_first_order() {
         let (memory, procs) = bumper_system(2);
         let mut builder = GraphBuilder::new(
             memory,
@@ -1261,34 +1233,41 @@ mod tests {
             procs.len(),
         );
         let (g, stats) = builder.build_graph(procs).unwrap();
-        assert_eq!(g.len(), stats.states);
-        assert_eq!(g.edges.nodes(), g.len(), "every node seals, even edgeless");
-        assert_eq!(g.first_pred[0], u32::MAX);
-        for (id, &pred) in g.first_pred.iter().enumerate().skip(1) {
-            assert!((pred as usize) < id, "creator ids decrease toward the root");
-        }
-        assert!(g.terminal.iter().any(|t| *t));
-        assert_eq!(g.node(0).crashes_left, 1, "the config's crash budget");
+        assert_progress_graph(&g, &stats);
+        assert!(stats.terminals > 0);
+        assert_eq!(g.store.node(0).crashes_left, 1, "the config's crash budget");
         assert!(
             (0..g.len()).flat_map(|v| g.edges.edges(v)).any(|e| e.crash),
             "crash transitions must be explored"
         );
-        // Nested-Vec reference, the historical implementation.
-        let mut reference: Vec<Vec<u32>> = vec![Vec::new(); g.len()];
-        for v in 0..g.len() {
-            for e in g.edges.edges(v) {
-                reference[e.to as usize].push(v as u32);
-            }
-        }
-        let rev = g.reversed();
-        assert_eq!(rev.len(), g.len());
-        for (v, expect) in reference.iter().enumerate() {
-            assert_eq!(rev.preds(v), expect.as_slice(), "node {v}");
-            if v > 0 && !rev.preds(v).is_empty() {
-                assert_eq!(rev.preds(v)[0], g.first_pred[v], "creator first");
-            }
-        }
-        // Memoized: the second call returns the same allocation.
-        assert!(std::ptr::eq(g.reversed(), rev));
+
+        let (memory, procs) = bumper_system(2);
+        let config = ExploreConfig {
+            por: true,
+            ..ExploreConfig::default()
+        };
+        let mut builder = GraphBuilder::new(memory, config, spec(AmpleMode::Progress), procs.len());
+        let (g, stats) = builder.build_graph(procs).unwrap();
+        assert!(stats.states_pruned_por > 0, "{stats:?}");
+        assert_progress_graph(&g, &stats);
+
+        let (memory, procs) = bumper_system(2);
+        let mut s = spec(AmpleMode::Progress);
+        s.normalizer = Some(&fold_scratch);
+        let mut builder = GraphBuilder::new(memory, ExploreConfig::default(), s, procs.len());
+        let (g, stats) = builder.build_graph(procs).unwrap();
+        assert_progress_graph(&g, &stats);
+
+        let alg = TasScan::new(3);
+        let mut s = spec(AmpleMode::Progress);
+        s.symmetry = alg.symmetry();
+        let config = ExploreConfig::reduced().with_max_crashes(1);
+        let mut builder = GraphBuilder::new(alg.memory().unwrap(), config, s, 3);
+        let (g, stats) = builder.build_graph(alg.processes()).unwrap();
+        assert!(
+            stats.states_pruned_por > 0 && stats.orbits_merged > 0,
+            "{stats:?}"
+        );
+        assert_progress_graph(&g, &stats);
     }
 }

@@ -604,7 +604,18 @@ impl<'s, P: Process + Clone + Eq + Hash> Check<'_, 's, P> {
         let (Some(b), Some(plan)) = (bound, plan) else {
             return Ok(Settled::Free(bound, None));
         };
-        let witness = concretize_bypass(builder, graph, &plan, victim, b, self.procs);
+        // The stem to the plan's start node, then the overtaking suffix
+        // along its hops, both concretized like a lasso, so every hop has
+        // a concrete realization. The witness claims `b` overtakes; on a
+        // stabilizer quotient a slot label can in principle mislabel a
+        // serve, so a witness that fails validation is an artifact.
+        let (stem, overtaking) = concretize(builder, graph, self.procs, plan.start, &plan.hops);
+        let witness = BypassWitness {
+            victim: ProcessId::new(victim as u32),
+            bypass: b,
+            stem,
+            overtaking,
+        };
         let validation = validate_bypass(self.memory, self.procs, &witness, self.spec);
         if !valid(validation) {
             return Err(Artifact { bound });
@@ -689,7 +700,7 @@ fn victim_mask<P: Process + Clone + Eq + Hash>(
 ) -> Vec<bool> {
     (0..g.len())
         .map(|i| {
-            let node = g.node(i as u32);
+            let node = g.store.node(i as u32);
             node.status[victim].runnable() && waiting(&node.procs[victim])
         })
         .collect()
@@ -726,7 +737,7 @@ where
         // Statuses are constant across an SCC (Done/Crashed absorb, and
         // a crash edge cannot be internal: the crash budget decreases),
         // so the fairness obligation can be read off any member.
-        let rep = g.node(scc[0]);
+        let rep = g.store.node(scc[0]);
         let running: Vec<u32> = (0..rep.status.len() as u32)
             .filter(|&q| rep.status[q as usize].runnable())
             .collect();
@@ -759,7 +770,8 @@ where
 
 /// A canonical-level bypass path: the node the overtaking run starts at
 /// (the stem target) and its hops, each `(target node, pid hint)` — the
-/// shape [`concretize_bypass`] turns into a concrete schedule.
+/// shape the settle routine turns into a [`BypassWitness`] through
+/// [`concretize`].
 #[derive(Clone, Debug)]
 struct BypassPlan {
     start: u32,
@@ -875,33 +887,6 @@ where
     (stem, tail)
 }
 
-/// Turns a canonical-level [`BypassPlan`] into a concrete
-/// [`BypassWitness`]: the stem to the plan's start node, then the
-/// overtaking suffix along its hops, both [`concretize`]d like a lasso,
-/// so every hop has a concrete realization. The witness claims `bound`
-/// overtakes; on a stabilizer quotient a slot label can in principle
-/// mislabel a serve, so the settle routine validates the claim and
-/// treats a mismatch as an artifact.
-fn concretize_bypass<P>(
-    builder: &GraphBuilder<'_, P>,
-    g: &BuiltGraph<P>,
-    plan: &BypassPlan,
-    victim: usize,
-    bound: u64,
-    procs: &[P],
-) -> BypassWitness
-where
-    P: Process + Clone + Eq + Hash,
-{
-    let (stem, overtaking) = concretize(builder, g, procs, plan.start, &plan.hops);
-    BypassWitness {
-        victim: ProcessId::new(victim as u32),
-        bypass: bound,
-        stem,
-        overtaking,
-    }
-}
-
 /// Rebuilds a concrete lasso from a fair-candidate SCC as one lap: the
 /// creator-path stem to the SCC's first member, then the representative
 /// loop once — one covering edge per running process, linked by BFS
@@ -928,7 +913,7 @@ where
         member[v as usize] = true;
     }
     let c0 = scc[0];
-    let rep = g.node(c0);
+    let rep = g.store.node(c0);
     let mut hops: Vec<(u32, u32)> = Vec::new(); // (target node, pid hint)
     let mut cur = c0;
     for q in (0..rep.status.len() as u32).filter(|&q| rep.status[q as usize].runnable()) {
