@@ -183,7 +183,10 @@ pub trait StateCodec {
 /// applied to the verifier's own footprint.
 ///
 /// Stored values always fit their width ([`crate::Memory`] rejects
-/// over-wide plain writes and masks pokes), so the encoding is exact.
+/// over-wide plain writes and masks pokes; a writer through
+/// [`crate::Memory::values_mut`] must keep them in range, and
+/// [`StateWriter::push_value`] panics on one that is not), so the
+/// encoding is exact.
 #[derive(Clone, Debug)]
 pub struct LayoutCodec {
     widths: Vec<u32>,

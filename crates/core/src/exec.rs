@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::error::ExecError;
+use crate::error::{ExecError, MemoryError};
 use crate::fault::FaultPlan;
 use crate::ids::ProcessId;
 use crate::memory::Memory;
@@ -52,6 +52,45 @@ impl Status {
     pub fn runnable(self) -> bool {
         self == Status::Running
     }
+}
+
+/// Takes the next step of the running process `proc_`, whose status is
+/// `status`, against `memory`: the model's one step rule, shared by the
+/// [`Executor`] and the exhaustive checkers in `cfc-verify`.
+///
+/// A `Halt` step marks the process [`Status::Done`] and returns its
+/// decision; an `Internal` step advances it; an op is applied to
+/// `memory` and its result advances the process. Returns the event the
+/// step produced. The caller checks that the process is running and
+/// keeps its own bookkeeping (counters, traces, crash budgets).
+///
+/// # Errors
+///
+/// Returns the memory error of an op that fails; the process, its
+/// status and the memory are then left untouched.
+pub fn apply_step<P: Process>(
+    proc_: &mut P,
+    status: &mut Status,
+    memory: &mut Memory,
+) -> Result<EventKind, MemoryError> {
+    debug_assert!(status.runnable(), "only a running process steps");
+    Ok(match proc_.current() {
+        Step::Halt => {
+            *status = Status::Done;
+            EventKind::Done {
+                output: proc_.output(),
+            }
+        }
+        Step::Internal => {
+            proc_.advance(OpResult::None);
+            EventKind::Internal
+        }
+        Step::Op(op) => {
+            let result = memory.apply(&op)?;
+            proc_.advance(result.clone());
+            EventKind::Access { op, result }
+        }
+    })
 }
 
 /// Summary of a finished (or stopped) run.
@@ -191,7 +230,10 @@ impl<P: Process> Executor<P> {
     /// Executes one event of process `pid`.
     ///
     /// Applies the crash plan first: if `pid` is due to crash it is crashed
-    /// instead of stepping. A `Halt` step marks the process done.
+    /// instead of stepping. Otherwise the process takes its step through
+    /// [`apply_step`]; a `Halt` step marks it done and is not counted
+    /// against the event budget or the process's steps, and a failed op
+    /// counts nowhere.
     ///
     /// # Errors
     ///
@@ -215,38 +257,14 @@ impl<P: Process> Executor<P> {
             });
             return Ok(());
         }
-        match self.procs[i].current() {
-            Step::Halt => {
-                self.status[i] = Status::Done;
-                self.trace.push(Event {
-                    pid,
-                    kind: EventKind::Done {
-                        output: self.procs[i].output(),
-                    },
-                });
-            }
-            Step::Internal => {
-                self.events += 1;
-                self.steps_taken[i] += 1;
-                self.procs[i].advance(OpResult::None);
-                self.trace.push(Event {
-                    pid,
-                    kind: EventKind::Internal,
-                });
-                self.note_section(pid);
-            }
-            Step::Op(op) => {
-                self.events += 1;
-                self.steps_taken[i] += 1;
-                let result = self.memory.apply(&op)?;
-                self.procs[i].advance(result.clone());
-                self.trace.push(Event {
-                    pid,
-                    kind: EventKind::Access { op, result },
-                });
-                self.note_section(pid);
-            }
+        let kind = apply_step(&mut self.procs[i], &mut self.status[i], &mut self.memory)?;
+        // Halting is not an event of the budget or the step count.
+        if !matches!(kind, EventKind::Done { .. }) {
+            self.events += 1;
+            self.steps_taken[i] += 1;
         }
+        self.trace.push(Event { pid, kind });
+        self.note_section(pid);
         Ok(())
     }
 
@@ -402,6 +420,33 @@ mod tests {
         }
     }
 
+    /// Takes one internal step, then writes `value` to `reg`, then halts
+    /// with output 7.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct Stepper {
+        reg: RegisterId,
+        value: u64,
+        pc: u8,
+    }
+
+    impl Process for Stepper {
+        fn current(&self) -> Step {
+            match self.pc {
+                0 => Step::Internal,
+                1 => Step::Op(Op::Write(self.reg, Value::new(self.value))),
+                _ => Step::Halt,
+            }
+        }
+
+        fn advance(&mut self, _: OpResult) {
+            self.pc += 1;
+        }
+
+        fn output(&self) -> Option<Value> {
+            (self.pc == 2).then_some(Value::new(7))
+        }
+    }
+
     fn counter_memory() -> (Memory, RegisterId) {
         let mut layout = Layout::new();
         let c = layout.register("count", 16, 0);
@@ -481,6 +526,90 @@ mod tests {
         let (memory, c) = counter_memory();
         let mut exec = Executor::new(memory, vec![Incrementer::new(c, 1)]);
         assert!(exec.step_process(ProcessId::new(3)).is_err());
+    }
+
+    #[test]
+    fn apply_step_takes_internal_op_and_halt_steps() {
+        let (mut memory, c) = counter_memory();
+        let mut status = Status::Running;
+        let mut p = Stepper {
+            reg: c,
+            value: 5,
+            pc: 0,
+        };
+        let kind = apply_step(&mut p, &mut status, &mut memory);
+        assert_eq!(kind, Ok(EventKind::Internal));
+        assert_eq!((p.pc, status), (1, Status::Running));
+        let kind = apply_step(&mut p, &mut status, &mut memory);
+        assert_eq!(
+            kind,
+            Ok(EventKind::Access {
+                op: Op::Write(c, Value::new(5)),
+                result: OpResult::None,
+            })
+        );
+        assert_eq!((p.pc, status), (2, Status::Running));
+        assert_eq!(memory.get(c), Value::new(5));
+        let kind = apply_step(&mut p, &mut status, &mut memory);
+        assert_eq!(
+            kind,
+            Ok(EventKind::Done {
+                output: Some(Value::new(7))
+            })
+        );
+        assert_eq!((p.pc, status), (2, Status::Done));
+        // An op's result reaches both the event and the process.
+        let mut reader = Incrementer::new(c, 1);
+        let mut status = Status::Running;
+        let kind = apply_step(&mut reader, &mut status, &mut memory);
+        assert_eq!(
+            kind,
+            Ok(EventKind::Access {
+                op: Op::Read(c),
+                result: OpResult::Value(Value::new(5)),
+            })
+        );
+        assert_eq!((reader.pc, reader.seen), (1, 5));
+    }
+
+    #[test]
+    fn a_failing_step_leaves_process_status_and_memory_untouched() {
+        let (mut memory, c) = counter_memory();
+        memory.poke(c, Value::new(3));
+        let mut status = Status::Running;
+        let mut p = Stepper {
+            reg: c,
+            value: 1 << 16,
+            pc: 1,
+        };
+        let (p0, memory0) = (p.clone(), memory.clone());
+        let err = apply_step(&mut p, &mut status, &mut memory).unwrap_err();
+        assert_eq!(
+            err,
+            MemoryError::ValueTooWide {
+                register: c,
+                width: 16,
+                value: Value::new(1 << 16),
+            }
+        );
+        assert_eq!((p, status, memory), (p0, Status::Running, memory0));
+    }
+
+    #[test]
+    fn a_failed_op_counts_as_no_event_or_step() {
+        let (memory, c) = counter_memory();
+        let p = Stepper {
+            reg: c,
+            value: 1 << 16,
+            pc: 1,
+        };
+        let mut exec = Executor::new(memory, vec![p]);
+        let pid = ProcessId::new(0);
+        let err = exec.step_process(pid).unwrap_err();
+        assert!(matches!(err, ExecError::Memory(_)), "{err:?}");
+        assert_eq!(exec.steps_taken(pid), 0);
+        assert_eq!(exec.status(pid), Status::Running);
+        assert_eq!(exec.trace().access_count(), 0);
     }
 
     #[test]

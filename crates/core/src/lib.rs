@@ -90,7 +90,9 @@ pub use bitop::BitOp;
 pub use clock::{Clock, ManualClock, WallClock};
 pub use codec::{LayoutCodec, StateCodec, StateReader, StateWriter};
 pub use error::{ExecError, LayoutError, MemoryError};
-pub use exec::{run_schedule, run_sequential, run_solo, ExecConfig, Executor, Outcome, Status};
+pub use exec::{
+    apply_step, run_schedule, run_sequential, run_solo, ExecConfig, Executor, Outcome, Status,
+};
 pub use fault::FaultPlan;
 pub use footprint::{Footprint, RegisterSet};
 pub use havoc::{op_result_domain, HAVOC_WIDTH_CAP};

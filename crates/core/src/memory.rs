@@ -18,8 +18,10 @@ use crate::value::{Value, MAX_WIDTH};
 /// word, is wider than `l`, so every operation ever applied is guaranteed to
 /// be a legal atomic step.
 ///
-/// Cloning a memory is cheap (`O(registers)`) and clones share the layout;
-/// the model checker in `cfc-verify` relies on this.
+/// Cloning a memory copies the register values (one allocation of
+/// `O(registers)`) and shares the layout through an `Arc`. The model
+/// checker in `cfc-verify` keeps one memory per global state and clones
+/// it once per successor, which it steps in place.
 #[derive(Clone, Debug)]
 pub struct Memory {
     layout: Arc<Layout>,
@@ -124,6 +126,16 @@ impl Memory {
     /// A snapshot of all register values, suitable for hashing a state.
     pub fn snapshot(&self) -> &[Value] {
         &self.values
+    }
+
+    /// The register values, mutable: for code that rewrites a whole
+    /// image at once, such as a state normalizer or a decoder of packed
+    /// states. Unlike [`Memory::poke`] nothing is masked, so the writer
+    /// must keep each value within its register's width (a
+    /// [`crate::StateWriter`] encoding the image panics on one that is
+    /// not). Equality and hashing see what is written here.
+    pub fn values_mut(&mut self) -> &mut [Value] {
+        &mut self.values
     }
 
     /// Applies one atomic operation, returning its result.
@@ -450,6 +462,30 @@ mod tests {
         m.apply(&Op::Write(x, Value::new(1))).unwrap();
         m.reset();
         assert_eq!(m.get(x), Value::new(5));
+    }
+
+    #[test]
+    fn writes_through_values_mut_show_in_snapshot_eq_and_hash() {
+        use std::collections::HashSet;
+        let mut layout = Layout::new();
+        let x = layout.register("x", 4, 0);
+        let y = layout.register("y", 4, 0);
+        let m1 = Memory::new(layout, 4).unwrap();
+        let mut m2 = m1.clone();
+        m2.values_mut()[y.index()] = Value::new(9);
+        assert_eq!(m2.snapshot(), &[Value::ZERO, Value::new(9)]);
+        assert_eq!(m2.get(x), Value::ZERO);
+        assert_ne!(m1, m2);
+        let mut set = HashSet::new();
+        set.insert(m2.clone());
+        assert!(!set.contains(&m1));
+        // Writing the original image back makes the two equal again, in
+        // `==` and in `Hash`.
+        m2.values_mut().copy_from_slice(m1.snapshot());
+        assert_eq!(m1, m2);
+        assert!(!set.contains(&m2));
+        set.insert(m1.clone());
+        assert!(set.contains(&m2));
     }
 
     #[test]

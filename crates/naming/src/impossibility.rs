@@ -27,7 +27,7 @@
 //! the old value **and** changes the bit can answer differently to the
 //! first and second arrival.
 
-use cfc_core::{BitOp, Memory, Op, OpResult, Process, Step};
+use cfc_core::{apply_step, BitOp, EventKind, Memory, Op, OpResult, Process, Status, Step};
 
 use crate::algorithm::NamingAlgorithm;
 use crate::model::Model;
@@ -75,24 +75,16 @@ where
 {
     let mut memory: Memory = alg.memory()?;
     let mut procs: Vec<A::Proc> = alg.processes();
-    let n = procs.len();
+    let mut status = vec![Status::Running; procs.len()];
     let mut rounds = 0u64;
 
     while rounds < max_rounds {
         // One lockstep round: every non-halted process takes one step.
         let mut any_running = false;
-        for proc_ in procs.iter_mut().take(n) {
-            match proc_.current() {
-                Step::Halt => {}
-                Step::Internal => {
-                    proc_.advance(OpResult::None);
-                    any_running = true;
-                }
-                Step::Op(op) => {
-                    let result = memory.apply(&op)?;
-                    proc_.advance(result);
-                    any_running = true;
-                }
+        for (proc_, st) in procs.iter_mut().zip(&mut status) {
+            if st.runnable() {
+                let kind = apply_step(proc_, st, &mut memory)?;
+                any_running |= !matches!(kind, EventKind::Done { .. });
             }
         }
         rounds += 1;

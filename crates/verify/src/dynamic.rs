@@ -208,8 +208,10 @@ impl TraceCausality {
 
 /// Replays a schedule and computes its happens-before relation.
 ///
-/// The replay steps through `Replayed::step`, the one un-reduced stepper
-/// behind [`crate::explore::replay`], but it is *tolerant*: decisions
+/// The replay steps through `Replayed::step`, the un-reduced stepper
+/// behind [`crate::explore::replay`], which takes each step through the
+/// model's one step rule, [`cfc_core::apply_step`] (the exhaustive
+/// driver and the executor call it too). It is *tolerant*: decisions
 /// for processes that are not running (crashed, halted, or out of range)
 /// are skipped instead of rejected, so the property suites can feed it
 /// arbitrary generated walks. A crash changes its victim's status only —

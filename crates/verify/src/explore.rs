@@ -92,7 +92,7 @@ use std::fmt;
 use std::hash::Hash;
 
 use cfc_core::{
-    Event, EventKind, ExecError, Memory, OpResult, Process, ProcessId, Status, Step, SymmetryGroup,
+    apply_step, Event, EventKind, ExecError, Memory, Process, ProcessId, Status, SymmetryGroup,
     Trace, Value,
 };
 
@@ -384,7 +384,7 @@ pub fn canonical_key<P: Process + Clone + Eq + Hash>(
 ) -> u64 {
     let node = Node {
         procs: procs.to_vec(),
-        values: memory.snapshot().to_vec(),
+        memory: memory.clone(),
         status: status.to_vec(),
         crashes_left: 0,
     };
@@ -621,7 +621,8 @@ impl<P> Replayed<P> {
 
 impl<P: Process> Replayed<P> {
     /// Applies one scheduling decision to the reached state under the
-    /// plain, un-reduced semantics, and records its event in the trace.
+    /// plain, un-reduced semantics — a step goes through
+    /// [`cfc_core::apply_step`] — and records its event in the trace.
     ///
     /// # Errors
     ///
@@ -639,23 +640,9 @@ impl<P: Process> Replayed<P> {
                 self.status[i] = Status::Crashed;
                 EventKind::Crash
             }
-            ScheduleStep::Step(_) => match self.procs[i].current() {
-                Step::Halt => {
-                    self.status[i] = Status::Done;
-                    EventKind::Done {
-                        output: self.procs[i].output(),
-                    }
-                }
-                Step::Internal => {
-                    self.procs[i].advance(OpResult::None);
-                    EventKind::Internal
-                }
-                Step::Op(op) => {
-                    let result = self.memory.apply(&op)?;
-                    self.procs[i].advance(result.clone());
-                    EventKind::Access { op, result }
-                }
-            },
+            ScheduleStep::Step(_) => {
+                apply_step(&mut self.procs[i], &mut self.status[i], &mut self.memory)?
+            }
         };
         self.trace.push(Event { pid, kind });
         Ok(())
@@ -696,7 +683,7 @@ pub fn replay<P: Process>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfc_core::{Layout, Op, RegisterId};
+    use cfc_core::{Layout, Op, OpResult, RegisterId, Step};
 
     /// Two processes each increment a 2-bit counter once (read + write).
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]

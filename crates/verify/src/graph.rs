@@ -10,11 +10,14 @@
 //! transitions. This module owns everything they share so the graph
 //! semantics cannot drift apart:
 //!
-//! * [`Node`] — the global-state representation — and
-//!   [`GraphBuilder::successor`], the one function that steps or crashes
-//!   a node and normalizes the result ([`GraphBuilder::expand`] fills one
-//!   reused successor buffer through it, and [`GraphBuilder::walk`]
-//!   re-derives witness hops through it);
+//! * [`Node`] — the global-state representation, holding its own
+//!   [`Memory`] — and [`GraphBuilder::successor`], the one function that
+//!   steps or crashes a node and normalizes the result: a step goes
+//!   through [`cfc_core::apply_step`], the model's step rule that the
+//!   executor and the replayer also call, on the cloned node's own
+//!   memory ([`GraphBuilder::expand`] fills one reused successor buffer
+//!   through it, and [`GraphBuilder::walk`] re-derives witness hops
+//!   through it);
 //! * the orbit order under a [`SymmetryGroup`]: [`state_fingerprint`]
 //!   orders interchangeable processes, and [`canonicalize`] builds the
 //!   representative node. The traversals never call it: they hand
@@ -49,8 +52,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use cfc_core::{
-    Footprint, Memory, OpResult, Process, ProcessId, RegisterSet, Status, Step, SymmetryGroup,
-    Value,
+    apply_step, Footprint, Memory, Process, ProcessId, RegisterSet, Status, Step, SymmetryGroup,
 };
 
 use crate::analysis::{FutureIndex, MayAccessMode};
@@ -64,13 +66,15 @@ use crate::liveness::NormalizeFn;
 use crate::store::{NodeStore, VisitOutcome};
 use crate::telemetry::{self, Phase, Snapshot, StoreFootprint, Telemetry};
 
-/// A global state of the explored system.
+/// A global state of the explored system. The derives compare and hash
+/// the memory by its register values alone (the layout is shared by
+/// every node of a traversal).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct Node<P> {
     /// Process local states, indexed by pid.
     pub(crate) procs: Vec<P>,
-    /// The shared-register values (the memory image).
-    pub(crate) values: Vec<Value>,
+    /// The shared memory, stepped in place by [`cfc_core::apply_step`].
+    pub(crate) memory: Memory,
     /// Per-process liveness statuses.
     pub(crate) status: Vec<Status>,
     /// How many crash transitions the adversary may still inject.
@@ -123,15 +127,6 @@ pub(crate) fn canonicalize<P: Process + Clone + Hash>(
         }
     }
     canon
-}
-
-/// A memory instance with `values` poked over the layout of `template`.
-pub(crate) fn rebuild_memory(template: &Memory, values: &[Value]) -> Memory {
-    let mut mem = template.clone();
-    for (i, v) in values.iter().enumerate() {
-        mem.poke(cfc_core::RegisterId::new(i as u32), *v);
-    }
-    mem
 }
 
 /// Which property the search preserves — this decides how aggressive the
@@ -405,12 +400,12 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         }
     }
 
-    /// The initial node — all processes running, the template memory
-    /// image, the configured crash budget — normalized.
+    /// The initial node — all processes running, a copy of the template
+    /// memory, the configured crash budget — normalized.
     pub(crate) fn root(&self, procs: Vec<P>) -> Node<P> {
         let mut root = Node {
             status: vec![Status::Running; procs.len()],
-            values: self.template.snapshot().to_vec(),
+            memory: self.template.clone(),
             procs,
             crashes_left: self.config.max_crashes,
         };
@@ -421,7 +416,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
     /// Applies the spec's normalizer (if any) to `node` in place.
     fn normalize(&self, node: &mut Node<P>) {
         if let Some(f) = self.spec.normalizer {
-            f(&mut node.procs, &mut node.values);
+            f(&mut node.procs, node.memory.values_mut());
         }
     }
 
@@ -433,8 +428,9 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
     }
 
     /// The successor of `node` under `decision`, normalized: the process
-    /// takes its next step, or the adversary crashes it. The one place
-    /// the driver steps or crashes a node.
+    /// takes its next step through [`cfc_core::apply_step`] on a clone
+    /// of the node, or the adversary crashes it. The one place the driver
+    /// steps or crashes a node.
     fn successor(&self, node: &Node<P>, decision: ScheduleStep) -> Result<Node<P>, ExploreError> {
         let i = decision.pid().index();
         let mut next = node.clone();
@@ -443,34 +439,27 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 next.status[i] = Status::Crashed;
                 next.crashes_left -= 1;
             }
-            ScheduleStep::Step(_) => match next.procs[i].current() {
-                Step::Halt => next.status[i] = Status::Done,
-                Step::Internal => next.procs[i].advance(OpResult::None),
-                Step::Op(op) => {
-                    // Runtime analog of the static hook lint
-                    // (`crate::analysis`): the executed step must be
-                    // covered by the declared `may_access` at the
-                    // pre-state. Debug builds only — this catches hook
-                    // drift the solo analysis cannot see, such as a
-                    // normalizer rewriting a process into a control point
-                    // its hook never anticipated.
-                    #[cfg(debug_assertions)]
-                    {
-                        let mut declared = RegisterSet::new();
-                        if node.procs[i].may_access(&mut declared) {
-                            let fp = Footprint::of_op(&op, self.template.layout());
-                            debug_assert!(
-                                fp.reads.is_subset(&declared) && fp.writes.is_subset(&declared),
-                                "process {i}: step footprint {fp:?} escapes its declared may_access set"
-                            );
-                        }
+            ScheduleStep::Step(_) => {
+                // Runtime analog of the static hook lint
+                // (`crate::analysis`): the executed step must be covered
+                // by the declared `may_access` at the pre-state. Debug
+                // builds only — this catches hook drift the solo analysis
+                // cannot see, such as a normalizer rewriting a process
+                // into a control point its hook never anticipated.
+                #[cfg(debug_assertions)]
+                if let Step::Op(op) = node.procs[i].current() {
+                    let mut declared = RegisterSet::new();
+                    if node.procs[i].may_access(&mut declared) {
+                        let fp = Footprint::of_op(&op, self.template.layout());
+                        debug_assert!(
+                            fp.reads.is_subset(&declared) && fp.writes.is_subset(&declared),
+                            "process {i}: step footprint {fp:?} escapes its declared may_access set"
+                        );
                     }
-                    let mut mem = rebuild_memory(&self.template, &next.values);
-                    let result = mem.apply(&op).map_err(ExploreError::Memory)?;
-                    next.values = mem.snapshot().to_vec();
-                    next.procs[i].advance(result);
                 }
-            },
+                apply_step(&mut next.procs[i], &mut next.status[i], &mut next.memory)
+                    .map_err(ExploreError::Memory)?;
+            }
         }
         self.normalize(&mut next);
         Ok(next)
@@ -484,7 +473,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         } else {
             Vec::new()
         };
-        NodeStore::new(self.template.layout(), root, classes, track_firsts)
+        NodeStore::new(root, classes, track_firsts)
     }
 
     /// Opens a traversal: builds the future-access index under its own
@@ -786,11 +775,10 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                     footprint: footprint(&visited, &sleep),
                     ..stats.sample()
                 });
-                let mem = rebuild_memory(&self.template, &node.values);
                 let view = StateView {
                     procs: &node.procs,
                     status: &node.status,
-                    memory: &mem,
+                    memory: &node.memory,
                 };
                 let violation = |message| {
                     ExploreError::Violation(Box::new(Violation {
@@ -1021,7 +1009,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfc_core::{Layout, Op, RegisterId};
+    use cfc_core::{Layout, Op, OpResult, RegisterId, Value};
     use cfc_naming::{NamingAlgorithm, TasScan};
 
     /// A process bumping a private counter `laps` times, tracking a lap

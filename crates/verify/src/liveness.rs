@@ -578,7 +578,8 @@ impl<'s, P: Process + Clone + Eq + Hash> Check<'_, 's, P> {
             validation.is_ok()
         };
         let scc_span = self.tel.span(Phase::SccAnalysis);
-        let candidates = find_fair_starvation(graph, victim, self.spec);
+        let (pending, engaged) = victim_masks(graph, victim, self.spec);
+        let candidates = find_fair_starvation(graph, &pending);
         scc_span.finish(Snapshot {
             states: graph.len() as u64,
             ..Snapshot::default()
@@ -600,7 +601,7 @@ impl<'s, P: Process + Clone + Eq + Hash> Check<'_, 's, P> {
         if !with_bypass {
             return Ok(Settled::Free(None, None));
         }
-        let (bound, plan) = measure_bypass(graph, victim, self.spec);
+        let (bound, plan) = measure_bypass(graph, victim, &engaged);
         let (Some(b), Some(plan)) = (bound, plan) else {
             return Ok(Settled::Free(bound, None));
         };
@@ -692,23 +693,26 @@ fn tarjan_sccs(edges: &EdgeArena, active: &[bool]) -> Vec<Vec<u32>> {
     sccs
 }
 
-/// Marks the nodes where `victim` is running and `waiting`.
-fn victim_mask<P: Process + Clone + Eq + Hash>(
+/// Marks, decoding each node once, the nodes where `victim` is running
+/// and pending, and those where it is also engaged.
+fn victim_masks<P: Process + Clone + Eq + Hash>(
     g: &BuiltGraph<P>,
     victim: usize,
-    waiting: impl Fn(&P) -> bool,
-) -> Vec<bool> {
+    spec: &LivenessSpec<'_, P>,
+) -> (Vec<bool>, Vec<bool>) {
     (0..g.len())
         .map(|i| {
             let node = g.store.node(i as u32);
-            node.status[victim].runnable() && waiting(&node.procs[victim])
+            let p = &node.procs[victim];
+            let pending = node.status[victim].runnable() && (spec.pending)(p);
+            (pending, pending && (spec.engaged)(p))
         })
-        .collect()
+        .unzip()
 }
 
-/// Finds the weakly fair SCCs that starve `victim`: nontrivial SCCs of
-/// the victim-pending subgraph whose internal step edges cover every
-/// running process.
+/// Finds the weakly fair SCCs that starve the victim: nontrivial SCCs
+/// of the subgraph of `pending` nodes (where the victim is running and
+/// pending) whose internal step edges cover every running process.
 ///
 /// Under a symmetry quotient the edge labels are canonical *slots*, not
 /// concrete process identities — one concrete process's steps can show
@@ -718,18 +722,13 @@ fn victim_mask<P: Process + Clone + Eq + Hash>(
 /// it, and settles the victim on the exact graph when no candidate
 /// survives. Without symmetry the labels are concrete and the test is
 /// exact.
-fn find_fair_starvation<P>(
-    g: &BuiltGraph<P>,
-    victim: usize,
-    spec: &LivenessSpec<'_, P>,
-) -> Vec<Vec<u32>>
+fn find_fair_starvation<P>(g: &BuiltGraph<P>, pending: &[bool]) -> Vec<Vec<u32>>
 where
     P: Process + Clone + Eq + Hash,
 {
     let mut fair = Vec::new();
-    let active = victim_mask(g, victim, spec.pending);
     let mut member = vec![false; g.len()];
-    'sccs: for scc in tarjan_sccs(&g.edges, &active) {
+    'sccs: for scc in tarjan_sccs(&g.edges, pending) {
         for &v in &scc {
             member[v as usize] = true;
         }
@@ -778,24 +777,24 @@ struct BypassPlan {
     hops: Vec<(u32, u32)>,
 }
 
-/// Measures the bypass bound of `victim` on the engaged-pending
-/// subgraph — `None` (unbounded) iff some SCC of that subgraph contains
-/// a service-by-other edge, else the longest service-weighted path over
+/// Measures the bypass bound of `victim` on the subgraph of `active`
+/// nodes (where the victim is running, pending and engaged) — `None`
+/// (unbounded) iff some SCC of that subgraph contains a
+/// service-by-other edge, else the longest service-weighted path over
 /// the SCC condensation — together with a [`BypassPlan`] tracing a path
 /// that achieves the bound (absent when the bound is unbounded, or when
 /// no reachable state has the victim pending and engaged).
 fn measure_bypass<P>(
     g: &BuiltGraph<P>,
     victim: usize,
-    spec: &LivenessSpec<'_, P>,
+    active: &[bool],
 ) -> (Option<u64>, Option<BypassPlan>)
 where
     P: Process + Clone + Eq + Hash,
 {
-    let active = victim_mask(g, victim, |p| (spec.pending)(p) && (spec.engaged)(p));
     let weight = |e: &GEdge| u64::from(e.served && !e.crash && e.pid as usize != victim);
 
-    let sccs = tarjan_sccs(&g.edges, &active);
+    let sccs = tarjan_sccs(&g.edges, active);
     let mut scc_id = vec![u32::MAX; g.len()];
     for (k, scc) in sccs.iter().enumerate() {
         for &v in scc {
@@ -851,13 +850,16 @@ where
     let mut k = start_scc;
     let start = choice[k].map_or(sccs[k][0], |(v, _)| v);
     let mut cur = start;
+    let mut member = vec![false; g.len()];
     while let Some((v, ei)) = choice[k] {
         if cur != v {
-            let mut member = vec![false; g.len()];
             for &x in &sccs[k] {
                 member[x as usize] = true;
             }
             hops.extend(path_in_scc(g, &member, cur, v));
+            for &x in &sccs[k] {
+                member[x as usize] = false;
+            }
         }
         let e = g.edges.edge(v as usize, ei);
         hops.push((e.to, e.pid));
@@ -1026,15 +1028,12 @@ where
 
     // Closure modulo the normalizer: the loop must return to a state the
     // checked semantics cannot distinguish from its entry.
-    let mut a_procs = start.procs;
-    let mut a_values = start.memory.snapshot().to_vec();
-    let mut b_procs = run.procs;
-    let mut b_values = run.memory.snapshot().to_vec();
+    let (mut a, mut b) = (start, run);
     if let Some(f) = spec.normalize {
-        f(&mut a_procs, &mut a_values);
-        f(&mut b_procs, &mut b_values);
+        f(&mut a.procs, a.memory.values_mut());
+        f(&mut b.procs, b.memory.values_mut());
     }
-    if a_procs != b_procs || a_values != b_values {
+    if a.procs != b.procs || a.memory != b.memory {
         return Err("loop does not return to its entry state".into());
     }
     Ok(())

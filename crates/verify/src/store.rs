@@ -48,7 +48,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use cfc_core::{
-    bits_for, Layout, LayoutCodec, Process, StateCodec, StateReader, StateWriter, Status, Value,
+    bits_for, LayoutCodec, Memory, Process, StateCodec, StateReader, StateWriter, Status,
 };
 
 use crate::graph::{state_fingerprint, Node};
@@ -77,6 +77,8 @@ pub(crate) enum VisitOutcome {
 /// the table grows with the number of *distinct* local states, not with
 /// the number of global states.
 struct NodeCodec<P> {
+    /// The root's memory: a record decodes into a clone of it.
+    memory: Memory,
     values: LayoutCodec,
     crash_bits: u32,
     n: usize,
@@ -136,15 +138,17 @@ fn tag_status(t: u64) -> Status {
 }
 
 impl<P: Process + Clone + Eq + Hash> NodeCodec<P> {
-    /// Derives the codec from the layout and the root node (the crash
-    /// budget's width comes from the root; it only ever decreases) and
-    /// the symmetry group's non-singleton classes.
-    fn new(layout: &Layout, root: &Node<P>, classes: Vec<Vec<usize>>) -> Self {
-        let values = LayoutCodec::new(layout);
+    /// Derives the codec from the root node (its memory's layout gives
+    /// the register widths; the crash budget's width comes from the
+    /// root, as the budget only ever decreases) and the symmetry group's
+    /// non-singleton classes.
+    fn new(root: &Node<P>, classes: Vec<Vec<usize>>) -> Self {
+        let values = LayoutCodec::new(root.memory.layout());
         let crash_bits = bits_for(u64::from(root.crashes_left));
         let n = root.procs.len();
         let total_bits = 2 * n + crash_bits as usize + values.encoded_bits() + 32 * n;
         NodeCodec {
+            memory: root.memory.clone(),
             values,
             crash_bits,
             n,
@@ -252,7 +256,9 @@ impl<P: Process + Clone + Eq + Hash> NodeCodec<P> {
             w.push_bits(status_tag(node.status[src(i)]), 2);
         }
         w.push_bits(u64::from(node.crashes_left), self.crash_bits);
-        self.values.encode(&node.values, w);
+        for (v, &width) in node.memory.snapshot().iter().zip(self.values.widths()) {
+            w.push_value(*v, width);
+        }
         for i in 0..self.n {
             w.push_bits(u64::from(slots[src(i)]), 32);
         }
@@ -265,13 +271,16 @@ impl<P: Process + Clone + Eq + Hash> NodeCodec<P> {
         let mut r = StateReader::new(bytes);
         let status: Vec<Status> = (0..self.n).map(|_| tag_status(r.take_bits(2))).collect();
         let crashes_left = r.take_bits(self.crash_bits) as u32;
-        let values: Vec<Value> = self.values.decode(&mut r);
+        let mut memory = self.memory.clone();
+        for (v, &width) in memory.values_mut().iter_mut().zip(self.values.widths()) {
+            *v = r.take_value(width);
+        }
         let procs: Vec<P> = (0..self.n)
             .map(|_| self.table[r.take_bits(32) as usize].clone())
             .collect();
         Node {
             procs,
-            values,
+            memory,
             status,
             crashes_left,
         }
@@ -417,13 +426,8 @@ impl<P: Process + Clone + Eq + Hash> NodeStore<P> {
     /// non-singleton classes are `classes` (empty: no symmetry).
     /// `track_firsts` enables first-visitor identity for the DFS
     /// orbit-merge counter.
-    pub(crate) fn new(
-        layout: &Layout,
-        root: &Node<P>,
-        classes: Vec<Vec<usize>>,
-        track_firsts: bool,
-    ) -> Self {
-        let codec = NodeCodec::new(layout, root, classes);
+    pub(crate) fn new(root: &Node<P>, classes: Vec<Vec<usize>>, track_firsts: bool) -> Self {
+        let codec = NodeCodec::new(root, classes);
         let rec_bytes = codec.rec_bytes();
         NodeStore {
             scratch: RefCell::new(Scratch::new(codec.n)),
@@ -550,7 +554,7 @@ impl<P: Process + Clone + Eq + Hash> NodeStore<P> {
 mod tests {
     use super::*;
     use crate::graph::canonicalize;
-    use cfc_core::{Op, OpResult, RegisterId, Step, SymmetryGroup};
+    use cfc_core::{Layout, Op, OpResult, RegisterId, Step, SymmetryGroup, Value};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -609,6 +613,15 @@ mod tests {
         }
     }
 
+    /// A memory over `layout` holding `values`.
+    fn memory(layout: Layout, values: &[u64]) -> Memory {
+        let mut memory = Memory::with_minimal_atomicity(layout).unwrap();
+        for (slot, &v) in memory.values_mut().iter_mut().zip(values) {
+            *slot = Value::new(v);
+        }
+        memory
+    }
+
     fn layout2() -> Layout {
         let mut layout = Layout::new();
         layout.register("a", 3, 0);
@@ -625,14 +638,14 @@ mod tests {
                     count: c,
                 })
                 .collect(),
-            values: vec![Value::new(a), Value::new(b)],
+            memory: memory(layout2(), &[a, b]),
             status: vec![Status::Running, Status::Done],
             crashes_left: crashes,
         }
     }
 
     fn store(classes: Vec<Vec<usize>>, track_firsts: bool) -> NodeStore<Packable> {
-        NodeStore::new(&layout2(), &node([0, 0], 0, 0, 2), classes, track_firsts)
+        NodeStore::new(&node([0, 0], 0, 0, 2), classes, track_firsts)
     }
 
     /// `x` with the processes (local states and statuses together) at
@@ -685,11 +698,11 @@ mod tests {
         layout.register("r", 4, 0);
         let root: Node<Opaque> = Node {
             procs: vec![Opaque { word: 0 }, Opaque { word: 0 }],
-            values: vec![Value::ZERO],
+            memory: memory(layout, &[0]),
             status: vec![Status::Running; 2],
             crashes_left: 0,
         };
-        let mut s = NodeStore::new(&layout, &root, Vec::new(), false);
+        let mut s = NodeStore::new(&root, Vec::new(), false);
         let x = Node {
             procs: vec![Opaque { word: 7 }, Opaque { word: 9 }],
             ..root.clone()
@@ -832,11 +845,11 @@ mod tests {
         let statuses = [Status::Running, Status::Done, Status::Crashed];
         let root = Node {
             procs: vec![Colliding { count: 0 }; 5],
-            values: vec![Value::ZERO],
+            memory: memory(layout, &[0]),
             status: vec![Status::Running; 5],
             crashes_left: 2,
         };
-        let mut s = NodeStore::new(&layout, &root, group.classes().to_vec(), false);
+        let mut s = NodeStore::new(&root, group.classes().to_vec(), false);
         let mut rng = StdRng::seed_from_u64(18);
         // Whether two members of a class have equal fingerprints and
         // statuses but different local states.
@@ -859,7 +872,7 @@ mod tests {
                         count: rng.gen_range(0..6u8),
                     })
                     .collect(),
-                values: vec![Value::new(rng.gen_range(0..4u64))],
+                memory: memory(root.memory.layout().clone(), &[rng.gen_range(0..4u64)]),
                 status: (0..5).map(|_| statuses[rng.gen_range(0..3usize)]).collect(),
                 crashes_left: rng.gen_range(0..3u32),
             };
