@@ -141,16 +141,50 @@ impl Footprint {
     /// packed-word operations cover every accessed field.
     pub fn of_op(op: &Op, layout: &Layout) -> Footprint {
         let mut fp = Footprint::default();
+        fp.refill_op(op, layout);
+        fp
+    }
+
+    /// Overwrites `self` with [`Footprint::of_op`]`(op, layout)`, reusing
+    /// its storage: the result is equal member for member and word for
+    /// word, and it allocates only when a set grows past its capacity.
+    pub fn refill_op(&mut self, op: &Op, layout: &Layout) {
+        self.empty();
         let class = op.class();
-        for r in op.registers(layout) {
+        let mut add = |r: RegisterId| {
             if class.reads() {
-                fp.reads.insert(r);
+                self.reads.insert(r);
             }
             if class.writes() {
-                fp.writes.insert(r);
+                self.writes.insert(r);
             }
+        };
+        // The registers of `Op::registers`, without collecting them.
+        match op {
+            Op::Read(r) | Op::Write(r, _) | Op::Bit(r, _) => add(*r),
+            Op::ReadWord(w) => layout
+                .word_members(*w)
+                .unwrap_or(&[])
+                .iter()
+                .for_each(|&r| add(r)),
+            Op::WriteWord(_, fields) => fields.iter().for_each(|&(r, _)| add(r)),
         }
-        fp
+    }
+
+    /// Overwrites `self` with [`Footprint::of_step`]`(step, layout)`,
+    /// reusing its storage like [`Footprint::refill_op`].
+    pub fn refill_step(&mut self, step: &Step, layout: &Layout) {
+        match step.op() {
+            Some(op) => self.refill_op(op, layout),
+            None => self.empty(),
+        }
+    }
+
+    /// Makes both sets empty with no backing words, as in a fresh
+    /// footprint, keeping their capacity.
+    fn empty(&mut self) {
+        self.reads.words.clear();
+        self.writes.words.clear();
     }
 
     /// The footprint of one step: its operation's footprint, or the empty
@@ -281,6 +315,34 @@ mod tests {
         assert!(write.writes.contains(a) && write.reads.is_empty());
         let rmw = Footprint::of_op(&Op::Bit(a, BitOp::TestAndSet), &layout);
         assert!(rmw.reads.contains(a) && rmw.writes.contains(a));
+    }
+
+    #[test]
+    fn refill_matches_a_fresh_footprint_word_for_word() {
+        let mut layout = Layout::new();
+        let regs = layout.bits("r", 130, false);
+        let (lo, hi) = (regs[3], regs[129]);
+        let w = layout.pack(&[lo, hi]).unwrap();
+        let steps = [
+            Step::Op(Op::Bit(hi, BitOp::TestAndSet)),
+            Step::Op(Op::Read(lo)),
+            Step::Op(Op::ReadWord(w)),
+            Step::Op(Op::WriteWord(w, vec![(hi, Value::ONE)])),
+            Step::Op(Op::Write(lo, Value::ONE)),
+            Step::Internal,
+            Step::Halt,
+        ];
+        // A scratch footprint that last held a wider step must not keep
+        // trailing zero words a fresh footprint would not have.
+        let mut scratch = Footprint::of_step(&steps[0], &layout);
+        for step in steps.iter().cycle().take(2 * steps.len()) {
+            scratch.refill_step(step, &layout);
+            assert_eq!(scratch, Footprint::of_step(step, &layout), "{step:?}");
+            if let Some(op) = step.op() {
+                scratch.refill_op(op, &layout);
+                assert_eq!(scratch, Footprint::of_op(op, &layout), "{op}");
+            }
+        }
     }
 
     #[test]

@@ -172,7 +172,7 @@ pub trait MutexAlgorithm {
 /// The client spends a configurable number of internal steps inside the
 /// critical section (default 0: the paper's definitions assume processes
 /// take no shared-memory steps in the critical section).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct MutexClient<L> {
     lock: L,
     section: Section,
@@ -186,6 +186,52 @@ pub struct MutexClient<L> {
     /// maintained in cycling mode so that finite-trip state spaces (and
     /// their exhaustively asserted sizes) are unchanged.
     engaged: bool,
+}
+
+/// Field-wise, so that `clone_from` reuses the lock's storage: the
+/// control-automaton analysis resets one scratch client per havoc
+/// branch. Both methods name every field, so a new one cannot be
+/// skipped.
+impl<L: Clone> Clone for MutexClient<L> {
+    fn clone(&self) -> Self {
+        let MutexClient {
+            lock,
+            section,
+            trips_remaining,
+            cs_steps,
+            cs_left,
+            forever,
+            engaged,
+        } = self;
+        MutexClient {
+            lock: lock.clone(),
+            section: *section,
+            trips_remaining: *trips_remaining,
+            cs_steps: *cs_steps,
+            cs_left: *cs_left,
+            forever: *forever,
+            engaged: *engaged,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let MutexClient {
+            lock,
+            section,
+            trips_remaining,
+            cs_steps,
+            cs_left,
+            forever,
+            engaged,
+        } = source;
+        self.lock.clone_from(lock);
+        self.section = *section;
+        self.trips_remaining = *trips_remaining;
+        self.cs_steps = *cs_steps;
+        self.cs_left = *cs_left;
+        self.forever = *forever;
+        self.engaged = *engaged;
+    }
 }
 
 impl<L: LockProcess> MutexClient<L> {

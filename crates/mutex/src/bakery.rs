@@ -226,7 +226,7 @@ enum Pc {
 }
 
 /// The per-process entry/exit state machine of [`Bakery`].
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct BakeryLock {
     choosing: Arc<[RegisterId]>,
     number: Arc<[RegisterId]>,
@@ -236,6 +236,56 @@ pub struct BakeryLock {
     my_number: u64,
     /// Test-only planted bug; `None` in every production construction.
     mutation: Option<BakeryMutation>,
+}
+
+/// Field-wise, so that `clone_from` copies the scalars in place and
+/// touches an `Arc` refcount only when the register arrays are not
+/// already shared with the source. Both methods name every field, so a
+/// new one cannot be skipped.
+impl Clone for BakeryLock {
+    fn clone(&self) -> Self {
+        let BakeryLock {
+            choosing,
+            number,
+            me,
+            pc,
+            max_seen,
+            my_number,
+            mutation,
+        } = self;
+        BakeryLock {
+            choosing: Arc::clone(choosing),
+            number: Arc::clone(number),
+            me: *me,
+            pc: *pc,
+            max_seen: *max_seen,
+            my_number: *my_number,
+            mutation: *mutation,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let BakeryLock {
+            choosing,
+            number,
+            me,
+            pc,
+            max_seen,
+            my_number,
+            mutation,
+        } = source;
+        if !Arc::ptr_eq(&self.choosing, choosing) {
+            self.choosing = Arc::clone(choosing);
+        }
+        if !Arc::ptr_eq(&self.number, number) {
+            self.number = Arc::clone(number);
+        }
+        self.me = *me;
+        self.pc = *pc;
+        self.max_seen = *max_seen;
+        self.my_number = *my_number;
+        self.mutation = *mutation;
+    }
 }
 
 impl BakeryLock {
@@ -538,6 +588,79 @@ mod tests {
         client.advance(OpResult::Value(Value::ZERO));
         assert_eq!(client.lock().pc, Pc::WriteNumber);
         assert_eq!(client.lock().my_number, 1 << TICKET_WIDTH);
+    }
+
+    fn hash_of<T: std::hash::Hash>(t: &T) -> u64 {
+        use std::hash::{DefaultHasher, Hasher};
+        let mut h = DefaultHasher::new();
+        t.hash(&mut h);
+        h.finish()
+    }
+
+    /// Resets `dst` from `src` with `clone_from` and checks it against
+    /// `clone()` under `==` and `Hash`.
+    fn assert_reset_equals_clone(
+        mut dst: crate::MutexClient<BakeryLock>,
+        src: &crate::MutexClient<BakeryLock>,
+    ) {
+        dst.clone_from(src);
+        assert_eq!(dst, src.clone());
+        assert_eq!(hash_of(&dst), hash_of(&src.clone()));
+        // The reset shares the source's register arrays, as a clone does.
+        assert!(Arc::ptr_eq(&dst.lock().choosing, &src.lock().choosing));
+        assert!(Arc::ptr_eq(&dst.lock().number, &src.lock().number));
+    }
+
+    #[test]
+    fn clone_from_equals_clone() {
+        // A cycling client of another, larger, mutated instance, driven
+        // into its critical section: it differs from the destination in
+        // every client field and every lock field, and its register
+        // arrays are other `Arc`s.
+        let other = Bakery::new(3).with_mutation(BakeryMutation::SkipExitReset);
+        let mut src = other.client_cycling(ProcessId::new(2), 3);
+        let mut first_read = true;
+        while src.section() != Some(Section::Critical) {
+            let result = match src.current() {
+                Step::Op(Op::Read(_)) => {
+                    let v = if first_read { 5 } else { 0 };
+                    first_read = false;
+                    OpResult::Value(Value::new(v))
+                }
+                _ => OpResult::None,
+            };
+            src.advance(result);
+        }
+        src.advance(OpResult::None);
+        let lock = src.lock();
+        assert_eq!(
+            (lock.me, lock.pc, lock.max_seen, lock.my_number),
+            (2, Pc::EntryDone, 5, 6)
+        );
+        assert!(src.is_cycling() && src.engaged() && src.trips_remaining() == 1);
+
+        let alg = Bakery::new(2);
+        let dst = alg.client_with_cs(ProcessId::new(0), 2, 0);
+        let lock = dst.lock();
+        assert_eq!(
+            (
+                lock.me,
+                lock.pc,
+                lock.max_seen,
+                lock.my_number,
+                lock.mutation
+            ),
+            (0, Pc::WriteChoosing1, 0, 0, None)
+        );
+        assert_eq!(dst.section(), Some(Section::Entry));
+        assert!(!dst.is_cycling() && !dst.engaged() && dst.trips_remaining() == 2);
+        assert!(!Arc::ptr_eq(&dst.lock().number, &src.lock().number));
+        assert_reset_equals_clone(dst.clone(), &src);
+        // And back, onto a destination that differs the other way.
+        assert_reset_equals_clone(src.clone(), &dst);
+        // A destination of the source's own instance already shares its
+        // register arrays.
+        assert_reset_equals_clone(other.client(ProcessId::new(0), 1), &src);
     }
 
     #[test]

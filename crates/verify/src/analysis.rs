@@ -19,6 +19,16 @@
 //! are keyed on their full value via `Eq`/`Hash`, which is always
 //! sound and stays finite for processes that retain no wide data.
 //!
+//! Every branch is stepped — a bakery n=3 client's six 16-bit ticket
+//! reads alone are 393,216 of them — so a branch must cost no
+//! allocation. The domain is enumerated lazily, each branch is stepped
+//! on one scratch successor reset from its location's representative
+//! with `clone_from`, its footprint is refilled into one scratch
+//! [`Footprint`], and location keys resolve in a `u64`-keyed map and a
+//! by-state map under an in-repo multiply-xor hash, so a lookup never
+//! clones a state. A branch clones only what it stores: a new location
+//! or a new incongruence finding.
+//!
 //! Soundness of the construction: any run of the process embedded in an
 //! arbitrary *concurrent* execution projects, step by step, to a path
 //! of the automaton — every result a real memory can return is in the
@@ -44,7 +54,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use cfc_core::{op_result_domain, Footprint, Layout, OpResult, Process, RegisterSet, Step};
 
@@ -108,18 +118,95 @@ impl fmt::Display for ExtractError {
 
 impl std::error::Error for ExtractError {}
 
-/// The key a local state is merged under: the [`Process::location`]
-/// projection when the process provides one, the full state otherwise.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-enum LocKey<P> {
-    Loc(u64),
-    State(P),
+/// A multiply-xor hasher (the FxHash round, with a final rotation so
+/// the table index sees the well-mixed high bits) for the analysis
+/// tables. Their keys are location keys and local states that the
+/// models produce, never outside input, so SipHash's resistance to
+/// chosen keys buys nothing there.
+#[derive(Clone, Copy, Debug, Default)]
+struct MulXor(u64);
+
+impl MulXor {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
 }
 
-fn key_of<P: Process + Clone>(state: &P) -> LocKey<P> {
-    match state.location() {
-        Some(l) => LocKey::Loc(l),
-        None => LocKey::State(state.clone()),
+impl Hasher for MulXor {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u8(&mut self, x: u8) {
+        self.add(u64::from(x));
+    }
+    fn write_u16(&mut self, x: u16) {
+        self.add(u64::from(x));
+    }
+    fn write_u32(&mut self, x: u32) {
+        self.add(u64::from(x));
+    }
+    fn write_u64(&mut self, x: u64) {
+        self.add(x);
+    }
+    fn write_usize(&mut self, x: usize) {
+        self.add(x as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A map hashed by [`MulXor`].
+type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<MulXor>>;
+
+/// Where local states resolve: by [`Process::location`] key when the
+/// process provides one, by full value otherwise. Looking a state up
+/// never clones it.
+#[derive(Clone, Debug)]
+struct Keyed<P, V> {
+    by_loc: FastMap<u64, V>,
+    by_state: FastMap<P, V>,
+}
+
+impl<P, V> Default for Keyed<P, V> {
+    fn default() -> Self {
+        Keyed {
+            by_loc: FastMap::default(),
+            by_state: FastMap::default(),
+        }
+    }
+}
+
+impl<P: Process + Clone + Eq + Hash, V> Keyed<P, V> {
+    fn get(&self, state: &P) -> Option<&V> {
+        match state.location() {
+            Some(l) => self.by_loc.get(&l),
+            None => self.by_state.get(state),
+        }
+    }
+
+    fn get_mut(&mut self, state: &P) -> Option<&mut V> {
+        match state.location() {
+            Some(l) => self.by_loc.get_mut(&l),
+            None => self.by_state.get_mut(state),
+        }
+    }
+
+    /// Files `value` under `state`'s key, cloning the state only when it
+    /// is keyed by value.
+    fn insert(&mut self, state: &P, value: V) {
+        match state.location() {
+            Some(l) => self.by_loc.insert(l, value),
+            None => self.by_state.insert(state.clone(), value),
+        };
+    }
+
+    fn len(&self) -> usize {
+        self.by_loc.len() + self.by_state.len()
     }
 }
 
@@ -149,7 +236,7 @@ struct Location<P> {
 #[derive(Clone, Debug)]
 pub struct ControlAutomaton<P> {
     locations: Vec<Location<P>>,
-    keys: HashMap<LocKey<P>, u32>,
+    keys: Keyed<P, u32>,
     /// Locations reached by a state whose current-step footprint
     /// disagrees with the location's — a broken [`Process::location`]
     /// congruence contract, surfaced by the lint.
@@ -158,7 +245,7 @@ pub struct ControlAutomaton<P> {
 
 /// Two automata are equal when their location tables agree — ids,
 /// representatives, footprints, successor lists, future sets, and
-/// congruence findings all match (the key map is derived data).
+/// congruence findings all match (the key maps are derived data).
 impl<P: PartialEq> PartialEq for ControlAutomaton<P> {
     fn eq(&self, other: &Self) -> bool {
         self.locations == other.locations && self.incongruent == other.incongruent
@@ -167,31 +254,33 @@ impl<P: PartialEq> PartialEq for ControlAutomaton<P> {
 
 impl<P: Process + Clone + Eq + Hash> ControlAutomaton<P> {
     /// Extracts the automaton of the process rooted at `p0`.
+    ///
+    /// Every havoc branch of every location is stepped on one scratch
+    /// successor, reset from the location's representative with
+    /// `clone_from`, and its footprint is refilled into one scratch
+    /// [`Footprint`]; the successor and the footprint are cloned only
+    /// when they are stored, for a new location or a new incongruence
+    /// finding.
     pub fn extract(layout: &Layout, p0: &P) -> Result<Self, ExtractError> {
         let mut auto = ControlAutomaton {
             locations: Vec::new(),
-            keys: HashMap::new(),
+            keys: Keyed::default(),
             incongruent: Vec::new(),
         };
-        auto.intern(layout, p0.clone())?;
+        let mut succ = p0.clone();
+        let mut fp = Footprint::default();
+        auto.intern(layout, &succ, &mut fp)?;
         let mut i = 0;
         while i < auto.locations.len() {
-            let rep = auto.locations[i].representative.clone();
-            let results = match rep.current() {
-                Step::Halt => {
-                    i += 1;
-                    continue;
-                }
-                Step::Internal => vec![OpResult::None],
-                Step::Op(op) => op_result_domain(&op, layout)
-                    .ok_or(ExtractError::DomainTooWide { location: i as u32 })?,
-            };
-            for result in results {
-                let mut succ = rep.clone();
-                succ.advance(result);
-                let id = auto.intern(layout, succ)?;
-                if !auto.locations[i].successors.contains(&id) {
-                    auto.locations[i].successors.push(id);
+            match auto.locations[i].representative.current() {
+                Step::Halt => {}
+                Step::Internal => auto.branch(layout, i, OpResult::None, &mut succ, &mut fp)?,
+                Step::Op(op) => {
+                    let domain = op_result_domain(&op, layout)
+                        .ok_or(ExtractError::DomainTooWide { location: i as u32 })?;
+                    for result in domain {
+                        auto.branch(layout, i, result, &mut succ, &mut fp)?;
+                    }
                 }
             }
             i += 1;
@@ -200,34 +289,55 @@ impl<P: Process + Clone + Eq + Hash> ControlAutomaton<P> {
         Ok(auto)
     }
 
-    fn intern(&mut self, layout: &Layout, state: P) -> Result<u32, ExtractError> {
-        let fp = Footprint::of_step(&state.current(), layout);
-        match self.keys.entry(key_of(&state)) {
-            Entry::Occupied(e) => {
-                let id = *e.get();
-                if fp != self.locations[id as usize].footprint
-                    && !self.incongruent.iter().any(|(l, f)| *l == id && *f == fp)
-                {
-                    self.incongruent.push((id, fp));
-                }
-                Ok(id)
-            }
-            Entry::Vacant(e) => {
-                if self.locations.len() >= MAX_LOCATIONS {
-                    return Err(ExtractError::TooManyLocations);
-                }
-                let id = self.locations.len() as u32;
-                e.insert(id);
-                self.locations.push(Location {
-                    representative: state,
-                    footprint: fp,
-                    successors: Vec::new(),
-                    future: RegisterSet::new(),
-                    future_rw: Footprint::default(),
-                });
-                Ok(id)
-            }
+    /// Steps location `i`'s representative on `result` in the scratch
+    /// `succ` and records the successor location.
+    fn branch(
+        &mut self,
+        layout: &Layout,
+        i: usize,
+        result: OpResult,
+        succ: &mut P,
+        fp: &mut Footprint,
+    ) -> Result<(), ExtractError> {
+        succ.clone_from(&self.locations[i].representative);
+        succ.advance(result);
+        let id = self.intern(layout, succ, fp)?;
+        if !self.locations[i].successors.contains(&id) {
+            self.locations[i].successors.push(id);
         }
+        Ok(())
+    }
+
+    /// The location of `state`, new or old; `fp` is scratch for the
+    /// state's current-step footprint.
+    fn intern(
+        &mut self,
+        layout: &Layout,
+        state: &P,
+        fp: &mut Footprint,
+    ) -> Result<u32, ExtractError> {
+        fp.refill_step(&state.current(), layout);
+        if let Some(&id) = self.keys.get(state) {
+            if *fp != self.locations[id as usize].footprint
+                && !self.incongruent.iter().any(|(l, f)| *l == id && f == fp)
+            {
+                self.incongruent.push((id, fp.clone()));
+            }
+            return Ok(id);
+        }
+        if self.locations.len() >= MAX_LOCATIONS {
+            return Err(ExtractError::TooManyLocations);
+        }
+        let id = self.locations.len() as u32;
+        self.keys.insert(state, id);
+        self.locations.push(Location {
+            representative: state.clone(),
+            footprint: fp.clone(),
+            successors: Vec::new(),
+            future: RegisterSet::new(),
+            future_rw: Footprint::default(),
+        });
+        Ok(id)
     }
 
     /// The future-access fixpoint: `future(l) = fp(l) ∪ ⋃ future(succ)`,
@@ -279,7 +389,7 @@ impl<P: Process + Clone + Eq + Hash> ControlAutomaton<P> {
 
     /// The automaton location a local state resolves to, if any.
     pub fn location_of(&self, state: &P) -> Option<u32> {
-        self.keys.get(&key_of(state)).copied()
+        self.keys.get(state).copied()
     }
 
     /// The future-access set of a local state: every register any
@@ -393,6 +503,22 @@ impl LintReport {
     }
 }
 
+/// The finding for process `process`, whose automaton could not be
+/// extracted: anchored at the too-wide location, or at the root when
+/// the location hook fails to finitize.
+fn unanalyzable(process: usize, e: &ExtractError) -> Finding {
+    let location = match *e {
+        ExtractError::DomainTooWide { location } => location,
+        ExtractError::TooManyLocations => 0,
+    };
+    Finding {
+        process,
+        location,
+        kind: FindingKind::Unanalyzable,
+        detail: e.to_string(),
+    }
+}
+
 /// Lints the reduction hooks of a model's initial processes: extracts
 /// each process's control automaton and checks (a) the declared
 /// [`Process::may_access`] set at every location contains the location's
@@ -413,16 +539,7 @@ where
         let auto = match ControlAutomaton::extract(layout, p) {
             Ok(auto) => auto,
             Err(e) => {
-                let location = match e {
-                    ExtractError::DomainTooWide { location } => location,
-                    ExtractError::TooManyLocations => 0,
-                };
-                report.findings.push(Finding {
-                    process: pi,
-                    location,
-                    kind: FindingKind::Unanalyzable,
-                    detail: e.to_string(),
-                });
+                report.findings.push(unanalyzable(pi, &e));
                 continue;
             }
         };
@@ -500,20 +617,21 @@ where
 /// processes map different futures to one key, the sets are unioned —
 /// still a sound over-approximation for every state that resolves to
 /// the key. States without a location key are indexed by value. A
-/// process whose automaton cannot be extracted is simply skipped: its
+/// process whose automaton cannot be extracted leaves an
+/// [`FindingKind::Unanalyzable`] finding in [`Self::findings`]; its
 /// states miss the index and the engine falls back to the declared
 /// hook.
 #[derive(Clone, Debug)]
 pub struct FutureIndex<P> {
-    by_loc: HashMap<u64, FutureAccess>,
-    by_state: HashMap<P, FutureAccess>,
+    entries: Keyed<P, FutureAccess>,
+    findings: Vec<Finding>,
 }
 
 /// One index entry: the union future-access set (consulted by
 /// [`MayAccessMode::Automaton`]) and the same fixpoint with the
 /// read/write split retained (consulted by [`MayAccessMode::Dynamic`]).
 /// Invariant: `split.reads ∪ split.writes == union`.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct FutureAccess {
     union: RegisterSet,
     split: Footprint,
@@ -531,27 +649,33 @@ impl<P: Process + Clone + Eq + Hash> FutureIndex<P> {
     /// Builds the index over a system's initial processes.
     pub fn build(layout: &Layout, procs: &[P]) -> FutureIndex<P> {
         let mut idx = FutureIndex {
-            by_loc: HashMap::new(),
-            by_state: HashMap::new(),
+            entries: Keyed::default(),
+            findings: Vec::new(),
         };
-        for p in procs {
+        for (pi, p) in procs.iter().enumerate() {
             // Identical processes (naming models share one program)
             // yield identical automata; one extraction suffices.
             if idx.future_of(p).is_some() {
                 continue;
             }
-            let Ok(auto) = ControlAutomaton::extract(layout, p) else {
-                continue;
+            let auto = match ControlAutomaton::extract(layout, p) {
+                Ok(auto) => auto,
+                Err(e) => {
+                    idx.findings.push(unanalyzable(pi, &e));
+                    continue;
+                }
             };
             for loc in &auto.locations {
-                let entry = match loc.representative.location() {
-                    Some(l) => idx.by_loc.entry(l).or_insert_with(FutureAccess::default),
-                    None => idx
-                        .by_state
-                        .entry(loc.representative.clone())
-                        .or_insert_with(FutureAccess::default),
-                };
-                entry.merge(&loc.future, &loc.future_rw);
+                match idx.entries.get_mut(&loc.representative) {
+                    Some(entry) => entry.merge(&loc.future, &loc.future_rw),
+                    None => idx.entries.insert(
+                        &loc.representative,
+                        FutureAccess {
+                            union: loc.future.clone(),
+                            split: loc.future_rw.clone(),
+                        },
+                    ),
+                }
             }
         }
         idx
@@ -560,32 +684,32 @@ impl<P: Process + Clone + Eq + Hash> FutureIndex<P> {
     /// Number of indexed entries (location keys plus by-value states) —
     /// the work a telemetry `extract-automaton` span attributes.
     pub fn len(&self) -> usize {
-        self.by_loc.len() + self.by_state.len()
+        self.entries.len()
     }
 
     /// True when no automaton could be extracted.
     pub fn is_empty(&self) -> bool {
-        self.by_loc.is_empty() && self.by_state.is_empty()
+        self.entries.len() == 0
+    }
+
+    /// One [`FindingKind::Unanalyzable`] finding per process whose
+    /// automaton could not be extracted, in process order — the same
+    /// finding [`lint_model`] reports for it.
+    pub fn findings(&self) -> &[Finding] {
+        &self.findings
     }
 
     /// The future-access set of a local state, or `None` when the state
     /// is not resolved by any extracted automaton (the caller must fall
     /// back to the declared hook).
     pub fn future_of(&self, state: &P) -> Option<&RegisterSet> {
-        self.entry_of(state).map(|e| &e.union)
+        self.entries.get(state).map(|e| &e.union)
     }
 
     /// The split future-access set of a local state (same resolution and
     /// fallback contract as [`Self::future_of`]).
     pub fn future_split_of(&self, state: &P) -> Option<&Footprint> {
-        self.entry_of(state).map(|e| &e.split)
-    }
-
-    fn entry_of(&self, state: &P) -> Option<&FutureAccess> {
-        match state.location() {
-            Some(l) => self.by_loc.get(&l),
-            None => self.by_state.get(state),
-        }
+        self.entries.get(state).map(|e| &e.split)
     }
 }
 
@@ -732,5 +856,358 @@ mod tests {
         let a = ControlAutomaton::extract(&layout, &p).unwrap();
         let b = ControlAutomaton::extract(&layout, &p).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// How [`Chooser`] reports its location.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    enum Hook {
+        /// The pc and the branch taken: congruent.
+        Honest,
+        /// The pc alone, hiding the branch that picks the written
+        /// register: incongruent.
+        HideBranch,
+        /// The pc and the whole value read: diverges on wide reads.
+        KeyOnValue,
+    }
+
+    /// Takes one internal step, reads `src`, writes `dst[0]` when it
+    /// read zero and `dst[1]` otherwise, then halts. Every location key
+    /// carries `src`, so two choosers reading different registers never
+    /// share a key.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct Chooser {
+        src: RegisterId,
+        dst: [RegisterId; 2],
+        pc: u8,
+        seen: u64,
+        hook: Hook,
+        /// Report the pc alone as the fingerprint, so that the two
+        /// branches' locations at one pc collide.
+        pc_fingerprint: bool,
+    }
+
+    impl Chooser {
+        fn branch(&self) -> usize {
+            usize::from(self.seen != 0)
+        }
+    }
+
+    impl Process for Chooser {
+        fn current(&self) -> Step {
+            match self.pc {
+                0 => Step::Internal,
+                1 => Step::Op(Op::Read(self.src)),
+                2 => Step::Op(Op::Write(self.dst[self.branch()], Value::ONE)),
+                _ => Step::Halt,
+            }
+        }
+        fn advance(&mut self, result: OpResult) {
+            if self.pc == 1 {
+                self.seen = result.value().raw();
+            }
+            self.pc += 1;
+        }
+        fn location(&self) -> Option<u64> {
+            let data = match self.hook {
+                Hook::Honest => self.branch() as u64,
+                Hook::HideBranch => 0,
+                Hook::KeyOnValue => self.seen,
+            };
+            Some(u64::from(self.pc) | data << 8 | (self.src.index() as u64) << 40)
+        }
+        fn fingerprint(&self) -> Option<u64> {
+            self.pc_fingerprint.then_some(u64::from(self.pc))
+        }
+    }
+
+    /// A layout with a `width`-bit source register and two 1-bit
+    /// targets, and an honest chooser over it.
+    fn chooser(layout: &mut Layout, width: u32) -> Chooser {
+        let src = layout.register(format!("src{width}"), width, 0);
+        let dst = [layout.bit("left", false), layout.bit("right", false)];
+        Chooser {
+            src,
+            dst,
+            pc: 0,
+            seen: 0,
+            hook: Hook::Honest,
+            pc_fingerprint: false,
+        }
+    }
+
+    fn only_finding(report: &LintReport) -> &Finding {
+        assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+        &report.findings[0]
+    }
+
+    #[test]
+    fn lint_reports_an_incongruent_location_once_naming_both_footprints() {
+        let mut layout = Layout::new();
+        let p = Chooser {
+            hook: Hook::HideBranch,
+            ..chooser(&mut layout, 2)
+        };
+        let report = lint_model(&layout, std::slice::from_ref(&p));
+        // Reads 1, 2 and 3 all reach the write location with the
+        // offending footprint; the finding is recorded once.
+        let f = only_finding(&report);
+        assert_eq!((f.process, f.location), (0, 2));
+        assert_eq!(f.kind, FindingKind::IncongruentLocation);
+        let at = |branch: usize| Footprint::of_op(&Op::Write(p.dst[branch], Value::ONE), &layout);
+        assert!(
+            f.detail.contains(&format!("representative {:?}", at(0))),
+            "{f}"
+        );
+        assert!(f.detail.contains(&format!("offender {:?}", at(1))), "{f}");
+    }
+
+    #[test]
+    fn lint_reports_fingerprint_collisions_across_locations() {
+        let mut layout = Layout::new();
+        let p = Chooser {
+            pc_fingerprint: true,
+            ..chooser(&mut layout, 1)
+        };
+        let report = lint_model(&layout, std::slice::from_ref(&p));
+        // Locations: 0 internal, 1 read, 2/3 the two writes, 4/5 the
+        // two halts; each branch's second location collides.
+        let got: Vec<_> = report
+            .findings
+            .iter()
+            .map(|f| (f.location, f.kind, f.detail.as_str()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (
+                    3,
+                    FindingKind::FingerprintCollision,
+                    "fingerprint 0x2 collides with location 2"
+                ),
+                (
+                    5,
+                    FindingKind::FingerprintCollision,
+                    "fingerprint 0x3 collides with location 4"
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn lint_reports_a_too_wide_read_at_its_location() {
+        let mut layout = Layout::new();
+        let p = chooser(&mut layout, cfc_core::HAVOC_WIDTH_CAP + 1);
+        let report = lint_model(&layout, std::slice::from_ref(&p));
+        let f = only_finding(&report);
+        assert_eq!((f.process, f.location), (0, 1));
+        assert_eq!(f.kind, FindingKind::Unanalyzable);
+        assert_eq!(
+            f.detail,
+            ExtractError::DomainTooWide { location: 1 }.to_string()
+        );
+        assert_eq!(report.locations, 0);
+    }
+
+    #[test]
+    fn lint_reports_a_location_hook_that_keys_on_a_wide_value() {
+        let mut layout = Layout::new();
+        let p = Chooser {
+            hook: Hook::KeyOnValue,
+            ..chooser(&mut layout, 16)
+        };
+        let report = lint_model(&layout, std::slice::from_ref(&p));
+        let f = only_finding(&report);
+        assert_eq!((f.process, f.location), (0, 0));
+        assert_eq!(f.kind, FindingKind::Unanalyzable);
+        assert_eq!(f.detail, ExtractError::TooManyLocations.to_string());
+    }
+
+    #[test]
+    fn future_index_reports_an_unanalyzable_process_and_indexes_its_sibling() {
+        let mut layout = Layout::new();
+        let wide = chooser(&mut layout, cfc_core::HAVOC_WIDTH_CAP + 1);
+        let narrow = chooser(&mut layout, 1);
+        let procs = [wide.clone(), narrow.clone()];
+        let idx = FutureIndex::build(&layout, &procs);
+        let expected = Finding {
+            process: 0,
+            location: 1,
+            kind: FindingKind::Unanalyzable,
+            detail: ExtractError::DomainTooWide { location: 1 }.to_string(),
+        };
+        assert_eq!(idx.findings(), [expected]);
+        assert_eq!(idx.findings(), lint_model(&layout, &procs).findings);
+        let reading = Chooser { pc: 1, ..wide };
+        assert!(idx.future_of(&wide).is_none() && idx.future_of(&reading).is_none());
+        assert!(idx.future_split_of(&reading).is_none());
+        let future = idx.future_of(&narrow).unwrap();
+        assert!(future.contains(narrow.src) && future.contains(narrow.dst[1]));
+        // Six locations, one index entry each.
+        assert_eq!(idx.len(), 6);
+    }
+
+    /// The key a local state is merged under by the reference extractor.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    enum LocKey<P> {
+        Loc(u64),
+        State(P),
+    }
+
+    fn key_of<P: Process + Clone>(state: &P) -> LocKey<P> {
+        match state.location() {
+            Some(l) => LocKey::Loc(l),
+            None => LocKey::State(state.clone()),
+        }
+    }
+
+    /// The reference extractor: the plain construction the production
+    /// extractor must agree with. It clones the representative for every
+    /// branch, collects each domain first, builds every footprint fresh
+    /// with `Footprint::of_step`, and keys one SipHash map on `LocKey`.
+    struct Reference<P> {
+        locations: Vec<Location<P>>,
+        keys: HashMap<LocKey<P>, u32>,
+        incongruent: Vec<(u32, Footprint)>,
+    }
+
+    impl<P: Process + Clone + Eq + Hash> Reference<P> {
+        fn extract(layout: &Layout, p0: &P) -> Result<ControlAutomaton<P>, ExtractError> {
+            let mut r = Reference {
+                locations: Vec::new(),
+                keys: HashMap::new(),
+                incongruent: Vec::new(),
+            };
+            r.intern(layout, p0.clone())?;
+            let mut i = 0;
+            while i < r.locations.len() {
+                let rep = r.locations[i].representative.clone();
+                let results: Vec<OpResult> = match rep.current() {
+                    Step::Halt => {
+                        i += 1;
+                        continue;
+                    }
+                    Step::Internal => vec![OpResult::None],
+                    Step::Op(op) => op_result_domain(&op, layout)
+                        .ok_or(ExtractError::DomainTooWide { location: i as u32 })?
+                        .collect(),
+                };
+                for result in results {
+                    let mut succ = rep.clone();
+                    succ.advance(result);
+                    let id = r.intern(layout, succ)?;
+                    if !r.locations[i].successors.contains(&id) {
+                        r.locations[i].successors.push(id);
+                    }
+                }
+                i += 1;
+            }
+            let mut auto = ControlAutomaton {
+                locations: r.locations,
+                keys: Keyed::default(),
+                incongruent: r.incongruent,
+            };
+            auto.compute_future();
+            Ok(auto)
+        }
+
+        fn intern(&mut self, layout: &Layout, state: P) -> Result<u32, ExtractError> {
+            let fp = Footprint::of_step(&state.current(), layout);
+            match self.keys.entry(key_of(&state)) {
+                Entry::Occupied(e) => {
+                    let id = *e.get();
+                    if fp != self.locations[id as usize].footprint
+                        && !self.incongruent.iter().any(|(l, f)| *l == id && *f == fp)
+                    {
+                        self.incongruent.push((id, fp));
+                    }
+                    Ok(id)
+                }
+                Entry::Vacant(e) => {
+                    if self.locations.len() >= MAX_LOCATIONS {
+                        return Err(ExtractError::TooManyLocations);
+                    }
+                    let id = self.locations.len() as u32;
+                    e.insert(id);
+                    self.locations.push(Location {
+                        representative: state,
+                        footprint: fp,
+                        successors: Vec::new(),
+                        future: RegisterSet::new(),
+                        future_rw: Footprint::default(),
+                    });
+                    Ok(id)
+                }
+            }
+        }
+    }
+
+    /// Extracts every process both ways and asserts equal automata.
+    fn assert_matches_reference<P>(name: &str, layout: &Layout, procs: &[P])
+    where
+        P: Process + Clone + Eq + Hash + fmt::Debug,
+    {
+        for (i, p) in procs.iter().enumerate() {
+            let got = ControlAutomaton::extract(layout, p).unwrap();
+            let want = Reference::extract(layout, p).unwrap();
+            assert!(
+                got == want,
+                "{name}: process {i} differs from the reference"
+            );
+            // Every state the reference keyed resolves to the same id.
+            for (id, loc) in want.locations.iter().enumerate() {
+                assert_eq!(got.location_of(&loc.representative), Some(id as u32));
+            }
+        }
+    }
+
+    #[test]
+    fn extraction_matches_the_reference_extractor() {
+        use cfc_core::ProcessId;
+        use cfc_mutex::mutation::BakeryMutation;
+        use cfc_mutex::{
+            Bakery, DetectionAlgorithm, MutexAlgorithm, PetersonTwo, Splitter, Tournament,
+        };
+        use cfc_naming::{NamingAlgorithm, TafTree, TasScan};
+
+        fn clients<A: MutexAlgorithm>(alg: &A) -> Vec<cfc_mutex::MutexClient<A::Lock>> {
+            (0..alg.n() as u32)
+                .map(|i| alg.client_with_cs(ProcessId::new(i), 1, 1))
+                .collect()
+        }
+
+        // The families and sizes `lint_models` lints.
+        let peterson = PetersonTwo::new();
+        assert_matches_reference("peterson-two", &peterson.layout(), &clients(&peterson));
+        for bakery in [
+            Bakery::new(3),
+            Bakery::new(2),
+            Bakery::new(3).with_mutation(BakeryMutation::UnderReportScan),
+        ] {
+            assert_matches_reference("bakery", &bakery.layout(), &clients(&bakery));
+        }
+        let tournament = Tournament::new(3, 1);
+        assert_matches_reference("tournament", &tournament.layout(), &clients(&tournament));
+        let scan = TasScan::new(4);
+        assert_matches_reference("tas-scan", &scan.layout(), &scan.processes());
+        let taf = TafTree::new(4).expect("power-of-two size");
+        assert_matches_reference("taf-tree", &taf.layout(), &taf.processes());
+        let splitter = Splitter::new(3);
+        let procs: Vec<_> = (0..3)
+            .map(|i| splitter.process(ProcessId::new(i)))
+            .collect();
+        assert_matches_reference("splitter", &splitter.layout(), &procs);
+
+        // The incongruent fixture: both extractors find the same
+        // non-empty incongruence list.
+        let mut layout = Layout::new();
+        let p = Chooser {
+            hook: Hook::HideBranch,
+            ..chooser(&mut layout, 2)
+        };
+        assert_matches_reference("incongruent", &layout, std::slice::from_ref(&p));
+        let got = ControlAutomaton::extract(&layout, &p).unwrap();
+        let want = Reference::extract(&layout, &p).unwrap();
+        assert!(!got.incongruent.is_empty());
+        assert_eq!(got.incongruent, want.incongruent);
     }
 }

@@ -480,13 +480,16 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
     /// nested span when the configuration asks for automaton-derived
     /// future sets (both the static automaton mode and the dynamic mode
     /// build on it; meaningful only with partial-order reduction on), and
-    /// returns the normalized root.
+    /// returns the normalized root. The span counts the index's entries
+    /// as its states and its unanalyzable processes as its transitions,
+    /// as the lint span counts its findings.
     fn prepare(&mut self, tel: &Telemetry, procs: Vec<P>) -> Node<P> {
         if self.config.por && self.config.may_access != MayAccessMode::Declared {
             let auto_span = tel.span(Phase::ExtractAutomaton);
             let index = FutureIndex::build(self.template.layout(), &procs);
             auto_span.finish(Snapshot {
                 states: index.len() as u64,
+                transitions: index.findings().len() as u64,
                 ..Snapshot::default()
             });
             self.future = Some(index);
