@@ -145,39 +145,29 @@ impl Footprint {
         fp
     }
 
-    /// Overwrites `self` with [`Footprint::of_op`]`(op, layout)`, reusing
-    /// its storage: the result is equal member for member and word for
-    /// word, and it allocates only when a set grows past its capacity.
-    pub fn refill_op(&mut self, op: &Op, layout: &Layout) {
+    /// Overwrites `self` with [`Footprint::of_step`]`(step, layout)`,
+    /// reusing its storage: the result is equal member for member and
+    /// word for word, and it allocates only when a set grows past its
+    /// capacity.
+    pub fn refill_step(&mut self, step: &Step, layout: &Layout) {
+        match step.op() {
+            Some(op) => self.refill_op(op, layout),
+            None => self.empty(),
+        }
+    }
+
+    /// Overwrites `self` with [`Footprint::of_op`]`(op, layout)`.
+    fn refill_op(&mut self, op: &Op, layout: &Layout) {
         self.empty();
         let class = op.class();
-        let mut add = |r: RegisterId| {
+        op.registers(layout).for_each(|r| {
             if class.reads() {
                 self.reads.insert(r);
             }
             if class.writes() {
                 self.writes.insert(r);
             }
-        };
-        // The registers of `Op::registers`, without collecting them.
-        match op {
-            Op::Read(r) | Op::Write(r, _) | Op::Bit(r, _) => add(*r),
-            Op::ReadWord(w) => layout
-                .word_members(*w)
-                .unwrap_or(&[])
-                .iter()
-                .for_each(|&r| add(r)),
-            Op::WriteWord(_, fields) => fields.iter().for_each(|&(r, _)| add(r)),
-        }
-    }
-
-    /// Overwrites `self` with [`Footprint::of_step`]`(step, layout)`,
-    /// reusing its storage like [`Footprint::refill_op`].
-    pub fn refill_step(&mut self, step: &Step, layout: &Layout) {
-        match step.op() {
-            Some(op) => self.refill_op(op, layout),
-            None => self.empty(),
-        }
+        });
     }
 
     /// Makes both sets empty with no backing words, as in a fresh
@@ -338,11 +328,22 @@ mod tests {
         for step in steps.iter().cycle().take(2 * steps.len()) {
             scratch.refill_step(step, &layout);
             assert_eq!(scratch, Footprint::of_step(step, &layout), "{step:?}");
-            if let Some(op) = step.op() {
-                scratch.refill_op(op, &layout);
-                assert_eq!(scratch, Footprint::of_op(op, &layout), "{op}");
-            }
         }
+    }
+
+    #[test]
+    fn packed_word_footprints_cover_the_accessed_fields() {
+        let mut layout = Layout::new();
+        let regs = layout.bits("r", 130, false);
+        let (lo, hi) = (regs[3], regs[129]);
+        let w = layout.pack(&[lo, hi]).unwrap();
+        let read = Footprint::of_op(&Op::ReadWord(w), &layout);
+        assert_eq!(read.reads.iter().collect::<Vec<_>>(), [lo, hi]);
+        assert!(read.writes.is_empty());
+        // A partial write touches only the fields it writes.
+        let write = Footprint::of_op(&Op::WriteWord(w, vec![(hi, Value::ONE)]), &layout);
+        assert_eq!(write.writes.iter().collect::<Vec<_>>(), [hi]);
+        assert!(write.reads.is_empty());
     }
 
     #[test]

@@ -74,13 +74,18 @@ impl Op {
     /// The registers this operation accesses, in field order.
     ///
     /// For packed-word operations this is every *accessed* field: all
-    /// members for `ReadWord`, the written subset for `WriteWord`.
-    pub fn registers<'a>(&'a self, layout: &'a Layout) -> Vec<RegisterId> {
-        match self {
-            Op::Read(r) | Op::Write(r, _) | Op::Bit(r, _) => vec![*r],
-            Op::ReadWord(w) => layout.word_members(*w).unwrap_or(&[]).to_vec(),
-            Op::WriteWord(_, fields) => fields.iter().map(|&(r, _)| r).collect(),
-        }
+    /// members for `ReadWord`, the written subset for `WriteWord`. The
+    /// iterator borrows the operation and the layout and allocates
+    /// nothing.
+    pub fn registers<'a>(&'a self, layout: &'a Layout) -> impl Iterator<Item = RegisterId> + 'a {
+        let (one, members, fields): (_, &[RegisterId], &[(RegisterId, Value)]) = match self {
+            Op::Read(r) | Op::Write(r, _) | Op::Bit(r, _) => (Some(*r), &[], &[]),
+            Op::ReadWord(w) => (None, layout.word_members(*w).unwrap_or(&[]), &[]),
+            Op::WriteWord(_, fields) => (None, &[], fields),
+        };
+        one.into_iter()
+            .chain(members.iter().copied())
+            .chain(fields.iter().map(|&(r, _)| r))
     }
 
     /// The read/write footprint of this operation: its accessed registers,
@@ -100,8 +105,7 @@ impl Op {
     /// access to an `l`-bit register is `l` bit accesses.
     pub fn bit_width(&self, layout: &Layout) -> u64 {
         self.registers(layout)
-            .iter()
-            .map(|&r| u64::from(layout.width(r)))
+            .map(|r| u64::from(layout.width(r)))
             .sum()
     }
 }
@@ -255,12 +259,11 @@ mod tests {
         let y = layout.register("y", 3, 0);
         let w = layout.pack(&[x, y]).unwrap();
 
-        assert_eq!(Op::Read(x).registers(&layout), vec![x]);
-        assert_eq!(Op::ReadWord(w).registers(&layout), vec![x, y]);
-        assert_eq!(
-            Op::WriteWord(w, vec![(y, Value::ONE)]).registers(&layout),
-            vec![y]
-        );
+        let regs = |op: Op| op.registers(&layout).collect::<Vec<_>>();
+        assert_eq!(regs(Op::Read(x)), [x]);
+        assert_eq!(regs(Op::Bit(x, BitOp::TestAndSet)), [x]);
+        assert_eq!(regs(Op::ReadWord(w)), [x, y]);
+        assert_eq!(regs(Op::WriteWord(w, vec![(y, Value::ONE)])), [y]);
         assert_eq!(Op::Read(x).bit_width(&layout), 4);
         assert_eq!(Op::ReadWord(w).bit_width(&layout), 7);
     }

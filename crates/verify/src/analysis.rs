@@ -126,34 +126,18 @@ impl std::error::Error for ExtractError {}
 #[derive(Clone, Copy, Debug, Default)]
 struct MulXor(u64);
 
-impl MulXor {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
 impl Hasher for MulXor {
+    // Inlined because the maps are instantiated in downstream crates,
+    // and the fixed-width writes (`write_u64`, ...) default to this
+    // method: out of line, each is a call with a loop and a copy.
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         for chunk in bytes.chunks(8) {
             let mut word = [0; 8];
             word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
+            let word = u64::from_le_bytes(word);
+            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
         }
-    }
-    fn write_u8(&mut self, x: u8) {
-        self.add(u64::from(x));
-    }
-    fn write_u16(&mut self, x: u16) {
-        self.add(u64::from(x));
-    }
-    fn write_u32(&mut self, x: u32) {
-        self.add(u64::from(x));
-    }
-    fn write_u64(&mut self, x: u64) {
-        self.add(x);
-    }
-    fn write_usize(&mut self, x: usize) {
-        self.add(x as u64);
     }
     fn finish(&self) -> u64 {
         self.0.rotate_left(26)
