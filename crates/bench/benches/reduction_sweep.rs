@@ -9,7 +9,7 @@
 //! while pid-distinguished tournament clients gain from ample sets alone.
 //!
 //! A second table sweeps the **progress checker** over the same reduction
-//! variants: since `check_progress_sym` runs on the reduced graph (and
+//! variants: since `check_progress` runs on the reduced graph (and
 //! its ample mode drops the invisibility condition), the speedup of the
 //! deadlock-freedom checks is measured here rather than asserted.
 //!

@@ -11,6 +11,8 @@
 //!
 //! [`AccessClass`]: crate::AccessClass
 
+use std::hash::{Hash, Hasher};
+
 use crate::ids::RegisterId;
 use crate::layout::Layout;
 use crate::op::{Op, Step};
@@ -20,15 +22,43 @@ use crate::op::{Op, Step};
 /// Used both for step footprints and for the
 /// [`Process::may_access`](crate::Process::may_access) over-approximation
 /// of a process's future accesses.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+///
+/// Equality and hashing go by the members alone: the trailing zero words
+/// that [`RegisterSet::clear`] keeps, or that a union with a longer set
+/// adds, do not count.
+#[derive(Clone, Debug, Default)]
 pub struct RegisterSet {
     words: Vec<u64>,
+}
+
+impl PartialEq for RegisterSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.significant() == other.significant()
+    }
+}
+
+impl Eq for RegisterSet {}
+
+impl Hash for RegisterSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.significant().hash(state);
+    }
 }
 
 impl RegisterSet {
     /// The empty set.
     pub fn new() -> Self {
         RegisterSet::default()
+    }
+
+    /// The backing words up to the last nonzero one.
+    fn significant(&self) -> &[u64] {
+        let len = self
+            .words
+            .iter()
+            .rposition(|&w| w != 0)
+            .map_or(0, |i| i + 1);
+        &self.words[..len]
     }
 
     /// Adds a register to the set.
@@ -282,6 +312,39 @@ mod tests {
             large.iter().map(|r| r.index()).collect::<Vec<_>>(),
             [3, 130]
         );
+    }
+
+    /// Sets with the same members are equal and hash equal, whatever
+    /// zero words a `clear` or a union with a longer set left behind.
+    #[test]
+    fn equality_and_hash_ignore_trailing_zero_words() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |s: &RegisterSet| {
+            let mut h = DefaultHasher::new();
+            s.hash(&mut h);
+            h.finish()
+        };
+        let mut r3 = RegisterSet::new();
+        r3.insert(RegisterId::new(3));
+
+        let mut reused = RegisterSet::new();
+        reused.insert(RegisterId::new(130));
+        reused.clear();
+        reused.insert(RegisterId::new(3));
+        assert_eq!(reused, r3);
+        assert_eq!(hash(&reused), hash(&r3));
+
+        let mut emptied = RegisterSet::new();
+        emptied.insert(RegisterId::new(200));
+        emptied.clear();
+        let mut union = r3.clone();
+        union.union_with(&emptied);
+        assert_eq!(union, r3);
+        assert_eq!(hash(&union), hash(&r3));
+
+        assert_eq!(emptied, RegisterSet::new());
+        assert_eq!(hash(&emptied), hash(&RegisterSet::new()));
+        assert_ne!(reused, RegisterSet::new());
     }
 
     #[test]

@@ -1,29 +1,31 @@
 //! Process-symmetry groups for state-space reduction.
 //!
-//! Many of the paper's algorithms run sets of *interchangeable* processes:
-//! the naming algorithms of Section 3 are **structurally** symmetric —
-//! every participant starts from the identical state and diverges only
-//! through returned bit values — and the mutual-exclusion clients step
-//! through index-oblivious semantics (the executor never consults a
-//! process's position when applying its operations). A [`SymmetryGroup`]
-//! records which process indices may be permuted without changing the
-//! behaviour of the system, as a partition of `0..n` into classes; the
-//! symmetry-reduced explorer in `cfc-verify` canonicalizes visited-state
-//! keys by sorting the local states of each class, exploring one
-//! representative per orbit.
+//! In the paper's model a process's next step is a pure function of its
+//! own local state: the executor never consults a process's position
+//! when it applies an operation. So two processes are interchangeable
+//! exactly when they start in equal local states. The naming algorithms
+//! of Section 3 run such processes — every participant starts from the
+//! identical state and diverges only through returned bit values — while
+//! a mutual-exclusion client that embeds its pid starts distinct from
+//! every peer. A [`SymmetryGroup`] records which process indices may be
+//! permuted without changing the behaviour of the system, as a partition
+//! of `0..n` into classes; [`SymmetryGroup::of_identical`] derives the
+//! classes of a process vector, and the symmetry-reduced checkers in
+//! `cfc-verify` canonicalize visited-state keys by sorting the local
+//! states of each class, exploring one representative per orbit.
 
 /// A partition of the process indices `0..n` into classes of
 /// interchangeable processes.
 ///
 /// Soundness contract: permuting the processes of one class (their local
 /// states and liveness statuses, leaving shared memory untouched) must map
-/// reachable global states to equally-behaving global states. This holds
-/// whenever processes of a class run the same program text parameterized
-/// only by their local state — true for all algorithms in this workspace,
-/// where a process's next step is a pure function of its own state.
-/// Checked properties must additionally be invariant under such
-/// permutations (e.g. "at most one process in the critical section",
-/// "decided names are pairwise distinct").
+/// the initial state to itself and reachable global states to
+/// equally-behaving global states. [`SymmetryGroup::of_identical`] meets
+/// it for every process type of this workspace: a process's next step is
+/// a pure function of its own state, and its classes hold only processes
+/// whose initial states are equal. Checked properties must additionally be
+/// invariant under such permutations (e.g. "at most one process in the
+/// critical section", "decided names are pairwise distinct").
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SymmetryGroup {
     n: usize,
@@ -33,8 +35,8 @@ pub struct SymmetryGroup {
 impl SymmetryGroup {
     /// The trivial group over `n` processes: nothing is interchangeable.
     ///
-    /// Under this group, symmetry reduction is the identity — the reduced
-    /// explorer behaves exactly like the baseline.
+    /// Under this group, symmetry reduction is the identity: every orbit
+    /// is a single state, so nothing merges.
     pub fn trivial(n: usize) -> Self {
         SymmetryGroup {
             n,
@@ -51,6 +53,26 @@ impl SymmetryGroup {
             Vec::new()
         };
         SymmetryGroup { n, classes }
+    }
+
+    /// The classes of processes that start identical: `procs` partitioned
+    /// by equal local state. Classes come in the order of their first
+    /// member, each sorted ascending, and singletons are dropped — so
+    /// processes that all start distinct give the trivial group, and
+    /// processes that all start equal give the full one.
+    pub fn of_identical<P: PartialEq>(procs: &[P]) -> Self {
+        let mut classes: Vec<Vec<usize>> = Vec::new();
+        for (i, p) in procs.iter().enumerate() {
+            match classes.iter_mut().find(|c| procs[c[0]] == *p) {
+                Some(class) => class.push(i),
+                None => classes.push(vec![i]),
+            }
+        }
+        classes.retain(|c| c.len() >= 2);
+        SymmetryGroup {
+            n: procs.len(),
+            classes,
+        }
     }
 
     /// A group from explicit classes; singleton and empty classes are
@@ -143,6 +165,28 @@ mod tests {
         // Degenerate sizes are trivial.
         assert!(SymmetryGroup::full(1).is_trivial());
         assert!(SymmetryGroup::full(0).is_trivial());
+    }
+
+    #[test]
+    fn of_identical_partitions_by_equal_state() {
+        // All distinct: nothing is interchangeable.
+        let g = SymmetryGroup::of_identical(&['a', 'b', 'c']);
+        assert!(g.is_trivial());
+        assert_eq!(g, SymmetryGroup::trivial(3));
+        // All equal: the full group.
+        assert_eq!(
+            SymmetryGroup::of_identical(&[7, 7, 7, 7]),
+            SymmetryGroup::full(4)
+        );
+        // Mixed: classes in first-occurrence order, members ascending,
+        // singletons dropped.
+        let g = SymmetryGroup::of_identical(&['x', 'y', 'z', 'y', 'x', 'w', 'x']);
+        assert_eq!(g.n(), 7);
+        assert_eq!(g.classes(), &[vec![0, 4, 6], vec![1, 3]]);
+        assert_eq!(g.order(), 12);
+        // Degenerate sizes are trivial.
+        assert!(SymmetryGroup::of_identical::<u8>(&[]).is_trivial());
+        assert!(SymmetryGroup::of_identical(&[1]).is_trivial());
     }
 
     #[test]

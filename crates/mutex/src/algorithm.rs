@@ -104,17 +104,19 @@ pub trait MutexAlgorithm {
     /// The lock state machine for participant `pid` (`pid.index() < n`).
     fn lock(&self, pid: ProcessId) -> Self::Lock;
 
-    /// The process-symmetry group of this algorithm, consumed by the
-    /// symmetry-reduced explorer in `cfc-verify`.
+    /// The process-symmetry group of this algorithm: the classes of
+    /// clients that start identical.
     ///
-    /// Defaults to the trivial group. Stepping is index-oblivious in this
-    /// model (a client's next op is a pure function of its local state),
-    /// so algorithms may soundly declare
-    /// [`SymmetryGroup::full`] whenever the exhaustive checks applied to
-    /// them are permutation-invariant; for clients whose lock state embeds
-    /// a distinct identity the quotient rarely merges anything, but the
-    /// declaration keeps the differential harness meaningful across both
-    /// problem families.
+    /// The checkers in `cfc-verify` do not read it; they derive the same
+    /// classes from the clients they build
+    /// ([`SymmetryGroup::of_identical`]). It serves callers that need the
+    /// group without building clients, such as a benchmark that
+    /// canonicalizes a corpus of states, and a workspace test holds it
+    /// equal to the derivation for every modeled family.
+    ///
+    /// Defaults to the trivial group, which is right for every lock whose
+    /// state embeds the client's pid; a lock with no identity at all
+    /// declares [`SymmetryGroup::full`].
     fn symmetry(&self) -> SymmetryGroup {
         SymmetryGroup::trivial(self.n())
     }

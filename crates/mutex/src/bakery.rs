@@ -29,9 +29,7 @@
 
 use std::sync::Arc;
 
-use cfc_core::{
-    Layout, Op, OpResult, ProcessId, RegisterId, RegisterSet, Step, SymmetryGroup, Value,
-};
+use cfc_core::{Layout, Op, OpResult, ProcessId, RegisterId, RegisterSet, Step, Value};
 
 use crate::algorithm::{LockProcess, MutexAlgorithm, StateNormalizer};
 use crate::mutation::BakeryMutation;
@@ -126,13 +124,6 @@ impl MutexAlgorithm for Bakery {
             my_number: 0,
             mutation: self.mutation,
         }
-    }
-
-    /// Every customer runs the same index-oblivious program text (its
-    /// index is part of the lock's local state), so the full group is
-    /// sound for the permutation-invariant exhaustive checks.
-    fn symmetry(&self) -> SymmetryGroup {
-        SymmetryGroup::full(self.n)
     }
 
     /// Ticket-shifting normalizer: bakery tickets grow without bound

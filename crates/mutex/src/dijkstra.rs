@@ -26,9 +26,7 @@
 
 use std::sync::Arc;
 
-use cfc_core::{
-    bits_for, Layout, Op, OpResult, ProcessId, RegisterId, RegisterSet, Step, SymmetryGroup, Value,
-};
+use cfc_core::{bits_for, Layout, Op, OpResult, ProcessId, RegisterId, RegisterSet, Step, Value};
 
 use crate::algorithm::{LockProcess, MutexAlgorithm};
 
@@ -87,13 +85,6 @@ impl MutexAlgorithm for Dijkstra {
             pc: Pc::Idle,
             k_seen: 0,
         }
-    }
-
-    /// Every contender runs the same index-oblivious program text (its
-    /// index is part of the lock's local state), so the full group is
-    /// sound for the permutation-invariant exhaustive checks.
-    fn symmetry(&self) -> SymmetryGroup {
-        SymmetryGroup::full(self.n)
     }
 }
 

@@ -16,9 +16,7 @@
 //! Contention-free entry costs 3 accesses (`flag[i]`, `turn`, `flag[j]`)
 //! and exit costs 1, touching 3 distinct bits.
 
-use cfc_core::{
-    Layout, Op, OpResult, ProcessId, RegisterId, RegisterSet, Step, SymmetryGroup, Value,
-};
+use cfc_core::{Layout, Op, OpResult, ProcessId, RegisterId, RegisterSet, Step, Value};
 
 use crate::algorithm::{LockProcess, MutexAlgorithm};
 use crate::mutation::PetersonMutation;
@@ -86,13 +84,6 @@ impl MutexAlgorithm for PetersonTwo {
         let mut lock = PetersonLock::new(self.flags, self.turn, pid.index());
         lock.mutation = self.mutation;
         lock
-    }
-
-    /// Both sides run the same index-oblivious program text (the side is
-    /// part of the lock's local state), so the full group is sound for
-    /// the permutation-invariant exhaustive checks.
-    fn symmetry(&self) -> SymmetryGroup {
-        SymmetryGroup::full(2)
     }
 }
 

@@ -27,7 +27,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use cfc_core::{Layout, OpResult, ProcessId, RegisterId, RegisterSet, Step, SymmetryGroup};
+use cfc_core::{Layout, OpResult, ProcessId, RegisterId, RegisterSet, Step};
 
 use crate::algorithm::{LockProcess, MutexAlgorithm};
 use crate::lamport::LamportLock;
@@ -270,13 +270,6 @@ impl MutexAlgorithm for Tournament {
             exit_order: self.exit_order,
             mutation: self.mutation,
         }
-    }
-
-    /// Every participant runs the same index-oblivious climb (its path and
-    /// slots live in the lock's local state), so the full group is sound
-    /// for the permutation-invariant exhaustive checks.
-    fn symmetry(&self) -> SymmetryGroup {
-        SymmetryGroup::full(self.n)
     }
 }
 

@@ -60,8 +60,12 @@ pub trait NamingAlgorithm {
     /// Symmetry is structural for naming — [`NamingAlgorithm::process`]
     /// takes no identity, so every participant starts identical and any
     /// permutation of the process vector is an automorphism of the state
-    /// graph. The symmetry-reduced explorer in `cfc-verify` exploits this
-    /// to explore one representative per orbit.
+    /// graph. The checkers in `cfc-verify` do not read this group: they
+    /// derive the same classes from the processes they build
+    /// ([`SymmetryGroup::of_identical`]). It serves callers that need the
+    /// group without building processes, such as a benchmark that
+    /// canonicalizes a corpus of states, and a workspace test holds it
+    /// equal to the derivation for every modeled family.
     fn symmetry(&self) -> SymmetryGroup {
         SymmetryGroup::full(self.n())
     }

@@ -6,7 +6,9 @@ use cfc_core::{Process, Section, Status, Value};
 use cfc_mutex::{DetectionAlgorithm, MutexAlgorithm};
 use cfc_naming::NamingAlgorithm;
 
-use crate::explore::{explore_sym, ExploreConfig, ExploreError, ExploreStats, StateView};
+use crate::explore::{
+    check_progress, explore, ExploreConfig, ExploreError, ExploreStats, StateView,
+};
 
 /// Exhaustively verifies mutual exclusion: across **every** interleaving
 /// of `trips`-trip clients, no two processes are simultaneously in their
@@ -32,10 +34,9 @@ where
     let clients: Vec<_> = (0..alg.n() as u32)
         .map(|i| alg.client_with_cs(cfc_core::ProcessId::new(i), trips, 1))
         .collect();
-    explore_sym(
+    explore(
         memory,
         clients,
-        &alg.symmetry(),
         config,
         |view| {
             let in_cs = view
@@ -80,12 +81,9 @@ where
     let procs: Vec<_> = (0..alg.n() as u32)
         .map(|i| alg.process(cfc_core::ProcessId::new(i)))
         .collect();
-    // Detection processes carry their pid and write it into the splitter
-    // registers, so no two are interchangeable: the trivial group.
-    explore_sym(
+    explore(
         memory,
         procs,
-        &cfc_core::SymmetryGroup::trivial(alg.n()),
         config,
         |view| {
             let winners = view.count_output(Value::ONE);
@@ -119,10 +117,9 @@ where
     let memory = memory_of(alg.memory())?;
     let n = alg.n();
     let procs = alg.processes();
-    explore_sym(
+    explore(
         memory,
         procs,
-        &alg.symmetry(),
         ExploreConfig {
             max_crashes,
             ..config
@@ -148,10 +145,10 @@ where
 /// continuation reaches a state where every client has finished.
 ///
 /// Runs on the reduced state graph when `config` asks for it: symmetry
-/// reduction uses the algorithm's declared [`MutexAlgorithm::symmetry`]
-/// group, partial-order reduction the clients' footprints — see
-/// [`crate::explore::check_progress_sym`] for the soundness argument and
-/// crash-budget semantics (crashed clients count as quiesced).
+/// reduction over the clients that start identical, partial-order
+/// reduction over the clients' footprints — see [`check_progress`] for
+/// the soundness argument and crash-budget semantics (crashed clients
+/// count as quiesced).
 ///
 /// # Errors
 ///
@@ -170,7 +167,7 @@ where
     let clients: Vec<_> = (0..alg.n() as u32)
         .map(|i| alg.client(cfc_core::ProcessId::new(i), trips))
         .collect();
-    crate::explore::check_progress_sym(memory, clients, &alg.symmetry(), config)
+    check_progress(memory, clients, config)
 }
 
 /// Exhaustively verifies progress of a naming algorithm: from every
@@ -181,10 +178,9 @@ where
 /// This is weaker than the wait-freedom the algorithms guarantee (which
 /// [`check_naming_uniqueness`] validates terminally) but it is checked
 /// from *every* reachable state, so it rules out any reachable wedge.
-/// Naming processes are structurally identical, so the algorithm's full
-/// [`NamingAlgorithm::symmetry`] group applies; with
-/// `ExploreConfig::reduced()` the canonical quotient reaches process
-/// counts the un-reduced graph cannot.
+/// Naming processes start identical, so symmetry reduction merges all
+/// of them; with `ExploreConfig::reduced()` the canonical quotient
+/// reaches process counts the un-reduced graph cannot.
 ///
 /// # Errors
 ///
@@ -200,10 +196,9 @@ where
     A::Proc: Clone + Eq + Hash,
 {
     let memory = memory_of(alg.memory())?;
-    crate::explore::check_progress_sym(
+    check_progress(
         memory,
         alg.processes(),
-        &alg.symmetry(),
         ExploreConfig {
             max_crashes,
             ..config
@@ -218,9 +213,7 @@ where
 /// The splitter-based detectors satisfy this (every participant always
 /// terminates); the Lemma 1 mutex-derived detector does **not** — its
 /// losers may busy-wait forever, which is permitted by weak deadlock
-/// freedom — so this check distinguishes the two families. Detection
-/// processes carry their pid, so the trivial symmetry group applies and
-/// only partial-order reduction can shrink the graph.
+/// freedom — so this check distinguishes the two families.
 ///
 /// # Errors
 ///
@@ -238,12 +231,7 @@ where
     let procs: Vec<_> = (0..alg.n() as u32)
         .map(|i| alg.process(cfc_core::ProcessId::new(i)))
         .collect();
-    crate::explore::check_progress_sym(
-        memory,
-        procs,
-        &cfc_core::SymmetryGroup::trivial(alg.n()),
-        config,
-    )
+    check_progress(memory, procs, config)
 }
 
 fn check_names_distinct<P: Process>(view: &StateView<'_, P>, n: usize) -> Result<(), String> {

@@ -10,17 +10,16 @@
 //! wait-freedom claims of the naming algorithms are validated under every
 //! adversarial failure pattern.
 //!
-//! The DFS safety explorer ([`explore`], [`explore_sym`]), the progress
-//! checker ([`check_progress`], [`check_progress_sym`]), and the
-//! fair-cycle liveness engine (`crate::liveness`) are all thin clients
-//! of one unified traversal driver (`GraphBuilder` in `crate::graph`):
-//! the same successor function, canonical interning, crash branching,
-//! budget accounting, and ample-set selection — so a reduction is
-//! implemented (and argued sound) once, and every property benefits from
-//! it. Each wrapper picks only its ample mode (which also picks the DFS or
-//! the BFS) and its symmetry group; everything else comes from the one
-//! [`ExploreConfig`]. All three report one statistics record,
-//! [`ExploreStats`].
+//! The DFS safety explorer ([`explore`]), the progress checker
+//! ([`check_progress`]), and the fair-cycle liveness engine
+//! (`crate::liveness`) are all thin clients of one unified traversal
+//! driver (`GraphBuilder` in `crate::graph`): the same successor
+//! function, canonical interning, crash branching, budget accounting,
+//! and ample-set selection — so a reduction is implemented (and argued
+//! sound) once, and every property benefits from it. Each wrapper picks
+//! only its ample mode (which also picks the DFS or the BFS); everything
+//! else comes from the one [`ExploreConfig`] and the processes
+//! themselves. All three report one statistics record, [`ExploreStats`].
 //!
 //! # State-space reduction
 //!
@@ -45,13 +44,17 @@
 //! forever. Crash branching disables the reduction at any state that can
 //! still crash (crash transitions commute with nothing).
 //!
-//! **Symmetry reduction.** Visited-state keys are canonicalized by
-//! sorting the local states of interchangeable processes (as declared by
-//! a [`SymmetryGroup`]) under a per-process fingerprint, so one orbit
-//! representative stands for up to `k!` permuted states. The search still
-//! walks *concrete* states — schedules remain valid un-reduced schedules
-//! and every reported violation [`replay`]s against the baseline
-//! semantics.
+//! **Symmetry reduction.** A process's next step depends only on its own
+//! local state, so processes that start identical are interchangeable:
+//! each checker partitions its processes by equal initial state
+//! ([`SymmetryGroup::of_identical`]) and canonicalizes visited-state keys
+//! by sorting the local states of each class under a per-process
+//! fingerprint, so one orbit representative stands for up to `k!`
+//! permuted states. Processes that embed a distinct identity (a pid, a
+//! tournament path) start distinct, form no class, and merge nothing. The
+//! search still walks *concrete* states — schedules remain valid
+//! un-reduced schedules and every reported violation [`replay`]s against
+//! the baseline semantics.
 //!
 //! Soundness contract for the checks (trivially met by the ready-made
 //! checks in [`crate::checks`]): with `por` enabled, `state_check` must
@@ -59,14 +62,14 @@
 //! liveness status); `terminal_check` may inspect everything (quiescent
 //! states are preserved exactly — persistent sets preserve deadlocks).
 //! With `symmetry` enabled, both checks must be invariant under
-//! permutations of the declared classes. The baseline explorer (both
-//! flags off, the default) has no such requirements and remains available
-//! for differential testing — see the oracle matrix in
+//! permutations of processes that start identical. The baseline explorer
+//! (both flags off, the default) has no such requirements and remains
+//! available for differential testing — see the oracle matrix in
 //! `tests/common/matrix.rs`.
 //!
 //! # Reduction-aware progress checking
 //!
-//! [`check_progress_sym`] verifies *possibility of progress* — from every
+//! [`check_progress`] verifies *possibility of progress* — from every
 //! reachable state, some continuation reaches quiescence — on the reduced
 //! graph directly, and both reductions are sound for it:
 //!
@@ -82,7 +85,9 @@
 //!   interned before, so every cycle of the reduced graph contains a
 //!   fully expanded state and no process is deferred forever. See the
 //!   README "Verification pipeline" section for the two-direction
-//!   soundness argument.
+//!   soundness argument. Under symmetry the candidates are tried by
+//!   local state rather than by pid, so a permuted start builds the same
+//!   reduced graph.
 //!
 //! Progress violations carry a concrete schedule to the stuck state,
 //! reconstructed from predecessor edges of the state graph, which
@@ -120,7 +125,12 @@ pub struct ExploreConfig {
     /// reference semantics.
     pub por: bool,
     /// Enable symmetry reduction: canonicalize visited-state keys under
-    /// the system's [`SymmetryGroup`]. A no-op under the trivial group.
+    /// the classes of processes that start identical
+    /// ([`SymmetryGroup::of_identical`]). Merges nothing when every
+    /// process starts distinct; with [`ExploreConfig::por`] on as well,
+    /// the progress checker then still tries its ample candidates by
+    /// local state instead of by pid. The checks must be invariant under
+    /// permutations of those classes (see the module docs).
     pub symmetry: bool,
     /// Which future-access over-approximation ample-set selection
     /// consults: [`MayAccessMode::Declared`] (the default) trusts the
@@ -179,9 +189,9 @@ impl ExploreConfig {
 }
 
 /// Statistics of a completed check, the one record every checker
-/// reports: the safety DFS ([`explore_sym`]), the progress check
-/// ([`check_progress_sym`]), and the liveness check
-/// ([`crate::liveness::check_liveness_sym`]), which sums every field
+/// reports: the safety DFS ([`explore`]), the progress check
+/// ([`check_progress`]), and the liveness check
+/// ([`crate::liveness::check_liveness`]), which sums every field
 /// except `wall_ns` over the per-victim graphs it builds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExploreStats {
@@ -393,19 +403,21 @@ pub fn canonical_key<P: Process + Clone + Eq + Hash>(
 }
 
 /// Explores every interleaving (and crash pattern, if enabled) of the
-/// processes under the trivial symmetry group, checking `state_check` in
-/// every reachable state and `terminal_check` in every quiescent state.
-///
-/// Equivalent to [`explore_sym`] with [`SymmetryGroup::trivial`]; use
-/// `explore_sym` to make [`ExploreConfig::symmetry`] effective.
+/// processes, checking `state_check` in every reachable state and
+/// `terminal_check` in every quiescent state, with the reductions
+/// requested by `config`: partial-order reduction via footprint
+/// independence, and symmetry reduction over the processes that start
+/// identical ([`SymmetryGroup::of_identical`]). See the module docs for
+/// the exact soundness contract on the checks.
 ///
 /// Process types must be `Clone + Eq + Hash` so states can be memoized;
 /// the enum-based state machines of `cfc-mutex`/`cfc-naming` all qualify.
 ///
 /// # Errors
 ///
-/// Returns the first violation found (with its schedule), state-budget
-/// exhaustion, or an invalid memory operation.
+/// Returns the first violation found (with its schedule, which replays
+/// under the un-reduced semantics), state-budget exhaustion, or an
+/// invalid memory operation.
 pub fn explore<P, FS, FT>(
     memory: Memory,
     procs: Vec<P>,
@@ -418,68 +430,13 @@ where
     FS: FnMut(&StateView<'_, P>) -> Result<(), String>,
     FT: FnMut(&StateView<'_, P>) -> Result<(), String>,
 {
-    let group = SymmetryGroup::trivial(procs.len());
-    explore_sym(memory, procs, &group, config, state_check, terminal_check)
-}
-
-/// Explores every interleaving (and crash pattern, if enabled) of the
-/// processes, with the reductions requested by `config` — partial-order
-/// reduction via footprint independence, symmetry reduction via the given
-/// group. See the module docs for the exact soundness contract on the
-/// checks.
-///
-/// # Errors
-///
-/// Returns the first violation found (with its schedule, which replays
-/// under the un-reduced semantics), state-budget exhaustion, or an
-/// invalid memory operation.
-///
-/// # Panics
-///
-/// Panics if `symmetry` is defined over a different process count.
-pub fn explore_sym<P, FS, FT>(
-    memory: Memory,
-    procs: Vec<P>,
-    symmetry: &SymmetryGroup,
-    config: ExploreConfig,
-    state_check: FS,
-    terminal_check: FT,
-) -> Result<ExploreStats, ExploreError>
-where
-    P: Process + Clone + Eq + Hash,
-    FS: FnMut(&StateView<'_, P>) -> Result<(), String>,
-    FT: FnMut(&StateView<'_, P>) -> Result<(), String>,
-{
     let spec = TraversalSpec {
         ample_mode: AmpleMode::Safety,
-        symmetry: symmetry.clone(),
+        symmetry: SymmetryGroup::of_identical(&procs),
         normalizer: None,
         served: None,
     };
     GraphBuilder::new(memory, config, spec, procs.len()).run_dfs(procs, state_check, terminal_check)
-}
-
-/// Exhaustively verifies *possibility of progress* under the trivial
-/// symmetry group: from **every** reachable state of the system, some
-/// continuation reaches quiescence. Equivalent to [`check_progress_sym`]
-/// with [`SymmetryGroup::trivial`]; use `check_progress_sym` to make
-/// [`ExploreConfig::symmetry`] effective.
-///
-/// # Errors
-///
-/// Returns a [`Violation`] with a replayable schedule to a stuck state if
-/// one exists, a state-budget error for oversized systems, or a memory
-/// error.
-pub fn check_progress<P>(
-    memory: Memory,
-    procs: Vec<P>,
-    config: ExploreConfig,
-) -> Result<ExploreStats, ExploreError>
-where
-    P: Process + Clone + Eq + Hash,
-{
-    let group = SymmetryGroup::trivial(procs.len());
-    check_progress_sym(memory, procs, &group, config)
 }
 
 /// Exhaustively verifies *possibility of progress*: from **every**
@@ -497,12 +454,13 @@ where
 /// then back-propagates "can reach a terminal" over reversed edges. Both
 /// [`ExploreConfig`] reductions apply (see the module docs for why they
 /// are sound for progress): with `symmetry`, the graph is the canonical
-/// quotient — one interned representative per orbit, never stored twice —
-/// and with `por`, states are expanded through a single independent
-/// process when the fresh-successor proviso allows.
+/// quotient over the processes that start identical — one interned
+/// representative per orbit, never stored twice — and with `por`, states
+/// are expanded through a single independent process when the
+/// fresh-successor proviso allows.
 ///
 /// The crash budget is honored: with `max_crashes > 0` the graph branches
-/// on adversarial crash transitions exactly like [`explore_sym`], and
+/// on adversarial crash transitions exactly like [`explore`], and
 /// **crashed processes count as quiesced** — quiescence means no process
 /// is still `Running`, so a run in which some processes crashed and all
 /// others halted is a valid terminal. Partial-order reduction is
@@ -515,14 +473,9 @@ where
 /// sibling of) the stuck state, reconstructed from predecessor edges,
 /// and [`replay`] accepts it — a state-budget error for oversized
 /// systems, or a memory error.
-///
-/// # Panics
-///
-/// Panics if `symmetry` is defined over a different process count.
-pub fn check_progress_sym<P>(
+pub fn check_progress<P>(
     memory: Memory,
     procs: Vec<P>,
-    symmetry: &SymmetryGroup,
     config: ExploreConfig,
 ) -> Result<ExploreStats, ExploreError>
 where
@@ -539,7 +492,7 @@ where
     let check_span = tel.span(Phase::ProgressCheck);
     let spec = TraversalSpec {
         ample_mode: AmpleMode::Progress,
-        symmetry: symmetry.clone(),
+        symmetry: SymmetryGroup::of_identical(&procs),
         normalizer: None,
         served: None,
     };
@@ -661,7 +614,7 @@ impl<P: Process> Replayed<P> {
 /// Returns [`ExecError::NotRunnable`] if the schedule steps or crashes a
 /// process that is no longer running (halted or crashed), or the memory
 /// error of an operation that fails. A schedule obtained from
-/// [`explore`], [`explore_sym`], or the progress checkers always replays
+/// [`explore`] or the progress checkers always replays
 /// cleanly.
 pub fn replay<P: Process>(
     memory: Memory,
@@ -914,10 +867,9 @@ mod tests {
         )
         .unwrap();
         let mut counts = std::collections::BTreeSet::new();
-        let reduced = explore_sym(
+        let reduced = explore(
             memory,
             procs,
-            &SymmetryGroup::full(2),
             ExploreConfig {
                 symmetry: true,
                 ..ExploreConfig::default()
@@ -1192,13 +1144,7 @@ mod tests {
     fn progress_verdict_matches_across_reductions() {
         let (memory, procs) = incr_system();
         let base = check_progress(memory.clone(), procs.clone(), ExploreConfig::default()).unwrap();
-        let red = check_progress_sym(
-            memory,
-            procs,
-            &SymmetryGroup::full(2),
-            ExploreConfig::reduced(),
-        )
-        .unwrap();
+        let red = check_progress(memory, procs, ExploreConfig::reduced()).unwrap();
         assert!(red.states <= base.states);
         assert!(red.orbits_merged > 0 || red.states_pruned_por > 0);
     }
@@ -1234,13 +1180,7 @@ mod tests {
             },
             ExploreConfig::reduced(),
         ] {
-            let err = check_progress_sym(
-                memory.clone(),
-                procs.clone(),
-                &SymmetryGroup::full(2),
-                config,
-            )
-            .unwrap_err();
+            let err = check_progress(memory.clone(), procs.clone(), config).unwrap_err();
             let ExploreError::Violation(v) = err else {
                 panic!("expected a progress violation");
             };

@@ -2,8 +2,8 @@
 //! behind every exhaustive checker.
 //!
 //! All three search drivers in this crate — the DFS safety explorer
-//! ([`crate::explore::explore_sym`]), the BFS progress checker
-//! ([`crate::explore::check_progress_sym`]), and the fair-cycle liveness
+//! ([`crate::explore::explore`]), the BFS progress checker
+//! ([`crate::explore::check_progress`]), and the fair-cycle liveness
 //! builder in [`crate::liveness`] — walk the same state graph: global
 //! states (process local states, register values, liveness statuses,
 //! remaining crash budget) connected by process steps and crash
@@ -34,7 +34,10 @@
 //! * [`GraphBuilder`] — the one traversal type: the memory template, one
 //!   [`ExploreConfig`] (budgets, crash budget, reduction switches), and a
 //!   [`TraversalSpec`] holding only what the callers vary (ample mode,
-//!   symmetry group, state normalizer, service predicate). The ample mode
+//!   symmetry group, state normalizer, service predicate). The safety and
+//!   progress checkers take the classes of processes that start
+//!   identical ([`SymmetryGroup::of_identical`]); the liveness checker
+//!   takes its victims' stabilizers of those classes. The ample mode
 //!   fixes the rest. [`AmpleMode::Safety`] runs the DFS
 //!   ([`GraphBuilder::run_dfs`]), which memoizes concrete states keyed
 //!   canonically at pop time, invokes per-state checks, keeps the
@@ -42,7 +45,10 @@
 //!   graph. The progress and liveness modes run the BFS
 //!   ([`GraphBuilder::build_graph`]), which interns one canonical
 //!   representative per orbit and returns the labeled [`BuiltGraph`],
-//!   whose terminals are the nodes sealed with no edge.
+//!   whose terminals are the nodes sealed with no edge. Under symmetry
+//!   the progress BFS expands the runnable processes in an order no pid
+//!   decides (local state, then start state), so its POR graph is the
+//!   same for every permutation of the processes.
 //!   Both loops return [`ExploreStats`], and every witness schedule is
 //!   re-derived concretely along a built graph by [`GraphBuilder::walk`].
 //!   The interning discipline, crash branching, budget accounting, and
@@ -225,7 +231,8 @@ pub(crate) struct TraversalSpec<'a, P> {
     /// Which ample-set conditions partial-order reduction must respect;
     /// also picks the loop (see [`AmpleMode`]).
     pub(crate) ample_mode: AmpleMode,
-    /// The symmetry group canonical visited keys are computed under.
+    /// The symmetry group canonical visited keys are computed under when
+    /// [`ExploreConfig::symmetry`] is on, over the traversal's processes.
     pub(crate) symmetry: SymmetryGroup,
     /// Optional behavioral-quotient normalizer applied to the root and to
     /// every successor before interning (see
@@ -369,23 +376,12 @@ const MAX_STATES: usize = u32::MAX as usize - 1;
 impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
     /// Builds a driver for `n` processes over `memory`. A state budget
     /// above `MAX_STATES` is clamped to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's symmetry group is over a different process
-    /// count.
     pub(crate) fn new(
         memory: Memory,
         config: ExploreConfig,
         spec: TraversalSpec<'a, P>,
         n: usize,
     ) -> Self {
-        assert_eq!(
-            spec.symmetry.n(),
-            n,
-            "symmetry group is over {} processes, system has {n}",
-            spec.symmetry.n()
-        );
         GraphBuilder {
             template: memory,
             config: ExploreConfig {
@@ -887,6 +883,23 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             return Err(ExploreError::StateBudget(g.store.len()));
         }
 
+        // Under symmetry, the progress BFS with POR tries the runnable
+        // processes by local state and status, then by start state, and
+        // by pid only among equal members of one class, which are
+        // interchangeable. So no pid decides which ample candidate comes
+        // first or, through the fresh-successor proviso, which states
+        // later expansions find interned: a permuted start builds the
+        // same reduced graph. Empty when the processes go in pid order.
+        let start_keys: Vec<u64> =
+            if self.config.por && self.config.symmetry && mode == AmpleMode::Progress {
+                (0..n)
+                    .map(|i| state_fingerprint(&root.procs[i], root.status[i]))
+                    .collect()
+            } else {
+                Vec::new()
+            };
+        let mut order: Vec<(u64, u64, usize)> = Vec::with_capacity(start_keys.len());
+
         let mut stats = ExploreStats::default();
         // Buffers reused across states: the runnable processes and the
         // successors `expand` fills.
@@ -908,6 +921,16 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 g.edges.seal();
                 cursor += 1;
                 continue;
+            }
+            if !start_keys.is_empty() {
+                order.clear();
+                order.extend(runnable.iter().map(|&i| {
+                    let key = state_fingerprint(&current.procs[i], current.status[i]);
+                    (key, start_keys[i], i)
+                }));
+                order.sort_unstable();
+                runnable.clear();
+                runnable.extend(order.iter().map(|&(.., i)| i));
             }
             if self.expand(&current, &runnable, &g.store, &mut succs)? {
                 stats.states_pruned_por += runnable.len() as u64 - 1;
@@ -1251,7 +1274,7 @@ mod tests {
 
         let alg = TasScan::new(3);
         let mut s = spec(AmpleMode::Progress);
-        s.symmetry = alg.symmetry();
+        s.symmetry = SymmetryGroup::of_identical(&alg.processes());
         let config = ExploreConfig::reduced().with_max_crashes(1);
         let mut builder = GraphBuilder::new(alg.memory().unwrap(), config, s, 3);
         let (g, stats) = builder.build_graph(alg.processes()).unwrap();

@@ -7,7 +7,8 @@
 //! * [`explore`](mod@explore) — a memoizing DFS over every interleaving (and optional
 //!   crash pattern) of a small system, with safety checks in every state,
 //!   plus a BFS progress checker over the same shared state-graph engine;
-//!   both support partial-order and symmetry reduction.
+//!   both support partial-order reduction, and symmetry reduction over
+//!   the processes that start identical.
 //! * [`checks`] — ready-made exhaustive checks: mutual exclusion,
 //!   detection safety, naming uniqueness + wait-freedom, and
 //!   deadlock-freedom (progress) for all three problem families.
@@ -82,14 +83,14 @@ pub use dynamic::{
     observed_conflict, trace_causality, CausalEvent, ConflictEdge, TraceCausality, MAX_SLEEP_PROCS,
 };
 pub use explore::{
-    canonical_key, check_progress, check_progress_sym, explore, explore_sym, replay, ExploreConfig,
-    ExploreError, ExploreStats, ProgressStats, Replayed, ScheduleStep, Violation,
+    canonical_key, check_progress, explore, replay, ExploreConfig, ExploreError, ExploreStats,
+    ProgressStats, Replayed, ScheduleStep, Violation,
 };
 pub use index::OpenIndex;
 pub use liveness::{
-    check_liveness_sym, check_mutex_starvation, check_naming_lockout, validate_bypass,
-    validate_lasso, BypassWitness, Lasso, LassoWitness, LivenessReport, LivenessSpec,
-    LivenessStats, LivenessVerdict, NormalizeFn,
+    check_liveness, check_mutex_starvation, check_naming_lockout, validate_bypass, validate_lasso,
+    BypassWitness, Lasso, LassoWitness, LivenessReport, LivenessSpec, LivenessStats,
+    LivenessVerdict, NormalizeFn,
 };
 pub use merge::{
     assert_resists_merge, lemma2_condition, merge_attack, solo_profile, MergeError, MergeFailure,

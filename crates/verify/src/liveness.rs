@@ -41,19 +41,20 @@
 //!   [stabilizer](SymmetryGroup::stabilizer) of the victim — its peers
 //!   still merge orbits, the victim's slot is pinned — and checks one
 //!   victim per symmetry class. That representative argument needs class
-//!   members to be interchangeable *from the initial state*, so declared
-//!   classes are first refined by initial-state equality: identity-free
-//!   processes (naming walkers, test-and-set spinners) keep their
-//!   classes, while identity-embedding locks fall back to per-process
-//!   victims on one shared graph. Because canonical edge labels are
-//!   slots rather than concrete identities, a fair-looking quotient SCC
-//!   is only a *candidate*, and a quotient-derived bypass witness only a
-//!   proposal: each victim is settled by one routine that concretizes
-//!   every candidate as one lap and validates it, then measures bypass
-//!   and validates the witness. A candidate or witness that fails
-//!   validation — an *artifact*, possible only on a non-trivial
-//!   quotient — sends the victim through the same routine on the exact
-//!   (trivial-group) graph, built at most once per check.
+//!   members to be interchangeable *from the initial state*, which is
+//!   exactly how the classes are formed: the processes that start
+//!   identical ([`SymmetryGroup::of_identical`]). Identity-free processes
+//!   (naming walkers, test-and-set spinners) form one class, while
+//!   identity-embedding locks start distinct and fall back to
+//!   per-process victims on one shared graph. Because canonical edge
+//!   labels are slots rather than concrete identities, a fair-looking
+//!   quotient SCC is only a *candidate*, and a quotient-derived bypass
+//!   witness only a proposal: each victim is settled by one routine that
+//!   concretizes every candidate as one lap and validates it, then
+//!   measures bypass and validates the witness. A candidate or witness
+//!   that fails validation — an *artifact*, possible only on a
+//!   non-trivial quotient — sends the victim through the same routine on
+//!   the exact (trivial-group) graph, built at most once per check.
 //! * **Partial-order reduction** runs in `AmpleMode::Liveness`:
 //!   independence (C1) plus *strict* invisibility (C2 with no `Halt`
 //!   exemption — the fairness analysis reads statuses) plus the
@@ -315,9 +316,10 @@ impl LivenessReport {
 /// engaged waiters is measured.
 ///
 /// See the module docs for the victim-per-class strategy under symmetry
-/// reduction and the liveness-safe ample mode under partial-order
-/// reduction; with both flags off this is an exact check of the full
-/// graph. `config.max_states` bounds **each** per-victim graph.
+/// reduction (the classes are the processes that start identical) and
+/// the liveness-safe ample mode under partial-order reduction; with both
+/// flags off this is an exact check of the full graph.
+/// `config.max_states` bounds **each** per-victim graph.
 ///
 /// # Errors
 ///
@@ -328,13 +330,12 @@ impl LivenessReport {
 ///
 /// # Panics
 ///
-/// Panics if `symmetry` is defined over a different process count, or on
-/// an internal inconsistency (a witness derived on an exact graph that
-/// fails concrete validation — which the engine's invariants rule out).
-pub fn check_liveness_sym<P>(
+/// Panics on an internal inconsistency (a witness derived on an exact
+/// graph that fails concrete validation — which the engine's invariants
+/// rule out).
+pub fn check_liveness<P>(
     memory: Memory,
     procs: Vec<P>,
-    symmetry: &SymmetryGroup,
     config: ExploreConfig,
     spec: &LivenessSpec<'_, P>,
 ) -> Result<LivenessReport, ExploreError>
@@ -342,54 +343,27 @@ where
     P: Process + Clone + Eq + Hash,
 {
     let n = procs.len();
-    assert_eq!(
-        symmetry.n(),
-        n,
-        "symmetry group is over {} processes, system has {n}",
-        symmetry.n()
-    );
     // "Starvation of any class member ⇔ starvation of the class
-    // representative" holds only when the members are interchangeable
-    // *from the initial state* — permuting them must map the root to
-    // itself. Locks that embed an identity (Peterson's side, the
-    // bakery's index, tournament paths) start in distinct local states,
-    // so their declared classes are refined by initial-state equality
-    // before victims are chosen; refining a symmetry group is always
-    // sound (it only forfeits merges).
-    let refined = SymmetryGroup::from_classes(
-        n,
-        symmetry
-            .classes()
-            .iter()
-            .flat_map(|class| {
-                let mut parts: Vec<Vec<usize>> = Vec::new();
-                for &i in class {
-                    match parts.iter_mut().find(|p| procs[p[0]] == procs[i]) {
-                        Some(p) => p.push(i),
-                        None => parts.push(vec![i]),
-                    }
-                }
-                parts
-            })
-            .collect(),
-    );
-    let use_sym = config.symmetry && !refined.is_trivial();
+    // representative" holds because the members start identical:
+    // permuting them maps the root to itself.
+    let classes = SymmetryGroup::of_identical(&procs);
+    let use_sym = config.symmetry && !classes.is_trivial();
 
     // Victim sets, each with the quotient that pins its victims: one
-    // representative per refined class (peers merge under the class
-    // stabilizer), every unclassed process under the unchanged group.
+    // representative per class (peers merge under the class
+    // stabilizer), every unclassed process under the whole group.
     let victim_sets: Vec<(SymmetryGroup, Vec<usize>)> = if use_sym {
         let mut in_class = vec![false; n];
         let mut sets = Vec::new();
-        for class in refined.classes() {
+        for class in classes.classes() {
             for &i in class {
                 in_class[i] = true;
             }
-            sets.push((refined.stabilizer(class[0]), vec![class[0]]));
+            sets.push((classes.stabilizer(class[0]), vec![class[0]]));
         }
         let singles: Vec<usize> = (0..n).filter(|&i| !in_class[i]).collect();
         if !singles.is_empty() {
-            sets.push((refined.clone(), singles));
+            sets.push((classes.clone(), singles));
         }
         sets
     } else {
@@ -1138,11 +1112,11 @@ where
 /// The system is the algorithm's full set of clients cycling through
 /// entry → critical section (one observable step) → exit **forever**:
 /// its fair infinite behaviors are exactly the fair cycles of the finite
-/// state graph, which [`check_liveness_sym`] hunts per victim (one per
-/// symmetry class under `config.symmetry`, with the victim pinned by the
-/// class stabilizer). Algorithms with unbounded auxiliary state supply a
-/// [`cfc_mutex::StateNormalizer`] (the bakery's ticket shift) to keep
-/// the graph finite.
+/// state graph, which [`check_liveness`] hunts per victim (one per
+/// class of identical clients under `config.symmetry`, with the victim
+/// pinned by the class stabilizer). Algorithms with unbounded auxiliary
+/// state supply a [`cfc_mutex::StateNormalizer`] (the bakery's ticket
+/// shift) to keep the graph finite.
 ///
 /// Expected classifications, asserted in `tests/liveness.rs` and
 /// `tests/starvation.rs`: Peterson starvation-free with bypass bound 1;
@@ -1152,7 +1126,7 @@ where
 ///
 /// # Errors
 ///
-/// Budget or memory errors, as [`check_liveness_sym`].
+/// Budget or memory errors, as [`check_liveness`].
 pub fn check_mutex_starvation<A>(
     alg: &A,
     config: ExploreConfig,
@@ -1171,7 +1145,7 @@ where
             .as_deref()
             .map(|f| f as &dyn Fn(&mut [MutexClient<A::Lock>], &mut [Value])),
     );
-    check_liveness_sym(memory, clients, &alg.symmetry(), config, &spec)
+    check_liveness(memory, clients, config, &spec)
 }
 
 /// Exhaustively checks a naming algorithm for **lockout freedom**: no
@@ -1188,7 +1162,7 @@ where
 ///
 /// # Errors
 ///
-/// Budget or memory errors, as [`check_liveness_sym`].
+/// Budget or memory errors, as [`check_liveness`].
 pub fn check_naming_lockout<A>(
     alg: &A,
     max_crashes: u32,
@@ -1200,13 +1174,7 @@ where
 {
     let memory = alg.memory().map_err(ExploreError::Memory)?;
     let config = config.with_max_crashes(max_crashes);
-    check_liveness_sym(
-        memory,
-        alg.processes(),
-        &alg.symmetry(),
-        config,
-        &naming_spec(),
-    )
+    check_liveness(memory, alg.processes(), config, &naming_spec())
 }
 
 #[cfg(test)]
@@ -1317,21 +1285,6 @@ mod tests {
         assert!(
             hooked.bypass_witness().is_none(),
             "only the witness is forfeited"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "symmetry group is over 2 processes, system has 3")]
-    fn a_symmetry_group_over_another_process_count_panics() {
-        let alg = TasSpin::new(3);
-        let spec = mutex_spec(None);
-        let group = SymmetryGroup::full(2);
-        let _ = check_liveness_sym(
-            alg.memory().unwrap(),
-            clients(&alg),
-            &group,
-            symmetric(),
-            &spec,
         );
     }
 

@@ -17,7 +17,7 @@
 //! * [`Telemetry`] — a cheap cloneable handle bundling sinks, a
 //!   [`Clock`], and the sampling stride. Installed *ambiently* per
 //!   thread with [`with_telemetry`], so no driver signature changes:
-//!   `with_telemetry(&tel, || explore_sym(...))`.
+//!   `with_telemetry(&tel, || explore(...))`.
 //!
 //! # Passivity
 //!
@@ -93,7 +93,7 @@ impl StoreFootprint {
 /// round-trips exactly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// The memoizing safety DFS (`explore`/`explore_sym`).
+    /// The memoizing safety DFS (`explore`).
     SafetyDfs,
     /// A whole progress check: graph build plus back-propagation.
     ProgressCheck,

@@ -48,7 +48,7 @@ use std::collections::HashSet;
 use std::hash::Hash;
 use std::rc::Rc;
 
-use cfc::core::{ManualClock, Memory, Process, ProcessId, Section, Status, Value};
+use cfc::core::{ManualClock, Memory, Process, ProcessId, Section, Status, SymmetryGroup, Value};
 use cfc::mutex::{
     Bakery, BrokenDetector, DetectionAlgorithm, Dijkstra, ExitOrder, LamportFast, MutexAlgorithm,
     MutexClient, MutexDetector, PetersonTwo, Splitter, SplitterTree, Tournament,
@@ -274,22 +274,22 @@ pub const ROWS: &[Row] = &[
     // Mutual exclusion (Theorem 3's tournament and the classic locks).
     row(Sys::Peterson(2), Safety, 0, Holds, 9, (2, 2), [
         (208, 380, 0, 0), (208, 380, 0, 0), (192, 337, 16, 0), (192, 337, 16, 0),
-        (174, 305, 16, 0), (174, 305, 16, 0), (181, 267, 18, 0), (174, 303, 18, 0)]),
+        (174, 305, 16, 0), (174, 305, 16, 0), (181, 267, 18, 0), (181, 267, 18, 0)]),
     row(Sys::Lamport(2), Safety, 0, Holds, 10, (2, 2), [
         (337, 606, 0, 0), (337, 606, 0, 0), (315, 534, 42, 0), (315, 534, 42, 0),
         (279, 431, 76, 0), (279, 431, 76, 0), (263, 321, 80, 0), (263, 321, 80, 0)]),
     row(Sys::Bakery(2), Safety, 0, Holds, 13, (3, 3), [
         (243, 435, 0, 0), (243, 435, 0, 0), (210, 360, 24, 0), (210, 360, 24, 0),
-        (192, 307, 42, 0), (192, 307, 42, 0), (158, 193, 71, 0), (178, 242, 79, 0)]),
+        (192, 307, 42, 0), (192, 307, 42, 0), (158, 193, 71, 0), (158, 193, 71, 0)]),
     row(Sys::Dijkstra(2), Safety, 0, Holds, 10, (2, 2), [
         (189, 338, 0, 0), (189, 338, 0, 0), (180, 297, 28, 0), (180, 297, 28, 0),
-        (160, 250, 38, 0), (160, 250, 38, 0), (143, 177, 31, 0), (160, 250, 38, 0)]),
+        (160, 250, 38, 0), (160, 250, 38, 0), (143, 177, 31, 0), (143, 177, 31, 0)]),
     row(Sys::Tournament(3), Safety, 0, Holds, 14, (4, 4), [
         (1570, 4122, 0, 0), (1570, 4122, 0, 0), (1080, 2497, 295, 0), (1080, 2497, 295, 0),
-        (859, 1837, 364, 0), (859, 1837, 364, 0), (767, 1046, 303, 0), (883, 1860, 404, 0)]),
+        (859, 1837, 364, 0), (859, 1837, 364, 0), (767, 1046, 303, 0), (767, 1046, 303, 0)]),
     row(Sys::LeafToRoot(4), Safety, 0, SHARED_CS, 0, (0, 0), [
         (1110, 2836, 0, 0), (1110, 2836, 0, 0), (1014, 2350, 248, 0), (1014, 2350, 248, 0),
-        (773, 1681, 292, 0), (773, 1681, 292, 0), (647, 936, 258, 0), (772, 1662, 309, 0)]),
+        (773, 1681, 292, 0), (773, 1681, 292, 0), (647, 936, 258, 0), (647, 936, 258, 0)]),
     // Naming (Section 3) under up to one crash.
     row(Sys::TasScan(2), Safety, 0, Holds, 9, (2, 1), [
         (13, 16, 0, 0), (7, 9, 0, 1), (9, 8, 2, 0), (5, 5, 1, 1),
@@ -348,20 +348,20 @@ pub const ROWS: &[Row] = &[
         (6, 7, 2, 0), (6, 7, 2, 0), (6, 7, 2, 0), (6, 7, 2, 0)]),
     // Deadlock freedom and naming progress.
     row(Sys::Peterson(2), Progress, 0, Holds, 9, (2, 2), [
-        (168, 304, 0, 0), (168, 304, 0, 38), (168, 279, 25, 0), (165, 275, 25, 29),
-        (149, 251, 23, 0), (146, 248, 21, 28), (149, 251, 23, 0), (146, 248, 21, 28)]),
+        (168, 304, 0, 0), (168, 304, 0, 0), (168, 279, 25, 0), (165, 275, 25, 0),
+        (149, 251, 23, 0), (146, 248, 21, 0), (149, 251, 23, 0), (146, 248, 21, 0)]),
     row(Sys::Lamport(2), Progress, 0, Holds, 10, (2, 2), [
-        (291, 518, 0, 0), (291, 518, 0, 0), (291, 464, 54, 0), (291, 464, 54, 0),
-        (242, 357, 82, 0), (242, 357, 82, 0), (242, 352, 87, 0), (242, 352, 87, 0)]),
+        (291, 518, 0, 0), (291, 518, 0, 0), (291, 464, 54, 0), (291, 466, 52, 0),
+        (242, 357, 82, 0), (244, 360, 75, 0), (242, 352, 87, 0), (244, 354, 81, 0)]),
     row(Sys::Bakery(2), Progress, 0, Holds, 13, (3, 3), [
-        (217, 387, 0, 0), (217, 387, 0, 39), (217, 349, 38, 0), (206, 340, 35, 35),
-        (189, 299, 39, 0), (172, 279, 41, 27), (171, 235, 76, 0), (157, 222, 70, 14)]),
+        (217, 387, 0, 0), (217, 387, 0, 0), (217, 349, 38, 0), (206, 340, 35, 0),
+        (189, 299, 39, 0), (172, 279, 41, 0), (171, 235, 76, 0), (157, 222, 70, 0)]),
     row(Sys::Dijkstra(2), Progress, 0, Holds, 10, (2, 2), [
-        (162, 287, 0, 0), (162, 287, 0, 31), (162, 257, 30, 0), (162, 257, 30, 26),
-        (137, 209, 35, 0), (138, 211, 35, 23), (137, 209, 35, 0), (138, 211, 35, 23)]),
+        (162, 287, 0, 0), (162, 287, 0, 0), (162, 257, 30, 0), (162, 257, 30, 0),
+        (137, 209, 35, 0), (138, 211, 35, 0), (137, 209, 35, 0), (138, 211, 35, 0)]),
     row(Sys::Tournament(3), Progress, 0, Holds, 14, (4, 4), [
-        (1348, 3514, 0, 0), (1348, 3514, 0, 1101), (928, 1882, 492, 0), (994, 2141, 403, 590),
-        (783, 1536, 464, 0), (701, 1458, 318, 368), (791, 1542, 482, 0), (701, 1428, 348, 355)]),
+        (1348, 3514, 0, 0), (1348, 3514, 0, 0), (928, 1882, 492, 0), (994, 2141, 403, 0),
+        (783, 1536, 464, 0), (701, 1458, 318, 0), (791, 1542, 482, 0), (701, 1428, 348, 0)]),
     row(Sys::TasScan(3), Progress, 0, Holds, 14, (6, 1), [
         (121, 231, 0, 0), (23, 46, 0, 11), (52, 57, 21, 0), (9, 12, 5, 1),
         (52, 57, 21, 0), (9, 12, 5, 1), (52, 57, 21, 0), (9, 12, 5, 1)]),
@@ -387,11 +387,11 @@ pub const ROWS: &[Row] = &[
         (557, 1266, 0, 0), (102, 249, 0, 84), (557, 1185, 81, 0), (102, 231, 18, 78),
         (557, 1185, 81, 0), (102, 231, 18, 78), (557, 1185, 81, 0), (102, 231, 18, 78)]),
     row(Sys::Splitter(3), Progress, 0, Holds, 14, (12, 12), [
-        (919, 2100, 0, 0), (919, 2100, 0, 0), (810, 1444, 365, 0), (810, 1444, 365, 0),
-        (793, 1269, 492, 0), (793, 1269, 492, 0), (688, 1010, 457, 0), (688, 1010, 457, 0)]),
+        (919, 2100, 0, 0), (919, 2100, 0, 0), (810, 1444, 365, 0), (756, 1286, 379, 0),
+        (793, 1269, 492, 0), (752, 1190, 463, 0), (688, 1010, 457, 0), (646, 947, 417, 0)]),
     row(Sys::Lemma1, Progress, 0, STUCK, 0, (0, 0), [
-        (63, 108, 0, 0), (63, 108, 0, 0), (59, 95, 7, 0), (59, 95, 7, 0),
-        (46, 65, 16, 0), (46, 65, 16, 0), (46, 65, 16, 0), (46, 65, 16, 0)]),
+        (63, 108, 0, 0), (63, 108, 0, 0), (59, 95, 7, 0), (59, 98, 4, 0),
+        (46, 65, 16, 0), (46, 65, 17, 0), (46, 65, 16, 0), (46, 65, 17, 0)]),
     // Fair-cycle liveness.
     liveness(Sys::Peterson(1), Free(Some(1)), 9, [(2, 1), (2, 1)], [
         (112, 224, 0, 0), (112, 224, 0, 0), (112, 224, 0, 0), (112, 224, 0, 0),
@@ -413,22 +413,22 @@ pub const ROWS: &[Row] = &[
 pub const HEAVY_ROWS: &[Row] = &[
     row(Sys::Bakery(3), Safety, 0, Holds, 20, (13, 13), [
         (9485, 25678, 0, 0), (9485, 25678, 0, 0), (8495, 22316, 782, 0), (8495, 22316, 782, 0),
-        (8375, 20866, 1917, 0), (8375, 20866, 1917, 0), (5773, 9311, 4756, 0), (7314, 13742, 6078, 0)]),
+        (8375, 20866, 1917, 0), (8375, 20866, 1917, 0), (5773, 9311, 4756, 0), (5773, 9311, 4756, 0)]),
     row(Sys::Lamport(3), Safety, 0, Holds, 14, (3, 3), [
         (11111, 30277, 0, 0), (11111, 30277, 0, 0), (10854, 28137, 1427, 0), (10854, 28137, 1427, 0),
         (10491, 26279, 2361, 0), (10491, 26279, 2361, 0), (9888, 18128, 3654, 0), (9888, 18128, 3654, 0)]),
     row(Sys::Tournament(4), Safety, 0, Holds, 19, (8, 8), [
         (17188, 59360, 0, 0), (17188, 59360, 0, 0), (15870, 48422, 6240, 0), (15870, 48422, 6240, 0),
-        (13914, 38615, 9061, 0), (13914, 38615, 9061, 0), (5858, 7946, 3285, 0), (14148, 38443, 10021, 0)]),
+        (13914, 38615, 9061, 0), (13914, 38615, 9061, 0), (5858, 7946, 3285, 0), (5858, 7946, 3285, 0)]),
     row(Sys::Lamport(3), Progress, 0, Holds, 14, (3, 3), [
-        (9589, 25963, 0, 0), (9589, 25963, 0, 0), (9471, 23653, 1956, 0), (9471, 23653, 1956, 0),
-        (9214, 22285, 2719, 0), (9214, 22285, 2719, 0), (9140, 21194, 3609, 0), (9140, 21194, 3609, 0)]),
+        (9589, 25963, 0, 0), (9589, 25963, 0, 0), (9471, 23653, 1956, 0), (9503, 24036, 1672, 0),
+        (9214, 22285, 2719, 0), (9264, 22634, 2500, 0), (9140, 21194, 3609, 0), (9158, 21342, 3485, 0)]),
     row(Sys::Tournament(4), Progress, 0, Holds, 19, (8, 8), [
-        (14740, 50600, 0, 0), (14740, 50600, 0, 21989), (13423, 38896, 7078, 0), (13756, 40004, 6949, 16135),
-        (8939, 24245, 5510, 0), (11419, 31845, 6722, 13083), (8955, 24175, 5628, 0), (11421, 31532, 7042, 12867)]),
+        (14740, 50600, 0, 0), (14740, 50600, 0, 0), (13423, 38896, 7078, 0), (13756, 40004, 6949, 0),
+        (8939, 24245, 5510, 0), (11419, 31845, 6722, 0), (8955, 24175, 5628, 0), (11421, 31532, 7042, 0)]),
     row(Sys::SplitterTree(4, 1), Progress, 0, Holds, 18, (44, 44), [
-        (35469, 114264, 0, 0), (35469, 114264, 0, 0), (34063, 86104, 23364, 0), (34063, 86104, 23364, 0),
-        (17098, 36848, 15757, 0), (17098, 36848, 15757, 0), (15828, 31129, 17069, 0), (15828, 31129, 17069, 0)]),
+        (35469, 114264, 0, 0), (35469, 114264, 0, 0), (34063, 86104, 23364, 0), (33546, 84476, 23072, 0),
+        (17098, 36848, 15757, 0), (17053, 36358, 15431, 0), (15828, 31129, 17069, 0), (16937, 34577, 16849, 0)]),
 ];
 
 /// What one run observed.
@@ -771,6 +771,68 @@ fn run(sys: Sys, checker: Checker, crashes: u32, cfg: Option<ExploreConfig>) -> 
         Sys::SplitterTree(n, l) => detection(&SplitterTree::new(n, l), checker, cfg),
         Sys::Broken(n) => detection(&BrokenDetector::new(n), checker, cfg),
         Sys::Lemma1 => detection(&MutexDetector::new(PetersonTwo::new()), checker, cfg),
+    }
+}
+
+/// The classes of `alg`'s clients that start identical, as `checker`
+/// builds them for `trips` trips.
+pub fn mutex_classes<A: MutexAlgorithm>(alg: &A, trips: u32, checker: Checker) -> SymmetryGroup
+where
+    A::Lock: PartialEq,
+{
+    let pids = (0..alg.n() as u32).map(ProcessId::new);
+    let clients: Vec<_> = match checker {
+        Safety => pids.map(|p| alg.client_with_cs(p, trips, 1)).collect(),
+        Progress => pids.map(|p| alg.client(p, trips)).collect(),
+        Liveness => pids.map(|p| alg.client_cycling(p, 1)).collect(),
+    };
+    SymmetryGroup::of_identical(&clients)
+}
+
+/// The classes of `alg`'s walkers that start identical.
+pub fn naming_classes<A: NamingAlgorithm>(alg: &A) -> SymmetryGroup
+where
+    A::Proc: PartialEq,
+{
+    SymmetryGroup::of_identical(&alg.processes())
+}
+
+/// The classes of `alg`'s participants that start identical.
+pub fn detection_classes<A: DetectionAlgorithm>(alg: &A) -> SymmetryGroup
+where
+    A::Proc: PartialEq,
+{
+    let procs: Vec<_> = (0..alg.n() as u32)
+        .map(|i| alg.process(ProcessId::new(i)))
+        .collect();
+    SymmetryGroup::of_identical(&procs)
+}
+
+/// The classes of processes that start identical in `row`'s system, as
+/// its checker builds the processes: the classes every symmetry column
+/// canonicalizes under.
+pub fn identical_classes(row: &Row) -> SymmetryGroup {
+    let checker = row.checker;
+    match row.sys {
+        Sys::Peterson(trips) => mutex_classes(&PetersonTwo::new(), trips, checker),
+        Sys::Lamport(n) => mutex_classes(&LamportFast::new(n), 1, checker),
+        Sys::Bakery(n) => mutex_classes(&Bakery::new(n), 1, checker),
+        Sys::Dijkstra(n) => mutex_classes(&Dijkstra::new(n), 1, checker),
+        Sys::Tournament(n) => mutex_classes(&Tournament::new(n, 1), 1, checker),
+        Sys::LeafToRoot(n) => mutex_classes(
+            &Tournament::new(n, 1).with_exit_order(ExitOrder::LeafToRoot),
+            1,
+            checker,
+        ),
+        Sys::TasScan(n) => naming_classes(&TasScan::new(n)),
+        Sys::TafTree(n) => naming_classes(&TafTree::new(n).unwrap()),
+        Sys::TasTarTree(n) => naming_classes(&TasTarTree::new(n).unwrap()),
+        Sys::TasReadSearch(n) => naming_classes(&TasReadSearch::new(n)),
+        Sys::Mutated(n, seed) => naming_classes(&MutatedTasScan::new(n, seed)),
+        Sys::Splitter(n) => detection_classes(&Splitter::new(n)),
+        Sys::SplitterTree(n, l) => detection_classes(&SplitterTree::new(n, l)),
+        Sys::Broken(n) => detection_classes(&BrokenDetector::new(n)),
+        Sys::Lemma1 => detection_classes(&MutexDetector::new(PetersonTwo::new())),
     }
 }
 

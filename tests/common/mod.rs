@@ -38,9 +38,8 @@ pub fn reduced(max_states: usize) -> ExploreConfig {
 }
 
 /// A budget with partial-order reduction only. The right choice for
-/// mutex clients whose lock state embeds a distinct identity: their
-/// symmetry quotient is trivial, so canonicalization would only add
-/// per-state sorting overhead.
+/// mutex clients whose lock state embeds a distinct identity: they
+/// start distinct, so symmetry would merge nothing.
 pub fn por_only(max_states: usize) -> ExploreConfig {
     ExploreConfig {
         por: true,

@@ -1,8 +1,9 @@
 //! Edge-case coverage for the unified traversal driver, at the public
 //! checker surface: degenerate process counts, trivial stabilizer
-//! groups, the normalizer/POR interaction, a normalizer under a crash
-//! budget, and crash-budget boundaries — the corners where three
-//! formerly separate search loops used to be able to disagree.
+//! groups, victims of processes that start distinct, the normalizer/POR
+//! interaction, a normalizer under a crash budget, and crash-budget
+//! boundaries — the corners where three formerly separate search loops
+//! used to be able to disagree.
 
 mod common;
 
@@ -83,7 +84,7 @@ fn stabilizer_quotient_checks_one_victim_per_class() {
     assert_eq!(sym.victims, 1);
 }
 
-/// Identity-embedding locks refine into singleton classes: the
+/// Identity-embedding locks start distinct, so they form no class: the
 /// stabilizer shortcut must *not* collapse their victims (a one-sided
 /// starvation bug would hide in the unchecked slot).
 #[test]
@@ -172,8 +173,8 @@ fn progress_violation_schedules_replay_through_the_shared_driver() {
 /// rewrites every crash successor, and the witness's crash hop is
 /// re-derived through it. A customer that crashes holding a ticket
 /// wedges its peer, so every variant is starvable. The normalizer turns
-/// POR off, and refining by the initial state leaves the bakery's
-/// symmetry group trivial, so every variant explores the same graph.
+/// POR off, and the customers start distinct, so symmetry merges nothing
+/// and every variant explores the same graph.
 #[test]
 fn bakery_crash_under_the_normalizer_starves_the_survivor() {
     let alg = Bakery::new(2);

@@ -7,21 +7,132 @@
 //! which suite checks which slice of the light rows. This file checks
 //! the rows of 9k–35k un-reduced states ([`HEAVY_ROWS`]): their declared
 //! columns by default, every column in the exhaustive job, alongside the
-//! scale runs at the bottom.
+//! scale runs at the bottom. Two static tests at the top run no checker:
+//! one holds every row of pairwise-distinct processes to symmetry cells
+//! that merge nothing and, wherever the candidate order does not follow
+//! the symmetry switch, copy their twins; the other holds each
+//! algorithm's declared group to the classes the checkers derive.
 
 mod common;
 
-use cfc::mutex::Tournament;
-use cfc::naming::TafTree;
+use cfc::core::SymmetryGroup;
+use cfc::mutex::mutation::{BakeryMutation, TournamentMutation};
+use cfc::mutex::{
+    Bakery, BrokenDetector, Dijkstra, ExitOrder, LamportFast, MutexAlgorithm, MutexDetector,
+    PetersonTwo, Splitter, SplitterTree, TasSpin, Tournament,
+};
+use cfc::naming::{FlipReadAttempt, NamingAlgorithm, TafTree, TasReadSearch, TasScan, TasTarTree};
 use cfc::verify::{
     check_mutex_safety, check_naming_uniqueness, ExploreConfig, ExploreError, MayAccessMode,
 };
 use common::matrix::{
-    check_cell, index_within_envelope, Progress, Safety, COLUMNS, DECLARED, HEAVY_ROWS,
+    check_cell, detection_classes, identical_classes, index_within_envelope, mutex_classes,
+    naming_classes, Liveness, Progress, Safety, COLUMNS, DECLARED, HEAVY_ROWS, ROWS,
 };
-use common::por_only;
+use common::{por_only, MutatedTasScan};
 
 use MayAccessMode::{Automaton, Dynamic};
+
+/// Symmetry merges only processes that start identical, so a row whose
+/// processes all start distinct merges no orbit in any cell, and its
+/// terminals and (victims, graphs) with symmetry are copies of its twin's
+/// without. So is each symmetry pin, in every may-access mode, wherever
+/// the candidate order does not depend on the symmetry switch: without
+/// POR, and in the safety and liveness searches. The progress BFS tries
+/// its ample candidates by local state under symmetry (so that a permuted
+/// start builds the same graph) and by pid without it, so there the
+/// POR+sym pin may differ from the POR pin, but it never outgrows the
+/// unreduced twin.
+#[test]
+fn pairwise_distinct_rows_pin_symmetry_as_a_no_op() {
+    let mut checked = 0;
+    for row in ROWS.iter().chain(HEAVY_ROWS) {
+        if !identical_classes(row).is_trivial() {
+            continue;
+        }
+        let what = format!("{:?} {:?} crashes={}", row.sys, row.checker, row.crashes);
+        // Pins: baseline, sym, por, por+sym, then por and por+sym under
+        // the automaton and the dynamic mode.
+        assert!(
+            row.cells.iter().all(|c| c.3 == 0),
+            "{what}: an orbit merged"
+        );
+        assert_eq!(row.cells[1], row.cells[0], "{what}: pin 1");
+        for (plain, sym) in [(2, 3), (4, 5), (6, 7)] {
+            if row.checker == Progress {
+                assert!(row.cells[sym].0 <= row.cells[0].0, "{what}: pin {sym}");
+            } else {
+                assert_eq!(row.cells[sym], row.cells[plain], "{what}: pin {sym}");
+            }
+        }
+        assert_eq!(row.terminals.1, row.terminals.0, "{what}: terminals");
+        assert_eq!(row.graphs[1], row.graphs[0], "{what}: (victims, graphs)");
+        checked += 1;
+    }
+    assert!(checked >= 20, "only {checked} pairwise-distinct rows");
+}
+
+/// The checkers derive their symmetry classes from the processes they
+/// build; the group each algorithm declares (which the checker
+/// benchmark canonicalizes its corpus under) must be that same group.
+/// Covers every family the oracle matrix or the benchmark runs, plus the
+/// test-and-set spinner. Detection algorithms declare no group: their
+/// derived classes are pinned instead.
+#[test]
+fn declared_groups_are_the_derived_classes() {
+    fn mutex<A: MutexAlgorithm>(alg: &A)
+    where
+        A::Lock: PartialEq,
+    {
+        for checker in [Safety, Progress, Liveness] {
+            let derived = mutex_classes(alg, 1, checker);
+            let what = format!("{} n={} {checker:?}", alg.name(), alg.n());
+            assert_eq!(alg.symmetry(), derived, "{what}");
+        }
+    }
+    fn naming<A: NamingAlgorithm>(alg: &A)
+    where
+        A::Proc: PartialEq,
+    {
+        let what = format!("{} n={}", alg.name(), alg.n());
+        assert_eq!(alg.symmetry(), naming_classes(alg), "{what}");
+    }
+
+    mutex(&PetersonTwo::new());
+    for n in [2, 3] {
+        mutex(&LamportFast::new(n));
+        mutex(&Bakery::new(n));
+        mutex(&TasSpin::new(n));
+    }
+    mutex(&Bakery::new(3).with_mutation(BakeryMutation::FcfsOffByOne));
+    mutex(&Dijkstra::new(2));
+    for n in [3, 4] {
+        mutex(&Tournament::new(n, 1));
+        mutex(&Tournament::new(n, 1).with_exit_order(ExitOrder::LeafToRoot));
+    }
+    mutex(&Tournament::new(4, 1).with_mutation(TournamentMutation::SkipRootLevel));
+
+    for n in [2, 3, 6] {
+        naming(&TasScan::new(n));
+    }
+    for n in [2, 4, 8] {
+        naming(&TafTree::new(n).unwrap());
+        naming(&TasTarTree::new(n).unwrap());
+    }
+    naming(&TasReadSearch::new(3));
+    naming(&FlipReadAttempt::new(8).unwrap());
+    for (n, seed) in [(3, 1), (4, 0), (4, 1), (4, 2)] {
+        naming(&MutatedTasScan::new(n, seed));
+    }
+
+    assert!(detection_classes(&Splitter::new(3)).is_trivial());
+    assert!(detection_classes(&SplitterTree::new(4, 1)).is_trivial());
+    assert!(detection_classes(&MutexDetector::new(PetersonTwo::new())).is_trivial());
+    assert_eq!(
+        detection_classes(&BrokenDetector::new(2)),
+        SymmetryGroup::full(2)
+    );
+}
 
 #[test]
 fn heavy_safety_rows_under_declared_hooks() {

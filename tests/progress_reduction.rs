@@ -13,9 +13,13 @@
 
 mod common;
 
-use cfc::mutex::{Bakery, Tournament};
+use cfc::core::{ProcessId, Status};
+use cfc::mutex::{Bakery, MutexAlgorithm, TasSpin, Tournament};
 use cfc::naming::TafTree;
-use cfc::verify::{check_mutex_progress, check_naming_progress, ExploreError};
+use cfc::verify::{
+    check_mutex_progress, check_naming_progress, check_progress, replay, with_telemetry,
+    ExploreError, Phase, Recorder, Telemetry, TelemetryEvent,
+};
 use common::matrix::{check_rows, Progress, Sys, DECLARED_POR};
 use common::{budget, reduced};
 
@@ -48,11 +52,61 @@ fn lemma1_detector_violation_replays_in_every_variant() {
     });
 }
 
+/// Two test-and-set spinners start identical, so the checker explores
+/// their symmetry quotient; a crash inside the critical section leaves
+/// the bit set and the peer spinning forever. The stuck orbit must be
+/// found on the quotient (orbits merge on the way there), and the
+/// schedule re-derived along the creator tree must replay to a state
+/// where the peer, on its own, can never finish.
+#[test]
+fn crashed_spin_lock_holder_is_caught_on_the_quotient() {
+    let alg = TasSpin::new(2);
+    let memory = alg.memory().unwrap();
+    let clients: Vec<_> = (0..2).map(|i| alg.client(ProcessId::new(i), 1)).collect();
+    let rec = Recorder::new();
+    let tel = Telemetry::new().with_sink(rec.clone()).with_stride(1);
+    let config = reduced(10_000).with_max_crashes(1);
+    let result = with_telemetry(&tel, || {
+        check_progress(memory.clone(), clients.clone(), config)
+    });
+    let Err(ExploreError::Violation(v)) = result else {
+        panic!("expected a stuck state, got {result:?}");
+    };
+    let merged = rec
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            TelemetryEvent::Snapshot { phase, snap, .. } if *phase == Phase::ProgressBfs => {
+                Some(snap.orbits_merged)
+            }
+            _ => None,
+        })
+        .max();
+    assert!(merged > Some(0), "no orbit merged: {merged:?}");
+
+    let reached = replay(memory, clients, &v.schedule).unwrap();
+    let crashed = reached
+        .status
+        .iter()
+        .position(|s| *s == Status::Crashed)
+        .expect("the schedule crashes a client");
+    let peer = 1 - crashed;
+    assert_eq!(reached.status[peer], Status::Running);
+    match check_progress(
+        reached.memory,
+        vec![reached.procs[peer].clone()],
+        budget(100),
+    ) {
+        Err(ExploreError::Violation(solo)) => assert!(solo.schedule.is_empty()),
+        other => panic!("the peer can finish on its own: {other:?}"),
+    }
+}
+
 // ---------------------------------------------------------------------
 // The acceptance configuration: a process count whose un-reduced
 // progress graph exceeds the state budget, verified on the reduced
 // graph. (Measured: tournament n=5 builds ~455k un-reduced progress
-// states but ~284k reduced ones.)
+// states but 224,326 reduced ones.)
 // ---------------------------------------------------------------------
 
 #[test]
@@ -93,12 +147,13 @@ fn eight_walker_progress_verifies_only_reduced() {
 // ---------------------------------------------------------------------
 
 #[test]
-#[ignore = "heavy reduced progress check (~4.6M states, minutes); run via cargo test --release -- --ignored"]
+#[ignore = "heavy reduced progress check (~4.1M states, minutes); run via cargo test --release -- --ignored"]
 fn exhaustive_tournament_six_progress_reduced() {
     // Six clients over an eight-leaf tree: the un-reduced progress graph
     // (measured 5,366,136 states in the release profile) overflows a
-    // 5M-state budget that the reduced graph (4,627,055 canonical
-    // states) verifies deadlock freedom inside.
+    // 5M-state budget that the reduced graph (4,113,635 states: the
+    // clients start distinct, so only POR reduces it) verifies deadlock
+    // freedom inside.
     match check_mutex_progress(&Tournament::new(6, 1), 1, budget(5_000_000)) {
         Err(ExploreError::StateBudget(n)) => assert!(n > 5_000_000),
         other => panic!("expected the un-reduced graph to overflow, got {other:?}"),
@@ -109,9 +164,9 @@ fn exhaustive_tournament_six_progress_reduced() {
 }
 
 #[test]
-#[ignore = "heavy reduced progress check (~423k states); run via cargo test --release -- --ignored"]
+#[ignore = "heavy reduced progress check (~422k states); run via cargo test --release -- --ignored"]
 fn exhaustive_bakery_four_progress_reduced() {
-    // Four bakery customers: ~423k reduced progress states. Bakery scans
+    // Four bakery customers: 421,990 reduced progress states. Bakery scans
     // every ticket, so ample sets bite less than for tournaments — the
     // point of this config is the four-customer deadlock-freedom verdict
     // itself.

@@ -21,7 +21,7 @@ mod common;
 
 use std::sync::OnceLock;
 
-use cfc::core::{Footprint, Layout, Memory, OpResult, Process, ProcessId, Status, Step};
+use cfc::core::{apply_step, Footprint, Layout, Memory, Process, ProcessId, Status, Step};
 use cfc::mutex::{
     Bakery, BakeryLock, DetectionAlgorithm, MutexAlgorithm, MutexClient, PetersonTwo, Splitter,
     SplitterProc, Tournament,
@@ -69,22 +69,17 @@ impl<P: Process + Clone + Eq + std::hash::Hash> Fixture<P> {
             if status[pid] != Status::Running {
                 continue;
             }
-            match procs[pid].current() {
-                Step::Halt => status[pid] = Status::Done,
-                Step::Internal => procs[pid].advance(OpResult::None),
-                Step::Op(op) => {
-                    if let Some(future) = self.index.future_of(&procs[pid]) {
-                        let fp = Footprint::of_op(&op, &self.layout);
-                        assert!(
-                            fp.reads.is_subset(future) && fp.writes.is_subset(future),
-                            "process {pid}: executed step {op} escapes its automaton \
-                             future set"
-                        );
-                    }
-                    let result = mem.apply(&op).expect("valid op");
-                    procs[pid].advance(result);
-                }
+            if let (Step::Op(op), Some(future)) =
+                (procs[pid].current(), self.index.future_of(&procs[pid]))
+            {
+                let fp = Footprint::of_op(&op, &self.layout);
+                assert!(
+                    fp.reads.is_subset(future) && fp.writes.is_subset(future),
+                    "process {pid}: executed step {op} escapes its automaton \
+                     future set"
+                );
             }
+            apply_step(&mut procs[pid], &mut status[pid], &mut mem).expect("valid op");
         }
     }
 }

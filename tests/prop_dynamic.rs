@@ -28,9 +28,7 @@
 
 use std::sync::OnceLock;
 
-use cfc::core::{
-    Layout, Memory, OpResult, Process, ProcessId, RegisterSet, Status, Step, VectorClock,
-};
+use cfc::core::{apply_step, Layout, Memory, Process, ProcessId, RegisterSet, Status, VectorClock};
 use cfc::mutex::{Bakery, BakeryLock, MutexAlgorithm, MutexClient, PetersonTwo};
 use cfc::naming::{NamingAlgorithm, TasScan};
 use cfc::verify::{trace_causality, FutureIndex, ScheduleStep, TraceCausality};
@@ -71,14 +69,7 @@ impl<P: Process + Clone + Eq + std::hash::Hash> Fixture<P> {
             }
             schedule.push(ScheduleStep::Step(ProcessId::new(pid as u32)));
             futures.push(self.index.future_of(&procs[pid]).cloned());
-            match procs[pid].current() {
-                Step::Halt => status[pid] = Status::Done,
-                Step::Internal => procs[pid].advance(OpResult::None),
-                Step::Op(op) => {
-                    let result = mem.apply(&op).expect("valid op");
-                    procs[pid].advance(result);
-                }
-            }
+            apply_step(&mut procs[pid], &mut status[pid], &mut mem).expect("valid op");
         }
         (schedule, futures)
     }

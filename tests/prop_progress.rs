@@ -1,36 +1,29 @@
 //! Property tests for the symmetry-reduced progress checker: the verdict
-//! — and, stronger, the whole canonical-quotient graph — of
-//! `check_progress_sym` is invariant under any permutation of the process
-//! vector, sampled over random execution prefixes and random
-//! permutations, mirroring `tests/prop_reduction.rs`.
+//! — and, stronger, the whole reduced graph — of `check_progress` is
+//! invariant under any permutation of the process vector, sampled over
+//! random execution prefixes and random permutations, mirroring
+//! `tests/prop_reduction.rs`.
 //!
-//! The progress checker expands **canonical representatives** (unlike the
-//! DFS safety explorer, which walks the concrete state that first reached
-//! an orbit), so its reduced graph is a deterministic function of the
-//! canonical root alone. That makes even the `por + symmetry` counts
-//! exactly permutation-invariant — there is no "ample choice follows the
-//! concrete index order" caveat here.
+//! The checker derives its classes from the state it starts in (the
+//! processes that are equal there), so a permuted start derives the
+//! permuted classes and its quotient is isomorphic to the original's.
+//! With partial-order reduction on top, the progress BFS tries the ample
+//! candidates by local state, not by pid, so even the `por + symmetry`
+//! counts are exactly permutation-invariant — unlike the DFS safety
+//! explorer, whose ample choice follows the concrete index order.
 
 mod common;
 
-use cfc::core::{Memory, OpResult, Process, Status, Step};
+use cfc::core::{apply_step, Memory, Process, Status};
 use cfc::naming::{NamingAlgorithm, TafTree, TasScan};
-use cfc::verify::{check_progress_sym, ProgressStats};
+use cfc::verify::{check_progress, ProgressStats};
 use proptest::prelude::*;
 
-/// Advances process `pid` by one step against `mem`, mirroring the
-/// explorer's transition relation.
+/// Advances process `pid` by one step against `mem`, through the model's
+/// step rule; a process that is no longer running stays put.
 fn drive<P: Process>(mem: &mut Memory, procs: &mut [P], status: &mut [Status], pid: usize) {
-    if status[pid] != Status::Running {
-        return;
-    }
-    match procs[pid].current() {
-        Step::Halt => status[pid] = Status::Done,
-        Step::Internal => procs[pid].advance(OpResult::None),
-        Step::Op(op) => {
-            let result = mem.apply(&op).expect("valid op");
-            procs[pid].advance(result);
-        }
+    if status[pid] == Status::Running {
+        apply_step(&mut procs[pid], &mut status[pid], mem).expect("valid op");
     }
 }
 
@@ -66,23 +59,27 @@ where
         drive(&mut mem, &mut procs, &mut status, p % n);
     }
 
-    let group = alg.symmetry();
     let perm = nth_permutation(n, perm_seed);
     let procs_p = permuted(&procs, &perm);
 
     // The naming algorithms quiesce from every reachable state, so every
-    // run below must return Ok — and the canonical-quotient graphs must
-    // be identical in size, for symmetry alone and combined with
-    // partial-order reduction.
+    // run below must return Ok — and the reduced graphs must be
+    // identical in size, for symmetry alone and combined with
+    // partial-order reduction. The combined graph keeps every quiescent
+    // orbit of the quotient and is no larger.
+    let run = |procs: &[A::Proc], cfg| -> ProgressStats {
+        check_progress(mem.clone(), procs.to_vec(), cfg).unwrap()
+    };
+    let quotient = run(&procs, common::sym_only(200_000));
     for cfg in [common::sym_only(200_000), common::reduced(200_000)] {
-        let s0: ProgressStats =
-            check_progress_sym(mem.clone(), procs.clone(), &group, cfg).unwrap();
-        let s1: ProgressStats =
-            check_progress_sym(mem.clone(), procs_p.clone(), &group, cfg).unwrap();
+        let s0 = run(&procs, cfg);
+        let s1 = run(&procs_p, cfg);
         assert_eq!(s0.states, s1.states, "{cfg:?}");
         assert_eq!(s0.transitions, s1.transitions, "{cfg:?}");
         assert_eq!(s0.terminals, s1.terminals, "{cfg:?}");
         assert_eq!(s0.states_pruned_por, s1.states_pruned_por, "{cfg:?}");
+        assert_eq!(s0.terminals, quotient.terminals, "{cfg:?}");
+        assert!(s0.states <= quotient.states, "{cfg:?}");
     }
 }
 
@@ -115,17 +112,15 @@ proptest! {
 #[test]
 fn taf_tree_progress_quotient_is_smaller_than_baseline() {
     let alg = TafTree::new(4).unwrap();
-    let base = check_progress_sym(
+    let base = check_progress(
         alg.memory().unwrap(),
         alg.processes(),
-        &alg.symmetry(),
         common::budget(200_000),
     )
     .unwrap();
-    let red = check_progress_sym(
+    let red = check_progress(
         alg.memory().unwrap(),
         alg.processes(),
-        &alg.symmetry(),
         common::sym_only(200_000),
     )
     .unwrap();

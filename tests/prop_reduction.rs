@@ -4,27 +4,24 @@
 //! many canonical states — the algebraic core of the symmetry-reduced
 //! explorer, sampled over random execution prefixes and random
 //! permutations.
+//!
+//! The explorer derives its classes from the state it starts in (the
+//! processes that are equal there), so a permuted start derives the
+//! permuted classes, and each reachable state's orbit maps onto the
+//! permuted state's orbit.
 
 mod common;
 
-use cfc::core::{Memory, OpResult, Process, Status, Step};
+use cfc::core::{apply_step, Memory, Process, Status};
 use cfc::naming::{NamingAlgorithm, TafTree, TasScan};
-use cfc::verify::{canonical_key, explore_sym};
+use cfc::verify::{canonical_key, explore};
 use proptest::prelude::*;
 
-/// Advances process `pid` by one step against `mem`, mirroring the
-/// explorer's transition relation.
+/// Advances process `pid` by one step against `mem`, through the model's
+/// step rule; a process that is no longer running stays put.
 fn drive<P: Process>(mem: &mut Memory, procs: &mut [P], status: &mut [Status], pid: usize) {
-    if status[pid] != Status::Running {
-        return;
-    }
-    match procs[pid].current() {
-        Step::Halt => status[pid] = Status::Done,
-        Step::Internal => procs[pid].advance(OpResult::None),
-        Step::Op(op) => {
-            let result = mem.apply(&op).expect("valid op");
-            procs[pid].advance(result);
-        }
+    if status[pid] == Status::Running {
+        apply_step(&mut procs[pid], &mut status[pid], mem).expect("valid op");
     }
 }
 
@@ -79,8 +76,8 @@ where
     //    subgraph and the counts need not match exactly — verdict
     //    equivalence under POR is covered by `tests/reduction_equiv.rs`.
     let cfg = common::sym_only(200_000);
-    let s0 = explore_sym(mem.clone(), procs, &group, cfg, |_| Ok(()), |_| Ok(())).unwrap();
-    let s1 = explore_sym(mem, procs_p, &group, cfg, |_| Ok(()), |_| Ok(())).unwrap();
+    let s0 = explore(mem.clone(), procs, cfg, |_| Ok(()), |_| Ok(())).unwrap();
+    let s1 = explore(mem, procs_p, cfg, |_| Ok(()), |_| Ok(())).unwrap();
     assert_eq!(s0.states, s1.states);
     assert_eq!(s0.terminals, s1.terminals);
 }

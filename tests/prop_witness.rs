@@ -14,7 +14,7 @@
 
 mod common;
 
-use cfc::core::{Process, ProcessId, Section, Status};
+use cfc::core::{apply_step, Process, ProcessId, Section, Status};
 use cfc::mutex::{
     Bakery, LamportFast, LockProcess, MutexAlgorithm, MutexClient, PetersonTwo, TasSpin,
 };
@@ -70,14 +70,7 @@ where
             ScheduleStep::Step(pid) => {
                 let i = pid.index();
                 let was_critical = procs[i].section() == Some(Section::Critical);
-                match procs[i].current() {
-                    cfc::core::Step::Halt => status[i] = Status::Done,
-                    cfc::core::Step::Internal => procs[i].advance(cfc::core::OpResult::None),
-                    cfc::core::Step::Op(op) => {
-                        let r = mem.apply(&op).unwrap();
-                        procs[i].advance(r);
-                    }
-                }
+                apply_step(&mut procs[i], &mut status[i], &mut mem).unwrap();
                 if i != v && !was_critical && procs[i].section() == Some(Section::Critical) {
                     count += 1;
                 }
