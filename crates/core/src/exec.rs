@@ -73,23 +73,46 @@ pub fn apply_step<P: Process>(
     status: &mut Status,
     memory: &mut Memory,
 ) -> Result<EventKind, MemoryError> {
+    let step = proc_.current();
+    let Some(result) = step_effect(&step, status, memory)? else {
+        return Ok(EventKind::Done {
+            output: proc_.output(),
+        });
+    };
+    proc_.advance(result.clone());
+    Ok(match step {
+        Step::Op(op) => EventKind::Access { op, result },
+        _ => EventKind::Internal,
+    })
+}
+
+/// The memory-and-status half of the step rule [`apply_step`] writes:
+/// what the running process's next step `step` does to its status and
+/// to `memory`. A `Halt` marks the process [`Status::Done`] and returns
+/// `None`; an `Internal` step returns [`OpResult::None`]; an op is
+/// applied to `memory` and returns its result. The caller advances the
+/// process with a returned result — or, knowing the successor of its
+/// local state under that result already, skips the advance: a
+/// process's next local state is a function of its current one and the
+/// result ([`Process::advance`] is deterministic).
+///
+/// # Errors
+///
+/// Returns the memory error of an op that fails; the status and the
+/// memory are then left untouched.
+pub fn step_effect(
+    step: &Step,
+    status: &mut Status,
+    memory: &mut Memory,
+) -> Result<Option<OpResult>, MemoryError> {
     debug_assert!(status.runnable(), "only a running process steps");
-    Ok(match proc_.current() {
+    Ok(match step {
         Step::Halt => {
             *status = Status::Done;
-            EventKind::Done {
-                output: proc_.output(),
-            }
+            None
         }
-        Step::Internal => {
-            proc_.advance(OpResult::None);
-            EventKind::Internal
-        }
-        Step::Op(op) => {
-            let result = memory.apply(&op)?;
-            proc_.advance(result.clone());
-            EventKind::Access { op, result }
-        }
+        Step::Internal => Some(OpResult::None),
+        Step::Op(op) => Some(memory.apply(op)?),
     })
 }
 

@@ -91,7 +91,8 @@ pub use clock::{Clock, ManualClock, WallClock};
 pub use codec::{LayoutCodec, StateCodec, StateReader, StateWriter};
 pub use error::{ExecError, LayoutError, MemoryError};
 pub use exec::{
-    apply_step, run_schedule, run_sequential, run_solo, ExecConfig, Executor, Outcome, Status,
+    apply_step, run_schedule, run_sequential, run_solo, step_effect, ExecConfig, Executor, Outcome,
+    Status,
 };
 pub use fault::FaultPlan;
 pub use footprint::{Footprint, RegisterSet};

@@ -19,14 +19,33 @@ use crate::value::{Value, MAX_WIDTH};
 /// be a legal atomic step.
 ///
 /// Cloning a memory copies the register values (one allocation of
-/// `O(registers)`) and shares the layout through an `Arc`. The model
-/// checker in `cfc-verify` keeps one memory per global state and clones
-/// it once per successor, which it steps in place.
-#[derive(Clone, Debug)]
+/// `O(registers)`) and shares the layout through an `Arc`;
+/// [`Clone::clone_from`] reuses the target's value buffer, so the model
+/// checker in `cfc-verify` resets its reused successor buffers without
+/// allocating.
+#[derive(Debug)]
 pub struct Memory {
     layout: Arc<Layout>,
     values: Vec<Value>,
     atomicity: u32,
+}
+
+impl Clone for Memory {
+    fn clone(&self) -> Self {
+        Memory {
+            layout: Arc::clone(&self.layout),
+            values: self.values.clone(),
+            atomicity: self.atomicity,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        if !Arc::ptr_eq(&self.layout, &source.layout) {
+            self.layout = Arc::clone(&source.layout);
+        }
+        self.values.clone_from(&source.values);
+        self.atomicity = source.atomicity;
+    }
 }
 
 impl Memory {

@@ -50,7 +50,14 @@ impl fmt::Display for Section {
 ///    and passes the result to [`Process::advance`], which moves the state
 ///    machine forward. For [`Step::Internal`], `advance` is called with
 ///    [`OpResult::None`]. For [`Step::Halt`], `advance` is never called
-///    again.
+///    again. `advance` must be **deterministic**: the state it leaves is a
+///    function of the state it started from and the result it was passed
+///    alone — no clock, counter, randomness or other outside state may
+///    reach it. The exhaustive checkers in `cfc-verify` rely on this: they
+///    memoize each (local state, result) pair's successor and step a
+///    process by lookup, and they re-derive witness schedules by stepping
+///    again. Debug builds re-advance a clone on sampled lookups and panic
+///    when the two successors differ.
 ///
 /// One `current`/`advance` round is exactly one *event* of the paper's run
 /// semantics.

@@ -54,10 +54,11 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::Hash;
 
 use cfc_core::{op_result_domain, Footprint, Layout, OpResult, Process, RegisterSet, Step};
 
+use crate::hash::FastMap;
 use crate::telemetry::{self, Phase, Snapshot};
 
 /// Which future-access over-approximation ample-set selection consults.
@@ -117,35 +118,6 @@ impl fmt::Display for ExtractError {
 }
 
 impl std::error::Error for ExtractError {}
-
-/// A multiply-xor hasher (the FxHash round, with a final rotation so
-/// the table index sees the well-mixed high bits) for the analysis
-/// tables. Their keys are location keys and local states that the
-/// models produce, never outside input, so SipHash's resistance to
-/// chosen keys buys nothing there.
-#[derive(Clone, Copy, Debug, Default)]
-struct MulXor(u64);
-
-impl Hasher for MulXor {
-    // Inlined because the maps are instantiated in downstream crates,
-    // and the fixed-width writes (`write_u64`, ...) default to this
-    // method: out of line, each is a call with a loop and a copy.
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            let word = u64::from_le_bytes(word);
-            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
-/// A map hashed by [`MulXor`].
-type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<MulXor>>;
 
 /// Where local states resolve: by [`Process::location`] key when the
 /// process provides one, by full value otherwise. Looking a state up

@@ -335,6 +335,9 @@ pub enum ExploreError {
     StateBudget(usize),
     /// A process issued an invalid operation.
     Memory(cfc_core::MemoryError),
+    /// The processes reached more distinct local states than the store's
+    /// 32-bit slots can name: slots run up to `u32::MAX - 1`.
+    LocalStateCeiling,
 }
 
 impl fmt::Display for ExploreError {
@@ -343,6 +346,10 @@ impl fmt::Display for ExploreError {
             ExploreError::Violation(v) => write!(f, "{v}"),
             ExploreError::StateBudget(n) => write!(f, "state budget exhausted at {n} states"),
             ExploreError::Memory(e) => write!(f, "memory error during exploration: {e}"),
+            ExploreError::LocalStateCeiling => write!(
+                f,
+                "more distinct process local states than 32-bit slots can name"
+            ),
         }
     }
 }
@@ -532,7 +539,7 @@ where
             .creator_path(stuck as u32)
             .into_iter()
             .map(|id| (id, None));
-        let schedule = builder.walk(&g, &mut builder.root(procs), stem);
+        let schedule = builder.walk(&g, &mut builder.root_of(&g, procs), stem);
         return Err(ExploreError::Violation(Box::new(Violation {
             schedule,
             message: format!(

@@ -10,19 +10,25 @@
 //! transitions. This module owns everything they share so the graph
 //! semantics cannot drift apart:
 //!
-//! * [`Node`] — the global-state representation, holding its own
-//!   [`Memory`] — and [`GraphBuilder::successor`], the one function that
-//!   steps or crashes a node and normalizes the result: a step goes
-//!   through [`cfc_core::apply_step`], the model's step rule that the
-//!   executor and the replayer also call, on the cloned node's own
-//!   memory ([`GraphBuilder::expand`] fills one reused successor buffer
-//!   through it, and [`GraphBuilder::walk`] re-derives witness hops
-//!   through it);
+//! * [`Node`] — the global-state representation the safety checks read,
+//!   holding its own [`Memory`] — and the one successor step, on
+//!   [`Working`] states (a record unpacked into reused buffers, local
+//!   states as slots of the store's table): `GraphBuilder::successor`
+//!   steps or crashes a working state and normalizes the result. A step
+//!   goes through the store's kernel ([`NodeStore::step`]): the
+//!   memory-and-status half of the model's step rule
+//!   ([`cfc_core::step_effect`], which the executor and the replayer also
+//!   run through [`cfc_core::apply_step`]), then the transition memo for
+//!   the stepping process's new slot. [`GraphBuilder::expand`] fills one
+//!   reused successor buffer through it, and ample selection reads each
+//!   slot's cached step, footprint, section, output and future set.
+//!   [`GraphBuilder::walk`] re-derives witness hops read-only, stepping
+//!   materialized nodes by [`cfc_core::apply_step`];
 //! * the orbit order under a [`SymmetryGroup`]: [`state_fingerprint`]
 //!   orders interchangeable processes, and [`canonicalize`] builds the
 //!   representative node. The traversals never call it: they hand
-//!   concrete nodes to the [`NodeStore`], which sorts cached per-slot
-//!   fingerprints to key each state by the same representative (see
+//!   concrete working states to the [`NodeStore`], which sorts cached
+//!   per-slot fingerprints to key each state by the same representative (see
 //!   `crate::store`). `canonicalize` stays as the reference the store is
 //!   tested against and behind the public `canonical_key`;
 //! * ample-set selection for partial-order reduction, parameterized by
@@ -42,10 +48,12 @@
 //!   ([`GraphBuilder::run_dfs`]), which memoizes concrete states keyed
 //!   canonically at pop time, invokes per-state checks, keeps the
 //!   schedule to the popped state in one path vector, and records no
-//!   graph. The progress and liveness modes run the BFS
-//!   ([`GraphBuilder::build_graph`]), which interns one canonical
-//!   representative per orbit and returns the labeled [`BuiltGraph`],
-//!   whose terminals are the nodes sealed with no edge. Under symmetry
+//!   graph; it materializes a node only for each successor it pushes.
+//!   The progress and liveness modes run the BFS
+//!   ([`GraphBuilder::build_graph`]), which expands every node straight
+//!   from its record, interns one canonical representative per orbit and
+//!   returns the labeled [`BuiltGraph`], whose terminals are the nodes
+//!   sealed with no edge. Under symmetry
 //!   the progress BFS expands the runnable processes in an order no pid
 //!   decides (local state, then start state), so its POR graph is the
 //!   same for every permutation of the processes.
@@ -57,9 +65,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use cfc_core::{
-    apply_step, Footprint, Memory, Process, ProcessId, RegisterSet, Status, Step, SymmetryGroup,
-};
+use cfc_core::{apply_step, Footprint, Memory, Process, ProcessId, Status, Step, SymmetryGroup};
 
 use crate::analysis::{FutureIndex, MayAccessMode};
 use crate::csr::EdgeArena;
@@ -69,17 +75,19 @@ use crate::explore::{
     ExploreConfig, ExploreError, ExploreStats, ScheduleStep, StateView, Violation,
 };
 use crate::liveness::NormalizeFn;
-use crate::store::{NodeStore, VisitOutcome};
+use crate::store::{NodeStore, VisitOutcome, Working};
 use crate::telemetry::{self, Phase, Snapshot, StoreFootprint, Telemetry};
 
-/// A global state of the explored system. The derives compare and hash
-/// the memory by its register values alone (the layout is shared by
-/// every node of a traversal).
+/// A global state of the explored system, with its processes whole: the
+/// form the safety DFS's stack and per-state checks hold, and the form a
+/// [`Working`] state materializes into. The derives compare and hash the
+/// memory by its register values alone (the layout is shared by every
+/// node of a traversal).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct Node<P> {
     /// Process local states, indexed by pid.
     pub(crate) procs: Vec<P>,
-    /// The shared memory, stepped in place by [`cfc_core::apply_step`].
+    /// The shared memory.
     pub(crate) memory: Memory,
     /// Per-process liveness statuses.
     pub(crate) status: Vec<Status>,
@@ -199,23 +207,44 @@ impl AmpleMode {
 }
 
 /// The successor buffer [`GraphBuilder::expand`] fills, in push order:
-/// each decision with its normalized concrete successor.
-type Successors<P> = Vec<(ScheduleStep, Node<P>)>;
-
-/// Reused per-state scratch of the ample selection: future-access sets
-/// and the successors computed while testing candidates (handed to the
-/// full expansion on fallback, so no transition is computed twice).
-struct AmpleScratch<P> {
-    may: Vec<(bool, RegisterSet)>,
-    succ: Vec<Option<Node<P>>>,
+/// each decision with its normalized working successor. Entries past
+/// `len` keep their buffers, so once the buffer has grown to the widest
+/// expansion a refill allocates nothing.
+#[derive(Default)]
+struct Successors {
+    buf: Vec<(ScheduleStep, Working)>,
+    len: usize,
 }
 
-impl<P> AmpleScratch<P> {
-    fn new(n: usize) -> Self {
-        AmpleScratch {
-            may: (0..n).map(|_| (false, RegisterSet::new())).collect(),
-            succ: (0..n).map(|_| None).collect(),
+impl Successors {
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Appends `decision` with a copy of `from`, returned for stepping.
+    fn push(&mut self, decision: ScheduleStep, from: &Working) -> &mut Working {
+        if self.len == self.buf.len() {
+            self.buf.push((decision, from.clone()));
+        } else {
+            let entry = &mut self.buf[self.len];
+            entry.0 = decision;
+            entry.1.clone_from(from);
         }
+        self.len += 1;
+        &mut self.buf[self.len - 1].1
+    }
+
+    /// Drops the last entry, keeping its buffers.
+    fn pop(&mut self) {
+        self.len -= 1;
+    }
+
+    fn last(&self) -> &Working {
+        &self.buf[self.len - 1].1
+    }
+
+    fn as_slice(&self) -> &[(ScheduleStep, Working)] {
+        &self.buf[..self.len]
     }
 }
 
@@ -307,15 +336,16 @@ impl<P> std::fmt::Debug for BuiltGraph<P> {
 }
 
 /// Filters a sleep mask after a step with footprint `taken` fires at
-/// `node`: every sleeping process whose next step races with the taken
+/// `cur`: every sleeping process whose next step races with the taken
 /// step wakes up (its deferred step no longer commutes past the trace).
 /// Bits of processes that are not runnable are dropped defensively —
 /// they cannot arise, since a process's status only changes on its own
-/// steps and crash budgets disable sleeping.
-fn wake_conflicting<P: Process + Clone>(
+/// steps and crash budgets disable sleeping. Each process's footprint is
+/// its slot's cached one.
+fn wake_conflicting<P: Process + Clone + Eq + Hash>(
     mask: u32,
-    node: &Node<P>,
-    layout: &cfc_core::Layout,
+    cur: &Working,
+    store: &NodeStore<P>,
     taken: &Footprint,
 ) -> u32 {
     let mut out = 0u32;
@@ -323,9 +353,9 @@ fn wake_conflicting<P: Process + Clone>(
     while rest != 0 {
         let p = rest.trailing_zeros() as usize;
         rest &= rest - 1;
-        if p < node.procs.len()
-            && node.status[p].runnable()
-            && !observed_conflict(&Footprint::of_step(&node.procs[p].current(), layout), taken)
+        if p < cur.slots.len()
+            && cur.status[p].runnable()
+            && !observed_conflict(&store.info(cur.slots[p]).footprint, taken)
         {
             out |= 1 << p;
         }
@@ -335,8 +365,9 @@ fn wake_conflicting<P: Process + Clone>(
 
 /// The unified traversal driver: the memory template, one
 /// [`ExploreConfig`], and a [`TraversalSpec`], running the one canonical
-/// search loop every checker in this crate is a client of, plus the
-/// ample-selection scratch and the future-access index it consults.
+/// search loop every checker in this crate is a client of. The store it
+/// builds per traversal is also its successor kernel
+/// ([`NodeStore::step`]).
 pub(crate) struct GraphBuilder<'a, P> {
     template: Memory,
     /// The caller's configuration, with the state budget clamped to
@@ -347,13 +378,9 @@ pub(crate) struct GraphBuilder<'a, P> {
     spec: TraversalSpec<'a, P>,
     /// Whether symmetry reduction is effective (enabled and non-trivial).
     use_sym: bool,
-    scratch: AmpleScratch<P>,
-    /// Per-location future-access sets from the solo control automata,
-    /// built when a traversal starts if the configuration asks for
-    /// [`MayAccessMode::Automaton`] or [`MayAccessMode::Dynamic`];
-    /// `None` means ample selection consults the declared `may_access`
-    /// hooks only.
-    future: Option<FutureIndex<P>>,
+    /// The processes a normalizer rewrites, materialized from a working
+    /// state into this reused buffer.
+    procs: Vec<P>,
 }
 
 impl<P> std::fmt::Debug for GraphBuilder<'_, P> {
@@ -391,8 +418,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             },
             use_sym: config.symmetry && !spec.symmetry.is_trivial(),
             spec,
-            scratch: AmpleScratch::new(n),
-            future: None,
+            procs: Vec::with_capacity(n),
         }
     }
 
@@ -405,15 +431,10 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             procs,
             crashes_left: self.config.max_crashes,
         };
-        self.normalize(&mut root);
-        root
-    }
-
-    /// Applies the spec's normalizer (if any) to `node` in place.
-    fn normalize(&self, node: &mut Node<P>) {
         if let Some(f) = self.spec.normalizer {
-            f(&mut node.procs, node.memory.values_mut());
+            f(&mut root.procs, root.memory.values_mut());
         }
+        root
     }
 
     /// Whether this driver explores a symmetry quotient (reduction on,
@@ -423,63 +444,59 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         self.use_sym
     }
 
-    /// The successor of `node` under `decision`, normalized: the process
-    /// takes its next step through [`cfc_core::apply_step`] on a clone
-    /// of the node, or the adversary crashes it. The one place the driver
-    /// steps or crashes a node.
-    fn successor(&self, node: &Node<P>, decision: ScheduleStep) -> Result<Node<P>, ExploreError> {
+    /// Pushes the successor of `cur` under `decision` onto `out`,
+    /// normalized: the process takes its next step through the store's
+    /// kernel ([`NodeStore::step`]), or the adversary crashes it, which
+    /// changes only its status and the crash budget. The one place the
+    /// driver steps or crashes a state.
+    fn successor(
+        &mut self,
+        store: &mut NodeStore<P>,
+        out: &mut Successors,
+        cur: &Working,
+        decision: ScheduleStep,
+    ) -> Result<(), ExploreError> {
         let i = decision.pid().index();
-        let mut next = node.clone();
+        let next = out.push(decision, cur);
         match decision {
             ScheduleStep::Crash(_) => {
                 next.status[i] = Status::Crashed;
                 next.crashes_left -= 1;
             }
-            ScheduleStep::Step(_) => {
-                // Runtime analog of the static hook lint
-                // (`crate::analysis`): the executed step must be covered
-                // by the declared `may_access` at the pre-state. Debug
-                // builds only — this catches hook drift the solo analysis
-                // cannot see, such as a normalizer rewriting a process
-                // into a control point its hook never anticipated.
-                #[cfg(debug_assertions)]
-                if let Step::Op(op) = node.procs[i].current() {
-                    let mut declared = RegisterSet::new();
-                    if node.procs[i].may_access(&mut declared) {
-                        let fp = Footprint::of_op(&op, self.template.layout());
-                        debug_assert!(
-                            fp.reads.is_subset(&declared) && fp.writes.is_subset(&declared),
-                            "process {i}: step footprint {fp:?} escapes its declared may_access set"
-                        );
-                    }
-                }
-                apply_step(&mut next.procs[i], &mut next.status[i], &mut next.memory)
-                    .map_err(ExploreError::Memory)?;
-            }
+            ScheduleStep::Step(_) => store.step(next, i)?,
         }
-        self.normalize(&mut next);
-        Ok(next)
+        if let Some(f) = self.spec.normalizer {
+            store.normalize(next, &mut self.procs, f)?;
+        }
+        Ok(())
     }
 
     /// A store for states shaped like `root`, keyed canonically under
-    /// the spec's symmetry group when the reduction is effective.
-    fn new_store(&self, root: &Node<P>, track_firsts: bool) -> NodeStore<P> {
+    /// the spec's symmetry group when the reduction is effective, whose
+    /// per-slot caches read their future sets from `future`.
+    fn new_store(
+        &self,
+        root: &Node<P>,
+        track_firsts: bool,
+        future: Option<FutureIndex<P>>,
+    ) -> NodeStore<P> {
         let classes = if self.use_sym {
             self.spec.symmetry.classes().to_vec()
         } else {
             Vec::new()
         };
-        NodeStore::new(root, classes, track_firsts)
+        NodeStore::new(root, classes, track_firsts, future)
     }
 
     /// Opens a traversal: builds the future-access index under its own
     /// nested span when the configuration asks for automaton-derived
     /// future sets (both the static automaton mode and the dynamic mode
     /// build on it; meaningful only with partial-order reduction on), and
-    /// returns the normalized root. The span counts the index's entries
-    /// as its states and its unanalyzable processes as its transitions,
-    /// as the lint span counts its findings.
-    fn prepare(&mut self, tel: &Telemetry, procs: Vec<P>) -> Node<P> {
+    /// returns it with the normalized root. The span counts the index's
+    /// entries as its states and its unanalyzable processes as its
+    /// transitions, as the lint span counts its findings.
+    fn prepare(&self, tel: &Telemetry, procs: Vec<P>) -> (Node<P>, Option<FutureIndex<P>>) {
+        let mut future = None;
         if self.config.por && self.config.may_access != MayAccessMode::Declared {
             let auto_span = tel.span(Phase::ExtractAutomaton);
             let index = FutureIndex::build(self.template.layout(), &procs);
@@ -488,61 +505,53 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 transitions: index.findings().len() as u64,
                 ..Snapshot::default()
             });
-            self.future = Some(index);
+            future = Some(index);
         }
-        self.root(procs)
+        (self.root(procs), future)
     }
 
-    /// Fills `out` with the successors of `node` (whose runnable
+    /// Fills `out` with the successors of `cur` (whose runnable
     /// processes are `runnable`) in push order, and returns whether it
     /// holds a single ample successor. Otherwise it holds the full enabled
     /// set: each runnable process's crash successor (while crashes
     /// remain), then its step successor.
     ///
-    /// `visited` is the traversal's store; the ample conditions ask it
-    /// whether a concrete successor's orbit has already been seen, for the
+    /// `store` is the traversal's store, which steps the processes and
+    /// answers whether a successor's orbit has already been seen, for the
     /// cycle/fresh-successor proviso. Crash branching disables the
     /// reduction at any state that can still crash (a crash commutes with
     /// nothing its victim would do).
     fn expand(
         &mut self,
-        node: &Node<P>,
+        cur: &Working,
         runnable: &[usize],
-        visited: &NodeStore<P>,
-        out: &mut Successors<P>,
+        store: &mut NodeStore<P>,
+        out: &mut Successors,
     ) -> Result<bool, ExploreError> {
         out.clear();
         if self.config.por
-            && node.crashes_left == 0
+            && cur.crashes_left == 0
             && runnable.len() > 1
-            && self.select_ample(node, runnable, visited, out)?
+            && self.select_ample(cur, runnable, store, out)?
         {
-            for s in self.scratch.succ.iter_mut() {
-                *s = None;
-            }
             return Ok(true);
         }
         for &i in runnable {
             let pid = ProcessId::new(i as u32);
-            if node.crashes_left > 0 {
-                let crash = ScheduleStep::Crash(pid);
-                out.push((crash, self.successor(node, crash)?));
+            if cur.crashes_left > 0 {
+                self.successor(store, out, cur, ScheduleStep::Crash(pid))?;
             }
-            // Reuse any successor the ample selection already computed for
-            // this candidate instead of recomputing it.
-            let step = ScheduleStep::Step(pid);
-            let next = match self.scratch.succ[i].take() {
-                Some(cached) => cached,
-                None => self.successor(node, step)?,
-            };
-            out.push((step, next));
+            self.successor(store, out, cur, ScheduleStep::Step(pid))?;
         }
         Ok(false)
     }
 
-    /// Selects an ample process at `node` and pushes its (already
-    /// computed) successor onto `out`, or returns `false` when the state
-    /// must be fully expanded.
+    /// Selects an ample process at `cur` and leaves its successor as the
+    /// one entry of `out`, or returns `false` (with `out` empty) when the
+    /// state must be fully expanded. Everything a candidate is judged by
+    /// — its step, footprint, section, output and future-access set, and
+    /// the other processes' future sets — is read from the slots' cached
+    /// [`SlotInfo`](crate::store::SlotInfo).
     ///
     /// A candidate `i` is ample when its next step is
     /// 1. independent of every step any *other* running process can ever
@@ -561,39 +570,25 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
     ///    state, so no transition is ignored forever.
     fn select_ample(
         &mut self,
-        node: &Node<P>,
+        cur: &Working,
         runnable: &[usize],
-        visited: &NodeStore<P>,
-        out: &mut Successors<P>,
+        store: &mut NodeStore<P>,
+        out: &mut Successors,
     ) -> Result<bool, ExploreError> {
-        // Future-access over-approximations, computed once per state into
-        // the reused scratch buffers. Under `MayAccessMode::Automaton`
-        // the per-location sets of the solo control automata take
-        // precedence (sharper and known for more states); any state the
-        // index cannot resolve falls back to the declared hook.
-        let future = self.future.as_ref();
-        for &j in runnable {
-            let (known, set) = &mut self.scratch.may[j];
-            set.clear();
-            *known = match future.and_then(|f| f.future_of(&node.procs[j])) {
-                Some(fut) => {
-                    set.union_with(fut);
-                    true
-                }
-                None => node.procs[j].may_access(set),
-            };
-        }
+        // Under `MayAccessMode::Automaton` the per-location sets of the
+        // solo control automata take precedence in each slot's `may`
+        // (sharper and known for more states); any state the index cannot
+        // resolve carries the declared hook's set instead.
         let dynamic = self.config.may_access == MayAccessMode::Dynamic;
-        let layout = self.template.layout();
         'candidates: for &i in runnable {
-            let step = node.procs[i].current();
+            let info = store.info(cur.slots[i]);
             // Condition 1: independence with all concurrent futures.
-            if let Step::Op(op) = &step {
-                let fp = Footprint::of_op(op, layout);
+            if matches!(info.step, Step::Op(_)) {
                 for &j in runnable {
                     if j == i {
                         continue;
                     }
+                    let other = store.info(cur.slots[j]);
                     // Dynamic mode sharpens C1 where the automaton keeps
                     // the read/write split of the future fixpoint: the
                     // candidate's step must be *independent* of every
@@ -603,53 +598,45 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                     // future footprints implies pairwise independence
                     // with each future step.
                     if dynamic {
-                        if let Some(split) = future.and_then(|f| f.future_split_of(&node.procs[j]))
-                        {
-                            if fp.independent(split) {
+                        if let Some(split) = &other.split {
+                            if info.footprint.independent(split) {
                                 continue;
                             }
                             continue 'candidates;
                         }
                     }
-                    match &self.scratch.may[j] {
-                        (true, set) if !fp.touches(set) => {}
+                    match &other.may {
+                        Some(set) if !info.footprint.touches(set) => {}
                         _ => continue 'candidates,
                     }
                 }
             }
-            // Successors computed here are kept in the scratch: if no
-            // ample candidate survives, the full expansion reuses them
-            // instead of recomputing.
-            let decision = ScheduleStep::Step(ProcessId::new(i as u32));
-            let succ = self.successor(node, decision)?;
-            let succ = &*self.scratch.succ[i].insert(succ);
+            let halt = matches!(info.step, Step::Halt);
+            self.successor(
+                store,
+                out,
+                cur,
+                ScheduleStep::Step(ProcessId::new(i as u32)),
+            )?;
+            let succ = out.last();
             // Condition 2: invisibility of the step — required whenever
             // per-state observations must be preserved. Safety checks
             // never read liveness statuses under reduction, so `Halt`
             // steps are exempt there; the liveness analysis reads them,
             // so under `Liveness` a `Halt` step is visible by definition.
-            let visible = |succ: &Node<P>| {
-                succ.procs[i].section() != node.procs[i].section()
-                    || succ.procs[i].output() != node.procs[i].output()
+            let (before, after) = (store.info(cur.slots[i]), store.info(succ.slots[i]));
+            let visible = after.section != before.section || after.output != before.output;
+            let hidden = match self.spec.ample_mode {
+                AmpleMode::Safety => halt || !visible,
+                AmpleMode::Liveness => !halt && !visible,
+                AmpleMode::Progress => true,
             };
-            match self.spec.ample_mode {
-                AmpleMode::Safety if !matches!(step, Step::Halt) && visible(succ) => {
-                    continue 'candidates;
-                }
-                AmpleMode::Liveness if matches!(step, Step::Halt) || visible(succ) => {
-                    continue 'candidates;
-                }
-                _ => {}
-            }
             // Condition 3: the cycle / fresh-successor proviso, on the
             // successor's orbit (the store canonicalizes it).
-            if visited.contains(succ) {
+            if !hidden || store.contains(succ) {
+                out.pop();
                 continue 'candidates;
             }
-            let succ = self.scratch.succ[i]
-                .take()
-                .expect("candidate successor cached");
-            out.push((decision, succ));
             return Ok(true);
         }
         Ok(false)
@@ -663,6 +650,11 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
     /// carry the schedule that reached them: one path vector, cut back
     /// to the popped entry's parent and extended by its decision at
     /// every pop, so a push allocates nothing.
+    ///
+    /// The stack holds nodes, which the checks read. A popped node's
+    /// working state is built from the slots its visit resolves, the
+    /// kernel expands that, and only the successors pushed are
+    /// materialized back into nodes: a slept one never is.
     ///
     /// # Errors
     ///
@@ -683,7 +675,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         let n = procs.len();
         let tel = telemetry::runtime();
         let mut span = tel.span(mode.phase());
-        let root = self.prepare(&tel, procs);
+        let (root, future) = self.prepare(&tel, procs);
         // Sleep-set pruning rides only on the safety DFS under dynamic
         // mode, concretely (no symmetry), crash-free, and within mask
         // width — see `crate::dynamic` for why each boundary is
@@ -698,13 +690,13 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         let mut sleep = SleepTable::new();
 
         // Visited canonical states, held single-copy in the packed store,
-        // which canonicalizes the concrete nodes it is handed. With
+        // which canonicalizes the concrete states it is handed. With
         // symmetry on, each entry also tracks the identity of the
         // concrete state that first reached it — that lets the
         // orbit-merge counter tell a merge with a permuted sibling apart
         // from a plain revisit, by exact comparison (a hash could
         // collide and miscount).
-        let mut visited = self.new_store(&root, self.use_sym);
+        let mut visited = self.new_store(&root, self.use_sym, future);
         let footprint = |visited: &NodeStore<P>, sleep: &SleepTable| StoreFootprint {
             arena_bytes: visited.arena_bytes(),
             index_bytes: visited.index_bytes() + sleep.heap_bytes() as u64,
@@ -722,17 +714,17 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         // already-pushed sibling branch.
         let mut stack: Vec<(Node<P>, u32, Option<ScheduleStep>, u32)> = vec![(root, 0, None, 0)];
         let mut path: Vec<ScheduleStep> = Vec::new();
-        // Buffers reused across states: the runnable processes, the
-        // successors `expand` fills, and, under sleep sets, each buffered
-        // step's pid bit and footprint.
+        // Buffers reused across states: the popped node's working state,
+        // the runnable processes, and the successors `expand` fills.
+        let mut cur = visited.blank();
         let mut runnable = Vec::with_capacity(n);
-        let mut succs = Vec::new();
-        let mut fps: Vec<(u32, Footprint)> = Vec::new();
+        let mut succs = Successors::default();
 
         while let Some((node, depth, decision, mut mask)) = stack.pop() {
             path.truncate(depth.saturating_sub(1) as usize);
             path.extend(decision);
-            let (id, outcome) = visited.visit(&node);
+            visited.resolve(&node, &mut cur)?;
+            let (id, outcome) = visited.visit(&cur);
             // A revisit normally ends the branch. With sleeping on, a
             // revisit that sleeps *fewer* processes than every earlier
             // visit covered must re-expand the state (without re-counting
@@ -762,7 +754,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 }
             };
             runnable.clear();
-            runnable.extend((0..n).filter(|&i| node.status[i].runnable()));
+            runnable.extend((0..n).filter(|&i| cur.status[i].runnable()));
             if fresh {
                 stats.states += 1;
                 if stats.states > self.config.max_states {
@@ -797,49 +789,48 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 continue;
             }
 
-            if self.expand(&node, &runnable, &visited, &mut succs)? {
+            if self.expand(&cur, &runnable, &mut visited, &mut succs)? {
                 stats.states_pruned_por += runnable.len() as u64 - 1;
             }
-            // Under sleep sets the crash budget is 0, so each buffered
-            // entry is one process's step, named by its pid bit.
-            if sleep_on {
-                let layout = self.template.layout();
-                fps.clear();
-                fps.extend(succs.iter().map(|(step, ..)| {
-                    let i = step.pid().index();
-                    (
-                        1u32 << i,
-                        Footprint::of_step(&node.procs[i].current(), layout),
-                    )
-                }));
-            }
-            for (k, (step, succ)) in succs.drain(..).enumerate() {
+            let entries = succs.as_slice();
+            for (k, (step, succ)) in entries.iter().enumerate() {
                 let mut child_mask = 0;
                 if sleep_on {
-                    let (bit, fp) = &fps[k];
+                    // Under sleep sets the crash budget is 0, so each
+                    // buffered entry is one process's step, named by its
+                    // pid bit, with its slot's cached footprint.
+                    let i = step.pid().index();
                     // An asleep entry is covered by a sibling branch of
                     // some ancestor, so its branch ends here.
-                    if mask & bit != 0 {
+                    if mask & (1 << i) != 0 {
                         stats.transitions_slept += 1;
                         continue;
                     }
+                    let taken = &visited.info(cur.slots[i]).footprint;
                     // Inherited sleepers stay asleep unless the taken step
                     // races with their next step...
-                    child_mask = wake_conflicting(mask, &node, self.template.layout(), fp);
+                    child_mask = wake_conflicting(mask, &cur, &visited, taken);
                     // ...and every awake later entry (explored before this
                     // branch: the stack pops in reverse) whose step is
                     // independent of the taken one goes to sleep: its
                     // successor here is reachable, via commutation, from
                     // that entry's subtree. An ample expansion is the
                     // one-entry case.
-                    for (later_bit, later_fp) in &fps[k + 1..] {
-                        if mask & later_bit == 0 && !observed_conflict(later_fp, fp) {
-                            child_mask |= later_bit;
+                    for (later, _) in &entries[k + 1..] {
+                        let j = later.pid().index();
+                        let later_fp = &visited.info(cur.slots[j]).footprint;
+                        if mask & (1 << j) == 0 && !observed_conflict(later_fp, taken) {
+                            child_mask |= 1 << j;
                         }
                     }
                 }
                 stats.transitions += 1;
-                stack.push((succ, depth + 1, Some(step), child_mask));
+                stack.push((
+                    visited.materialize(succ),
+                    depth + 1,
+                    Some(*step),
+                    child_mask,
+                ));
             }
         }
         stats.footprint = footprint(&visited, &sleep);
@@ -854,10 +845,17 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
     /// buckets), crash branching, ample selection, budget accounting, and
     /// reduction bookkeeping, recording every edge with its label.
     ///
+    /// Every node is expanded straight from its record: it is loaded into
+    /// one reused working state, its successors are stepped through the
+    /// kernel into a reused buffer, and they are interned from the slots
+    /// they already hold. No process is cloned, hashed or decoded on the
+    /// way, and the service predicate reads the two table entries.
+    ///
     /// # Errors
     ///
-    /// State-budget exhaustion or a memory error. Property evaluation is
-    /// the *client's* job — the builder returns the graph and stats.
+    /// State-budget exhaustion, a memory error, or the local-state
+    /// ceiling. Property evaluation is the *client's* job — the builder
+    /// returns the graph and stats.
     pub(crate) fn build_graph(
         &mut self,
         procs: Vec<P>,
@@ -867,10 +865,12 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         let n = procs.len();
         let tel = telemetry::runtime();
         let mut span = tel.span(mode.phase());
-        let root = self.prepare(&tel, procs);
+        let (root, future) = self.prepare(&tel, procs);
 
-        let mut store = self.new_store(&root, false);
-        let (root_id, root_fresh, _) = store.intern(&root);
+        let mut store = self.new_store(&root, false, future);
+        let mut cur = store.blank();
+        store.resolve(&root, &mut cur)?;
+        let (root_id, root_fresh, _) = store.intern(&cur);
         debug_assert!(root_fresh && root_id == 0, "the root interns first");
         let mut g = BuiltGraph {
             store,
@@ -890,11 +890,13 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         // first or, through the fresh-successor proviso, which states
         // later expansions find interned: a permuted start builds the
         // same reduced graph. Empty when the processes go in pid order.
+        // Both keys are the slots' cached fingerprints.
+        let fingerprint = |g: &BuiltGraph<P>, w: &Working, i: usize| {
+            g.store.info(w.slots[i]).fingerprint(w.status[i])
+        };
         let start_keys: Vec<u64> =
             if self.config.por && self.config.symmetry && mode == AmpleMode::Progress {
-                (0..n)
-                    .map(|i| state_fingerprint(&root.procs[i], root.status[i]))
-                    .collect()
+                (0..n).map(|i| fingerprint(&g, &cur, i)).collect()
             } else {
                 Vec::new()
             };
@@ -904,7 +906,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         // Buffers reused across states: the runnable processes and the
         // successors `expand` fills.
         let mut runnable = Vec::with_capacity(n);
-        let mut succs = Vec::new();
+        let mut succs = Successors::default();
         let mut cursor = 0usize;
         while cursor < g.store.len() {
             span.tick(|| Snapshot {
@@ -913,9 +915,9 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 footprint: g.footprint(),
                 ..stats.sample()
             });
-            let current = g.store.node(cursor as u32);
+            g.store.load(cursor as u32, &mut cur);
             runnable.clear();
-            runnable.extend((0..n).filter(|&i| current.status[i].runnable()));
+            runnable.extend((0..n).filter(|&i| cur.status[i].runnable()));
             if runnable.is_empty() {
                 stats.terminals += 1;
                 g.edges.seal();
@@ -924,29 +926,32 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             }
             if !start_keys.is_empty() {
                 order.clear();
-                order.extend(runnable.iter().map(|&i| {
-                    let key = state_fingerprint(&current.procs[i], current.status[i]);
-                    (key, start_keys[i], i)
-                }));
+                order.extend(
+                    runnable
+                        .iter()
+                        .map(|&i| (fingerprint(&g, &cur, i), start_keys[i], i)),
+                );
                 order.sort_unstable();
                 runnable.clear();
                 runnable.extend(order.iter().map(|&(.., i)| i));
             }
-            if self.expand(&current, &runnable, &g.store, &mut succs)? {
+            if self.expand(&cur, &runnable, &mut g.store, &mut succs)? {
                 stats.states_pruned_por += runnable.len() as u64 - 1;
             }
-            for (step, succ) in succs.drain(..) {
+            for (step, succ) in succs.as_slice() {
                 stats.transitions += 1;
                 let pid = step.pid().index();
                 let crash = matches!(step, ScheduleStep::Crash(_));
                 let served = !crash
-                    && self
-                        .spec
-                        .served
-                        .is_some_and(|f| f(&current.procs[pid], &succ.procs[pid]));
+                    && self.spec.served.is_some_and(|f| {
+                        f(
+                            g.store.local(cur.slots[pid]),
+                            g.store.local(succ.slots[pid]),
+                        )
+                    });
                 // A successor that is not its own orbit representative
                 // and lands on a stored orbit is an orbit merge.
-                let (to, fresh, permuted) = g.store.intern(&succ);
+                let (to, fresh, permuted) = g.store.intern(succ);
                 if fresh {
                     g.first_pred.push(cursor as u32);
                     if g.store.len() > self.config.max_states {
@@ -974,6 +979,17 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         Ok((g, stats))
     }
 
+    /// The concrete initial state of a graph this driver built, as a
+    /// working state over the graph's local-state table (which holds the
+    /// root's local states: the root interns first). Witness walks start
+    /// here.
+    pub(crate) fn root_of(&self, g: &BuiltGraph<P>, procs: Vec<P>) -> Working {
+        let mut root = g.store.blank();
+        let found = g.store.find(&self.root(procs), &mut root);
+        assert!(found, "the root's local states are interned first");
+        root
+    }
+
     /// Re-derives a concrete schedule through the nodes `hops` of a graph
     /// this driver built, each hop with an optional pid hint, starting at
     /// the concrete state `cur` and leaving it at the last hop's concrete
@@ -989,28 +1005,34 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
     pub(crate) fn walk(
         &self,
         g: &BuiltGraph<P>,
-        cur: &mut Node<P>,
+        cur: &mut Working,
         hops: impl IntoIterator<Item = (u32, Option<u32>)>,
     ) -> Vec<ScheduleStep> {
+        let mut next = cur.clone();
         hops.into_iter()
             .map(|(id, hint)| {
-                let (step, next) = self.derive_step(cur, g, id, hint.map(|h| h as usize));
-                *cur = next;
+                let step = self.derive_step(cur, &mut next, g, id, hint.map(|h| h as usize));
+                std::mem::swap(cur, &mut next);
                 step
             })
             .collect()
     }
 
     /// One hop of [`GraphBuilder::walk`]: a decision at `cur` whose
-    /// successor's orbit is `g`'s node `target`, found by a lookup-only
-    /// probe of `g`'s store.
+    /// successor, left in `next`, falls into `g`'s node `target`.
+    ///
+    /// Read-only: each candidate is stepped on `cur`'s materialized node
+    /// by [`cfc_core::apply_step`] (or crashed), normalized, and looked
+    /// up in `g`'s store. A successor holding a local state the table has
+    /// never seen cannot be stored, so it cannot be the target.
     fn derive_step(
         &self,
-        cur: &Node<P>,
+        cur: &Working,
+        next: &mut Working,
         g: &BuiltGraph<P>,
         target: u32,
         hint: Option<usize>,
-    ) -> (ScheduleStep, Node<P>) {
+    ) -> ScheduleStep {
         let n = cur.status.len();
         let order = hint
             .into_iter()
@@ -1020,11 +1042,22 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             let pid = ProcessId::new(i as u32);
             let crash = (cur.crashes_left > 0).then_some(ScheduleStep::Crash(pid));
             for decision in std::iter::once(ScheduleStep::Step(pid)).chain(crash) {
-                let succ = self
-                    .successor(cur, decision)
-                    .expect("witness steps replay the explored semantics");
-                if g.store.id_of(&succ) == Some(target) {
-                    return (decision, succ);
+                let mut succ = g.store.materialize(cur);
+                match decision {
+                    ScheduleStep::Crash(_) => {
+                        succ.status[i] = Status::Crashed;
+                        succ.crashes_left -= 1;
+                    }
+                    ScheduleStep::Step(_) => {
+                        apply_step(&mut succ.procs[i], &mut succ.status[i], &mut succ.memory)
+                            .expect("witness steps replay the explored semantics");
+                    }
+                }
+                if let Some(f) = self.spec.normalizer {
+                    f(&mut succ.procs, succ.memory.values_mut());
+                }
+                if g.store.find(&succ, next) && g.store.id_of(next) == Some(target) {
+                    return decision;
                 }
             }
         }
@@ -1035,7 +1068,10 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfc_core::{Layout, Op, OpResult, RegisterId, Value};
+    use crate::explore::Replayed;
+    use crate::liveness::{mutex_spec, naming_spec, victim_masks, LivenessSpec};
+    use cfc_core::{Layout, Op, OpResult, RegisterId, Trace, Value};
+    use cfc_mutex::{Bakery, MutexAlgorithm, Tournament};
     use cfc_naming::{NamingAlgorithm, TasScan};
 
     /// A process bumping a private counter `laps` times, tracking a lap
@@ -1283,5 +1319,128 @@ mod tests {
             "{stats:?}"
         );
         assert_progress_graph(&g, &stats);
+    }
+
+    /// Builds the graph of `procs` and certifies it edge by edge against
+    /// the un-reduced stepper, which shares no code with the kernel's
+    /// memo and slot caches: every node is decoded, stepped by each of
+    /// its edges' decisions through `Replayed::step`, and normalized when
+    /// the spec has a normalizer. The result must be stored under the
+    /// edge's target, and the edge's crash and service labels must be the
+    /// step's. The victim masks liveness reads from records must equal
+    /// the masks computed from the decoded nodes, for every victim.
+    fn certify<P: Process + Clone + Eq + Hash>(
+        mut builder: GraphBuilder<'_, P>,
+        procs: Vec<P>,
+        live: &LivenessSpec<'_, P>,
+    ) -> ExploreStats {
+        let n = procs.len();
+        let (g, stats) = builder.build_graph(procs).unwrap();
+        assert!(stats.transitions > 0, "{stats:?}");
+        let mut w = g.store.blank();
+        for v in 0..g.len() as u32 {
+            let node = g.store.node(v);
+            for e in g.edges.edges(v as usize) {
+                let pid = ProcessId::new(e.pid);
+                let decision = if e.crash {
+                    ScheduleStep::Crash(pid)
+                } else {
+                    ScheduleStep::Step(pid)
+                };
+                let mut run = Replayed {
+                    trace: Trace::new(),
+                    procs: node.procs.clone(),
+                    memory: node.memory.clone(),
+                    status: node.status.clone(),
+                };
+                run.step(decision).unwrap();
+                let mut next = Node {
+                    procs: run.procs,
+                    memory: run.memory,
+                    status: run.status,
+                    crashes_left: node.crashes_left - u32::from(e.crash),
+                };
+                if let Some(f) = builder.spec.normalizer {
+                    f(&mut next.procs, next.memory.values_mut());
+                }
+                assert!(g.store.find(&next, &mut w), "node {v}, {e:?}");
+                assert_eq!(g.store.id_of(&w), Some(e.to), "node {v}, {e:?}");
+                let i = e.pid as usize;
+                let served = !e.crash && (live.served)(&node.procs[i], &next.procs[i]);
+                assert_eq!(e.served, served, "node {v}, {e:?}");
+            }
+        }
+        for victim in 0..n {
+            let (pending, engaged) = victim_masks(&g, victim, live);
+            for v in 0..g.len() {
+                let node = g.store.node(v as u32);
+                let p = &node.procs[victim];
+                let want = node.status[victim].runnable() && (live.pending)(p);
+                assert_eq!(pending[v], want, "victim {victim}, node {v}");
+                assert_eq!(
+                    engaged[v],
+                    want && (live.engaged)(p),
+                    "victim {victim}, node {v}"
+                );
+            }
+        }
+        stats
+    }
+
+    /// The edge certificate of the slot kernel, on four systems: the
+    /// bumpers under a crash budget of one, plain and with the scratch
+    /// fold; tas-scan n=3 under `reduced()` with one crash, a quotient;
+    /// tournament n=3's cycling clients in the liveness ample mode; and
+    /// bakery n=2 under its ticket-shifting liveness normalizer.
+    #[test]
+    fn kernel_edges_are_certified_by_the_unreduced_stepper() {
+        let bumper = LivenessSpec {
+            pending: &|p: &Bumper| p.pc == 1,
+            engaged: &|p: &Bumper| p.done > 0,
+            served: &|a: &Bumper, b: &Bumper| b.done > a.done,
+            normalize: None,
+        };
+        for normalizer in [None, Some(&fold_scratch as NormalizeFn<_>)] {
+            let (memory, procs) = bumper_system(2);
+            let mut s = spec(AmpleMode::Liveness);
+            s.normalizer = normalizer;
+            s.served = Some(bumper.served);
+            let config = ExploreConfig::default().with_max_crashes(1);
+            let stats = certify(GraphBuilder::new(memory, config, s, 2), procs, &bumper);
+            assert!(stats.terminals > 0, "{stats:?}");
+        }
+
+        let alg = TasScan::new(3);
+        let naming = naming_spec();
+        let mut s = spec(AmpleMode::Liveness);
+        s.symmetry = SymmetryGroup::of_identical(&alg.processes());
+        s.served = Some(naming.served);
+        let config = ExploreConfig::reduced().with_max_crashes(1);
+        let builder = GraphBuilder::new(alg.memory().unwrap(), config, s, 3);
+        let stats = certify(builder, alg.processes(), &naming);
+        assert!(stats.orbits_merged > 0, "{stats:?}");
+
+        let alg = Tournament::new(3, 1);
+        let clients: Vec<_> = (0..3)
+            .map(|i| alg.client_cycling(ProcessId::new(i), 1))
+            .collect();
+        let mutex = mutex_spec(None);
+        let mut s = spec(AmpleMode::Liveness);
+        s.symmetry = SymmetryGroup::of_identical(&clients);
+        s.served = Some(mutex.served);
+        let builder = GraphBuilder::new(alg.memory().unwrap(), ExploreConfig::reduced(), s, 3);
+        certify(builder, clients, &mutex);
+
+        let alg = Bakery::new(2);
+        let clients: Vec<_> = (0..2)
+            .map(|i| alg.client_cycling(ProcessId::new(i), 1))
+            .collect();
+        let normalizer = alg.liveness_normalizer().expect("bakery folds its tickets");
+        let mutex = mutex_spec(Some(&*normalizer));
+        let mut s = spec(AmpleMode::Liveness);
+        s.normalizer = mutex.normalize;
+        s.served = Some(mutex.served);
+        let builder = GraphBuilder::new(alg.memory().unwrap(), ExploreConfig::default(), s, 2);
+        certify(builder, clients, &mutex);
     }
 }

@@ -63,6 +63,7 @@ pub mod csr;
 pub mod dynamic;
 pub mod explore;
 mod graph;
+mod hash;
 pub mod index;
 pub mod liveness;
 pub mod merge;

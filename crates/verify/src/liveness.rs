@@ -599,17 +599,43 @@ impl<'s, P: Process + Clone + Eq + Hash> Check<'_, 's, P> {
     }
 }
 
+/// Strongly connected components in Tarjan's emission order, held flat:
+/// component `k`'s members are `members[offsets[k]..offsets[k + 1]]`, in
+/// the order they left Tarjan's stack.
+struct Sccs {
+    members: Vec<u32>,
+    offsets: Vec<u32>,
+}
+
+impl Sccs {
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Component `k`'s members.
+    fn get(&self, k: usize) -> &[u32] {
+        &self.members[self.offsets[k] as usize..self.offsets[k + 1] as usize]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        (0..self.len()).map(|k| self.get(k))
+    }
+}
+
 /// Strongly connected components of the subgraph induced by `active`
 /// nodes, via iterative Tarjan. Emitted in reverse topological order of
 /// the condensation (every SCC before each of its predecessors).
-fn tarjan_sccs(edges: &EdgeArena, active: &[bool]) -> Vec<Vec<u32>> {
+fn tarjan_sccs(edges: &EdgeArena, active: &[bool]) -> Sccs {
     const UNSEEN: u32 = u32::MAX;
     let n = active.len();
     let mut index = vec![UNSEEN; n];
     let mut low = vec![0u32; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<u32> = Vec::new();
-    let mut sccs: Vec<Vec<u32>> = Vec::new();
+    let mut sccs = Sccs {
+        members: Vec::new(),
+        offsets: vec![0],
+    };
     let mut next = 0u32;
     let mut call: Vec<(usize, usize)> = Vec::new();
 
@@ -651,35 +677,44 @@ fn tarjan_sccs(edges: &EdgeArena, active: &[bool]) -> Vec<Vec<u32>> {
                 low[p] = low[p].min(low[v]);
             }
             if low[v] == index[v] {
-                let mut scc = Vec::new();
                 loop {
                     let w = stack.pop().expect("Tarjan stack holds the SCC");
                     on_stack[w as usize] = false;
-                    scc.push(w);
+                    sccs.members.push(w);
                     if w as usize == v {
                         break;
                     }
                 }
-                sccs.push(scc);
+                sccs.offsets.push(sccs.members.len() as u32);
             }
         }
     }
     sccs
 }
 
-/// Marks, decoding each node once, the nodes where `victim` is running
-/// and pending, and those where it is also engaged.
-fn victim_masks<P: Process + Clone + Eq + Hash>(
+/// Marks the nodes where `victim` is running and pending, and those where
+/// it is also engaged. `pending` and `engaged` are evaluated once per
+/// local state of the graph's table; each node contributes the victim's
+/// status and slot, read from its record in place.
+pub(crate) fn victim_masks<P: Process + Clone + Eq + Hash>(
     g: &BuiltGraph<P>,
     victim: usize,
     spec: &LivenessSpec<'_, P>,
 ) -> (Vec<bool>, Vec<bool>) {
-    (0..g.len())
-        .map(|i| {
-            let node = g.store.node(i as u32);
-            let p = &node.procs[victim];
-            let pending = node.status[victim].runnable() && (spec.pending)(p);
+    let per_slot: Vec<(bool, bool)> = (0..g.store.local_states() as u32)
+        .map(|slot| {
+            let p = g.store.local(slot);
+            let pending = (spec.pending)(p);
             (pending, pending && (spec.engaged)(p))
+        })
+        .collect();
+    (0..g.len() as u32)
+        .map(|id| {
+            if g.store.status_at(id, victim).runnable() {
+                per_slot[g.store.slot_at(id, victim) as usize]
+            } else {
+                (false, false)
+            }
         })
         .unzip()
 }
@@ -700,43 +735,40 @@ fn find_fair_starvation<P>(g: &BuiltGraph<P>, pending: &[bool]) -> Vec<Vec<u32>>
 where
     P: Process + Clone + Eq + Hash,
 {
+    let n = g.store.processes();
     let mut fair = Vec::new();
     let mut member = vec![false; g.len()];
-    'sccs: for scc in tarjan_sccs(&g.edges, pending) {
-        for &v in &scc {
+    let mut covered = vec![false; n];
+    'sccs: for scc in tarjan_sccs(&g.edges, pending).iter() {
+        for &v in scc {
             member[v as usize] = true;
         }
-        let internal = |e: &GEdge| member[e.to as usize];
-        // Statuses are constant across an SCC (Done/Crashed absorb, and
-        // a crash edge cannot be internal: the crash budget decreases),
-        // so the fairness obligation can be read off any member.
-        let rep = g.store.node(scc[0]);
-        let running: Vec<u32> = (0..rep.status.len() as u32)
-            .filter(|&q| rep.status[q as usize].runnable())
-            .collect();
-        let mut covered = vec![false; rep.status.len()];
+        covered.fill(false);
         let mut nontrivial = scc.len() > 1;
-        for &v in &scc {
+        for &v in scc {
             for e in g.edges.edges(v as usize) {
-                if internal(&e) {
+                if member[e.to as usize] {
                     debug_assert!(!e.crash, "crash edges cannot close cycles");
                     covered[e.pid as usize] = true;
                     nontrivial = true;
                 }
             }
         }
-        for &v in &scc {
+        for &v in scc {
             member[v as usize] = false;
         }
         if !nontrivial {
             continue;
         }
-        for &q in &running {
-            if !covered[q as usize] {
+        // Statuses are constant across an SCC (Done/Crashed absorb, and
+        // a crash edge cannot be internal: the crash budget decreases),
+        // so the fairness obligation can be read off any member's record.
+        for (q, &stepped) in covered.iter().enumerate() {
+            if !stepped && g.store.status_at(scc[0], q).runnable() {
                 continue 'sccs; // some running process is denied steps: unfair
             }
         }
-        fair.push(scc);
+        fair.push(scc.to_vec());
     }
     fair
 }
@@ -822,16 +854,16 @@ where
     };
     let mut hops: Vec<(u32, u32)> = Vec::new();
     let mut k = start_scc;
-    let start = choice[k].map_or(sccs[k][0], |(v, _)| v);
+    let start = choice[k].map_or(sccs.get(k)[0], |(v, _)| v);
     let mut cur = start;
     let mut member = vec![false; g.len()];
     while let Some((v, ei)) = choice[k] {
         if cur != v {
-            for &x in &sccs[k] {
+            for &x in sccs.get(k) {
                 member[x as usize] = true;
             }
             hops.extend(path_in_scc(g, &member, cur, v));
-            for &x in &sccs[k] {
+            for &x in sccs.get(k) {
                 member[x as usize] = false;
             }
         }
@@ -856,7 +888,7 @@ fn concretize<P>(
 where
     P: Process + Clone + Eq + Hash,
 {
-    let mut cur = builder.root(procs.to_vec());
+    let mut cur = builder.root_of(g, procs.to_vec());
     let stem_hops = g.creator_path(start).into_iter().map(|id| (id, None));
     let stem = builder.walk(g, &mut cur, stem_hops);
     let tail = builder.walk(g, &mut cur, hops.iter().map(|&(t, pid)| (t, Some(pid))));
@@ -889,10 +921,10 @@ where
         member[v as usize] = true;
     }
     let c0 = scc[0];
-    let rep = g.store.node(c0);
     let mut hops: Vec<(u32, u32)> = Vec::new(); // (target node, pid hint)
     let mut cur = c0;
-    for q in (0..rep.status.len() as u32).filter(|&q| rep.status[q as usize].runnable()) {
+    let running = (0..g.store.processes()).filter(|&q| g.store.status_at(c0, q).runnable());
+    for q in running.map(|q| q as u32) {
         let (from, edge) = scc
             .iter()
             .flat_map(|&v| g.edges.edges(v as usize).map(move |e| (v, e)))
@@ -1079,7 +1111,7 @@ where
 
 /// The [`LivenessSpec`] of naming: a walker is pending and engaged until
 /// it decides a name, and served when it does.
-fn naming_spec<'a, P: Process>() -> LivenessSpec<'a, P> {
+pub(crate) fn naming_spec<'a, P: Process>() -> LivenessSpec<'a, P> {
     LivenessSpec {
         pending: &|p: &P| p.output().is_none(),
         engaged: &|p: &P| p.output().is_none(),
@@ -1089,7 +1121,7 @@ fn naming_spec<'a, P: Process>() -> LivenessSpec<'a, P> {
 }
 
 /// The [`LivenessSpec`] of mutual exclusion over cycling clients.
-fn mutex_spec<'a, L>(
+pub(crate) fn mutex_spec<'a, L>(
     normalize: Option<NormalizeFn<'a, MutexClient<L>>>,
 ) -> LivenessSpec<'a, MutexClient<L>>
 where
